@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import erf
 
-from .field import ComplexField, GridMismatchError, total_power
+from .field import ComplexField, Grid, GridMismatchError, total_power
 from .seeding import TAG_OCCLUSION, TAG_SCREEN, child_seed, substream
 from .zernike import PhaseScreen, ZernikeSpectrum, kolmogorov_screen, \
     sample_modal_screen
@@ -60,11 +61,42 @@ def apply_attenuation(field: ComplexField, alpha_db_per_m: float,
 
 def apply_phase_screen(field: ComplexField,
                        screen: PhaseScreen) -> ComplexField:
-    """Multiply by exp(i * phase). Conserves power exactly."""
+    """Multiply by exp(i * phase). Conserves power exactly.
+
+    The product is taken as exp(i * phase) * amplitude, the operand order
+    :func:`run_channel` uses, so both round alike on every grid size.
+    """
     if field.grid != screen.grid:
         raise GridMismatchError(
             f"screen grid {screen.grid} does not match field {field.grid}")
-    return field.with_amplitude(field.amplitude * np.exp(1j * screen.phase))
+    return field.with_amplitude(np.exp(1j * screen.phase) * field.amplitude)
+
+
+@lru_cache(maxsize=8)
+def _propagation_plan(grid: Grid, wavelength: float, refractive_index: float,
+                      dz: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Nyquist-guard mask and transfer function H for one step.
+
+    Both depend only on the arguments, so a split-step chain builds them
+    once per (grid, wavelength, medium, step length) instead of per call.
+    """
+    n = grid.n_samples
+    f = np.fft.fftfreq(n, d=grid.spacing)
+    fx, fy = np.meshgrid(f, f, indexing="xy")
+    fr2 = fx * fx + fy * fy
+    guard = fr2 > (NYQUIST_GUARD_FRACTION / (2.0 * grid.spacing)) ** 2
+
+    k_med = 2.0 * math.pi * refractive_index / wavelength
+    kz2 = k_med * k_med - (2.0 * math.pi) ** 2 * fr2
+    kz = np.sqrt(np.abs(kz2))
+    # kz - k = -kt^2 / (kz + k), evaluated in this form to avoid cancellation.
+    kt2 = (2.0 * math.pi) ** 2 * fr2
+    h = np.where(kz2 >= 0.0,
+                 np.exp(-1j * dz * kt2 / (kz + k_med)),
+                 np.exp(-kz * dz))
+    guard.flags.writeable = False
+    h.flags.writeable = False
+    return guard, h
 
 
 def angular_spectrum_propagate(field: ComplexField, dz: float,
@@ -88,32 +120,18 @@ def angular_spectrum_propagate(field: ComplexField, dz: float,
         raise ValueError("refractive index must be >= 1")
     if dz == 0.0:
         return field
-    grid = field.grid
-    n = grid.n_samples
     spec = np.fft.fft2(field.amplitude)
-    f = np.fft.fftfreq(n, d=grid.spacing)
-    fx, fy = np.meshgrid(f, f, indexing="xy")
-    fr2 = fx * fx + fy * fy
-
+    guard, h = _propagation_plan(field.grid, field.wavelength,
+                                 refractive_index, dz)
     energy = np.abs(spec) ** 2
     tot = float(energy.sum())
     if tot > 0.0:
-        guard = fr2 > (NYQUIST_GUARD_FRACTION / (2.0 * grid.spacing)) ** 2
         frac = float(energy[guard].sum()) / tot
         if frac > ALIASING_ENERGY_FRACTION:
             raise AliasingError(
                 f"{frac:.2e} of field energy beyond "
                 f"{NYQUIST_GUARD_FRACTION:.0%} of Nyquist (limit "
                 f"{ALIASING_ENERGY_FRACTION:.0e}); enlarge the grid or beam")
-
-    k_med = 2.0 * math.pi * refractive_index / field.wavelength
-    kz2 = k_med * k_med - (2.0 * math.pi) ** 2 * fr2
-    kz = np.sqrt(np.abs(kz2))
-    # kz - k = -kt^2 / (kz + k), evaluated in this form to avoid cancellation.
-    kt2 = (2.0 * math.pi) ** 2 * fr2
-    h = np.where(kz2 >= 0.0,
-                 np.exp(-1j * dz * kt2 / (kz + k_med)),
-                 np.exp(-kz * dz))
     out = np.fft.ifft2(spec * h)
     return field.with_amplitude(out)
 
@@ -247,13 +265,14 @@ class ChannelResult:
                 f"transmittance {self.transmittance} outside [0, 1]")
 
 
-def realize_screens(config: ChannelConfig, grid: "Grid",
+def realize_screens(config: ChannelConfig, grid: Grid,
                     ) -> tuple[tuple[PhaseScreen, ...],
                                tuple[ZernikeSpectrum, ...] | None]:
     """Generate the channel's phase screens without running it.
 
-    Useful for sending several fields through one frozen channel
-    realization: pair with ``screen_source='explicit'``.
+    Useful for inspecting or storing a realization. To send several fields
+    through one realization, pass them to :func:`run_channel` as a tuple,
+    which realizes the screens once for the whole batch.
     """
     if config.n_screens == 0:
         return (), None
@@ -277,8 +296,9 @@ def realize_screens(config: ChannelConfig, grid: "Grid",
     return tuple(screens), (tuple(spectra) if spectra else None)
 
 
-def run_channel(input_field: ComplexField,
-                config: ChannelConfig) -> ChannelResult:
+def run_channel(input_field: ComplexField | tuple[ComplexField, ...],
+                config: ChannelConfig,
+                ) -> ChannelResult | tuple[ChannelResult, ...]:
     """Run the full split-step chain and report the power ratio.
 
     ``n_screens`` phase screens are spaced evenly along the path, giving
@@ -287,8 +307,21 @@ def run_channel(input_field: ComplexField,
     rate) are inserted at seeded random screen interfaces. With no screens
     and no attenuation the result equals plain propagation over the full
     length.
+
+    ``input_field`` may also be a tuple of fields on one grid and
+    wavelength. They then all cross the same realization (screens and
+    occluders are drawn once) and a tuple of results comes back in the
+    same order; each equals what a single call would return.
     """
-    grid = input_field.grid
+    batch = isinstance(input_field, tuple)
+    fields = input_field if batch else (input_field,)
+    if not fields:
+        raise ValueError("run_channel needs at least one field")
+    grid = fields[0].grid
+    for f in fields[1:]:
+        if f.grid != grid or f.wavelength != fields[0].wavelength:
+            raise GridMismatchError(
+                "batched fields must share one grid and wavelength")
     screens, spectra = realize_screens(config, grid)
     for s in screens:
         if s.grid != grid:
@@ -308,19 +341,30 @@ def run_channel(input_field: ComplexField,
                 Occluder(radius=radius, opacity=config.occluder_opacity,
                          position=pos))
 
-    p_in = total_power(input_field)
     dz = config.length / (config.n_screens + 1)
-    out = input_field
+    outs = list(fields)
     for step in range(config.n_screens + 1):
-        for occ in occluders.get(step, ()):
-            out = apply_occlusion(out, occ)
-        out = angular_spectrum_propagate(out, dz, config.refractive_index)
-        out = apply_attenuation(out, config.attenuation_db_per_m, dz)
-        if step < config.n_screens:
-            out = apply_phase_screen(out, screens[step])
+        # One screen exponential per step, shared by the whole batch. It is
+        # applied as t * amplitude, as apply_phase_screen does: complex
+        # products round differently with the operands swapped.
+        t = (np.exp(1j * screens[step].phase)
+             if step < config.n_screens else None)
+        for i, out in enumerate(outs):
+            for occ in occluders.get(step, ()):
+                out = apply_occlusion(out, occ)
+            out = angular_spectrum_propagate(out, dz,
+                                             config.refractive_index)
+            out = apply_attenuation(out, config.attenuation_db_per_m, dz)
+            if t is not None:
+                out = out.with_amplitude(t * out.amplitude)
+            outs[i] = out
 
-    ratio = total_power(out) / p_in if p_in > 0 else 0.0
-    return ChannelResult(output_field=out,
-                         transmittance=min(ratio, 1.0),
-                         screens_used=screens,
-                         ground_truth_spectra=spectra)
+    results = []
+    for field, out in zip(fields, outs):
+        p_in = total_power(field)
+        ratio = total_power(out) / p_in if p_in > 0 else 0.0
+        results.append(ChannelResult(output_field=out,
+                                     transmittance=min(ratio, 1.0),
+                                     screens_used=screens,
+                                     ground_truth_spectra=spectra))
+    return tuple(results) if batch else results[0]

@@ -10,13 +10,13 @@ threshold where that rate vanishes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelConfig, realize_screens, run_channel
+from .channel import ChannelConfig, run_channel
 from .field import (ANTIDIAGONAL, DIAGONAL, HORIZONTAL, VERTICAL,
                     ComplexField, Grid, JonesVector, lg_mode, mode_overlap,
                     superpose)
@@ -223,15 +223,12 @@ def detection_matrix_oam(channel_config: ChannelConfig,
     for trial in range(n_trials):
         cfg = channel_config.with_seed(
             child_seed(channel_config.seed, TAG_TRIAL, trial))
-        if cfg.n_screens > 0 and cfg.screen_source != "explicit":
-            # One frozen channel realization per trial, shared by all
-            # sent states.
-            screens, _ = realize_screens(cfg, grid)
-            cfg = replace(cfg, screen_source="explicit", screens=screens,
-                          modal_sigmas=None, r0=None)
+        # One frozen channel realization per trial, shared by all sent
+        # states.
+        transits = run_channel(tuple(modes[lbl] for lbl in labels), cfg)
         row_block = np.zeros_like(acc)
-        for s_lbl in labels:
-            received = run_channel(modes[s_lbl], cfg).output_field
+        for s_lbl, transit in zip(labels, transits):
+            received = transit.output_field
             for basis in bases:
                 raw = np.array([abs(mode_overlap(received, modes[m])) ** 2
                                 for m in basis])

@@ -100,9 +100,9 @@ def _run_wavefront(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
     frame_rows = []
     coeff_rows = []
     truth_rows = []
+    source = build_source_field(scenario.source, scenario.grid)
     for k in range(scenario.frames):
         cfg = _frame_channel(scenario, k)
-        source = build_source_field(scenario.source, scenario.grid)
         res = run_channel(source, cfg)
         spots = capture(res.output_field, scenario.sensor)
         slopes = extract_slopes(spots, intensity_floor=ana.intensity_floor)

@@ -207,7 +207,7 @@ def _suggest(key: str, known: list[str]) -> str:
     return f"; did you mean {close[0]!r}?" if close else ""
 
 
-def _coerce(field: Field_, value, where: str):
+def _coerce(field: SchemaField, value, where: str):
     if value is None:
         return None
     if field.kind is float:
@@ -338,7 +338,7 @@ def _build_source(sec: dict, grid: Grid, where: str) -> SourceSpec:
         raise ScenarioError(
             f"waist {waist} exceeds grid extent / 4 ({grid.extent / 4})",
             f"{where}.waist")
-    if kind in ("lg", "petal") and sec["ell"] == 0 and kind == "petal":
+    if kind == "petal" and sec["ell"] == 0:
         raise ScenarioError("petal sources need ell != 0", f"{where}.ell")
     return SourceSpec(kind=kind, waist=waist, ell=sec["ell"], p=sec["p"],
                       wavelength=sec["wavelength"])

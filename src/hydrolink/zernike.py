@@ -240,6 +240,26 @@ class PhaseScreen:
         object.__setattr__(self, "phase", ph)
 
 
+@lru_cache(maxsize=8)
+def _disk_geometry(grid: Grid, aperture_radius: float,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (inside mask, rho, phi) of the aperture disk on a grid.
+
+    ``rho`` (normalized radius) and ``phi`` hold only the inside samples, in
+    the mask's row-major order. Only the geometry is kept: per-mode values
+    would stay resident at several megabytes per mode on large grids.
+    """
+    x, y = grid.mesh()
+    rho = np.hypot(x, y) / aperture_radius
+    inside = rho <= 1.0
+    phi = np.arctan2(y, x)
+    rho_in = rho[inside]
+    phi_in = phi[inside]
+    for a in (inside, rho_in, phi_in):
+        a.flags.writeable = False
+    return inside, rho_in, phi_in
+
+
 def phase_from_spectrum(spec: ZernikeSpectrum, grid: Grid,
                         label: str = "",
                         rim_taper: float = 0.0) -> PhaseScreen:
@@ -259,22 +279,19 @@ def phase_from_spectrum(spec: ZernikeSpectrum, grid: Grid,
             f"aperture radius {r_ap} exceeds half extent {grid.extent / 2}")
     if not 0.0 <= rim_taper < 1.0:
         raise ValueError("rim_taper must be in [0, 1)")
-    x, y = grid.mesh()
-    rho = np.hypot(x, y) / r_ap
-    inside = rho <= 1.0
-    phi = np.arctan2(y, x)
-    phase = np.zeros_like(rho)
-    rho_in = rho[inside]
-    phi_in = phi[inside]
+    inside, rho_in, phi_in = _disk_geometry(grid, r_ap)
+    acc = np.zeros(rho_in.shape)
     for j, a in spec.coefficients:
         if a == 0.0:
             continue
-        phase[inside] += a * zernike_eval(nm_from_index(j), rho_in, phi_in)
+        acc += a * zernike_eval(nm_from_index(j), rho_in, phi_in)
     if rim_taper > 0.0:
         from scipy.special import erf
         roll = 0.5 * (1.0 - erf((rho_in - (1.0 - rim_taper / 2.0))
                                 / (rim_taper / 5.0)))
-        phase[inside] *= roll
+        acc *= roll
+    phase = np.zeros(inside.shape)
+    phase[inside] = acc
     return PhaseScreen(grid, phase, label)
 
 

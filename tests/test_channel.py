@@ -1,17 +1,22 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hydrolink.channel import (AliasingError, ChannelConfig, ChannelResult,
-                               Occluder, angular_spectrum_propagate,
+from hydrolink.channel import (NYQUIST_GUARD_FRACTION, AliasingError,
+                               ChannelConfig, ChannelResult, Occluder,
+                               _propagation_plan, angular_spectrum_propagate,
                                apply_attenuation, apply_occlusion,
                                apply_phase_screen, run_channel,
                                transmittance)
-from hydrolink.field import (ComplexField, GridMismatchError, beam_width,
-                             centroid, find_vortices, lg_mode, petal_mode,
-                             total_power, total_vortex_charge)
-from hydrolink.zernike import ZernikeSpectrum, phase_from_spectrum
+from hydrolink.field import (ComplexField, Grid, GridMismatchError,
+                             beam_width, centroid, find_vortices, lg_mode,
+                             petal_mode, total_power, total_vortex_charge)
+from hydrolink.zernike import (ZernikeSpectrum, _disk_geometry,
+                               phase_from_spectrum)
 from hydrolink.scenario import modal_sigma_table
 
 from conftest import WATER_N, WAVELENGTH, rayleigh_range
@@ -99,6 +104,68 @@ class TestPropagation:
     def test_negative_distance(self, gaussian512):
         with pytest.raises(ValueError):
             angular_spectrum_propagate(gaussian512, -1.0, WATER_N)
+
+
+def _reference_propagate(field, dz, refractive_index):
+    """The propagator as written before its plan was cached."""
+    grid = field.grid
+    n = grid.n_samples
+    spec = np.fft.fft2(field.amplitude)
+    f = np.fft.fftfreq(n, d=grid.spacing)
+    fx, fy = np.meshgrid(f, f, indexing="xy")
+    fr2 = fx * fx + fy * fy
+    energy = np.abs(spec) ** 2
+    guard = fr2 > (NYQUIST_GUARD_FRACTION / (2.0 * grid.spacing)) ** 2
+    assert float(energy[guard].sum()) / float(energy.sum()) <= 1e-6
+    k_med = 2.0 * math.pi * refractive_index / field.wavelength
+    kz2 = k_med * k_med - (2.0 * math.pi) ** 2 * fr2
+    kz = np.sqrt(np.abs(kz2))
+    kt2 = (2.0 * math.pi) ** 2 * fr2
+    h = np.where(kz2 >= 0.0,
+                 np.exp(-1j * dz * kt2 / (kz + k_med)),
+                 np.exp(-kz * dz))
+    return np.fft.ifft2(spec * h)
+
+
+class TestPropagationPlan:
+    @pytest.mark.parametrize("n, spacing", [(128, 8e-5), (256, 4e-5)])
+    @pytest.mark.parametrize("dz", [5.5 / 3, 2.0])
+    def test_matches_reference_bitwise(self, n, spacing, dz):
+        grid = Grid(n, spacing)
+        f = lg_mode(3, 0, grid.extent / 16, grid, WAVELENGTH)
+        for _ in range(2):      # cold, then from the cached plan
+            out = angular_spectrum_propagate(f, dz, WATER_N)
+            assert np.array_equal(out.amplitude,
+                                  _reference_propagate(f, dz, WATER_N))
+
+    def test_guard_still_checked_on_warm_plan(self, grid256):
+        clean = lg_mode(0, 0, grid256.extent / 16, grid256, WAVELENGTH)
+        angular_spectrum_propagate(clean, 0.1, WATER_N)
+        rng = np.random.default_rng(0)
+        noisy = ComplexField(grid256, WAVELENGTH,
+                             rng.normal(size=(256, 256)).astype(complex))
+        with pytest.raises(AliasingError):
+            angular_spectrum_propagate(noisy, 0.1, WATER_N)
+
+    def test_cached_arrays_read_only(self, grid256):
+        guard, h = _propagation_plan(grid256, WAVELENGTH, WATER_N, 1.0)
+        inside, rho, phi = _disk_geometry(grid256, 0.4 * grid256.extent)
+        for a in (guard, h, inside, rho, phi):
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            h[0, 0] = 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(half_n=st.integers(8, 32),
+           spacing=st.floats(5e-6, 1e-4),
+           dz=st.floats(1e-3, 10.0))
+    def test_property_bitwise_and_unitary(self, half_n, spacing, dz):
+        grid = Grid(2 * half_n, spacing)
+        f = lg_mode(0, 0, grid.extent / 6, grid, WAVELENGTH)
+        out = angular_spectrum_propagate(f, dz, WATER_N)
+        assert np.array_equal(out.amplitude,
+                              _reference_propagate(f, dz, WATER_N))
+        assert total_power(out) == pytest.approx(total_power(f), rel=1e-12)
 
 
 class TestPhaseScreenApplication:
@@ -299,3 +366,65 @@ class TestRunChannel:
                                 modal_sigmas=sig, seed=seed)
             res = run_channel(f, cfg)
             assert total_vortex_charge(find_vortices(res.output_field)) == 4
+
+
+class TestBatchedTransit:
+    def _config(self):
+        sig = tuple(modal_sigma_table(0.3, 15).items())
+        return ChannelConfig(length=5.5, attenuation_db_per_m=5.4,
+                             n_screens=2, screen_source="modal",
+                             modal_sigmas=sig, occlusion_rate=3.0, seed=4)
+
+    def test_batch_equals_single_calls(self, grid256):
+        cfg = self._config()
+        fields = tuple(lg_mode(ell, 0, grid256.extent / 16, grid256,
+                               WAVELENGTH) for ell in (-2, 0, 3))
+        batch = run_channel(fields, cfg)
+        assert isinstance(batch, tuple) and len(batch) == 3
+        for f, res in zip(fields, batch):
+            single = run_channel(f, cfg)
+            assert np.array_equal(res.output_field.amplitude,
+                                  single.output_field.amplitude)
+            assert res.transmittance == single.transmittance
+            assert res.ground_truth_spectra == single.ground_truth_spectra
+            for a, b in zip(res.screens_used, single.screens_used):
+                assert np.array_equal(a.phase, b.phase)
+        # The occluders did act on this realization.
+        clear = run_channel(fields[0], replace(cfg, occlusion_rate=0.0))
+        assert clear.transmittance > batch[0].transmittance
+
+    @pytest.mark.parametrize("n, spacing", [(64, 1.6e-4), (256, 4e-5)])
+    def test_matches_step_by_step_chain(self, n, spacing):
+        # The chain composed from the public per-step functions, on grids
+        # on both sides of numpy's 256 KiB in-place temporary threshold.
+        cfg = replace(self._config(), occlusion_rate=0.0)
+        grid = Grid(n, spacing)
+        f = lg_mode(2, 0, grid.extent / 16, grid, WAVELENGTH)
+        res = run_channel(f, cfg)
+        dz = cfg.length / (cfg.n_screens + 1)
+        out = f
+        for step in range(cfg.n_screens + 1):
+            out = angular_spectrum_propagate(out, dz, cfg.refractive_index)
+            out = apply_attenuation(out, cfg.attenuation_db_per_m, dz)
+            if step < cfg.n_screens:
+                out = apply_phase_screen(out, res.screens_used[step])
+        assert np.array_equal(res.output_field.amplitude, out.amplitude)
+
+    def test_single_field_returns_one_result(self, grid256):
+        f = lg_mode(0, 0, grid256.extent / 16, grid256, WAVELENGTH)
+        res = run_channel(f, self._config())
+        assert isinstance(res, ChannelResult)
+        (only,) = run_channel((f,), self._config())
+        assert np.array_equal(only.output_field.amplitude,
+                              res.output_field.amplitude)
+
+    def test_batch_must_share_grid_and_wavelength(self, grid256, grid512):
+        a = lg_mode(0, 0, grid256.extent / 16, grid256, WAVELENGTH)
+        b = lg_mode(0, 0, grid512.extent / 16, grid512, WAVELENGTH)
+        c = lg_mode(0, 0, grid256.extent / 16, grid256, 633e-9)
+        cfg = ChannelConfig()
+        for pair in ((a, b), (a, c)):
+            with pytest.raises(GridMismatchError):
+                run_channel(pair, cfg)
+        with pytest.raises(ValueError):
+            run_channel((), cfg)

@@ -1,18 +1,20 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hydrolink.channel import ChannelConfig
+from hydrolink.channel import ChannelConfig, realize_screens, run_channel
 from hydrolink.field import (ANTIDIAGONAL, DIAGONAL, HORIZONTAL, VERTICAL,
-                             Grid)
+                             Grid, mode_overlap)
 from hydrolink.qkd import (DetectionMatrix, PolarizationBasis, QkdReport,
-                           bb84_key_rate, binary_entropy, channel_for_qber,
-                           detection_matrix_oam,
+                           _oam_bases, bb84_key_rate, binary_entropy,
+                           channel_for_qber, detection_matrix_oam,
                            detection_matrix_polarization, mub_overlap,
                            polarization_channel, qber_from_matrix,
                            qber_threshold, report_from_matrix)
 from hydrolink.scenario import modal_sigma_table
+from hydrolink.seeding import TAG_TRIAL, child_seed
 
 # 50-digit arithmetic oracle values, frozen:
 #   h(0.0401)        = 0.24275049763140234...
@@ -255,6 +257,36 @@ class TestDetectionMatrixOam:
         se = math.hypot(
             m.standard_errors[0, 1], m.standard_errors[1, 0])
         assert abs(p_up - p_dn) <= 3 * max(se, 1e-12)
+
+    def test_one_transit_matches_per_state_transits(self):
+        # Reference: each state sent on its own through the trial's frozen
+        # realization, as the Monte Carlo did before it batched them.
+        cfg = replace(_turbulent_channel(0.5, seed=3), n_screens=2,
+                      occlusion_rate=1.5)
+        m = detection_matrix_oam(cfg, [-4, 4],
+                                 include_superposition_basis=True,
+                                 grid=OAM_GRID, n_trials=3)
+        bases, modes = _oam_bases([-4, 4], True, OAM_GRID.extent / 16.0,
+                                  OAM_GRID, 532e-9)
+        labels = m.sent_labels
+        acc = np.zeros((4, 4))
+        for trial in range(3):
+            trial_cfg = cfg.with_seed(child_seed(cfg.seed, TAG_TRIAL, trial))
+            screens, _ = realize_screens(trial_cfg, OAM_GRID)
+            trial_cfg = replace(trial_cfg, screen_source="explicit",
+                                screens=screens, modal_sigmas=None)
+            for i, s in enumerate(labels):
+                out = run_channel(modes[s], trial_cfg).output_field
+                for basis in bases:
+                    raw = np.array([abs(mode_overlap(out, modes[b])) ** 2
+                                    for b in basis])
+                    for b, p in zip(basis, raw / raw.sum()):
+                        acc[i, labels.index(b)] += p
+        mean = acc / 3
+        for basis in bases:
+            idx = [labels.index(b) for b in basis]
+            mean[:, idx] /= mean[:, idx].sum(axis=1, keepdims=True)
+        assert np.array_equal(m.probabilities, mean)
 
     def test_resolution_guard(self):
         tiny = Grid(16, 1e-4)

@@ -197,6 +197,37 @@ class TestPhaseFromSpectrum:
         assert got[6] == pytest.approx(0.5, rel=0.02)
 
 
+def _reference_phase(spec, grid, rim_taper):
+    """The modal screen as rendered before its disk geometry was cached."""
+    from scipy.special import erf
+    x, y = grid.mesh()
+    rho = np.hypot(x, y) / spec.aperture_radius
+    inside = rho <= 1.0
+    phi = np.arctan2(y, x)
+    phase = np.zeros_like(rho)
+    rho_in = rho[inside]
+    phi_in = phi[inside]
+    for j, a in spec.coefficients:
+        if a == 0.0:
+            continue
+        phase[inside] += a * zernike_eval(nm_from_index(j), rho_in, phi_in)
+    if rim_taper > 0.0:
+        phase[inside] *= 0.5 * (1.0 - erf((rho_in - (1.0 - rim_taper / 2.0))
+                                          / (rim_taper / 5.0)))
+    return phase
+
+
+class TestPhaseFromSpectrumCache:
+    @pytest.mark.parametrize("rim_taper", [0.0, 0.1])
+    def test_matches_reference_bitwise(self, grid256, rim_taper):
+        spec = ZernikeSpectrum(((2, 0.3), (5, -1.1), (9, 0.0), (13, 0.4)),
+                               0.45 * grid256.extent)
+        for _ in range(2):      # cold, then from the cached geometry
+            screen = phase_from_spectrum(spec, grid256, rim_taper=rim_taper)
+            assert np.array_equal(screen.phase,
+                                  _reference_phase(spec, grid256, rim_taper))
+
+
 class TestSpectrumType:
     def test_duplicate_index_rejected(self):
         with pytest.raises(ValueError):
