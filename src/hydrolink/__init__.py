@@ -14,8 +14,8 @@ from .channel import (AliasingError, ChannelConfig, ChannelResult, Occluder,
 from .field import (ANTIDIAGONAL, DEFAULT_WAVELENGTH, DIAGONAL, HORIZONTAL,
                     VERTICAL, ComplexField, Grid, GridMismatchError,
                     JonesVector, Vortex, beam_width, centroid, find_vortices,
-                    gaussian_mode, lg_mode, mode_overlap, petal_mode,
-                    superpose, total_power, total_vortex_charge)
+                    lg_mode, mode_overlap, petal_mode, superpose,
+                    total_power, total_vortex_charge)
 from .qkd import (DetectionMatrix, PolarizationBasis, PolarizationChannel,
                   QkdReport, bb84_key_rate, binary_entropy, channel_for_qber,
                   detection_matrix_oam, detection_matrix_polarization,

@@ -140,16 +140,15 @@ def angular_spectrum_propagate(field: ComplexField, dz: float,
 class Occluder:
     """A floating object crossing the beam: an opaque (or gray) disk.
 
-    ``position`` is (x, y) in meters, or None to have the channel place it
-    at a seeded random point within the central half of the grid. The rim is
-    softened over ``edge_width`` (default: 10% of the radius, at least a few
-    grid samples) so the blocked field stays band-limited, as a physical
+    ``position`` is the disk center (x, y) in meters. The rim is softened
+    over ``edge_width`` (default: 10% of the radius, at least a few grid
+    samples) so the blocked field stays band-limited, as a physical
     floating object rather than a knife edge would.
     """
 
     radius: float
+    position: tuple[float, float]
     opacity: float = 1.0
-    position: tuple[float, float] | None = None
     edge_width: float | None = None
 
     def __post_init__(self):
@@ -161,8 +160,8 @@ class Occluder:
             raise ValueError("edge_width must be >= 0")
 
 
-def apply_occlusion(field: ComplexField, occluder: Occluder,
-                    seed: int = 0) -> ComplexField:
+def apply_occlusion(field: ComplexField,
+                    occluder: Occluder) -> ComplexField:
     """Multiply amplitude by (1 - opacity) inside the occluder footprint.
 
     The raised-cosine rim is symmetric about the nominal radius, so the
@@ -171,18 +170,12 @@ def apply_occlusion(field: ComplexField, occluder: Occluder,
     """
     if occluder.opacity == 0.0:
         return field
-    if occluder.position is None:
-        rng = substream(seed, TAG_OCCLUSION)
-        half = field.grid.extent / 4.0
-        pos = (float(rng.uniform(-half, half)),
-               float(rng.uniform(-half, half)))
-    else:
-        pos = occluder.position
     edge = occluder.edge_width
     if edge is None:
         edge = max(0.05 * occluder.radius, 3.0 * field.grid.spacing)
     x, y = field.grid.mesh()
-    r = np.hypot(x - pos[0], y - pos[1])
+    x0, y0 = occluder.position
+    r = np.hypot(x - x0, y - y0)
     if edge > 0.0:
         # Gaussian-convolved rim: spectrally compact, area-preserving.
         blocked = 0.5 * (1.0 - erf((r - occluder.radius) / edge))

@@ -4,11 +4,14 @@ Subcommands:
   simulate   run any scenario (file path or bundled name)
   wfs        run a wavefront-analysis scenario
   qkd        run a qkd-pol or qkd-oam scenario
-  sweep      run a scenario across values of a declared parameter
+  sweep      run a qkd-pol or qkd-oam scenario across values of a declared
+             parameter, one summary row per value
   scenarios  list bundled scenarios
   schema     print the scenario schema reference
 
-Value precedence: command-line --set overrides > scenario file > defaults.
+Every command loads its scenario through ``scenario.load_scenario``.
+Value precedence: --seed/--frames > --set overrides > scenario file >
+defaults.
 Exit codes: 0 success, 1 validation error, 2 runtime error, 3 I/O error.
 """
 
@@ -18,11 +21,9 @@ import argparse
 import sys
 from pathlib import Path
 
-import yaml
-
 from .runner import SWEEPABLE_PARAMETERS, run_scenario, sweep
-from .scenario import (ScenarioError, bundled_scenarios,
-                       parse_scenario, schema_reference, set_by_path)
+from .scenario import (ScenarioError, bundled_scenarios, load_scenario,
+                       schema_reference)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -30,33 +31,9 @@ EXIT_RUNTIME = 2
 EXIT_IO = 3
 
 
-def _load_with_overrides(ref: str, sets: list[str], seed: int | None,
-                         frames: int | None):
-    path = Path(ref)
-    bundled = bundled_scenarios()
-    if path.exists():
-        text = path.read_text()
-    elif ref in bundled:
-        text = bundled[ref]
-    else:
-        raise ScenarioError(
-            f"no scenario file or bundled scenario named {ref!r}; bundled: "
-            f"{sorted(bundled)}")
-    if not sets and seed is None and frames is None:
-        return parse_scenario(text)
-    doc = yaml.safe_load(text)
-    if not isinstance(doc, dict):
-        raise ScenarioError("top level must be a mapping")
-    for item in sets:
-        if "=" not in item:
-            raise ScenarioError(f"--set needs key.path=value, got {item!r}")
-        dotted, raw = item.split("=", 1)
-        set_by_path(doc, dotted.strip(), raw)
-    if seed is not None:
-        doc["seed"] = seed
-    if frames is not None:
-        doc["frames"] = frames
-    return parse_scenario(yaml.safe_dump(doc, sort_keys=True))
+#: The benchmark's tests load a workload's command-line scenario by this
+#: name; it is ``load_scenario`` itself, not a second loader.
+_load_with_overrides = load_scenario
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
@@ -101,8 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
-    scenario = _load_with_overrides(args.scenario, args.sets, args.seed,
-                                    args.frames)
+    scenario = load_scenario(args.scenario, args.sets, args.seed,
+                             args.frames)
     if args.command == "wfs" and scenario.analysis.kind != "wavefront":
         raise ScenarioError(
             f"'wfs' needs a wavefront scenario, got {scenario.analysis.kind}")

@@ -172,12 +172,6 @@ def lg_mode(ell: int, p: int, waist: float, grid: Grid,
     return ComplexField(grid, wavelength, amp)
 
 
-def gaussian_mode(waist: float, grid: Grid,
-                  wavelength: float = DEFAULT_WAVELENGTH) -> ComplexField:
-    """Fundamental Gaussian, i.e. LG_{0,0}."""
-    return lg_mode(0, 0, waist, grid, wavelength)
-
-
 def superpose(fields: list[ComplexField],
               weights: list[complex]) -> ComplexField:
     """Pointwise weighted sum of fields sharing one grid and wavelength.

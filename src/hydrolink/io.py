@@ -14,8 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .field import ComplexField
-from .zernike import PhaseScreen, ZernikeSpectrum, nm_from_index
+from .zernike import PhaseScreen
 
 
 def fmt(value) -> str:
@@ -71,23 +70,6 @@ def read_pgm16(path: Path | str) -> np.ndarray:
     return pixels.reshape(height, width).astype(np.uint16)
 
 
-def field_to_csv(field: ComplexField, path: Path | str) -> Path:
-    """Complex samples as rows (x_index, y_index, re, im)."""
-    n = field.grid.n_samples
-    amp = field.amplitude
-
-    def rows():
-        for iy in range(n):
-            for ix in range(n):
-                yield (ix, iy, amp[iy, ix].real, amp[iy, ix].imag)
-
-    return write_csv(path, ("x_index", "y_index", "re", "im"), rows())
-
-
-def field_to_pgm(field: ComplexField, path: Path | str) -> Path:
-    return write_pgm16(path, field.intensity())
-
-
 def screen_to_csv(screen: PhaseScreen, path: Path | str) -> Path:
     n = screen.grid.n_samples
 
@@ -103,15 +85,6 @@ def screen_to_pgm(screen: PhaseScreen, path: Path | str) -> Path:
     """Phase map shifted to non-negative range for image export."""
     ph = screen.phase - screen.phase.min()
     return write_pgm16(path, ph)
-
-
-def spectrum_to_csv(spectrum: ZernikeSpectrum, path: Path | str) -> Path:
-    def rows():
-        for j, a in spectrum.coefficients:
-            idx = nm_from_index(j)
-            yield (j, idx.n, idx.m, a)
-
-    return write_csv(path, ("j", "n", "m", "a_j_radians"), rows())
 
 
 def sha256_of(path: Path | str) -> str:

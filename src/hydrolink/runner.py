@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-import yaml
 
 from . import io as hio
 from .channel import ChannelConfig, run_channel, transmittance
@@ -25,7 +24,7 @@ from .field import ComplexField, Grid, centroid, lg_mode, petal_mode
 from .qkd import (DetectionMatrix, QkdReport, detection_matrix_oam,
                   detection_matrix_polarization, polarization_channel,
                   report_from_matrix)
-from .scenario import Scenario, ScenarioError, SourceSpec, parse_scenario
+from .scenario import Scenario, ScenarioError, SourceSpec, parse_document
 from .seeding import TAG_FRAME, child_seed
 from .shack_hartmann import (WfsResult, average_magnitudes, capture,
                              extract_slopes, modal_fit,
@@ -185,24 +184,20 @@ def _qkd_outputs(out: Path, matrix: DetectionMatrix,
     return files
 
 
-def _run_qkd_pol(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
+def _qkd_matrix(scenario: Scenario) -> DetectionMatrix:
     ana = scenario.analysis
-    channel = polarization_channel(theta=ana.theta,
-                                   depolarization=ana.depolarization)
-    matrix = detection_matrix_polarization(channel)
-    report = report_from_matrix(matrix)
-    files = _qkd_outputs(out, matrix, report)
-    return files, {"qber": report.qber, "key_rate": report.key_rate}
-
-
-def _run_qkd_oam(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
-    ana = scenario.analysis
-    waist = scenario.source.waist
-    matrix = detection_matrix_oam(
+    if ana.kind == "qkd-pol":
+        return detection_matrix_polarization(polarization_channel(
+            theta=ana.theta, depolarization=ana.depolarization))
+    return detection_matrix_oam(
         scenario.channel, ana.ell_values,
         include_superposition_basis=ana.superposition_basis,
-        waist=waist, grid=scenario.grid,
+        waist=scenario.source.waist, grid=scenario.grid,
         wavelength=scenario.source.wavelength, n_trials=ana.trials)
+
+
+def _run_qkd(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
+    matrix = _qkd_matrix(scenario)
     report = report_from_matrix(matrix)
     files = _qkd_outputs(out, matrix, report)
     return files, {"qber": report.qber, "key_rate": report.key_rate}
@@ -238,8 +233,8 @@ def _run_images(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
 
 _RUNNERS = {
     "wavefront": _run_wavefront,
-    "qkd-pol": _run_qkd_pol,
-    "qkd-oam": _run_qkd_oam,
+    "qkd-pol": _run_qkd,
+    "qkd-oam": _run_qkd,
     "images": _run_images,
 }
 
@@ -272,7 +267,7 @@ def _scaled_scenario(scenario: Scenario, parameter: str,
             raise ScenarioError(
                 "r0 sweep needs channel.screens.kind = kolmogorov")
         ch["screens"]["r0"] = float(value)
-    elif parameter == "sigma_scale":
+    else:   # sigma_scale: sweep has already rejected unknown parameters
         scr = ch["screens"]
         if scr["kind"] != "modal":
             raise ScenarioError(
@@ -282,53 +277,43 @@ def _scaled_scenario(scenario: Scenario, parameter: str,
                              for j, s in scr["sigmas"].items()}
         else:
             scr["sigma"] = scr["sigma"] * float(value)
-    else:
-        raise ScenarioError(
-            f"unknown sweep parameter {parameter!r}; declared sweepables: "
-            f"{SWEEPABLE_PARAMETERS}")
-    return parse_scenario(yaml.safe_dump(doc, sort_keys=True))
+    return parse_document(doc)
 
 
-def _qber_stderr(matrix: DetectionMatrix) -> float:
-    if matrix.standard_errors is None:
-        return 0.0
-    total = 0.0
-    for s in matrix.sent_labels:
-        basis = matrix.basis_of(s)
-        i = matrix.sent_labels.index(s)
-        for m in basis:
-            if m != s:
-                total += float(matrix.standard_errors[
-                    i, matrix.measured_labels.index(m)]) ** 2
-    return math.sqrt(total) / len(matrix.sent_labels)
-
-
-def _crosstalk_stats(matrix: DetectionMatrix) -> tuple[float, float]:
-    vals = []
-    errs = []
-    for s in matrix.sent_labels:
-        basis = matrix.basis_of(s)
-        i = matrix.sent_labels.index(s)
-        for m in basis:
+def _offdiagonal_stats(matrix: DetectionMatrix) -> tuple[float, float, float]:
+    """(qber_stderr, crosstalk_mean, crosstalk_stderr) over the entries
+    measured in the sent state's basis but not equal to it."""
+    se = matrix.standard_errors
+    vals, errs, qber_var = [], [], 0.0
+    for i, s in enumerate(matrix.sent_labels):
+        for m in matrix.basis_of(s):
             if m != s:
                 k = matrix.measured_labels.index(m)
                 vals.append(float(matrix.probabilities[i, k]))
-                if matrix.standard_errors is not None:
-                    errs.append(float(matrix.standard_errors[i, k]))
-    mean = sum(vals) / len(vals)
-    se = math.sqrt(sum(e * e for e in errs)) / len(vals) if errs else 0.0
-    return mean, se
+                if se is not None:
+                    errs.append(float(se[i, k]))
+                    # e ** 2 (libm pow) and e * e can differ in the last
+                    # bit; each column keeps the spelling it has always
+                    # used, so sweep CSVs stay byte-identical.
+                    qber_var += errs[-1] ** 2
+    cross_se = math.sqrt(sum(e * e for e in errs)) / len(vals)
+    return (math.sqrt(qber_var) / len(matrix.sent_labels),
+            sum(vals) / len(vals), cross_se)
 
 
 def sweep(scenario: Scenario, parameter: str, values: list[float],
           output_dir: Path | str) -> RunResult:
-    """Run the scenario's analysis across parameter values, one summary row
-    per value (analytic transmittance always; QBER/key-rate/crosstalk for
-    qkd analyses, with Monte Carlo standard errors)."""
+    """Run a qkd-pol or qkd-oam scenario across parameter values, one
+    summary row per value: analytic transmittance, QBER, key rate and
+    crosstalk, with Monte Carlo standard errors."""
     if parameter not in SWEEPABLE_PARAMETERS:
         raise ScenarioError(
             f"unknown sweep parameter {parameter!r}; declared sweepables: "
             f"{SWEEPABLE_PARAMETERS}")
+    if scenario.analysis.kind not in ("qkd-pol", "qkd-oam"):
+        raise ScenarioError(
+            f"sweep summarizes qkd-pol and qkd-oam scenarios, got "
+            f"{scenario.analysis.kind!r}", "analysis.kind")
     if not values:
         raise ScenarioError("sweep needs at least one value")
     out = Path(output_dir)
@@ -339,27 +324,11 @@ def sweep(scenario: Scenario, parameter: str, values: list[float],
         s = _scaled_scenario(scenario, parameter, float(value))
         trans = transmittance(s.channel.attenuation_db_per_m,
                               s.channel.length)
-        qber = qber_se = rate = cross = cross_se = ""
-        if s.analysis.kind == "qkd-pol":
-            matrix = detection_matrix_polarization(polarization_channel(
-                theta=s.analysis.theta,
-                depolarization=s.analysis.depolarization))
-            report = report_from_matrix(matrix)
-            qber, rate = report.qber, report.key_rate
-            qber_se = 0.0
-            cross, cross_se = _crosstalk_stats(matrix)
-        elif s.analysis.kind == "qkd-oam":
-            matrix = detection_matrix_oam(
-                s.channel, s.analysis.ell_values,
-                include_superposition_basis=s.analysis.superposition_basis,
-                waist=s.source.waist, grid=s.grid,
-                wavelength=s.source.wavelength, n_trials=s.analysis.trials)
-            report = report_from_matrix(matrix)
-            qber, rate = report.qber, report.key_rate
-            qber_se = _qber_stderr(matrix)
-            cross, cross_se = _crosstalk_stats(matrix)
-        rows.append((parameter, value, trans, qber, qber_se, rate,
-                     cross, cross_se))
+        matrix = _qkd_matrix(s)
+        report = report_from_matrix(matrix)
+        qber_se, cross, cross_se = _offdiagonal_stats(matrix)
+        rows.append((parameter, value, trans, report.qber, qber_se,
+                     report.key_rate, cross, cross_se))
     path = hio.write_csv(
         out / "sweep_summary.csv",
         ("parameter", "value", "transmittance", "qber", "qber_stderr",

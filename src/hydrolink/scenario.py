@@ -10,12 +10,13 @@ scenario can be re-serialized and re-run bit-identically.
 
 from __future__ import annotations
 
+import copy
 import difflib
 import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import yaml
 
@@ -344,8 +345,8 @@ def _build_source(sec: dict, grid: Grid, where: str) -> SourceSpec:
                       wavelength=sec["wavelength"])
 
 
-def parse_scenario(text: str) -> Scenario:
-    """Parse and validate a scenario document."""
+def read_document(text: str) -> dict:
+    """Read YAML text into the raw scenario mapping, not yet validated."""
     try:
         doc = yaml.safe_load(text)
     except yaml.MarkedYAMLError as exc:
@@ -357,9 +358,19 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError(f"syntax error: {exc}") from None
     if doc is None:
         raise ScenarioError("empty scenario document")
-    if not isinstance(doc, Mapping):
+    if not isinstance(doc, dict):
         raise ScenarioError("top level must be a mapping")
+    return doc
 
+
+def parse_scenario(text: str) -> Scenario:
+    """Parse and validate a scenario document."""
+    return parse_document(read_document(text))
+
+
+def parse_document(doc: Mapping) -> Scenario:
+    """Validate a raw scenario mapping; ``doc`` itself is not modified."""
+    doc = copy.deepcopy(doc)
     known_top = [f.name for f in _TOP] + ["grid", "source", "channel",
                                           "sensor", "analysis"]
     for key in doc:
@@ -444,17 +455,35 @@ def parse_scenario(text: str) -> Scenario:
                     analysis=analysis, resolved=resolved)
 
 
-def load_scenario(ref: str | Path) -> Scenario:
-    """Load a scenario from a file path or a bundled scenario name."""
+def load_scenario(ref: str | Path, sets: Sequence[str] = (),
+                  seed: int | None = None,
+                  frames: int | None = None) -> Scenario:
+    """Load a scenario from a file path or a bundled scenario name.
+
+    ``sets`` holds ``key.path=value`` overrides applied in order, then
+    ``seed`` and ``frames`` replace the document's values when given.
+    """
     path = Path(ref)
     if path.exists():
-        return parse_scenario(path.read_text())
-    bundled = bundled_scenarios()
-    if str(ref) in bundled:
-        return parse_scenario(bundled[str(ref)])
-    raise ScenarioError(
-        f"no scenario file or bundled scenario named {ref!r}; bundled: "
-        f"{sorted(bundled)}")
+        text = path.read_text()
+    else:
+        bundled = bundled_scenarios()
+        if str(ref) not in bundled:
+            raise ScenarioError(
+                f"no scenario file or bundled scenario named {ref!r}; "
+                f"bundled: {sorted(bundled)}")
+        text = bundled[str(ref)]
+    doc = read_document(text)
+    for item in sets:
+        if "=" not in item:
+            raise ScenarioError(f"--set needs key.path=value, got {item!r}")
+        dotted, raw = item.split("=", 1)
+        set_by_path(doc, dotted.strip(), raw)
+    if seed is not None:
+        doc["seed"] = seed
+    if frames is not None:
+        doc["frames"] = frames
+    return parse_document(doc)
 
 
 def bundled_scenarios() -> dict[str, str]:

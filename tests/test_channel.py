@@ -247,17 +247,9 @@ class TestOcclusion:
         left = inten[:, :252].sum()
         assert right < 0.05 * left
 
-    def test_random_position_deterministic(self, gaussian512):
-        occ = Occluder(radius=1e-3, opacity=0.5)
-        a = apply_occlusion(gaussian512, occ, seed=11)
-        b = apply_occlusion(gaussian512, occ, seed=11)
-        c = apply_occlusion(gaussian512, occ, seed=12)
-        assert np.array_equal(a.amplitude, b.amplitude)
-        assert not np.array_equal(a.amplitude, c.amplitude)
-
     def test_invalid_opacity(self):
         with pytest.raises(ValueError):
-            Occluder(radius=1e-3, opacity=1.5)
+            Occluder(radius=1e-3, opacity=1.5, position=(0.0, 0.0))
 
 
 class TestChannelConfig:

@@ -81,30 +81,6 @@ class TestIo:
         with pytest.raises(ValueError):
             write_pgm16(tmp_path / "t.pgm", np.array([[-1.0, 0.0]]))
 
-    def test_field_csv_format(self, tmp_path):
-        from hydrolink.field import ComplexField, Grid
-        from hydrolink.io import field_to_csv
-        grid = Grid(16, 1e-5)
-        rng = np.random.default_rng(0)
-        amp = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        field = ComplexField(grid, 532e-9, amp)
-        rows = read_rows(field_to_csv(field, tmp_path / "f.csv"))
-        assert rows[0] == ["x_index", "y_index", "re", "im"]
-        assert len(rows) == 1 + 16 * 16
-        ix, iy = 3, 5
-        row = rows[1 + iy * 16 + ix]
-        assert float(row[2]) == pytest.approx(amp[iy, ix].real)
-        assert float(row[3]) == pytest.approx(amp[iy, ix].imag)
-
-    def test_spectrum_csv_format(self, tmp_path):
-        from hydrolink.io import spectrum_to_csv
-        from hydrolink.zernike import ZernikeSpectrum
-        spec = ZernikeSpectrum(((2, 0.5), (6, -0.25)), 1e-3)
-        rows = read_rows(spectrum_to_csv(spec, tmp_path / "s.csv"))
-        assert rows[0] == ["j", "n", "m", "a_j_radians"]
-        assert rows[1] == ["2", "1", "-1", "0.5"]
-        assert rows[2] == ["6", "2", "2", "-0.25"]
-
     def test_spot_mosaic_pgm(self, tmp_path):
         from hydrolink.field import ComplexField, Grid
         from hydrolink.shack_hartmann import (LensletArray, capture,
@@ -318,3 +294,19 @@ analysis:
                      "-o", str(tmp_path / "sw")]) == 0
         rows = read_rows(tmp_path / "sw" / "sweep_summary.csv")
         assert len(rows) == 3
+
+    def test_sweep_refuses_non_qkd_scenario(self, tmp_path, capsys):
+        code = main(["sweep", "oam-gallery", "--parameter", "length",
+                     "--values", "1,2", "-o", str(tmp_path / "sw")])
+        assert code == 1
+        assert "analysis.kind" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
+    @pytest.mark.parametrize("override", [["--seed", "3"],
+                                          ["--set", "seed=3"]])
+    def test_yaml_syntax_error_with_overrides(self, tmp_path, capsys,
+                                              override):
+        path = tmp_path / "bad.yaml"
+        path.write_text("name: x\nanalysis:\n  kind: [unclosed\n")
+        assert main(["simulate", str(path)] + override) == 1
+        assert "line 4, column 1" in capsys.readouterr().err

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hydrolink.scenario import (ScenarioError, bundled_scenarios,
                                 load_scenario, modal_sigma_table,
@@ -141,6 +143,26 @@ class TestRoundTrip:
     def test_load_missing(self):
         with pytest.raises(ScenarioError, match="bundled"):
             load_scenario("no-such-scenario")
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(bundled_scenarios())),
+           seed=st.integers(0, 2**32 - 1),
+           frames=st.integers(1, 500),
+           length=st.floats(1e-3, 100.0),
+           attenuation=st.floats(0.0, 50.0))
+    def test_loaded_overrides_round_trip(self, name, seed, frames, length,
+                                         attenuation):
+        sets = [f"channel.length={length!r}",
+                f"channel.attenuation_db_per_m={attenuation!r}"]
+        s = load_scenario(name, sets, seed, frames)
+        assert (s.seed, s.frames) == (seed, frames)
+        assert (s.channel.length, s.channel.attenuation_db_per_m) == \
+            (length, attenuation)
+        assert parse_scenario(s.to_yaml()).to_yaml() == s.to_yaml()
+
+    def test_load_rejects_malformed_set(self):
+        with pytest.raises(ScenarioError, match="key.path=value"):
+            load_scenario("polarization-qkd", ["seed"])
 
 
 class TestHelpers:
