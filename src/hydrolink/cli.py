@@ -1,13 +1,11 @@
 """Command-line front end.
 
-Subcommands:
-  simulate   run any scenario (file path or bundled name)
-  wfs        run a wavefront-analysis scenario
-  qkd        run a qkd-pol or qkd-oam scenario
-  sweep      run a qkd-pol or qkd-oam scenario across values of a declared
-             parameter, one summary row per value
-  scenarios  list bundled scenarios
-  schema     print the scenario schema reference
+The run commands ``simulate``, ``wfs``, ``qkd`` and ``sweep`` come from one
+table, ``_RUN_COMMANDS``, of help text and accepted analysis kinds; a
+scenario of any other kind is refused on ``analysis.kind`` before anything
+runs. ``sweep`` also takes ``--parameter`` and ``--values`` and writes one
+summary row per value. ``scenarios list`` names the bundled scenarios and
+``schema`` prints the scenario schema reference.
 
 Every command loads its scenario through ``scenario.load_scenario``.
 Value precedence: --seed/--frames > --set overrides > scenario file >
@@ -22,8 +20,8 @@ import sys
 from pathlib import Path
 
 from .runner import SWEEPABLE_PARAMETERS, run_scenario, sweep
-from .scenario import (ScenarioError, bundled_scenarios, load_scenario,
-                       schema_reference)
+from .scenario import (ANALYSIS_KINDS, QKD_KINDS, ScenarioError,
+                       bundled_scenarios, load_scenario, schema_reference)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -34,6 +32,14 @@ EXIT_IO = 3
 #: The benchmark's tests load a workload's command-line scenario by this
 #: name; it is ``load_scenario`` itself, not a second loader.
 _load_with_overrides = load_scenario
+
+#: Run command -> (help text, analysis kinds it accepts).
+_RUN_COMMANDS = {
+    "simulate": ("run any scenario", ANALYSIS_KINDS),
+    "wfs": ("run a wavefront-analysis scenario", ("wavefront",)),
+    "qkd": (f"run a {' or '.join(QKD_KINDS)} scenario", QKD_KINDS),
+    "sweep": ("summarize a scenario across one parameter", QKD_KINDS),
+}
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
@@ -56,15 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "turbulence, wavefront sensing, and BB84 feasibility.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, doc in (("simulate", "run any scenario"),
-                      ("wfs", "run a wavefront-analysis scenario"),
-                      ("qkd", "run a qkd-pol or qkd-oam scenario")):
-        p = sub.add_parser(name, help=doc)
-        _add_run_options(p)
-
-    p = sub.add_parser("sweep", help="summarize a scenario across one "
-                                     "parameter")
-    _add_run_options(p)
+    for name, (doc, _) in _RUN_COMMANDS.items():
+        _add_run_options(sub.add_parser(name, help=doc))
+    p = sub.choices["sweep"]
     p.add_argument("--parameter", required=True,
                    choices=SWEEPABLE_PARAMETERS)
     p.add_argument("--values", required=True,
@@ -80,13 +80,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> int:
     scenario = load_scenario(args.scenario, args.sets, args.seed,
                              args.frames)
-    if args.command == "wfs" and scenario.analysis.kind != "wavefront":
+    kinds = _RUN_COMMANDS[args.command][1]
+    if scenario.analysis.kind not in kinds:
         raise ScenarioError(
-            f"'wfs' needs a wavefront scenario, got {scenario.analysis.kind}")
-    if args.command == "qkd" and scenario.analysis.kind not in (
-            "qkd-pol", "qkd-oam"):
-        raise ScenarioError(
-            f"'qkd' needs a qkd scenario, got {scenario.analysis.kind}")
+            f"{args.command!r} needs a {' or '.join(kinds)} scenario, got "
+            f"{scenario.analysis.kind!r}", "analysis.kind")
     out = Path(args.output) if args.output else Path("runs") / scenario.name
     if getattr(args, "parameter", None):
         try:

@@ -233,9 +233,8 @@ def beam_width(field: ComplexField) -> float:
     p = float(inten.sum())
     if p <= 0.0:
         raise ValueError("beam width undefined for zero-power field")
+    cx, cy = centroid(field)
     x, y = field.grid.mesh()
-    cx = float((inten * x).sum() / p)
-    cy = float((inten * y).sum() / p)
     var = float((inten * ((x - cx) ** 2 + (y - cy) ** 2)).sum() / p)
     return 2.0 * math.sqrt(var / 2.0)
 
@@ -246,27 +245,24 @@ def _wrap_phase(d: np.ndarray) -> np.ndarray:
 
 
 def find_vortices(field: ComplexField,
-                  min_intensity_frac: float = 1e-4,
-                  halo: int | None = None) -> list[Vortex]:
+                  min_intensity_frac: float = 1e-4) -> list[Vortex]:
     """Locate phase singularities by 2x2-plaquette winding summation.
 
     A plaquette whose wrapped phase circulation rounds to a nonzero multiple
     of 2*pi is reported as a vortex at the plaquette center. Because genuine
     singularities sit in locally dark cores, the intensity gate is applied to
     the *surroundings*: a candidate is kept only if some pixel within
-    ``halo`` samples reaches ``min_intensity_frac`` of the global peak
-    intensity. This suppresses spurious windings in numerically dark regions
-    while keeping dark-core vortices embedded in bright structure. A
-    created vortex pair shares one neighborhood, so the gate preserves total
-    charge.
+    max(2, n_samples // 16) samples reaches ``min_intensity_frac`` of the
+    global peak intensity. This suppresses spurious windings in numerically
+    dark regions while keeping dark-core vortices embedded in bright
+    structure. A created vortex pair shares one neighborhood, so the gate
+    preserves total charge.
 
     Parameters
     ----------
     field : ComplexField
     min_intensity_frac : float
         Relative intensity floor in [0, 1).
-    halo : int, optional
-        Neighborhood radius in samples; defaults to n_samples // 16.
     """
     if not 0.0 <= min_intensity_frac < 1.0:
         raise ValueError(
@@ -276,8 +272,6 @@ def find_vortices(field: ComplexField,
     if peak == 0.0:
         return []
     n = field.grid.n_samples
-    if halo is None:
-        halo = max(2, n // 16)
 
     phase = np.angle(field.amplitude)
     ddx = _wrap_phase(np.diff(phase, axis=1))   # (n, n-1) step i -> i+1
@@ -286,7 +280,8 @@ def find_vortices(field: ComplexField,
     circ = (ddx[:-1, :] + ddy[:, 1:] - ddx[1:, :] - ddy[:, :-1])
     charge = np.rint(circ / (2.0 * np.pi)).astype(int)
 
-    bright = maximum_filter(inten, size=2 * halo + 1, mode="nearest")
+    bright = maximum_filter(inten, size=2 * max(2, n // 16) + 1,
+                            mode="nearest")
     gate = bright[:-1, :-1] >= min_intensity_frac * peak
 
     js, is_ = np.nonzero((charge != 0) & gate)

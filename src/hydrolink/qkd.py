@@ -17,9 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelConfig, run_channel
-from .field import (ANTIDIAGONAL, DIAGONAL, HORIZONTAL, VERTICAL,
-                    ComplexField, Grid, JonesVector, lg_mode, mode_overlap,
-                    superpose)
+from .field import (ANTIDIAGONAL, DEFAULT_WAVELENGTH, DIAGONAL, HORIZONTAL,
+                    VERTICAL, ComplexField, Grid, JonesVector, lg_mode,
+                    mode_overlap, superpose)
 from .seeding import TAG_TRIAL, child_seed
 
 
@@ -95,7 +95,8 @@ class DetectionMatrix:
 
     ``bases`` groups the labels into measurement bases; within each basis
     block every row sums to 1 (to 1e-9), so the matrix is conditionally
-    stochastic. ``standard_errors`` accompanies Monte Carlo estimates.
+    stochastic. ``standard_errors`` accompanies Monte Carlo estimates and
+    is all zeros for an exact matrix.
     """
 
     sent_labels: tuple[str, ...]
@@ -105,7 +106,7 @@ class DetectionMatrix:
     standard_errors: np.ndarray | None = None
 
     def __post_init__(self):
-        probs = np.asarray(self.probabilities, dtype=float)
+        probs = np.array(self.probabilities, dtype=float)
         shape = (len(self.sent_labels), len(self.measured_labels))
         if probs.shape != shape:
             raise ValueError(f"probabilities shape {probs.shape} != {shape}")
@@ -120,16 +121,14 @@ class DetectionMatrix:
             if np.any(np.abs(sums - 1.0) > 1e-9):
                 raise ValueError(
                     f"rows are not normalized within basis {basis}")
-        probs = probs.copy()
         probs.flags.writeable = False
         object.__setattr__(self, "probabilities", probs)
-        if self.standard_errors is not None:
-            se = np.asarray(self.standard_errors, dtype=float)
-            if se.shape != shape:
-                raise ValueError("standard_errors shape mismatch")
-            se = se.copy()
-            se.flags.writeable = False
-            object.__setattr__(self, "standard_errors", se)
+        se = np.zeros(shape) if self.standard_errors is None else \
+            np.array(self.standard_errors, dtype=float)
+        if se.shape != shape:
+            raise ValueError("standard_errors shape mismatch")
+        se.flags.writeable = False
+        object.__setattr__(self, "standard_errors", se)
 
     def basis_of(self, label: str) -> tuple[str, ...]:
         for basis in self.bases:
@@ -166,6 +165,8 @@ def _oam_bases(ell_values: Sequence[int], include_superposition: bool,
     ells = sorted(set(int(e) for e in ell_values))
     if len(ells) != len(ell_values):
         raise ValueError("ell values must be distinct")
+    if len(ells) < 2:
+        raise ValueError("an OAM alphabet needs at least two ell values")
     modes = {}
     primary = []
     for ell in ells:
@@ -192,7 +193,7 @@ def detection_matrix_oam(channel_config: ChannelConfig,
                          include_superposition_basis: bool = False,
                          waist: float | None = None,
                          grid: Grid | None = None,
-                         wavelength: float = 532e-9,
+                         wavelength: float = DEFAULT_WAVELENGTH,
                          n_trials: int = 100) -> DetectionMatrix:
     """Monte Carlo crosstalk matrix for orbital-angular-momentum encoding.
 
@@ -255,15 +256,31 @@ def detection_matrix_oam(channel_config: ChannelConfig,
                            standard_errors=stderr)
 
 
+def _error_stats(matrix: DetectionMatrix
+                 ) -> tuple[float, float, float, float]:
+    """(qber, qber_stderr, crosstalk_mean, crosstalk_stderr) from one walk
+    over each sent state's wrong outcomes within its own basis. e ** 2 and
+    e * e can differ in the last bit; each keeps its historical spelling so
+    sweep CSVs stay byte-identical."""
+    rates, vals, ses, qber_var = [], [], [], 0.0
+    for i, s in enumerate(matrix.sent_labels):
+        basis = matrix.basis_of(s)
+        cols = [matrix.measured_labels.index(m) for m in basis if m != s]
+        wrong = [float(matrix.probabilities[i, k]) for k in cols]
+        total = math.fsum(matrix.probability(s, m) for m in basis)
+        rates.append(math.fsum(wrong) / total)
+        vals += wrong
+        for k in cols:
+            ses.append(float(matrix.standard_errors[i, k]))
+            qber_var += ses[-1] ** 2
+    n, n_wrong = len(matrix.sent_labels), max(len(vals), 1)
+    return (math.fsum(rates) / n, math.sqrt(qber_var) / n,
+            sum(vals) / n_wrong, math.sqrt(sum(e * e for e in ses)) / n_wrong)
+
+
 def qber_from_matrix(matrix: DetectionMatrix) -> float:
     """Sifted error rate: mean wrong-outcome probability, matched bases only."""
-    errs = []
-    for s in matrix.sent_labels:
-        basis = matrix.basis_of(s)
-        total = math.fsum(matrix.probability(s, m) for m in basis)
-        wrong = math.fsum(matrix.probability(s, m) for m in basis if m != s)
-        errs.append(wrong / total)
-    return math.fsum(errs) / len(errs)
+    return _error_stats(matrix)[0]
 
 
 def binary_entropy(p: float) -> float:
@@ -306,6 +323,9 @@ class QkdReport:
     key_rate: float
     threshold_margin: float
     sifted_fraction: float
+    qber_stderr: float = 0.0
+    crosstalk_mean: float = 0.0
+    crosstalk_stderr: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.qber <= 1.0:
@@ -316,13 +336,16 @@ class QkdReport:
 
 
 def report_from_matrix(matrix: DetectionMatrix) -> QkdReport:
-    """Derive QBER, key rate, threshold margin and sifted fraction.
+    """Derive QBER, key rate, threshold margin, sifted fraction, and the
+    QBER's and the wrong-outcome mean's standard errors.
 
     The sifted fraction assumes sender and receiver pick among the bases
     uniformly and independently.
     """
-    q = qber_from_matrix(matrix)
+    q, q_se, cross, cross_se = _error_stats(matrix)
     rate = bb84_key_rate(min(q, 0.5))
     return QkdReport(qber=q, key_rate=rate,
                      threshold_margin=qber_threshold() - q,
-                     sifted_fraction=1.0 / len(matrix.bases))
+                     sifted_fraction=1.0 / len(matrix.bases),
+                     qber_stderr=q_se, crosstalk_mean=cross,
+                     crosstalk_stderr=cross_se)

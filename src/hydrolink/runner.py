@@ -9,7 +9,6 @@ reproduces every CSV byte for byte.
 from __future__ import annotations
 
 import copy
-import math
 import time
 from dataclasses import dataclass
 from importlib import metadata
@@ -24,7 +23,8 @@ from .field import ComplexField, Grid, centroid, lg_mode, petal_mode
 from .qkd import (DetectionMatrix, QkdReport, detection_matrix_oam,
                   detection_matrix_polarization, polarization_channel,
                   report_from_matrix)
-from .scenario import Scenario, ScenarioError, SourceSpec, parse_document
+from .scenario import (QKD_KINDS, Scenario, ScenarioError, SourceSpec,
+                       parse_document)
 from .seeding import TAG_FRAME, child_seed
 from .shack_hartmann import (WfsResult, average_magnitudes, capture,
                              extract_slopes, modal_fit,
@@ -159,9 +159,7 @@ def _qkd_outputs(out: Path, matrix: DetectionMatrix,
     rows = [(s,) + tuple(matrix.probabilities[i])
             for i, s in enumerate(matrix.sent_labels)]
     files.append(hio.write_csv(out / "detection_matrix.csv", header, rows))
-    se = matrix.standard_errors
-    se_rows = [(s,) + tuple(se[i] if se is not None
-                            else np.zeros(len(matrix.measured_labels)))
+    se_rows = [(s,) + tuple(matrix.standard_errors[i])
                for i, s in enumerate(matrix.sent_labels)]
     files.append(hio.write_csv(out / "detection_matrix_stderr.csv", header,
                                se_rows))
@@ -231,12 +229,8 @@ def _run_images(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
                    "frames": scenario.frames}
 
 
-_RUNNERS = {
-    "wavefront": _run_wavefront,
-    "qkd-pol": _run_qkd,
-    "qkd-oam": _run_qkd,
-    "images": _run_images,
-}
+_RUNNERS = {"wavefront": _run_wavefront, **dict.fromkeys(QKD_KINDS, _run_qkd),
+            "images": _run_images}
 
 
 def run_scenario(scenario: Scenario, output_dir: Path | str) -> RunResult:
@@ -258,10 +252,8 @@ def _scaled_scenario(scenario: Scenario, parameter: str,
                      value: float) -> Scenario:
     doc = copy.deepcopy(scenario.resolved)
     ch = doc["channel"]
-    if parameter == "attenuation_db_per_m":
-        ch["attenuation_db_per_m"] = float(value)
-    elif parameter == "length":
-        ch["length"] = float(value)
+    if parameter in ("attenuation_db_per_m", "length"):
+        ch[parameter] = float(value)
     elif parameter == "r0":
         if ch["screens"]["kind"] != "kolmogorov":
             raise ScenarioError(
@@ -280,27 +272,6 @@ def _scaled_scenario(scenario: Scenario, parameter: str,
     return parse_document(doc)
 
 
-def _offdiagonal_stats(matrix: DetectionMatrix) -> tuple[float, float, float]:
-    """(qber_stderr, crosstalk_mean, crosstalk_stderr) over the entries
-    measured in the sent state's basis but not equal to it."""
-    se = matrix.standard_errors
-    vals, errs, qber_var = [], [], 0.0
-    for i, s in enumerate(matrix.sent_labels):
-        for m in matrix.basis_of(s):
-            if m != s:
-                k = matrix.measured_labels.index(m)
-                vals.append(float(matrix.probabilities[i, k]))
-                if se is not None:
-                    errs.append(float(se[i, k]))
-                    # e ** 2 (libm pow) and e * e can differ in the last
-                    # bit; each column keeps the spelling it has always
-                    # used, so sweep CSVs stay byte-identical.
-                    qber_var += errs[-1] ** 2
-    cross_se = math.sqrt(sum(e * e for e in errs)) / len(vals)
-    return (math.sqrt(qber_var) / len(matrix.sent_labels),
-            sum(vals) / len(vals), cross_se)
-
-
 def sweep(scenario: Scenario, parameter: str, values: list[float],
           output_dir: Path | str) -> RunResult:
     """Run a qkd-pol or qkd-oam scenario across parameter values, one
@@ -310,9 +281,9 @@ def sweep(scenario: Scenario, parameter: str, values: list[float],
         raise ScenarioError(
             f"unknown sweep parameter {parameter!r}; declared sweepables: "
             f"{SWEEPABLE_PARAMETERS}")
-    if scenario.analysis.kind not in ("qkd-pol", "qkd-oam"):
+    if scenario.analysis.kind not in QKD_KINDS:
         raise ScenarioError(
-            f"sweep summarizes qkd-pol and qkd-oam scenarios, got "
+            f"sweep summarizes {' and '.join(QKD_KINDS)} scenarios, got "
             f"{scenario.analysis.kind!r}", "analysis.kind")
     if not values:
         raise ScenarioError("sweep needs at least one value")
@@ -324,11 +295,9 @@ def sweep(scenario: Scenario, parameter: str, values: list[float],
         s = _scaled_scenario(scenario, parameter, float(value))
         trans = transmittance(s.channel.attenuation_db_per_m,
                               s.channel.length)
-        matrix = _qkd_matrix(s)
-        report = report_from_matrix(matrix)
-        qber_se, cross, cross_se = _offdiagonal_stats(matrix)
-        rows.append((parameter, value, trans, report.qber, qber_se,
-                     report.key_rate, cross, cross_se))
+        r = report_from_matrix(_qkd_matrix(s))
+        rows.append((parameter, value, trans, r.qber, r.qber_stderr,
+                     r.key_rate, r.crosstalk_mean, r.crosstalk_stderr))
     path = hio.write_csv(
         out / "sweep_summary.csv",
         ("parameter", "value", "transmittance", "qber", "qber_stderr",

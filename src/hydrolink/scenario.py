@@ -21,13 +21,15 @@ from typing import Any, Mapping, Sequence
 import yaml
 
 from .channel import ChannelConfig
-from .field import Grid
+from .field import DEFAULT_WAVELENGTH, Grid
 from .shack_hartmann import LensletArray
 
 #: Fixed default seed so default runs reproduce bit-identically.
 DEFAULT_SEED = 1234
 
-ANALYSIS_KINDS = ("wavefront", "qkd-pol", "qkd-oam", "images")
+#: The analysis kinds that produce a BB84 detection matrix.
+QKD_KINDS = ("qkd-pol", "qkd-oam")
+ANALYSIS_KINDS = ("wavefront", *QKD_KINDS, "images")
 SOURCE_KINDS = ("gaussian", "lg", "petal")
 
 
@@ -65,8 +67,8 @@ _SOURCE = (
            "(default: grid extent / 16)", minimum=0.0),
     SchemaField("ell", int, 0, "azimuthal index for lg/petal sources"),
     SchemaField("p", int, 0, "radial index for lg sources", minimum=0),
-    SchemaField("wavelength", float, 532e-9, "vacuum wavelength in meters",
-           minimum=0.0),
+    SchemaField("wavelength", float, DEFAULT_WAVELENGTH,
+           "vacuum wavelength in meters", minimum=0.0),
 )
 
 _SCREENS = (
@@ -82,40 +84,47 @@ _SCREENS = (
            "meters (default: 0.45 * grid extent)", minimum=0.0),
     SchemaField("r0", float, None, "kolmogorov: Fried parameter in meters",
            minimum=0.0),
-    SchemaField("subharmonic_levels", int, 0, "kolmogorov: low-frequency "
-           "completion levels (0 = plain FFT screen)", minimum=0),
+    SchemaField("subharmonic_levels", int, ChannelConfig.subharmonic_levels,
+           "kolmogorov: low-frequency completion levels "
+           "(0 = plain FFT screen)", minimum=0),
 )
 
 _OCCLUSION = (
-    SchemaField("rate", float, 0.0, "mean floating objects per frame (Poisson)",
-           minimum=0.0),
+    SchemaField("rate", float, ChannelConfig.occlusion_rate,
+           "mean floating objects per frame (Poisson)", minimum=0.0),
     SchemaField("radius", float, None, "occluder radius in meters "
            "(default: grid extent / 10)", minimum=0.0),
-    SchemaField("opacity", float, 1.0, "amplitude blocking fraction in [0, 1]",
-           minimum=0.0, maximum=1.0),
+    SchemaField("opacity", float, ChannelConfig.occluder_opacity,
+           "amplitude blocking fraction in [0, 1]", minimum=0.0,
+           maximum=1.0),
 )
 
 _CHANNEL = (
-    SchemaField("length", float, 5.5, "path length through water in meters",
-           minimum=0.0),
-    SchemaField("refractive_index", float, 1.33, "water refractive index",
-           minimum=1.0),
-    SchemaField("attenuation_db_per_m", float, 5.4,
+    SchemaField("length", float, ChannelConfig.length,
+           "path length through water in meters", minimum=0.0),
+    SchemaField("refractive_index", float, ChannelConfig.refractive_index,
+           "water refractive index", minimum=1.0),
+    SchemaField("attenuation_db_per_m", float,
+           ChannelConfig.attenuation_db_per_m,
            "bulk extinction (5.4 turbid river, 1.3 turbid coastal, "
            "0.13 pure water)", minimum=0.0),
-    SchemaField("n_screens", int, 0, "number of turbulence screens", minimum=0),
+    SchemaField("n_screens", int, ChannelConfig.n_screens,
+           "number of turbulence screens", minimum=0),
 )
 
 _SENSOR = (
-    SchemaField("count_x", int, 23, "lenslets across", minimum=1),
-    SchemaField("count_y", int, 23, "lenslets down", minimum=1),
-    SchemaField("pitch", float, 150e-6, "lenslet pitch in meters", minimum=0.0),
-    SchemaField("focal_length", float, 5.2e-3, "lenslet focal length in meters",
+    SchemaField("count_x", int, LensletArray.count_x, "lenslets across",
+           minimum=1),
+    SchemaField("count_y", int, LensletArray.count_y, "lenslets down",
+           minimum=1),
+    SchemaField("pitch", float, LensletArray.pitch, "lenslet pitch in meters",
            minimum=0.0),
-    SchemaField("pixel_size", float, 5e-6, "camera pixel size in meters",
-           minimum=0.0),
-    SchemaField("pixels_per_lenslet", int, 30, "camera pixels per lenslet side",
-           minimum=2),
+    SchemaField("focal_length", float, LensletArray.focal_length,
+           "lenslet focal length in meters", minimum=0.0),
+    SchemaField("pixel_size", float, LensletArray.pixel_size,
+           "camera pixel size in meters", minimum=0.0),
+    SchemaField("pixels_per_lenslet", int, LensletArray.pixels_per_lenslet,
+           "camera pixels per lenslet side", minimum=2),
 )
 
 _ANALYSIS = (
@@ -171,15 +180,15 @@ class SourceSpec:
 @dataclass(frozen=True)
 class AnalysisSpec:
     kind: str
-    j_max: int = 15
-    fit_aperture_radius: float | None = None
-    intensity_floor: float = 0.01
-    theta: float = 0.0
-    depolarization: float = 0.0802
-    ell_values: tuple[int, ...] = (-4, 4)
-    superposition_basis: bool = False
-    trials: int = 100
-    modes: tuple[SourceSpec, ...] = ()
+    j_max: int
+    fit_aperture_radius: float | None
+    intensity_floor: float
+    theta: float
+    depolarization: float
+    ell_values: tuple[int, ...]
+    superposition_basis: bool
+    trials: int
+    modes: tuple[SourceSpec, ...]
 
 
 @dataclass(frozen=True)
@@ -289,7 +298,7 @@ def modal_sigma_table(sigma: float, j_max: int) -> dict[int, float]:
     return table
 
 
-def _build_channel(resolved: dict, grid: Grid, seed: int) -> ChannelConfig:
+def _build_channel(resolved: dict, seed: int) -> ChannelConfig:
     ch = resolved["channel"]
     scr = ch["screens"]
     occ = ch["occlusion"]
@@ -314,35 +323,27 @@ def _build_channel(resolved: dict, grid: Grid, seed: int) -> ChannelConfig:
         raise ScenarioError("kolmogorov screens need r0",
                             "channel.screens.r0")
     try:
+        # The channel section's keys are ChannelConfig's field names.
         return ChannelConfig(
-            length=ch["length"],
-            refractive_index=ch["refractive_index"],
-            attenuation_db_per_m=ch["attenuation_db_per_m"],
-            n_screens=n_screens,
-            screen_source=source,
+            **{f.name: ch[f.name] for f in _CHANNEL}, screen_source=source,
             modal_sigmas=modal_sigmas,
-            screen_aperture_radius=scr["aperture_radius"],
-            r0=scr["r0"],
+            screen_aperture_radius=scr["aperture_radius"], r0=scr["r0"],
             subharmonic_levels=scr["subharmonic_levels"],
-            occlusion_rate=occ["rate"],
-            occluder_radius=occ["radius"],
-            occluder_opacity=occ["opacity"],
-            seed=seed)
+            occlusion_rate=occ["rate"], occluder_radius=occ["radius"],
+            occluder_opacity=occ["opacity"], seed=seed)
     except ValueError as exc:
         raise ScenarioError(str(exc), "channel") from None
 
 
 def _build_source(sec: dict, grid: Grid, where: str) -> SourceSpec:
-    kind = sec["kind"]
     waist = sec["waist"]
     if waist is not None and waist > grid.extent / 4:
         raise ScenarioError(
             f"waist {waist} exceeds grid extent / 4 ({grid.extent / 4})",
             f"{where}.waist")
-    if kind == "petal" and sec["ell"] == 0:
+    if sec["kind"] == "petal" and sec["ell"] == 0:
         raise ScenarioError("petal sources need ell != 0", f"{where}.ell")
-    return SourceSpec(kind=kind, waist=waist, ell=sec["ell"], p=sec["p"],
-                      wavelength=sec["wavelength"])
+    return SourceSpec(**sec)
 
 
 def read_document(text: str) -> dict:
@@ -370,37 +371,34 @@ def parse_scenario(text: str) -> Scenario:
 
 def parse_document(doc: Mapping) -> Scenario:
     """Validate a raw scenario mapping; ``doc`` itself is not modified."""
-    doc = copy.deepcopy(doc)
-    known_top = [f.name for f in _TOP] + ["grid", "source", "channel",
-                                          "sensor", "analysis"]
+    doc = copy.deepcopy(dict(doc))
+    known_top = [f.name for f in _TOP] + list(
+        dict.fromkeys(k.split(".")[0] for k in _SECTIONS))
     for key in doc:
         if key not in known_top:
             raise ScenarioError(
                 f"unknown key {key!r}{_suggest(str(key), known_top)}")
 
-    resolved = _apply_schema(
-        {k: v for k, v in doc.items()
-         if k in [f.name for f in _TOP]}, _TOP, "")
-    resolved["grid"] = _apply_schema(doc.get("grid"), _GRID, "grid")
-    resolved["source"] = _apply_schema(doc.get("source"), _SOURCE, "source")
-    channel_doc = dict(doc.get("channel") or {})
-    screens_doc = channel_doc.pop("screens", None)
-    occlusion_doc = channel_doc.pop("occlusion", None)
-    resolved["channel"] = _apply_schema(channel_doc, _CHANNEL, "channel")
-    resolved["channel"]["screens"] = _apply_schema(
-        screens_doc, _SCREENS, "channel.screens")
-    resolved["channel"]["occlusion"] = _apply_schema(
-        occlusion_doc, _OCCLUSION, "channel.occlusion")
-    resolved["sensor"] = _apply_schema(doc.get("sensor"), _SENSOR, "sensor")
-    resolved["analysis"] = _apply_schema(doc.get("analysis"), _ANALYSIS,
-                                         "analysis")
+    # Take every section out of its parent first: the top level and
+    # "channel" are validated without the mappings nested in them.
+    raw = {}
+    for where in _SECTIONS:
+        parent, _, key = where.rpartition(".")
+        holder = raw[parent] if parent else doc
+        raw[where] = holder.pop(key, None) if isinstance(holder, dict) \
+            else None
+    resolved = _apply_schema(doc, _TOP, "")
+    for where, schema in _SECTIONS.items():
+        parent, _, key = where.rpartition(".")
+        (resolved[parent] if parent else resolved)[key] = _apply_schema(
+            raw[where], schema, where)
 
     try:
         grid = Grid(resolved["grid"]["n_samples"], resolved["grid"]["spacing"])
     except ValueError as exc:
         raise ScenarioError(str(exc), "grid") from None
     source = _build_source(resolved["source"], grid, "source")
-    channel = _build_channel(resolved, grid, resolved["seed"])
+    channel = _build_channel(resolved, resolved["seed"])
     try:
         sensor = LensletArray(**resolved["sensor"])
     except ValueError as exc:
@@ -424,17 +422,12 @@ def parse_document(doc: Mapping) -> Scenario:
                    for e in ells):
             raise ScenarioError("ell_values must be integers",
                                 "analysis.ell_values")
-        if len(set(ells)) != len(ells) or not ells:
-            raise ScenarioError("ell_values must be distinct and non-empty",
-                                "analysis.ell_values")
-    analysis = AnalysisSpec(
-        kind=ana["kind"], j_max=ana["j_max"],
-        fit_aperture_radius=ana["fit_aperture_radius"],
-        intensity_floor=ana["intensity_floor"], theta=ana["theta"],
-        depolarization=ana["depolarization"],
-        ell_values=tuple(ana["ell_values"]),
-        superposition_basis=ana["superposition_basis"], trials=ana["trials"],
-        modes=modes)
+        if len(set(ells)) != len(ells) or len(ells) < 2:
+            raise ScenarioError("ell_values must be at least two distinct "
+                                "values", "analysis.ell_values")
+    # AnalysisSpec's fields are the analysis section's keys.
+    analysis = AnalysisSpec(**{**ana, "ell_values": tuple(ana["ell_values"]),
+                               "modes": modes})
 
     if analysis.kind == "wavefront":
         pitch_samples = sensor.pitch / grid.spacing

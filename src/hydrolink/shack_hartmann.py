@@ -22,6 +22,9 @@ from .seeding import substream
 from .zernike import (PhaseScreen, ZernikeSpectrum, gradient_unchecked,
                       nm_from_index, phase_from_spectrum)
 
+#: Fraction of a sub-image's own peak subtracted before centroiding.
+CENTROID_FLOOR = 0.01
+
 
 @dataclass(frozen=True)
 class LensletArray:
@@ -210,7 +213,7 @@ def capture(field: ComplexField, geometry: LensletArray,
                      field_samples_per_lenslet=samples)
 
 
-def _windowed_com(img: np.ndarray, pix: np.ndarray, floor: float,
+def _windowed_com(img: np.ndarray, pix: np.ndarray,
                   half: int) -> tuple[float, float] | None:
     """Iteratively re-centered center of mass of one sub-image.
 
@@ -220,7 +223,7 @@ def _windowed_com(img: np.ndarray, pix: np.ndarray, floor: float,
     about the spot itself. Two re-centering passes are enough since the
     initial estimate is already within a fraction of a pixel.
     """
-    work = img - floor * img.max()
+    work = img - CENTROID_FLOOR * img.max()
     np.clip(work, 0.0, None, out=work)
     tot = work.sum()
     if tot <= 0.0:
@@ -251,8 +254,8 @@ def _windowed_com(img: np.ndarray, pix: np.ndarray, floor: float,
 
 @lru_cache(maxsize=32)
 def _centroid_response(geometry: LensletArray, wavelength: float,
-                       samples: int, centroid_floor: float,
-                       half: int) -> tuple[np.ndarray, np.ndarray]:
+                       samples: int, half: int
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """Displacement response curve of the windowed center of mass.
 
     The diffraction tails a hard-edged sub-aperture throws across the finite
@@ -275,7 +278,7 @@ def _centroid_response(geometry: LensletArray, wavelength: float,
         grad = disp * 2.0 * math.pi / lam_f      # phase slope giving disp
         block = np.exp(1j * grad * local)[None, :] * np.ones((samples, 1))
         spot = np.abs(kern @ block @ kern.T) ** 2
-        com = _windowed_com(spot, pix, centroid_floor, half)
+        com = _windowed_com(spot, pix, half)
         if com is None:
             raise RuntimeError(
                 "centroid calibration produced an empty window; "
@@ -299,13 +302,13 @@ def _invert_response(com: float, measured: np.ndarray,
     return math.copysign(val, com)
 
 
-def extract_slopes(spots: SpotImage, intensity_floor: float = 0.01,
-                   centroid_floor: float = 0.01) -> SlopeField:
+def extract_slopes(spots: SpotImage,
+                   intensity_floor: float = 0.01) -> SlopeField:
     """Centroid each sub-image and convert displacements to phase slopes.
 
     Lenslets whose total energy falls below ``intensity_floor`` times the
     brightest lenslet's energy are flagged invalid. Each valid sub-image is
-    centroided (center of mass after subtracting ``centroid_floor`` of its
+    centroided (center of mass after subtracting ``CENTROID_FLOOR`` of its
     own peak, iteratively windowed around the spot), the displacement is
     corrected by the model's own centroid gain, and the slope in radians
     per meter is (2 pi / lambda) * displacement / focal_length.
@@ -327,15 +330,14 @@ def extract_slopes(spots: SpotImage, intensity_floor: float = 0.01,
                                                       * geom.pixel_size)
     half = max(3, int(round(2.5 * lobe_px)))
     resp_meas, resp_true = _centroid_response(
-        geom, spots.wavelength, spots.field_samples_per_lenslet,
-        centroid_floor, half)
+        geom, spots.wavelength, spots.field_samples_per_lenslet, half)
     scale = 2.0 * math.pi / (spots.wavelength * geom.focal_length)
 
     slope_x = np.full((geom.count_y, geom.count_x), np.nan)
     slope_y = np.full((geom.count_y, geom.count_x), np.nan)
     ok = np.zeros((geom.count_y, geom.count_x), dtype=bool)
     for iy, ix in zip(*np.nonzero(valid)):
-        com = _windowed_com(images[iy, ix], pix, centroid_floor, half)
+        com = _windowed_com(images[iy, ix], pix, half)
         if com is None:
             continue
         slope_x[iy, ix] = _invert_response(com[0], resp_meas, resp_true) \

@@ -215,9 +215,6 @@ class ZernikeSpectrum:
     def as_dict(self) -> dict[int, float]:
         return dict(self.coefficients)
 
-    def coefficient(self, j: int) -> float:
-        return self.as_dict().get(j, 0.0)
-
 
 @dataclass(frozen=True)
 class PhaseScreen:

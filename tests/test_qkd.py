@@ -199,6 +199,30 @@ class TestReport:
             QkdReport(qber=1.5, key_rate=0.0, threshold_margin=0.0,
                       sifted_fraction=0.5)
 
+    def test_error_statistics_closed_form(self):
+        # One three-state basis: six wrong outcomes over three sent states.
+        p = np.array([[0.8, 0.15, 0.05], [0.1, 0.7, 0.2], [0.0, 0.25, 0.75]])
+        se = np.arange(1, 10).reshape(3, 3) / 100.0
+        m = DetectionMatrix(sent_labels=("a", "b", "c"),
+                            measured_labels=("a", "b", "c"), probabilities=p,
+                            bases=(("a", "b", "c"),), standard_errors=se)
+        report = report_from_matrix(m)
+        wrong_se = [0.02, 0.03, 0.04, 0.06, 0.07, 0.08]
+        root = math.sqrt(sum(e * e for e in wrong_se))
+        assert report.qber == pytest.approx((0.2 + 0.3 + 0.25) / 3)
+        assert report.qber_stderr == pytest.approx(root / 3)
+        assert report.crosstalk_mean == pytest.approx(0.75 / 6)
+        assert report.crosstalk_stderr == pytest.approx(root / 6)
+
+    def test_analytic_matrix_has_zero_errors(self):
+        m = detection_matrix_polarization(channel_for_qber(0.0401))
+        assert np.array_equal(m.standard_errors, np.zeros((4, 4)))
+        report = report_from_matrix(m)
+        # Cross-basis entries (1/2) are not crosstalk.
+        assert report.crosstalk_mean == pytest.approx(0.0401, abs=1e-12)
+        assert report.qber_stderr == 0.0
+        assert report.crosstalk_stderr == 0.0
+
 
 OAM_GRID = Grid(128, 8e-5)
 
@@ -297,6 +321,11 @@ class TestDetectionMatrixOam:
     def test_duplicate_ell_rejected(self):
         with pytest.raises(ValueError):
             detection_matrix_oam(_clean_channel(), [4, 4], grid=OAM_GRID,
+                                 n_trials=1)
+
+    def test_one_letter_alphabet_rejected(self):
+        with pytest.raises(ValueError, match="two"):
+            detection_matrix_oam(_clean_channel(), [4], grid=OAM_GRID,
                                  n_trials=1)
 
     def test_matrix_validation(self):

@@ -1,12 +1,15 @@
 import csv
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hydrolink.cli import main
+from hydrolink.cli import _RUN_COMMANDS, build_parser, main
 from hydrolink.io import read_pgm16, sha256_of, write_csv, write_pgm16
 from hydrolink.runner import run_scenario, sweep
-from hydrolink.scenario import load_scenario, parse_scenario
+from hydrolink.scenario import (bundled_scenarios, load_scenario,
+                                parse_scenario)
 
 FAST_WAVEFRONT = """
 name: tiny-wavefront
@@ -244,10 +247,16 @@ class TestCli:
         rows = read_rows(tmp_path / "r" / "qkd_report.csv")
         assert float(rows[1][0]) == pytest.approx(0.1, abs=1e-9)
 
-    def test_qkd_subcommand_type_checked(self, tmp_path, capsys):
-        code = main(["qkd", "wavefront-survey", "-o", str(tmp_path / "r")])
+    @pytest.mark.parametrize("command, scenario",
+                             [("qkd", "wavefront-survey"),
+                              ("wfs", "polarization-qkd")])
+    def test_qkd_subcommand_type_checked(self, tmp_path, capsys, command,
+                                         scenario):
+        code = main([command, scenario, "-o", str(tmp_path / "r")])
         assert code == 1
-        assert "qkd" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "analysis.kind" in err
+        assert command in err
 
     def test_wfs_subcommand(self, tmp_path, scope_file=FAST_WAVEFRONT):
         path = tmp_path / "s.yaml"
@@ -310,3 +319,28 @@ analysis:
         path.write_text("name: x\nanalysis:\n  kind: [unclosed\n")
         assert main(["simulate", str(path)] + override) == 1
         assert "line 4, column 1" in capsys.readouterr().err
+
+
+def _readme_command_lines():
+    """Argument lists of the README's "Command line" block, continuation
+    lines joined and comments dropped."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line, comments=True)
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("hydrolink ")]
+
+
+class TestReadme:
+    def test_command_line_block_parses(self):
+        lines = _readme_command_lines()
+        assert len(lines) >= 7
+        bundled = bundled_scenarios()
+        for argv in lines:
+            try:
+                args = build_parser().parse_args(argv[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {argv}")
+            if args.command in _RUN_COMMANDS:
+                assert args.scenario in bundled or \
+                    args.scenario.endswith(".yaml"), argv

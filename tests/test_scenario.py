@@ -2,10 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hydrolink.channel import ChannelConfig
+from hydrolink.field import DEFAULT_WAVELENGTH
 from hydrolink.scenario import (ScenarioError, bundled_scenarios,
                                 load_scenario, modal_sigma_table,
                                 parse_scenario, schema_reference,
                                 set_by_path)
+from hydrolink.shack_hartmann import LensletArray
 
 MINIMAL_WAVEFRONT = """
 name: minimal
@@ -27,6 +30,16 @@ class TestParse:
         assert s.seed == 1234
         assert s.channel.length == 5.5
         assert s.channel.attenuation_db_per_m == 5.4
+
+    def test_defaults_are_the_library_defaults(self):
+        s = parse_scenario(MINIMAL_WAVEFRONT)
+        assert s.sensor == LensletArray()
+        library = ChannelConfig()
+        for name in ("length", "refractive_index", "attenuation_db_per_m",
+                     "n_screens", "subharmonic_levels", "occlusion_rate",
+                     "occluder_opacity"):
+            assert getattr(s.channel, name) == getattr(library, name), name
+        assert s.source.wavelength == DEFAULT_WAVELENGTH
 
     def test_zero_frames_rejected_with_range_diagnostic(self):
         with pytest.raises(ScenarioError, match="frames"):
@@ -82,6 +95,13 @@ class TestParse:
             parse_scenario(
                 "name: x\nanalysis:\n  kind: qkd-oam\n"
                 "  ell_values: [4, 4]\n")
+
+    def test_oam_alphabet_needs_two_letters(self):
+        # One ell value carries no key: BB84 needs two states per basis.
+        with pytest.raises(ScenarioError, match="analysis.ell_values"):
+            parse_scenario(
+                "name: x\nanalysis:\n  kind: qkd-oam\n"
+                "  ell_values: [4]\n")
 
     def test_incommensurate_sensor_grid_rejected(self):
         with pytest.raises(ScenarioError, match="pitch"):
