@@ -17,8 +17,8 @@ from scipy.special import erf
 
 from .field import ComplexField, Grid, GridMismatchError, total_power
 from .seeding import TAG_OCCLUSION, TAG_SCREEN, child_seed, substream
-from .zernike import PhaseScreen, ZernikeSpectrum, kolmogorov_screen, \
-    sample_modal_screen
+from .zernike import PhaseScreen, ZernikeSpectrum, draw_modal_spectrum, \
+    kolmogorov_screen, phase_from_spectra
 
 #: Refractive index of water at the green design wavelength.
 WATER_REFRACTIVE_INDEX = 1.33
@@ -263,30 +263,30 @@ def realize_screens(config: ChannelConfig, grid: Grid,
                                tuple[ZernikeSpectrum, ...] | None]:
     """Generate the channel's phase screens without running it.
 
-    Useful for inspecting or storing a realization. To send several fields
-    through one realization, pass them to :func:`run_channel` as a tuple,
-    which realizes the screens once for the whole batch.
+    Modal spectra are all drawn first, then rendered in one pass that
+    evaluates each Zernike mode once for the whole realization. Useful for
+    inspecting or storing a realization. To send several fields through one
+    realization, pass them to :func:`run_channel` as a tuple, which realizes
+    the screens once for the whole batch.
     """
     if config.n_screens == 0:
         return (), None
     if config.screen_source == "explicit":
         return tuple(config.screens), None
-    screens = []
-    spectra = []
-    for k in range(config.n_screens):
-        seed_k = child_seed(config.seed, TAG_SCREEN, k)
-        if config.screen_source == "modal":
-            r_ap = config.screen_aperture_radius or 0.45 * grid.extent
-            screen, spec = sample_modal_screen(
-                dict(config.modal_sigmas), r_ap, grid, seed_k,
-                label=f"modal[{k}]", rim_taper=SCREEN_RIM_TAPER)
-            spectra.append(spec)
-        else:
-            screen = kolmogorov_screen(
-                config.r0, grid, seed_k, label=f"kolmogorov[{k}]",
-                subharmonic_levels=config.subharmonic_levels)
-        screens.append(screen)
-    return tuple(screens), (tuple(spectra) if spectra else None)
+    seeds = [child_seed(config.seed, TAG_SCREEN, k)
+             for k in range(config.n_screens)]
+    if config.screen_source == "modal":
+        r_ap = config.screen_aperture_radius or 0.45 * grid.extent
+        sigmas = dict(config.modal_sigmas)
+        spectra = tuple(draw_modal_spectrum(sigmas, r_ap, seed_k)
+                        for seed_k in seeds)
+        labels = tuple(f"modal[{k}]" for k in range(config.n_screens))
+        return phase_from_spectra(spectra, grid, labels,
+                                  rim_taper=SCREEN_RIM_TAPER), spectra
+    return tuple(kolmogorov_screen(
+        config.r0, grid, seed_k, label=f"kolmogorov[{k}]",
+        subharmonic_levels=config.subharmonic_levels)
+        for k, seed_k in enumerate(seeds)), None
 
 
 def run_channel(input_field: ComplexField | tuple[ComplexField, ...],

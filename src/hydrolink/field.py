@@ -67,6 +67,12 @@ class Grid:
         return np.meshgrid(c, c, indexing="xy")
 
 
+#: Sampling used when neither a scenario nor a caller names a grid.
+DEFAULT_GRID = Grid(256, 4e-5)
+#: A beam without a given waist gets the grid extent divided by this.
+DEFAULT_WAIST_DIVISOR = 16.0
+
+
 @dataclass(frozen=True)
 class ComplexField:
     """A sampled scalar optical field with physical metadata.

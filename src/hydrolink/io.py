@@ -71,14 +71,15 @@ def read_pgm16(path: Path | str) -> np.ndarray:
 
 
 def screen_to_csv(screen: PhaseScreen, path: Path | str) -> Path:
-    n = screen.grid.n_samples
-
-    def rows():
-        for iy in range(n):
-            for ix in range(n):
-                yield (ix, iy, screen.phase[iy, ix])
-
-    return write_csv(path, ("x_index", "y_index", "phase_radians"), rows())
+    """Rows as :func:`write_csv` writes them, sent one grid row at a time."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        fh.write("x_index,y_index,phase_radians\n")
+        for iy, row in enumerate(screen.phase):
+            fh.write("".join(f"{ix},{iy},{v:.17g}\n"
+                             for ix, v in enumerate(row.tolist())))
+    return path
 
 
 def screen_to_pgm(screen: PhaseScreen, path: Path | str) -> Path:

@@ -17,9 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelConfig, run_channel
-from .field import (ANTIDIAGONAL, DEFAULT_WAVELENGTH, DIAGONAL, HORIZONTAL,
-                    VERTICAL, ComplexField, Grid, JonesVector, lg_mode,
-                    mode_overlap, superpose)
+from .field import (ANTIDIAGONAL, DEFAULT_GRID, DEFAULT_WAIST_DIVISOR,
+                    DEFAULT_WAVELENGTH, DIAGONAL, HORIZONTAL, VERTICAL,
+                    ComplexField, Grid, JonesVector, lg_mode, mode_overlap,
+                    superpose)
 from .seeding import TAG_TRIAL, child_seed
 
 
@@ -192,7 +193,7 @@ def detection_matrix_oam(channel_config: ChannelConfig,
                          ell_values: Sequence[int],
                          include_superposition_basis: bool = False,
                          waist: float | None = None,
-                         grid: Grid | None = None,
+                         grid: Grid = DEFAULT_GRID,
                          wavelength: float = DEFAULT_WAVELENGTH,
                          n_trials: int = 100) -> DetectionMatrix:
     """Monte Carlo crosstalk matrix for orbital-angular-momentum encoding.
@@ -203,10 +204,8 @@ def detection_matrix_oam(channel_config: ChannelConfig,
     measurement basis (ideal projective mode sorting, post-selected on
     detection). The ensemble mean and its standard error are returned.
     """
-    if grid is None:
-        grid = Grid(256, 4e-5)
     if waist is None:
-        waist = grid.extent / 16.0
+        waist = grid.extent / DEFAULT_WAIST_DIVISOR
     max_ell = max(abs(int(e)) for e in ell_values)
     ring = waist * math.sqrt(max(max_ell, 1) / 2.0)
     if 2.0 * math.pi * ring / grid.spacing < 8.0 * max(max_ell, 1):

@@ -19,7 +19,8 @@ import scipy
 
 from . import io as hio
 from .channel import ChannelConfig, run_channel, transmittance
-from .field import ComplexField, Grid, centroid, lg_mode, petal_mode
+from .field import (DEFAULT_WAIST_DIVISOR, ComplexField, Grid, centroid,
+                    lg_mode, petal_mode)
 from .qkd import (DetectionMatrix, QkdReport, detection_matrix_oam,
                   detection_matrix_polarization, polarization_channel,
                   report_from_matrix)
@@ -43,7 +44,8 @@ class RunResult:
 
 
 def build_source_field(spec: SourceSpec, grid: Grid) -> ComplexField:
-    waist = spec.waist if spec.waist is not None else grid.extent / 16.0
+    waist = spec.waist if spec.waist is not None \
+        else grid.extent / DEFAULT_WAIST_DIVISOR
     if spec.kind == "gaussian":
         return lg_mode(0, 0, waist, grid, spec.wavelength)
     if spec.kind == "lg":

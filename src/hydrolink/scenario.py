@@ -21,7 +21,8 @@ from typing import Any, Mapping, Sequence
 import yaml
 
 from .channel import ChannelConfig
-from .field import DEFAULT_WAVELENGTH, Grid
+from .field import (DEFAULT_GRID, DEFAULT_WAIST_DIVISOR, DEFAULT_WAVELENGTH,
+                    Grid)
 from .shack_hartmann import LensletArray
 
 #: Fixed default seed so default runs reproduce bit-identically.
@@ -56,15 +57,16 @@ class SchemaField:
 
 
 _GRID = (
-    SchemaField("n_samples", int, 256, "samples per grid side (even, >= 16)",
-           minimum=16),
-    SchemaField("spacing", float, 4.0e-5, "meters per sample", minimum=0.0),
+    SchemaField("n_samples", int, DEFAULT_GRID.n_samples,
+           "samples per grid side (even, >= 16)", minimum=16),
+    SchemaField("spacing", float, DEFAULT_GRID.spacing, "meters per sample",
+           minimum=0.0),
 )
 
 _SOURCE = (
     SchemaField("kind", str, "gaussian", "beam family", choices=SOURCE_KINDS),
-    SchemaField("waist", float, None, "beam waist in meters "
-           "(default: grid extent / 16)", minimum=0.0),
+    SchemaField("waist", float, None, "beam waist in meters (default: grid "
+           f"extent / {DEFAULT_WAIST_DIVISOR:g})", minimum=0.0),
     SchemaField("ell", int, 0, "azimuthal index for lg/petal sources"),
     SchemaField("p", int, 0, "radial index for lg sources", minimum=0),
     SchemaField("wavelength", float, DEFAULT_WAVELENGTH,
@@ -219,7 +221,9 @@ def _suggest(key: str, known: list[str]) -> str:
 
 def _coerce(field: SchemaField, value, where: str):
     if value is None:
-        return None
+        if field.default is None and not field.required:
+            return None
+        raise ScenarioError("expected a value, got null", where)
     if field.kind is float:
         if isinstance(value, bool):
             raise ScenarioError(f"expected a number, got {value!r}", where)

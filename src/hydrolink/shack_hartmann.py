@@ -291,15 +291,15 @@ def _centroid_response(geometry: LensletArray, wavelength: float,
     return measured, true
 
 
-def _invert_response(com: float, measured: np.ndarray,
-                     true: np.ndarray) -> float:
-    mag = abs(com)
-    if mag >= measured[-1]:                      # extrapolate linearly
-        slope = (true[-1] - true[-2]) / (measured[-1] - measured[-2])
-        val = true[-1] + (mag - measured[-1]) * slope
-    else:
-        val = float(np.interp(mag, measured, true))
-    return math.copysign(val, com)
+def _invert_response(com: np.ndarray, measured: np.ndarray,
+                     true: np.ndarray) -> np.ndarray:
+    """Signed true displacements from the response table, linear past it."""
+    mag = np.abs(com)
+    slope = (true[-1] - true[-2]) / (measured[-1] - measured[-2])
+    val = np.where(mag >= measured[-1],
+                   true[-1] + (mag - measured[-1]) * slope,
+                   np.interp(mag, measured, true))
+    return np.copysign(val, com)
 
 
 def extract_slopes(spots: SpotImage,
@@ -333,19 +333,17 @@ def extract_slopes(spots: SpotImage,
         geom, spots.wavelength, spots.field_samples_per_lenslet, half)
     scale = 2.0 * math.pi / (spots.wavelength * geom.focal_length)
 
-    slope_x = np.full((geom.count_y, geom.count_x), np.nan)
-    slope_y = np.full((geom.count_y, geom.count_x), np.nan)
+    slopes = np.full((2, geom.count_y, geom.count_x), np.nan)
     ok = np.zeros((geom.count_y, geom.count_x), dtype=bool)
+    coms = []
     for iy, ix in zip(*np.nonzero(valid)):
         com = _windowed_com(images[iy, ix], pix, half)
-        if com is None:
-            continue
-        slope_x[iy, ix] = _invert_response(com[0], resp_meas, resp_true) \
-            * scale
-        slope_y[iy, ix] = _invert_response(com[1], resp_meas, resp_true) \
-            * scale
-        ok[iy, ix] = True
-    return SlopeField(slope_x=slope_x, slope_y=slope_y, valid=ok,
+        if com is not None:
+            coms.append(com)
+            ok[iy, ix] = True
+    coms = np.array(coms).reshape(-1, 2).T       # (x, y) rows
+    slopes[:, ok] = _invert_response(coms, resp_meas, resp_true) * scale
+    return SlopeField(slope_x=slopes[0], slope_y=slopes[1], valid=ok,
                       geometry=geom)
 
 
@@ -367,6 +365,34 @@ def fit_aperture_radius(slopes: SlopeField) -> float:
                      np.abs(gy[slopes.valid]).max()) + half)
 
 
+@lru_cache(maxsize=8)
+def _gradient_basis(geometry: LensletArray, radius: float, j_max: int,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (in-disk mask, gradient basis) of every lenslet center.
+
+    The basis, shape (2, count_y, count_x, j_max - 1), holds dZ_j/dx then
+    dZ_j/dy for j = 2..j_max in radians per meter. Each entry is the
+    gradient averaged over the lenslet square (2x2 Gauss points, exact
+    through cubic gradients, i.e. all n <= 4 modes), because a uniformly lit
+    sub-aperture measures its area-mean gradient, not the center value.
+    """
+    cx, cy = geometry.centers()
+    ux, uy = np.meshgrid(cx / radius, cy / radius, indexing="xy")
+    in_disk = ux**2 + uy**2 <= 1.0
+    gauss = geometry.pitch / (2.0 * math.sqrt(3.0)) / radius
+    basis = np.zeros((2, *ux.shape, j_max - 1))
+    for col, j in enumerate(range(2, j_max + 1)):
+        idx = nm_from_index(j)
+        for ox in (-gauss, gauss):
+            for oy in (-gauss, gauss):
+                dzx, dzy = gradient_unchecked(idx, ux + ox, uy + oy)
+                basis[0, ..., col] += dzx
+                basis[1, ..., col] += dzy
+    basis /= 4.0 * radius
+    in_disk.flags.writeable = basis.flags.writeable = False
+    return in_disk, basis
+
+
 def modal_fit(slopes: SlopeField, j_max: int = 15,
               aperture_radius: float | None = None) -> WfsResult:
     """Least-squares Zernike coefficients (j = 2..j_max) from slopes.
@@ -374,10 +400,8 @@ def modal_fit(slopes: SlopeField, j_max: int = 15,
     Lenslet centers are mapped to unit-disk coordinates over the analysis
     aperture; both slope components of every valid lenslet inside the disk
     enter the system, which is solved by SVD (never via normal equations).
-    Each basis entry is the gradient averaged over the lenslet square (2x2
-    Gauss points, exact through cubic gradients, i.e. all n <= 4 modes),
-    because a uniformly lit sub-aperture measures its area-mean gradient,
-    not the center value. Piston is excluded as unobservable.
+    The system's rows are taken from :func:`_gradient_basis`, built once
+    per (geometry, radius, j_max). Piston is excluded as unobservable.
     ``residual_rms`` is the RMS slope residual expressed in radians per unit
     disk radius.
     """
@@ -389,29 +413,14 @@ def modal_fit(slopes: SlopeField, j_max: int = 15,
     if not radius > 0:
         raise ValueError("aperture_radius must be > 0")
 
-    cx, cy = geom.centers()
-    gx, gy = np.meshgrid(cx, cy, indexing="xy")
-    ux = gx / radius
-    uy = gy / radius
-    use = slopes.valid & (ux**2 + uy**2 <= 1.0)
+    in_disk, full = _gradient_basis(geom, radius, j_max)
+    use = slopes.valid & in_disk
     n_pts = int(np.count_nonzero(use))
     n_modes = j_max - 1
     if n_pts < n_modes:
         raise ValueError(
             f"{n_pts} usable lenslets cannot constrain {n_modes} modes")
-
-    ux = ux[use]
-    uy = uy[use]
-    gauss = geom.pitch / (2.0 * math.sqrt(3.0)) / radius
-    basis = np.zeros((2 * n_pts, n_modes))
-    for col, j in enumerate(range(2, j_max + 1)):
-        idx = nm_from_index(j)
-        for ox in (-gauss, gauss):
-            for oy in (-gauss, gauss):
-                dzx, dzy = gradient_unchecked(idx, ux + ox, uy + oy)
-                basis[:n_pts, col] += dzx
-                basis[n_pts:, col] += dzy
-    basis /= 4.0 * radius
+    basis = full[:, use].reshape(2 * n_pts, n_modes)
     meas = np.concatenate([slopes.slope_x[use], slopes.slope_y[use]])
 
     coeffs, _, rank, _ = np.linalg.lstsq(basis, meas, rcond=None)

@@ -257,39 +257,75 @@ def _disk_geometry(grid: Grid, aperture_radius: float,
     return inside, rho_in, phi_in
 
 
-def phase_from_spectrum(spec: ZernikeSpectrum, grid: Grid,
-                        label: str = "",
-                        rim_taper: float = 0.0) -> PhaseScreen:
-    """Render the truncated modal sum onto a grid; zero outside the aperture.
+def phase_from_spectra(spectra: tuple[ZernikeSpectrum, ...], grid: Grid,
+                       labels: tuple[str, ...],
+                       rim_taper: float = 0.0) -> tuple[PhaseScreen, ...]:
+    """Render truncated modal sums onto a grid; zero outside the aperture.
 
-    The sum is linear in the coefficients and the aperture disk must fit
-    inside the grid extent. With the default ``rim_taper = 0`` the phase
-    cuts off hard at the aperture edge. A positive ``rim_taper`` (fraction
-    of the radius) instead rolls the phase smoothly to zero across the outer
-    rim; split-step propagation uses this so the screen's complex
+    The spectra must share one aperture radius, and the disk must fit inside
+    the grid extent. Each mode is evaluated once and added, in ascending j,
+    to every screen with a nonzero coefficient for it: each screen is
+    bit-identical to its own render. With the default ``rim_taper = 0`` the
+    phase cuts off hard at the aperture edge. A positive ``rim_taper``
+    (fraction of the radius) instead rolls the phase smoothly to zero across
+    the outer rim; split-step propagation uses this so the screen's complex
     exponential stays band-limited, at the cost of attenuating the modes in
     the rim band.
     """
-    r_ap = spec.aperture_radius
+    r_ap = spectra[0].aperture_radius
+    if any(spec.aperture_radius != r_ap for spec in spectra):
+        raise ValueError("spectra must share one aperture radius")
     if r_ap > grid.extent / 2:
         raise ValueError(
             f"aperture radius {r_ap} exceeds half extent {grid.extent / 2}")
     if not 0.0 <= rim_taper < 1.0:
         raise ValueError("rim_taper must be in [0, 1)")
     inside, rho_in, phi_in = _disk_geometry(grid, r_ap)
-    acc = np.zeros(rho_in.shape)
-    for j, a in spec.coefficients:
-        if a == 0.0:
-            continue
-        acc += a * zernike_eval(nm_from_index(j), rho_in, phi_in)
+    coeffs = [spec.as_dict() for spec in spectra]
+    accs = np.zeros((len(spectra), rho_in.size))
+    for j in sorted({j for c in coeffs for j, a in c.items() if a != 0.0}):
+        z = zernike_eval(nm_from_index(j), rho_in, phi_in)
+        for c, acc in zip(coeffs, accs):
+            if c.get(j, 0.0) != 0.0:
+                acc += c[j] * z
     if rim_taper > 0.0:
         from scipy.special import erf
-        roll = 0.5 * (1.0 - erf((rho_in - (1.0 - rim_taper / 2.0))
-                                / (rim_taper / 5.0)))
-        acc *= roll
-    phase = np.zeros(inside.shape)
-    phase[inside] = acc
-    return PhaseScreen(grid, phase, label)
+        accs *= 0.5 * (1.0 - erf((rho_in - (1.0 - rim_taper / 2.0))
+                                 / (rim_taper / 5.0)))
+    screens = []
+    for acc, label in zip(accs, labels):
+        phase = np.zeros(inside.shape)
+        phase[inside] = acc
+        screens.append(PhaseScreen(grid, phase, label))
+    return tuple(screens)
+
+
+def phase_from_spectrum(spec: ZernikeSpectrum, grid: Grid, label: str = "",
+                        rim_taper: float = 0.0) -> PhaseScreen:
+    """Render one spectrum: :func:`phase_from_spectra` with a batch of one."""
+    return phase_from_spectra((spec,), grid, (label,), rim_taper)[0]
+
+
+def draw_modal_spectrum(stats: Mapping[int, float], aperture_radius: float,
+                        seed: int) -> ZernikeSpectrum:
+    """Draw random modal coefficients from per-mode deviations.
+
+    Each a_j is an independent zero-mean Gaussian with the given standard
+    deviation (radians), drawn from its own (seed, j)-keyed stream so the
+    result does not depend on dict ordering. Piston (j = 1) is unobservable
+    in slope data and is rejected, as are indices below it.
+    """
+    coeffs = {}
+    for j in sorted(stats):
+        if j < 2:
+            raise ValueError(f"mode index {j} in screen statistics must be "
+                             ">= 2 (piston j=1 is unobservable)")
+        sigma = float(stats[j])
+        if sigma < 0:
+            raise ValueError(f"negative sigma for j={j}")
+        rng = substream(seed, TAG_COEFF, j)
+        coeffs[j] = rng.normal(0.0, sigma) if sigma > 0 else 0.0
+    return ZernikeSpectrum.from_dict(coeffs, aperture_radius)
 
 
 def sample_modal_screen(stats: Mapping[int, float], aperture_radius: float,
@@ -297,28 +333,11 @@ def sample_modal_screen(stats: Mapping[int, float], aperture_radius: float,
                         label: str = "modal",
                         rim_taper: float = 0.0) -> tuple[PhaseScreen,
                                                          ZernikeSpectrum]:
-    """Draw a random phase screen from per-mode coefficient deviations.
+    """Draw a spectrum with :func:`draw_modal_spectrum` and render it.
 
-    Each a_j is an independent zero-mean Gaussian with the given standard
-    deviation (radians), drawn from its own (seed, j)-keyed stream so the
-    result does not depend on dict ordering. Piston (j = 1) is unobservable
-    in slope data and is rejected. Returns both the rendered screen and the
-    ground-truth spectrum.
-    """
-    if 1 in stats:
-        raise ValueError("piston (j=1) cannot appear in screen statistics")
-    coeffs = {}
-    for j in sorted(stats):
-        if j < 2:
-            raise ValueError(f"invalid mode index {j} in screen statistics")
-        sigma = float(stats[j])
-        if sigma < 0:
-            raise ValueError(f"negative sigma for j={j}")
-        rng = substream(seed, TAG_COEFF, j)
-        coeffs[j] = rng.normal(0.0, sigma) if sigma > 0 else 0.0
-    spectrum = ZernikeSpectrum.from_dict(coeffs, aperture_radius)
-    screen = phase_from_spectrum(spectrum, grid, label, rim_taper=rim_taper)
-    return screen, spectrum
+    Returns both the rendered screen and the ground-truth spectrum."""
+    spectrum = draw_modal_spectrum(stats, aperture_radius, seed)
+    return phase_from_spectrum(spectrum, grid, label, rim_taper), spectrum
 
 
 def _cell_mean_psd(scale: float, kx: float, ky: float, df: float) -> float:

@@ -10,13 +10,14 @@ from hydrolink.channel import (NYQUIST_GUARD_FRACTION, AliasingError,
                                ChannelConfig, ChannelResult, Occluder,
                                _propagation_plan, angular_spectrum_propagate,
                                apply_attenuation, apply_occlusion,
-                               apply_phase_screen, run_channel,
-                               transmittance)
+                               apply_phase_screen, realize_screens,
+                               run_channel, transmittance)
 from hydrolink.field import (ComplexField, Grid, GridMismatchError,
                              beam_width, centroid, find_vortices, lg_mode,
                              petal_mode, total_power, total_vortex_charge)
+from hydrolink.seeding import TAG_SCREEN, child_seed
 from hydrolink.zernike import (ZernikeSpectrum, _disk_geometry,
-                               phase_from_spectrum)
+                               phase_from_spectrum, sample_modal_screen)
 from hydrolink.scenario import modal_sigma_table
 
 from conftest import WATER_N, WAVELENGTH, rayleigh_range
@@ -184,6 +185,20 @@ class TestPhaseScreenApplication:
         out = apply_phase_screen(gaussian512, screen)
         assert total_power(out) == pytest.approx(total_power(gaussian512),
                                                  rel=1e-14)
+
+    @settings(max_examples=25, deadline=None)
+    @given(coeffs=st.dictionaries(st.integers(2, 15), st.floats(-4.0, 4.0),
+                                  max_size=6),
+           ell=st.integers(-3, 3), rim_taper=st.sampled_from([0.0, 0.1]))
+    def test_property_rendered_screen_conserves_power(self, coeffs, ell,
+                                                      rim_taper):
+        grid = Grid(64, 1e-4)
+        f = lg_mode(ell, 0, grid.extent / 8, grid, WAVELENGTH)
+        screen = phase_from_spectrum(
+            ZernikeSpectrum.from_dict(coeffs, 0.45 * grid.extent), grid,
+            rim_taper=rim_taper)
+        out = apply_phase_screen(f, screen)
+        assert total_power(out) == pytest.approx(total_power(f), rel=1e-12)
 
     def test_grid_mismatch(self, gaussian512, grid256):
         screen = phase_from_spectrum(
@@ -358,6 +373,26 @@ class TestRunChannel:
                                 modal_sigmas=sig, seed=seed)
             res = run_channel(f, cfg)
             assert total_vortex_charge(find_vortices(res.output_field)) == 4
+
+
+class TestRealizeScreens:
+    @pytest.mark.parametrize("n_screens", [1, 3])
+    def test_one_pass_equals_screen_by_screen(self, grid256, n_screens):
+        # Reference: each screen drawn and rendered on its own, as the
+        # channel did before a realization's screens shared one pass.
+        sigmas = dict(modal_sigma_table(0.3, 15))
+        sigmas[9] = 0.0
+        cfg = ChannelConfig(n_screens=n_screens, screen_source="modal",
+                            modal_sigmas=tuple(sigmas.items()), seed=11)
+        screens, spectra = realize_screens(cfg, grid256)
+        for k, (screen, spec) in enumerate(zip(screens, spectra)):
+            ref, ref_spec = sample_modal_screen(
+                sigmas, 0.45 * grid256.extent, grid256,
+                child_seed(11, TAG_SCREEN, k), label=f"modal[{k}]",
+                rim_taper=0.1)
+            assert spec == ref_spec
+            assert screen.label == ref.label
+            assert np.array_equal(screen.phase, ref.phase)
 
 
 class TestBatchedTransit:

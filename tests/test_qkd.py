@@ -3,17 +3,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hydrolink.channel import ChannelConfig, realize_screens, run_channel
 from hydrolink.field import (ANTIDIAGONAL, DIAGONAL, HORIZONTAL, VERTICAL,
-                             Grid, mode_overlap)
+                             Grid, lg_mode, mode_overlap)
 from hydrolink.qkd import (DetectionMatrix, PolarizationBasis, QkdReport,
                            _oam_bases, bb84_key_rate, binary_entropy,
                            channel_for_qber, detection_matrix_oam,
                            detection_matrix_polarization, mub_overlap,
                            polarization_channel, qber_from_matrix,
                            qber_threshold, report_from_matrix)
-from hydrolink.scenario import modal_sigma_table
+from hydrolink.runner import build_source_field
+from hydrolink.scenario import modal_sigma_table, parse_scenario
 from hydrolink.seeding import TAG_TRIAL, child_seed
 
 # 50-digit arithmetic oracle values, frozen:
@@ -327,6 +330,48 @@ class TestDetectionMatrixOam:
         with pytest.raises(ValueError, match="two"):
             detection_matrix_oam(_clean_channel(), [4], grid=OAM_GRID,
                                  n_trials=1)
+
+    def test_default_beam_is_the_scenario_default(self, monkeypatch):
+        import hydrolink.qkd as qmod
+        used = {}
+
+        def record(ell_values, superposition, waist, grid, wavelength):
+            used.update(waist=waist, grid=grid, wavelength=wavelength)
+            raise LookupError("recorded")
+
+        monkeypatch.setattr(qmod, "_oam_bases", record)
+        with pytest.raises(LookupError):
+            detection_matrix_oam(_clean_channel(), [-1, 1])
+        scenario = parse_scenario("name: x\nanalysis: {kind: qkd-oam}\n")
+        assert scenario.source.waist is None
+        assert used["grid"] == scenario.grid
+        beam = lg_mode(0, 0, used["waist"], used["grid"], used["wavelength"])
+        assert np.array_equal(
+            beam.amplitude,
+            build_source_field(scenario.source, scenario.grid).amplitude)
+
+    @settings(max_examples=8, deadline=None)
+    @given(ells=st.lists(st.integers(-3, 3), min_size=2, max_size=3,
+                         unique=True),
+           superposition=st.booleans(), sigma=st.floats(0.0, 0.4),
+           seed=st.integers(0, 2**16), trials=st.integers(1, 3))
+    def test_property_random_channel_row_stochastic(self, ells,
+                                                    superposition, sigma,
+                                                    seed, trials):
+        if superposition:
+            ells = ells[:2]
+        cfg = ChannelConfig(n_screens=2, screen_source="modal",
+                            modal_sigmas=tuple(
+                                modal_sigma_table(sigma, 10).items()),
+                            seed=seed)
+        m = detection_matrix_oam(cfg, ells, superposition,
+                                 grid=Grid(64, 1.5e-4), n_trials=trials)
+        p = m.probabilities
+        assert np.all(p >= 0.0) and np.all(p <= 1.0 + 1e-12)
+        for basis in m.bases:
+            cols = [m.measured_labels.index(b) for b in basis]
+            np.testing.assert_allclose(p[:, cols].sum(axis=1), 1.0,
+                                       rtol=0.0, atol=1e-12)
 
     def test_matrix_validation(self):
         with pytest.raises(ValueError):

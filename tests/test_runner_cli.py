@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from hydrolink.cli import _RUN_COMMANDS, build_parser, main
-from hydrolink.io import read_pgm16, sha256_of, write_csv, write_pgm16
+from hydrolink.io import (read_pgm16, screen_to_csv, sha256_of, write_csv,
+                          write_pgm16)
 from hydrolink.runner import run_scenario, sweep
 from hydrolink.scenario import (bundled_scenarios, load_scenario,
                                 parse_scenario)
@@ -83,6 +84,24 @@ class TestIo:
     def test_pgm_rejects_negative(self, tmp_path):
         with pytest.raises(ValueError):
             write_pgm16(tmp_path / "t.pgm", np.array([[-1.0, 0.0]]))
+
+    def test_screen_csv_equals_cell_writer(self, tmp_path):
+        from hydrolink.field import Grid
+        from hydrolink.zernike import PhaseScreen
+        phase = np.random.default_rng(2).normal(0.0, 3.0, (16, 16))
+        phase[0, :8] = [-0.0, 5e-324, -2.5e-310, 1e300, -1e300, 3.0, -7.0,
+                        0.1]
+        screen = PhaseScreen(Grid(16, 1e-4), phase)
+
+        def rows():     # the cell-by-cell rows the writer used to send
+            for iy in range(16):
+                for ix in range(16):
+                    yield (ix, iy, screen.phase[iy, ix])
+
+        ref = write_csv(tmp_path / "ref.csv",
+                        ("x_index", "y_index", "phase_radians"), rows())
+        got = screen_to_csv(screen, tmp_path / "new" / "screen.csv")
+        assert got.read_bytes() == ref.read_bytes()
 
     def test_spot_mosaic_pgm(self, tmp_path):
         from hydrolink.field import ComplexField, Grid
@@ -270,6 +289,22 @@ class TestCli:
         path = tmp_path / "bad.yaml"
         path.write_text("name: x\nframes: 0\nanalysis:\n  kind: qkd-pol\n")
         assert main(["simulate", str(path)]) == 1
+
+    @pytest.mark.parametrize("override, key", [
+        ("frames: null", "frames"),
+        ("grid: {n_samples: null}", "grid.n_samples"),
+        ("analysis: {kind: qkd-pol, ell_values: null}",
+         "analysis.ell_values")], ids=["frames", "n_samples", "ell_values"])
+    def test_null_for_defaulted_key_exit_code(self, tmp_path, capsys,
+                                              override, key):
+        doc = {"name": "name: x", "analysis": "analysis: {kind: qkd-pol}"}
+        doc[override.split(":")[0]] = override
+        path = tmp_path / "null.yaml"
+        path.write_text("\n".join(doc.values()) + "\n")
+        assert main(["qkd", str(path), "-o", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert key in err and "null" in err
+        assert not (tmp_path / "r").exists()
 
     def test_missing_scenario_exit_code(self, capsys):
         assert main(["simulate", "does-not-exist"]) == 1

@@ -129,6 +129,16 @@ class TestParse:
             "  kind: qkd-pol\n")
         assert s.sensor.pitch == pytest.approx(150e-6)
 
+    def test_null_kept_only_where_the_default_is_none(self):
+        s = parse_scenario("name: x\nsource: {waist: null}\n"
+                           "analysis: {kind: qkd-pol}\n")
+        assert s.source.waist is None
+        with pytest.raises(ScenarioError, match="source.wavelength"):
+            parse_scenario("name: x\nsource: {wavelength: null}\n"
+                           "analysis: {kind: qkd-pol}\n")
+        with pytest.raises(ScenarioError, match="^name: .*null"):
+            parse_scenario("name: null\nanalysis: {kind: qkd-pol}\n")
+
     def test_explicit_sigma_table(self):
         s = parse_scenario(
             "name: x\nanalysis:\n  kind: qkd-pol\n"

@@ -5,11 +5,14 @@ import pytest
 
 from hydrolink.field import ComplexField, Grid, lg_mode
 from hydrolink.shack_hartmann import (LensletArray, SlopeField, SpotImage,
-                                      average_magnitudes, capture,
+                                      _centroid_response, _gradient_basis,
+                                      _invert_response, average_magnitudes,
+                                      capture,
                                       extract_slopes, fit_aperture_radius,
                                       modal_fit, reconstruct_wavefront)
-from hydrolink.zernike import (ZernikeSpectrum, nm_from_index,
-                               phase_from_spectrum, sample_modal_screen)
+from hydrolink.zernike import (ZernikeSpectrum, gradient_unchecked,
+                               nm_from_index, phase_from_spectrum,
+                               sample_modal_screen)
 
 WAVELENGTH = 532e-9
 
@@ -264,6 +267,69 @@ class TestModalFit:
                              geometry=GEOMETRY)
         with pytest.raises(ValueError, match="rank|constrain"):
             modal_fit(starved, j_max=15, aperture_radius=R_AP)
+
+
+def _per_frame_basis(geometry, radius, valid, j_max):
+    """The fit's design matrix as modal_fit built it on every frame before
+    the basis was kept per (geometry, radius, j_max)."""
+    cx, cy = geometry.centers()
+    gx, gy = np.meshgrid(cx, cy, indexing="xy")
+    ux = gx / radius
+    uy = gy / radius
+    use = valid & (ux**2 + uy**2 <= 1.0)
+    n_pts = int(np.count_nonzero(use))
+    ux = ux[use]
+    uy = uy[use]
+    gauss = geometry.pitch / (2.0 * math.sqrt(3.0)) / radius
+    basis = np.zeros((2 * n_pts, j_max - 1))
+    for col, j in enumerate(range(2, j_max + 1)):
+        idx = nm_from_index(j)
+        for ox in (-gauss, gauss):
+            for oy in (-gauss, gauss):
+                dzx, dzy = gradient_unchecked(idx, ux + ox, uy + oy)
+                basis[:n_pts, col] += dzx
+                basis[n_pts:, col] += dzy
+    basis /= 4.0 * radius
+    return use, basis
+
+
+def _invert_scalar(com, measured, true):
+    """Response inversion one displacement at a time, as extract_slopes did
+    before it inverted all lenslets in one array call."""
+    mag = abs(com)
+    if mag >= measured[-1]:
+        slope = (true[-1] - true[-2]) / (measured[-1] - measured[-2])
+        val = true[-1] + (mag - measured[-1]) * slope
+    else:
+        val = float(np.interp(mag, measured, true))
+    return math.copysign(val, com)
+
+
+class TestFitCaches:
+    @pytest.mark.parametrize("radius", [R_AP, 1.425e-3])
+    @pytest.mark.parametrize("drop", [0.0, 0.3])
+    def test_cached_basis_rows_equal_per_frame_basis(self, radius, drop):
+        valid = np.random.default_rng(8).random((23, 23)) >= drop
+        in_disk, full = _gradient_basis(GEOMETRY, radius, 15)
+        ref_use, ref = _per_frame_basis(GEOMETRY, radius, valid, 15)
+        use = valid & in_disk
+        assert np.array_equal(use, ref_use)
+        got = full[:, use].reshape(ref.shape)
+        assert np.array_equal(got, ref)
+        assert not full.flags.writeable and not in_disk.flags.writeable
+        with pytest.raises(ValueError):
+            full[0, 0, 0] = 0.0
+
+    def test_array_inversion_equals_scalar_loop(self):
+        meas, true = _centroid_response(GEOMETRY, WAVELENGTH, 12, 9)
+        top = meas[-1]
+        com = np.concatenate([
+            np.random.default_rng(4).uniform(-1.5 * top, 1.5 * top, 200),
+            meas, -meas, [top, -top, 2.5 * top, -2.5 * top, -0.0]])
+        got = _invert_response(com, meas, true)
+        ref = np.array([_invert_scalar(c, meas, true) for c in com])
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        assert np.count_nonzero(np.abs(com) >= top) > 4   # extrapolated
 
 
 class TestReconstruct:

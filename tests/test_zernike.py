@@ -2,16 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hydrolink.field import Grid
 from hydrolink.shack_hartmann import LensletArray, capture, extract_slopes, \
     modal_fit
 from hydrolink.field import ComplexField
 from hydrolink.zernike import (PhaseScreen, ZernikeIndex, ZernikeSpectrum,
+                               _disk_geometry,
                                index_from_nm, kolmogorov_screen,
-                               nm_from_index, phase_from_spectrum,
-                               radians_to_um, radians_to_waves,
-                               sample_modal_screen, um_to_radians,
+                               nm_from_index, phase_from_spectra,
+                               phase_from_spectrum, radians_to_um,
+                               radians_to_waves, sample_modal_screen,
+                               um_to_radians,
                                waves_to_radians, zernike_eval,
                                zernike_gradient)
 
@@ -226,6 +230,68 @@ class TestPhaseFromSpectrumCache:
             screen = phase_from_spectrum(spec, grid256, rim_taper=rim_taper)
             assert np.array_equal(screen.phase,
                                   _reference_phase(spec, grid256, rim_taper))
+
+
+def _per_mode_phase(spec, grid, rim_taper):
+    """One screen as rendered before screens shared each mode's values."""
+    from scipy.special import erf
+    inside, rho_in, phi_in = _disk_geometry(grid, spec.aperture_radius)
+    acc = np.zeros(rho_in.shape)
+    for j, a in spec.coefficients:
+        if a == 0.0:
+            continue
+        acc += a * zernike_eval(nm_from_index(j), rho_in, phi_in)
+    if rim_taper > 0.0:
+        acc *= 0.5 * (1.0 - erf((rho_in - (1.0 - rim_taper / 2.0))
+                                / (rim_taper / 5.0)))
+    phase = np.zeros(inside.shape)
+    phase[inside] = acc
+    return phase
+
+
+_COEFFICIENT = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+
+
+class TestBatchedRender:
+    @settings(max_examples=30, deadline=None)
+    @given(tables=st.lists(st.dictionaries(st.integers(2, 21), _COEFFICIENT,
+                                           max_size=8),
+                           min_size=1, max_size=4),
+           rim_taper=st.sampled_from([0.0, 0.1]))
+    def test_batch_equals_single_renders_bitwise(self, tables, rim_taper):
+        grid = Grid(64, 1e-4)
+        spectra = tuple(ZernikeSpectrum.from_dict(t, 0.45 * grid.extent)
+                        for t in tables)
+        labels = tuple(f"s{k}" for k in range(len(spectra)))
+        batch = phase_from_spectra(spectra, grid, labels, rim_taper)
+        assert [s.label for s in batch] == list(labels)
+        for spec, screen in zip(spectra, batch):
+            alone = phase_from_spectrum(spec, grid, rim_taper=rim_taper)
+            assert np.array_equal(screen.phase, alone.phase)
+            assert np.array_equal(screen.phase,
+                                  _per_mode_phase(spec, grid, rim_taper))
+
+    def test_each_mode_evaluated_once(self, grid256, monkeypatch):
+        import hydrolink.zernike as zmod
+        calls = []
+
+        def counting(idx, rho, phi):
+            calls.append(idx.j)
+            return zernike_eval(idx, rho, phi)
+
+        monkeypatch.setattr(zmod, "zernike_eval", counting)
+        r_ap = 0.4 * grid256.extent
+        spectra = (ZernikeSpectrum(((2, 0.1), (5, 0.0), (7, 0.2)), r_ap),
+                   ZernikeSpectrum(((2, -0.3), (9, 0.4)), r_ap),
+                   ZernikeSpectrum((), r_ap))
+        phase_from_spectra(spectra, grid256, ("a", "b", "c"))
+        assert calls == [2, 7, 9]
+
+    def test_radii_must_match(self, grid256):
+        spectra = (ZernikeSpectrum(((2, 0.1),), 1e-3),
+                   ZernikeSpectrum(((2, 0.1),), 2e-3))
+        with pytest.raises(ValueError, match="one aperture radius"):
+            phase_from_spectra(spectra, grid256, ("a", "b"))
 
 
 class TestSpectrumType:
