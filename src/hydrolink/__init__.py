@@ -19,8 +19,8 @@ from .field import (ANTIDIAGONAL, DEFAULT_WAVELENGTH, DIAGONAL, HORIZONTAL,
 from .qkd import (DetectionMatrix, PolarizationBasis, PolarizationChannel,
                   QkdReport, bb84_key_rate, binary_entropy, channel_for_qber,
                   detection_matrix_oam, detection_matrix_polarization,
-                  mub_overlap, polarization_channel, qber_from_matrix,
-                  qber_threshold, report_from_matrix)
+                  mub_overlap, qber_from_matrix, qber_threshold,
+                  report_from_matrix)
 from .scenario import (Scenario, ScenarioError, bundled_scenarios,
                        load_scenario, parse_scenario, schema_reference)
 from .runner import RunResult, run_scenario, sweep
@@ -29,9 +29,9 @@ from .shack_hartmann import (LensletArray, ModalAverage, SlopeField,
                              capture, extract_slopes, fit_aperture_radius,
                              modal_fit, reconstruct_wavefront, spot_mosaic)
 from .zernike import (PhaseScreen, ZernikeIndex, ZernikeSpectrum,
-                      index_from_nm, kolmogorov_screen, nm_from_index,
-                      phase_from_spectrum, radians_to_um, radians_to_waves,
-                      sample_modal_screen, um_to_radians, waves_to_radians,
+                      draw_modal_spectrum, index_from_nm, kolmogorov_screen,
+                      nm_from_index, phase_from_spectrum, radians_to_um,
+                      radians_to_waves, um_to_radians, waves_to_radians,
                       zernike_eval, zernike_gradient)
 
 __version__ = "0.1.0"

@@ -3,9 +3,10 @@
 The run commands ``simulate``, ``wfs``, ``qkd`` and ``sweep`` come from one
 table, ``_RUN_COMMANDS``, of help text and accepted analysis kinds; a
 scenario of any other kind is refused on ``analysis.kind`` before anything
-runs. ``sweep`` also takes ``--parameter`` and ``--values`` and writes one
-summary row per value. ``scenarios list`` names the bundled scenarios and
-``schema`` prints the scenario schema reference.
+runs. A run prints its summary record one ``key: value`` line per key.
+``sweep`` takes any kind plus ``--parameter`` and ``--values`` and runs it
+once per value into ``valueNNN/``. ``scenarios list`` names the bundled
+scenarios and ``schema`` prints the scenario schema reference.
 
 Every command loads its scenario through ``scenario.load_scenario``.
 Value precedence: --seed/--frames > --set overrides > scenario file >
@@ -38,7 +39,7 @@ _RUN_COMMANDS = {
     "simulate": ("run any scenario", ANALYSIS_KINDS),
     "wfs": ("run a wavefront-analysis scenario", ("wavefront",)),
     "qkd": (f"run a {' or '.join(QKD_KINDS)} scenario", QKD_KINDS),
-    "sweep": ("summarize a scenario across one parameter", QKD_KINDS),
+    "sweep": ("summarize a scenario across one parameter", ANALYSIS_KINDS),
 }
 
 

@@ -82,12 +82,6 @@ def screen_to_csv(screen: PhaseScreen, path: Path | str) -> Path:
     return path
 
 
-def screen_to_pgm(screen: PhaseScreen, path: Path | str) -> Path:
-    """Phase map shifted to non-negative range for image export."""
-    ph = screen.phase - screen.phase.min()
-    return write_pgm16(path, ph)
-
-
 def sha256_of(path: Path | str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -76,11 +77,6 @@ class PolarizationChannel:
         coherent = mub_overlap(self.rotated(sent), analyzer)
         q = self.depolarization
         return (1.0 - q) * coherent + q * 0.5
-
-
-def polarization_channel(theta: float = 0.0,
-                         depolarization: float = 0.0) -> PolarizationChannel:
-    return PolarizationChannel(theta=theta, depolarization=depolarization)
 
 
 def channel_for_qber(qber: float) -> PolarizationChannel:
@@ -159,33 +155,50 @@ def detection_matrix_polarization(
                            bases=tuple(b.labels for b in bases))
 
 
-def _oam_bases(ell_values: Sequence[int], include_superposition: bool,
+class AlphabetError(ValueError):
+    """A broken OAM-alphabet rule; ``key`` names the argument at fault."""
+
+    def __init__(self, message: str, key: str = "ell_values"):
+        super().__init__(message)
+        self.key = key
+
+
+def oam_alphabet(ell_values: Sequence[int], superposition_basis: bool,
+                 waist: float, grid: Grid) -> tuple[int, ...]:
+    """The sorted alphabet if it keeps every rule, else AlphabetError: at
+    least two distinct integers, exactly two with the superposition basis,
+    every |l| resolvable on the grid for a beam of this waist."""
+    if not all(isinstance(e, Integral) and not isinstance(e, bool)
+               for e in ell_values):
+        raise AlphabetError("ell_values must be integers")
+    ells = sorted(set(ell_values))
+    if len(ells) != len(ell_values) or len(ells) < 2:
+        raise AlphabetError("ell_values must be at least two distinct values")
+    if superposition_basis and len(ells) != 2:
+        raise AlphabetError("superposition basis needs exactly two ell "
+                            "values", "superposition_basis")
+    max_ell = max(abs(ells[0]), abs(ells[-1]))
+    ring = waist * math.sqrt(max_ell / 2.0)
+    if 2.0 * math.pi * ring / grid.spacing < 8.0 * max_ell:
+        raise AlphabetError(
+            f"grid cannot resolve the azimuthal structure of |l|={max_ell}")
+    return tuple(ells)
+
+
+def _oam_bases(ells: tuple[int, ...], include_superposition: bool,
                waist: float, grid: Grid, wavelength: float,
                ) -> tuple[tuple[tuple[str, ...], ...],
                           dict[str, ComplexField]]:
-    ells = sorted(set(int(e) for e in ell_values))
-    if len(ells) != len(ell_values):
-        raise ValueError("ell values must be distinct")
-    if len(ells) < 2:
-        raise ValueError("an OAM alphabet needs at least two ell values")
-    modes = {}
-    primary = []
-    for ell in ells:
-        label = f"l{ell:+d}"
-        modes[label] = lg_mode(ell, 0, waist, grid, wavelength)
-        primary.append(label)
-    bases = [tuple(primary)]
+    primary = tuple(f"l{ell:+d}" for ell in ells)
+    modes = {label: lg_mode(ell, 0, waist, grid, wavelength)
+             for label, ell in zip(primary, ells)}
+    bases = [primary]
     if include_superposition:
-        if len(ells) != 2:
-            raise ValueError(
-                "superposition basis needs exactly two ell values")
         a, b = (modes[p] for p in primary)
         s = 1.0 / math.sqrt(2.0)
-        sup = []
         for sign, tag in ((1.0, "s+"), (-1.0, "s-")):
             modes[tag] = superpose([a, b], [s, sign * s])
-            sup.append(tag)
-        bases.append(tuple(sup))
+        bases.append(("s+", "s-"))
     return tuple(bases), modes
 
 
@@ -206,13 +219,10 @@ def detection_matrix_oam(channel_config: ChannelConfig,
     """
     if waist is None:
         waist = grid.extent / DEFAULT_WAIST_DIVISOR
-    max_ell = max(abs(int(e)) for e in ell_values)
-    ring = waist * math.sqrt(max(max_ell, 1) / 2.0)
-    if 2.0 * math.pi * ring / grid.spacing < 8.0 * max(max_ell, 1):
-        raise ValueError(
-            f"grid cannot resolve the azimuthal structure of |l|={max_ell}")
-    bases, modes = _oam_bases(ell_values, include_superposition_basis,
-                              waist, grid, wavelength)
+    ells = oam_alphabet(ell_values, include_superposition_basis, waist,
+                        grid)
+    bases, modes = _oam_bases(ells, include_superposition_basis, waist,
+                              grid, wavelength)
     labels = tuple(lbl for b in bases for lbl in b)
     cols = {lbl: i for i, lbl in enumerate(labels)}
 

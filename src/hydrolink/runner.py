@@ -1,14 +1,15 @@
 """Execute scenarios and parameter sweeps, writing figure-ready artifacts.
 
-Every run writes CSV tables (the numeric source of truth), PGM images
-(conveniences for eyeballing), a re-runnable scenario echo, and a manifest
-listing every output with a content digest. Identical scenario + seed
+Every run writes CSV tables (the numeric source of truth), PGM images, a
+re-runnable scenario echo and a digest manifest, and returns one record of
+named scalars; a sweep is one run per value. Identical scenario + seed
 reproduces every CSV byte for byte.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 import time
 from dataclasses import dataclass
 from importlib import metadata
@@ -21,8 +22,8 @@ from . import io as hio
 from .channel import ChannelConfig, run_channel, transmittance
 from .field import (DEFAULT_WAIST_DIVISOR, ComplexField, Grid, centroid,
                     lg_mode, petal_mode)
-from .qkd import (DetectionMatrix, QkdReport, detection_matrix_oam,
-                  detection_matrix_polarization, polarization_channel,
+from .qkd import (DetectionMatrix, PolarizationChannel, QkdReport,
+                  detection_matrix_oam, detection_matrix_polarization,
                   report_from_matrix)
 from .scenario import (QKD_KINDS, Scenario, ScenarioError, SourceSpec,
                        parse_document)
@@ -40,7 +41,7 @@ SWEEPABLE_PARAMETERS = ("attenuation_db_per_m", "length", "r0",
 class RunResult:
     output_dir: Path
     files: tuple[Path, ...]
-    summary: dict
+    summary: dict[str, float]
 
 
 def build_source_field(spec: SourceSpec, grid: Grid) -> ComplexField:
@@ -147,24 +148,28 @@ def _run_wavefront(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
         WfsResult(spectrum=mean_spec, residual_rms=0.0,
                   n_valid_lenslets=results[0].n_valid_lenslets),
         scenario.grid)
-    files.append(hio.screen_to_pgm(recon, out / "wavefront_mean.pgm"))
+    files.append(hio.write_pgm16(out / "wavefront_mean.pgm",
+                                 recon.phase - recon.phase.min()))
     files.append(hio.screen_to_csv(recon, out / "wavefront_mean.csv"))
-    summary = {"frames": scenario.frames,
-               "mean_abs": dict(zip(avg.j_values, avg.mean_abs))}
-    return files, summary
+    record = {}
+    for j, mean_abs, stderr in zip(avg.j_values, avg.mean_abs, avg.stderr):
+        record[f"mean_abs_j{j}"], record[f"stderr_j{j}"] = mean_abs, stderr
+    record["residual_rms_radians_mean"] = math.fsum(
+        r.residual_rms for r in results) / len(results)
+    record["n_valid_lenslets_mean"] = math.fsum(
+        r.n_valid_lenslets for r in results) / len(results)
+    return files, record
 
 
 def _qkd_outputs(out: Path, matrix: DetectionMatrix,
                  report: QkdReport) -> list[Path]:
-    files = []
     header = ("sent",) + tuple(matrix.measured_labels)
-    rows = [(s,) + tuple(matrix.probabilities[i])
-            for i, s in enumerate(matrix.sent_labels)]
-    files.append(hio.write_csv(out / "detection_matrix.csv", header, rows))
-    se_rows = [(s,) + tuple(matrix.standard_errors[i])
-               for i, s in enumerate(matrix.sent_labels)]
-    files.append(hio.write_csv(out / "detection_matrix_stderr.csv", header,
-                               se_rows))
+    files = [hio.write_csv(out / name, header,
+                           [(s,) + tuple(table[i])
+                            for i, s in enumerate(matrix.sent_labels)])
+             for name, table in (
+                 ("detection_matrix.csv", matrix.probabilities),
+                 ("detection_matrix_stderr.csv", matrix.standard_errors))]
     files.append(hio.write_csv(
         out / "qkd_report.csv",
         ("qber", "key_rate_bits_per_sifted_photon", "threshold_margin",
@@ -184,23 +189,23 @@ def _qkd_outputs(out: Path, matrix: DetectionMatrix,
     return files
 
 
-def _qkd_matrix(scenario: Scenario) -> DetectionMatrix:
+def _run_qkd(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
     ana = scenario.analysis
     if ana.kind == "qkd-pol":
-        return detection_matrix_polarization(polarization_channel(
+        matrix = detection_matrix_polarization(PolarizationChannel(
             theta=ana.theta, depolarization=ana.depolarization))
-    return detection_matrix_oam(
-        scenario.channel, ana.ell_values,
-        include_superposition_basis=ana.superposition_basis,
-        waist=scenario.source.waist, grid=scenario.grid,
-        wavelength=scenario.source.wavelength, n_trials=ana.trials)
-
-
-def _run_qkd(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
-    matrix = _qkd_matrix(scenario)
+    else:
+        matrix = detection_matrix_oam(
+            scenario.channel, ana.ell_values,
+            include_superposition_basis=ana.superposition_basis,
+            waist=scenario.source.waist, grid=scenario.grid,
+            wavelength=scenario.source.wavelength, n_trials=ana.trials)
     report = report_from_matrix(matrix)
     files = _qkd_outputs(out, matrix, report)
-    return files, {"qber": report.qber, "key_rate": report.key_rate}
+    return files, {"qber": report.qber, "qber_stderr": report.qber_stderr,
+                   "key_rate": report.key_rate,
+                   "crosstalk_mean": report.crosstalk_mean,
+                   "crosstalk_stderr": report.crosstalk_stderr}
 
 
 def _run_images(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
@@ -227,8 +232,11 @@ def _run_images(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
         out / "frames_summary.csv",
         ("mode", "frame_id", "transmittance", "centroid_x_m",
          "centroid_y_m"), rows))
-    return files, {"modes": len(scenario.analysis.modes),
-                   "frames": scenario.frames}
+    # Beam wander: RMS centroid distance from the axis over all rows.
+    return files, {
+        "transmittance_mean": math.fsum(r[2] for r in rows) / len(rows),
+        "beam_wander_rms_m": math.sqrt(math.fsum(
+            cx * cx + cy * cy for *_, cx, cy in rows) / len(rows))}
 
 
 _RUNNERS = {"wavefront": _run_wavefront, **dict.fromkeys(QKD_KINDS, _run_qkd),
@@ -240,71 +248,63 @@ def run_scenario(scenario: Scenario, output_dir: Path | str) -> RunResult:
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    files, summary = _RUNNERS[scenario.analysis.kind](scenario, out)
+    files, record = _RUNNERS[scenario.analysis.kind](scenario, out)
     echo = out / "scenario-echo.yaml"
     echo.write_text(scenario.to_yaml())
     files.append(echo)
     wall = time.perf_counter() - start
     manifest = _write_manifest(out, scenario, files, wall)
     return RunResult(output_dir=out, files=tuple(sorted(files + [manifest])),
-                     summary=summary)
+                     summary=record)
 
 
 def _scaled_scenario(scenario: Scenario, parameter: str,
                      value: float) -> Scenario:
     doc = copy.deepcopy(scenario.resolved)
-    ch = doc["channel"]
-    if parameter in ("attenuation_db_per_m", "length"):
-        ch[parameter] = float(value)
-    elif parameter == "r0":
-        if ch["screens"]["kind"] != "kolmogorov":
-            raise ScenarioError(
-                "r0 sweep needs channel.screens.kind = kolmogorov")
-        ch["screens"]["r0"] = float(value)
-    else:   # sigma_scale: sweep has already rejected unknown parameters
-        scr = ch["screens"]
-        if scr["kind"] != "modal":
-            raise ScenarioError(
-                "sigma_scale sweep needs channel.screens.kind = modal")
-        if scr["sigmas"] is not None:
-            scr["sigmas"] = {j: s * float(value)
-                             for j, s in scr["sigmas"].items()}
-        else:
-            scr["sigma"] = scr["sigma"] * float(value)
+    scr = doc["channel"]["screens"]
+    kind = {"r0": "kolmogorov", "sigma_scale": "modal"}.get(parameter)
+    if kind and scr["kind"] != kind:
+        raise ScenarioError(f"a {parameter} sweep needs {kind} screens",
+                            "channel.screens.kind")
+    if parameter == "r0":
+        scr["r0"] = value
+    elif parameter == "sigma_scale" and scr["sigmas"] is not None:
+        scr["sigmas"] = {j: s * value for j, s in scr["sigmas"].items()}
+    elif parameter == "sigma_scale":
+        scr["sigma"] = scr["sigma"] * value
+    else:
+        doc["channel"][parameter] = value
     return parse_document(doc)
 
 
 def sweep(scenario: Scenario, parameter: str, values: list[float],
           output_dir: Path | str) -> RunResult:
-    """Run a qkd-pol or qkd-oam scenario across parameter values, one
-    summary row per value: analytic transmittance, QBER, key rate and
-    crosstalk, with Monte Carlo standard errors."""
+    """Run a scenario of any kind once per value, value k into
+    ``valueNNN/``, after validating every value. ``sweep_summary.csv`` gets
+    one row per value: parameter, value, Beer-Lambert transmittance and the
+    run's summary record."""
     if parameter not in SWEEPABLE_PARAMETERS:
         raise ScenarioError(
             f"unknown sweep parameter {parameter!r}; declared sweepables: "
             f"{SWEEPABLE_PARAMETERS}")
-    if scenario.analysis.kind not in QKD_KINDS:
-        raise ScenarioError(
-            f"sweep summarizes {' and '.join(QKD_KINDS)} scenarios, got "
-            f"{scenario.analysis.kind!r}", "analysis.kind")
     if not values:
         raise ScenarioError("sweep needs at least one value")
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    rows = []
-    for value in values:
-        s = _scaled_scenario(scenario, parameter, float(value))
-        trans = transmittance(s.channel.attenuation_db_per_m,
-                              s.channel.length)
-        r = report_from_matrix(_qkd_matrix(s))
-        rows.append((parameter, value, trans, r.qber, r.qber_stderr,
-                     r.key_rate, r.crosstalk_mean, r.crosstalk_stderr))
-    path = hio.write_csv(
-        out / "sweep_summary.csv",
-        ("parameter", "value", "transmittance", "qber", "qber_stderr",
-         "key_rate", "crosstalk_mean", "crosstalk_stderr"), rows)
+    scaled = [_scaled_scenario(scenario, parameter, float(v))
+              for v in values]
+    out = Path(output_dir)
+    files, rows = [], []
+    for k, (value, s) in enumerate(zip(values, scaled)):
+        run = run_scenario(s, out / f"value{k:03d}")
+        files += run.files
+        rows.append((parameter, value,
+                     transmittance(s.channel.attenuation_db_per_m,
+                                   s.channel.length),
+                     *run.summary.values()))
+    path = hio.write_csv(out / "sweep_summary.csv",
+                         ("parameter", "value", "transmittance",
+                          *run.summary), rows)
     wall = time.perf_counter() - start
     manifest = _write_manifest(out, scenario, [path], wall)
-    return RunResult(output_dir=out, files=(path, manifest),
+    return RunResult(output_dir=out, files=(*files, path, manifest),
                      summary={"rows": len(rows)})

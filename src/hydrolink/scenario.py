@@ -23,6 +23,7 @@ import yaml
 from .channel import ChannelConfig
 from .field import (DEFAULT_GRID, DEFAULT_WAIST_DIVISOR, DEFAULT_WAVELENGTH,
                     Grid)
+from .qkd import AlphabetError, oam_alphabet
 from .shack_hartmann import LensletArray
 
 #: Fixed default seed so default runs reproduce bit-identically.
@@ -421,14 +422,13 @@ def parse_document(doc: Mapping) -> Scenario:
             ana["modes"][i] = sec
         modes = tuple(built)
     if ana["kind"] == "qkd-oam":
-        ells = ana["ell_values"]
-        if not all(isinstance(e, int) and not isinstance(e, bool)
-                   for e in ells):
-            raise ScenarioError("ell_values must be integers",
-                                "analysis.ell_values")
-        if len(set(ells)) != len(ells) or len(ells) < 2:
-            raise ScenarioError("ell_values must be at least two distinct "
-                                "values", "analysis.ell_values")
+        waist = source.waist if source.waist is not None \
+            else grid.extent / DEFAULT_WAIST_DIVISOR
+        try:
+            oam_alphabet(ana["ell_values"], ana["superposition_basis"], waist,
+                         grid)
+        except AlphabetError as exc:
+            raise ScenarioError(str(exc), f"analysis.{exc.key}") from None
     # AnalysisSpec's fields are the analysis section's keys.
     analysis = AnalysisSpec(**{**ana, "ell_values": tuple(ana["ell_values"]),
                                "modes": modes})

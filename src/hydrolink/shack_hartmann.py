@@ -119,10 +119,6 @@ class SlopeField:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    @property
-    def n_valid(self) -> int:
-        return int(np.count_nonzero(self.valid))
-
 
 @dataclass(frozen=True)
 class WfsResult:
@@ -435,7 +431,7 @@ def modal_fit(slopes: SlopeField, j_max: int = 15,
         tuple((j, float(a)) for j, a in zip(range(2, j_max + 1), coeffs)),
         aperture_radius=radius)
     return WfsResult(spectrum=spectrum, residual_rms=residual_rms,
-                     n_valid_lenslets=slopes.n_valid)
+                     n_valid_lenslets=int(np.count_nonzero(slopes.valid)))
 
 
 def reconstruct_wavefront(result: WfsResult, grid: Grid) -> PhaseScreen:

@@ -328,18 +328,6 @@ def draw_modal_spectrum(stats: Mapping[int, float], aperture_radius: float,
     return ZernikeSpectrum.from_dict(coeffs, aperture_radius)
 
 
-def sample_modal_screen(stats: Mapping[int, float], aperture_radius: float,
-                        grid: Grid, seed: int,
-                        label: str = "modal",
-                        rim_taper: float = 0.0) -> tuple[PhaseScreen,
-                                                         ZernikeSpectrum]:
-    """Draw a spectrum with :func:`draw_modal_spectrum` and render it.
-
-    Returns both the rendered screen and the ground-truth spectrum."""
-    spectrum = draw_modal_spectrum(stats, aperture_radius, seed)
-    return phase_from_spectrum(spectrum, grid, label, rim_taper), spectrum
-
-
 def _cell_mean_psd(scale: float, kx: float, ky: float, df: float) -> float:
     """Average of the -11/3 power law over one df x df frequency cell.
 

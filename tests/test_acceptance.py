@@ -18,14 +18,14 @@ from hydrolink.field import (ComplexField, DIAGONAL, Grid, HORIZONTAL,
 from hydrolink.qkd import (bb84_key_rate, channel_for_qber,
                            detection_matrix_oam,
                            detection_matrix_polarization, mub_overlap,
-                           polarization_channel, qber_from_matrix,
+                           PolarizationChannel, qber_from_matrix,
                            qber_threshold, report_from_matrix)
 from hydrolink.runner import run_scenario
 from hydrolink.scenario import modal_sigma_table, parse_scenario
 from hydrolink.shack_hartmann import (LensletArray, capture, extract_slopes,
                                       modal_fit)
 from hydrolink.zernike import (ZernikeSpectrum, index_from_nm, nm_from_index,
-                               phase_from_spectrum, sample_modal_screen,
+                               draw_modal_spectrum, phase_from_spectrum,
                                zernike_eval, zernike_gradient)
 
 WAVELENGTH = 532e-9
@@ -171,8 +171,8 @@ def test_criterion_07_vortex_phenomenology():
     stats = modal_sigma_table(0.25, 15)
     conserved = 0
     for seed in range(20):
-        screen, _ = sample_modal_screen(stats, 0.45 * grid.extent, grid,
-                                        seed)
+        screen = phase_from_spectrum(
+            draw_modal_spectrum(stats, 0.45 * grid.extent, seed), grid)
         turb = angular_spectrum_propagate(
             apply_phase_screen(beam, screen), z_r, WATER_N)
         conserved += (total_vortex_charge(find_vortices(turb)) == 4)
@@ -185,7 +185,7 @@ def test_criterion_08_mub_and_identity_channel_qkd():
     assert abs(mub_overlap(HORIZONTAL, DIAGONAL) - 0.5) < 1e-12
 
     identity = report_from_matrix(
-        detection_matrix_polarization(polarization_channel()))
+        detection_matrix_polarization(PolarizationChannel()))
     assert identity.qber == pytest.approx(0.0, abs=1e-12)
     assert identity.key_rate == pytest.approx(1.0, abs=1e-12)
 

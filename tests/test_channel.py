@@ -17,7 +17,7 @@ from hydrolink.field import (ComplexField, Grid, GridMismatchError,
                              petal_mode, total_power, total_vortex_charge)
 from hydrolink.seeding import TAG_SCREEN, child_seed
 from hydrolink.zernike import (ZernikeSpectrum, _disk_geometry,
-                               phase_from_spectrum, sample_modal_screen)
+                               draw_modal_spectrum, phase_from_spectrum)
 from hydrolink.scenario import modal_sigma_table
 
 from conftest import WATER_N, WAVELENGTH, rayleigh_range
@@ -386,10 +386,10 @@ class TestRealizeScreens:
                             modal_sigmas=tuple(sigmas.items()), seed=11)
         screens, spectra = realize_screens(cfg, grid256)
         for k, (screen, spec) in enumerate(zip(screens, spectra)):
-            ref, ref_spec = sample_modal_screen(
-                sigmas, 0.45 * grid256.extent, grid256,
-                child_seed(11, TAG_SCREEN, k), label=f"modal[{k}]",
-                rim_taper=0.1)
+            ref_spec = draw_modal_spectrum(
+                sigmas, 0.45 * grid256.extent, child_seed(11, TAG_SCREEN, k))
+            ref = phase_from_spectrum(ref_spec, grid256, f"modal[{k}]",
+                                      rim_taper=0.1)
             assert spec == ref_spec
             assert screen.label == ref.label
             assert np.array_equal(screen.phase, ref.phase)

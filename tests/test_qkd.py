@@ -3,18 +3,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hydrolink.channel import ChannelConfig, realize_screens, run_channel
 from hydrolink.field import (ANTIDIAGONAL, DIAGONAL, HORIZONTAL, VERTICAL,
                              Grid, lg_mode, mode_overlap)
-from hydrolink.qkd import (DetectionMatrix, PolarizationBasis, QkdReport,
-                           _oam_bases, bb84_key_rate, binary_entropy,
-                           channel_for_qber, detection_matrix_oam,
+from hydrolink.qkd import (DetectionMatrix, PolarizationBasis,
+                           PolarizationChannel, QkdReport, _oam_bases,
+                           bb84_key_rate, binary_entropy, channel_for_qber,
+                           detection_matrix_oam,
                            detection_matrix_polarization, mub_overlap,
-                           polarization_channel, qber_from_matrix,
-                           qber_threshold, report_from_matrix)
+                           qber_from_matrix, qber_threshold,
+                           report_from_matrix)
 from hydrolink.runner import build_source_field
 from hydrolink.scenario import modal_sigma_table, parse_scenario
 from hydrolink.seeding import TAG_TRIAL, child_seed
@@ -46,7 +47,7 @@ class TestMubOverlap:
 
 class TestPolarizationChannel:
     def test_identity_statistics(self):
-        ch = polarization_channel(0.0, 0.0)
+        ch = PolarizationChannel(0.0, 0.0)
         assert ch.outcome_probability(HORIZONTAL, HORIZONTAL) == 1.0
         assert ch.outcome_probability(HORIZONTAL, VERTICAL) == 0.0
 
@@ -58,18 +59,18 @@ class TestPolarizationChannel:
         assert qber_from_matrix(matrix) == pytest.approx(0.0401, abs=1e-9)
 
     def test_quarter_rotation_randomizes_rectilinear(self):
-        ch = polarization_channel(theta=math.pi / 4, depolarization=0.0)
+        ch = PolarizationChannel(theta=math.pi / 4, depolarization=0.0)
         matrix = detection_matrix_polarization(ch)
         assert matrix.probability("H", "V") == pytest.approx(0.5, abs=1e-12)
 
     def test_invalid_depolarization(self):
         with pytest.raises(ValueError):
-            polarization_channel(0.0, 1.2)
+            PolarizationChannel(0.0, 1.2)
 
 
 class TestDetectionMatrixPolarization:
     def test_identity_channel(self):
-        m = detection_matrix_polarization(polarization_channel())
+        m = detection_matrix_polarization(PolarizationChannel())
         for s in "HVAD":
             assert m.probability(s, s) == pytest.approx(1.0, abs=1e-12)
         for s in "HV":
@@ -85,13 +86,13 @@ class TestDetectionMatrixPolarization:
 
     def test_half_rotation_swaps_rectilinear(self):
         m = detection_matrix_polarization(
-            polarization_channel(theta=math.pi / 2))
+            PolarizationChannel(theta=math.pi / 2))
         assert m.probability("H", "V") == pytest.approx(1.0, abs=1e-12)
         assert m.probability("H", "H") == pytest.approx(0.0, abs=1e-12)
 
     def test_rows_conditionally_stochastic(self):
         m = detection_matrix_polarization(
-            polarization_channel(theta=0.3, depolarization=0.2))
+            PolarizationChannel(theta=0.3, depolarization=0.2))
         for i in range(4):
             assert m.probabilities[i, :2].sum() == pytest.approx(1.0,
                                                                  abs=1e-9)
@@ -101,7 +102,7 @@ class TestDetectionMatrixPolarization:
 
 class TestQberFromMatrix:
     def test_identity_gives_zero(self):
-        m = detection_matrix_polarization(polarization_channel())
+        m = detection_matrix_polarization(PolarizationChannel())
         assert qber_from_matrix(m) == pytest.approx(0.0, abs=1e-15)
 
     def test_uniform_gives_half(self):
@@ -113,7 +114,7 @@ class TestQberFromMatrix:
         assert qber_from_matrix(m) == pytest.approx(0.5)
 
     def test_relabeling_invariance(self):
-        ch = polarization_channel(theta=0.2, depolarization=0.1)
+        ch = PolarizationChannel(theta=0.2, depolarization=0.1)
         m = detection_matrix_polarization(ch)
         q = qber_from_matrix(m)
         perm = [1, 0, 3, 2]      # swap within each basis, sender+receiver
@@ -171,6 +172,14 @@ class TestThreshold:
     def test_is_root(self):
         assert abs(bb84_key_rate(qber_threshold())) < 1e-5
 
+    @given(q=st.floats(1e-9, 0.5 - 1e-9))
+    def test_property_threshold_is_root_to_1e6(self, q):
+        # 1 - 2h(Q) is positive below the root and negative above it, so a
+        # threshold within 1e-6 of the root splits the signs 1e-6 away.
+        t = qber_threshold()
+        assume(abs(q - t) > 1e-6)
+        assert (1.0 - 2.0 * binary_entropy(q) > 0.0) == (q < t)
+
     def test_unique_root_by_scan(self):
         # key rate (before clamping) strictly decreasing on (0, 0.5)
         qs = np.linspace(1e-6, 0.5 - 1e-6, 10000)
@@ -183,7 +192,7 @@ class TestThreshold:
 class TestReport:
     def test_identity_channel_report(self):
         report = report_from_matrix(
-            detection_matrix_polarization(polarization_channel()))
+            detection_matrix_polarization(PolarizationChannel()))
         assert report.qber == pytest.approx(0.0, abs=1e-12)
         assert report.key_rate == pytest.approx(1.0, abs=1e-9)
         assert report.sifted_fraction == 0.5
@@ -314,6 +323,23 @@ class TestDetectionMatrixOam:
             idx = [labels.index(b) for b in basis]
             mean[:, idx] /= mean[:, idx].sum(axis=1, keepdims=True)
         assert np.array_equal(m.probabilities, mean)
+
+    @pytest.mark.parametrize("ells, superposition", [
+        ([4, 4], False), ([4], False), ([-2, 0, 2], True), ([-40, 40], False),
+        ([4.0, -4.0], False)], ids=["duplicate", "one-letter",
+                                    "three-letter-superposition",
+                                    "unresolvable", "not-integers"])
+    def test_alphabet_rules_shared_with_parser(self, ells, superposition):
+        with pytest.raises(ValueError) as direct:
+            detection_matrix_oam(_clean_channel(), ells, superposition,
+                                 grid=OAM_GRID, n_trials=1)
+        with pytest.raises(ValueError) as parsed:
+            parse_scenario(
+                f"name: x\ngrid: {{n_samples: {OAM_GRID.n_samples}, "
+                f"spacing: {OAM_GRID.spacing}}}\nanalysis: {{kind: qkd-oam, "
+                f"ell_values: {ells}, superposition_basis: "
+                f"{str(superposition).lower()}}}\n")
+        assert str(parsed.value).endswith(f": {direct.value}")
 
     def test_resolution_guard(self):
         tiny = Grid(16, 1e-4)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from hydrolink.cli import _RUN_COMMANDS, build_parser, main
-from hydrolink.io import (read_pgm16, screen_to_csv, sha256_of, write_csv,
-                          write_pgm16)
-from hydrolink.runner import run_scenario, sweep
+from hydrolink.io import (fmt, read_pgm16, screen_to_csv, sha256_of,
+                          write_csv, write_pgm16)
+from hydrolink.runner import _scaled_scenario, run_scenario, sweep
 from hydrolink.scenario import (bundled_scenarios, load_scenario,
                                 parse_scenario)
 
@@ -57,6 +57,22 @@ analysis:
     - kind: gaussian
     - kind: petal
       ell: 4
+"""
+
+
+SWEEP_OAM = """
+name: sweep-oam
+seed: 5
+grid: {n_samples: 128, spacing: 8.0e-5}
+channel:
+  length: 5.5
+  attenuation_db_per_m: 0.0
+  n_screens: 1
+  screens: {kind: modal, sigma: 0.4}
+analysis:
+  kind: qkd-oam
+  ell_values: [-4, 4]
+  trials: 4
 """
 
 
@@ -196,21 +212,7 @@ class TestSweep:
         assert trans[2] == pytest.approx(1.07e-3, abs=5e-6)
 
     def test_zero_sigma_sweep_zero_qber(self, tmp_path):
-        doc = """
-name: sweep-oam
-seed: 5
-grid: {n_samples: 128, spacing: 8.0e-5}
-channel:
-  length: 5.5
-  attenuation_db_per_m: 0.0
-  n_screens: 1
-  screens: {kind: modal, sigma: 0.4}
-analysis:
-  kind: qkd-oam
-  ell_values: [-4, 4]
-  trials: 4
-"""
-        s = parse_scenario(doc)
+        s = parse_scenario(SWEEP_OAM)
         sweep(s, "sigma_scale", [0.0, 0.0], tmp_path / "sw")
         rows = read_rows(tmp_path / "sw" / "sweep_summary.csv")
         for row in rows[1:]:
@@ -240,6 +242,57 @@ analysis:
         for (q1, e1), (q2, e2) in zip(zip(qbers, errs),
                                       zip(qbers[1:], errs[1:])):
             assert q2 >= q1 - 2 * (e1 + e2)
+
+    def test_polarization_sweep_csv_pinned(self, tmp_path):
+        sweep(load_scenario("polarization-qkd"), "attenuation_db_per_m",
+              [0.13, 1.3, 5.4], tmp_path / "sw")
+        row = "0.040099999999999997,0,0.51449900473719523," \
+              "0.040099999999999997,0\n"
+        assert (tmp_path / "sw" / "sweep_summary.csv").read_text() == (
+            "parameter,value,transmittance,qber,qber_stderr,key_rate,"
+            "crosstalk_mean,crosstalk_stderr\n"
+            "attenuation_db_per_m,0.13,0.84820338245240423," + row +
+            "attenuation_db_per_m,1.3,0.19275249131909356," + row +
+            "attenuation_db_per_m,5.4000000000000004,0.001071519305237606,"
+            + row)
+
+    def test_qkd_rows_are_the_runs_records(self, tmp_path):
+        s = parse_scenario(SWEEP_OAM)
+        values = [0.5, 2.0]
+        sweep(s, "sigma_scale", values, tmp_path / "sw")
+        rows = read_rows(tmp_path / "sw" / "sweep_summary.csv")
+        for k, (value, row) in enumerate(zip(values, rows[1:])):
+            report = read_rows(tmp_path / "sw" / f"value{k:03d}" /
+                               "qkd_report.csv")
+            assert row[3] == report[1][0]           # qber
+            assert row[5] == report[1][1]           # key rate
+            record = run_scenario(_scaled_scenario(s, "sigma_scale", value),
+                                  tmp_path / f"alone{k}").summary
+            assert rows[0][3:] == list(record)
+            assert row[3:] == [fmt(v) for v in record.values()]
+        assert float(rows[1][4]) > 0.0              # Monte Carlo stderr
+
+    def test_wavefront_sweep_mean_abs_grows(self, tmp_path):
+        s = parse_scenario(FAST_WAVEFRONT.replace("frames: 3", "frames: 2"))
+        sweep(s, "sigma_scale", [0.5, 2.0], tmp_path / "sw")
+        header, *rows = read_rows(tmp_path / "sw" / "sweep_summary.csv")
+        assert header[3:5] == ["mean_abs_j2", "stderr_j2"]
+        assert header[-2:] == ["residual_rms_radians_mean",
+                               "n_valid_lenslets_mean"]
+        assert len(header) == 3 + 2 * 14 + 2
+        j2 = [float(r[3]) for r in rows]
+        assert 0.0 < j2[0] < j2[1]
+
+    def test_images_sweep_one_row_per_value(self, tmp_path):
+        s = parse_scenario(FAST_GALLERY.replace("frames: 2", "frames: 1"))
+        result = sweep(s, "length", [1.0, 2.0], tmp_path / "sw")
+        header, *rows = read_rows(tmp_path / "sw" / "sweep_summary.csv")
+        assert header == ["parameter", "value", "transmittance",
+                          "transmittance_mean", "beam_wander_rms_m"]
+        assert [r[1] for r in rows] == ["1", "2"]
+        for k in range(2):
+            assert (tmp_path / "sw" / f"value{k:03d}" /
+                    "manifest.txt") in result.files
 
     def test_unknown_parameter(self, tmp_path):
         s = load_scenario("polarization-qkd")
@@ -339,12 +392,40 @@ analysis:
         rows = read_rows(tmp_path / "sw" / "sweep_summary.csv")
         assert len(rows) == 3
 
-    def test_sweep_refuses_non_qkd_scenario(self, tmp_path, capsys):
-        code = main(["sweep", "oam-gallery", "--parameter", "length",
-                     "--values", "1,2", "-o", str(tmp_path / "sw")])
+    def test_run_prints_its_record(self, tmp_path, capsys):
+        assert main(["qkd", "polarization-qkd", "-o",
+                     str(tmp_path / "r")]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert [line.split(":")[0] for line in lines] == [
+            "  qber", "  qber_stderr", "  key_rate", "  crosstalk_mean",
+            "  crosstalk_stderr"]
+        assert lines[0] == "  qber: 0.0401"
+
+    @pytest.mark.parametrize("args, key", [
+        (["polarization-qkd", "--parameter", "r0", "--values", "0.2"],
+         "channel.screens.kind"),
+        (["oam-crosstalk", "--parameter", "length", "--values", "1,0",
+          "--set", "analysis.trials=2"], "channel")], ids=["r0", "length"])
+    def test_sweep_validates_every_value_before_writing(self, tmp_path,
+                                                        capsys, args, key):
+        code = main(["sweep", *args, "-o", str(tmp_path / "sw")])
         assert code == 1
-        assert "analysis.kind" in capsys.readouterr().err
+        assert f"error: {key}:" in capsys.readouterr().err
         assert not (tmp_path / "sw").exists()
+
+    @pytest.mark.parametrize("sets, key", [
+        (["analysis.ell_values=[-40, 40]", "analysis.superposition_basis="
+          "false"], "analysis.ell_values"),
+        (["analysis.ell_values=[-2, 0, 2]"], "analysis.superposition_basis")],
+        ids=["unresolvable", "three-letter-superposition"])
+    def test_oam_alphabet_checked_before_writing(self, tmp_path, capsys,
+                                                 sets, key):
+        argv = ["qkd", "oam-crosstalk", "-o", str(tmp_path / "r")]
+        for item in sets:
+            argv += ["--set", item]
+        assert main(argv) == 1
+        assert f"error: {key}:" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("override", [["--seed", "3"],
                                           ["--set", "seed=3"]])
@@ -376,6 +457,10 @@ class TestReadme:
                 args = build_parser().parse_args(argv[1:])
             except SystemExit:
                 pytest.fail(f"README command does not parse: {argv}")
-            if args.command in _RUN_COMMANDS:
-                assert args.scenario in bundled or \
-                    args.scenario.endswith(".yaml"), argv
+            if args.command not in _RUN_COMMANDS:
+                continue
+            assert args.scenario in bundled or \
+                args.scenario.endswith(".yaml"), argv
+            if args.scenario in bundled:
+                kind = load_scenario(args.scenario).analysis.kind
+                assert kind in _RUN_COMMANDS[args.command][1], argv

@@ -103,6 +103,19 @@ class TestParse:
                 "name: x\nanalysis:\n  kind: qkd-oam\n"
                 "  ell_values: [4]\n")
 
+    @pytest.mark.parametrize("keys, where, match", [
+        ("ell_values: [-40, 40]", "analysis.ell_values", "resolve"),
+        ("ell_values: [-2, 0, 2], superposition_basis: true",
+         "analysis.superposition_basis", "exactly two")],
+        ids=["unresolvable", "three-letter-superposition"])
+    def test_oam_alphabet_rules_checked_at_parse_time(self, keys, where,
+                                                      match):
+        with pytest.raises(ScenarioError, match=match) as info:
+            parse_scenario(
+                "name: x\ngrid: {n_samples: 128, spacing: 8.0e-5}\n"
+                f"analysis: {{kind: qkd-oam, {keys}}}\n")
+        assert info.value.where == where
+
     def test_incommensurate_sensor_grid_rejected(self):
         with pytest.raises(ScenarioError, match="pitch"):
             parse_scenario(

@@ -11,8 +11,8 @@ from hydrolink.shack_hartmann import (LensletArray, SlopeField, SpotImage,
                                       extract_slopes, fit_aperture_radius,
                                       modal_fit, reconstruct_wavefront)
 from hydrolink.zernike import (ZernikeSpectrum, gradient_unchecked,
-                               nm_from_index, phase_from_spectrum,
-                               sample_modal_screen)
+                               draw_modal_spectrum, nm_from_index,
+                               phase_from_spectrum)
 
 WAVELENGTH = 532e-9
 
@@ -406,7 +406,8 @@ class TestAverageMagnitudes:
         stats = {j: sigma for j in range(2, 16)}
         results = []
         for frame in range(30):
-            screen, _ = sample_modal_screen(stats, R_AP, GRID, seed=frame)
+            screen = phase_from_spectrum(
+                draw_modal_spectrum(stats, R_AP, seed=frame), GRID)
             spots = capture(uniform_field(screen), GEOMETRY)
             results.append(modal_fit(extract_slopes(spots), j_max=15,
                                      aperture_radius=R_AP))
