@@ -191,13 +191,10 @@ class TestRunScenario:
 
 
 class TestBundledRuntime:
-    def test_all_bundled_scenarios_complete_quickly(self, tmp_path):
-        import time
-        start = time.perf_counter()
-        for name in ("polarization-qkd", "oam-crosstalk", "oam-gallery",
-                     "wavefront-survey"):
-            run_scenario(load_scenario(name), tmp_path / name)
-        assert time.perf_counter() - start < 300.0
+    def test_all_bundled_scenarios_complete_quickly(self, bundled_runs):
+        dirs, seconds = bundled_runs
+        assert sorted(dirs) == sorted(bundled_scenarios())
+        assert seconds < 300.0
 
 
 class TestSweep:
