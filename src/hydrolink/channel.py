@@ -221,6 +221,9 @@ class ChannelConfig:
             raise ValueError("n_screens must be >= 0")
         if self.occlusion_rate < 0:
             raise ValueError("occlusion_rate must be >= 0")
+        for name in ("screen_aperture_radius", "occluder_radius"):
+            if getattr(self, name) is not None and not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
         if self.screen_source not in SCREEN_SOURCES:
             raise ValueError(
                 f"screen_source must be one of {SCREEN_SOURCES}, "
@@ -276,7 +279,8 @@ def realize_screens(config: ChannelConfig, grid: Grid,
     seeds = [child_seed(config.seed, TAG_SCREEN, k)
              for k in range(config.n_screens)]
     if config.screen_source == "modal":
-        r_ap = config.screen_aperture_radius or 0.45 * grid.extent
+        r_ap = 0.45 * grid.extent if config.screen_aperture_radius is None \
+            else config.screen_aperture_radius
         sigmas = dict(config.modal_sigmas)
         spectra = tuple(draw_modal_spectrum(sigmas, r_ap, seed_k)
                         for seed_k in seeds)
@@ -324,7 +328,8 @@ def run_channel(input_field: ComplexField | tuple[ComplexField, ...],
     if config.occlusion_rate > 0.0:
         rng = substream(config.seed, TAG_OCCLUSION)
         count = int(rng.poisson(config.occlusion_rate))
-        radius = config.occluder_radius or grid.extent / 10.0
+        radius = grid.extent / 10.0 if config.occluder_radius is None \
+            else config.occluder_radius
         half = grid.extent / 4.0
         for i in range(count):
             step = int(rng.integers(0, config.n_screens + 1))

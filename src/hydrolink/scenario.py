@@ -53,6 +53,7 @@ class SchemaField:
     doc: str
     choices: tuple | None = None
     minimum: float | None = None
+    above: float | None = None          # strict lower bound
     maximum: float | None = None
     required: bool = False
 
@@ -61,17 +62,17 @@ _GRID = (
     SchemaField("n_samples", int, DEFAULT_GRID.n_samples,
            "samples per grid side (even, >= 16)", minimum=16),
     SchemaField("spacing", float, DEFAULT_GRID.spacing, "meters per sample",
-           minimum=0.0),
+           above=0.0),
 )
 
 _SOURCE = (
     SchemaField("kind", str, "gaussian", "beam family", choices=SOURCE_KINDS),
     SchemaField("waist", float, None, "beam waist in meters (default: grid "
-           f"extent / {DEFAULT_WAIST_DIVISOR:g})", minimum=0.0),
+           f"extent / {DEFAULT_WAIST_DIVISOR:g})", above=0.0),
     SchemaField("ell", int, 0, "azimuthal index for lg/petal sources"),
     SchemaField("p", int, 0, "radial index for lg sources", minimum=0),
     SchemaField("wavelength", float, DEFAULT_WAVELENGTH,
-           "vacuum wavelength in meters", minimum=0.0),
+           "vacuum wavelength in meters", above=0.0),
 )
 
 _SCREENS = (
@@ -84,9 +85,9 @@ _SCREENS = (
     SchemaField("sigmas", dict, None, "modal: explicit {j: sigma_radians} table "
            "overriding sigma/j_max"),
     SchemaField("aperture_radius", float, None, "modal: screen aperture radius in "
-           "meters (default: 0.45 * grid extent)", minimum=0.0),
+           "meters (default: 0.45 * grid extent)", above=0.0),
     SchemaField("r0", float, None, "kolmogorov: Fried parameter in meters",
-           minimum=0.0),
+           above=0.0),
     SchemaField("subharmonic_levels", int, ChannelConfig.subharmonic_levels,
            "kolmogorov: low-frequency completion levels "
            "(0 = plain FFT screen)", minimum=0),
@@ -96,7 +97,7 @@ _OCCLUSION = (
     SchemaField("rate", float, ChannelConfig.occlusion_rate,
            "mean floating objects per frame (Poisson)", minimum=0.0),
     SchemaField("radius", float, None, "occluder radius in meters "
-           "(default: grid extent / 10)", minimum=0.0),
+           "(default: grid extent / 10)", above=0.0),
     SchemaField("opacity", float, ChannelConfig.occluder_opacity,
            "amplitude blocking fraction in [0, 1]", minimum=0.0,
            maximum=1.0),
@@ -104,7 +105,7 @@ _OCCLUSION = (
 
 _CHANNEL = (
     SchemaField("length", float, ChannelConfig.length,
-           "path length through water in meters", minimum=0.0),
+           "path length through water in meters", above=0.0),
     SchemaField("refractive_index", float, ChannelConfig.refractive_index,
            "water refractive index", minimum=1.0),
     SchemaField("attenuation_db_per_m", float,
@@ -121,11 +122,11 @@ _SENSOR = (
     SchemaField("count_y", int, LensletArray.count_y, "lenslets down",
            minimum=1),
     SchemaField("pitch", float, LensletArray.pitch, "lenslet pitch in meters",
-           minimum=0.0),
+           above=0.0),
     SchemaField("focal_length", float, LensletArray.focal_length,
-           "lenslet focal length in meters", minimum=0.0),
+           "lenslet focal length in meters", above=0.0),
     SchemaField("pixel_size", float, LensletArray.pixel_size,
-           "camera pixel size in meters", minimum=0.0),
+           "camera pixel size in meters", above=0.0),
     SchemaField("pixels_per_lenslet", int, LensletArray.pixels_per_lenslet,
            "camera pixels per lenslet side", minimum=2),
 )
@@ -135,7 +136,7 @@ _ANALYSIS = (
            required=True),
     SchemaField("j_max", int, 15, "wavefront: highest fitted mode", minimum=2),
     SchemaField("fit_aperture_radius", float, None, "wavefront: analysis disk "
-           "radius in meters (default: valid-lenslet box)", minimum=0.0),
+           "radius in meters (default: valid-lenslet box)", above=0.0),
     SchemaField("intensity_floor", float, 0.01, "wavefront: lenslet validity "
            "floor as fraction of the brightest lenslet", minimum=0.0,
            maximum=1.0),
@@ -261,6 +262,9 @@ def _coerce(field: SchemaField, value, where: str):
             and value < field.minimum:
         raise ScenarioError(
             f"must be >= {field.minimum}, got {value}", where)
+    if field.above is not None and isinstance(value, (int, float)) \
+            and not value > field.above:
+        raise ScenarioError(f"must be > {field.above}, got {value}", where)
     if field.maximum is not None and isinstance(value, (int, float)) \
             and value > field.maximum:
         raise ScenarioError(
@@ -519,6 +523,8 @@ def schema_reference() -> str:
                 extras.append(f"one of {list(f.choices)}")
             if f.minimum is not None:
                 extras.append(f">= {f.minimum}")
+            if f.above is not None:
+                extras.append(f"> {f.above}")
             if f.maximum is not None:
                 extras.append(f"<= {f.maximum}")
             extra = f" ({', '.join(extras)})" if extras else ""

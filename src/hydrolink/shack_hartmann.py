@@ -178,20 +178,8 @@ def capture(field: ComplexField, geometry: LensletArray,
                           ix0[0]:ix0[-1] + samples]
     blocks = amp.reshape(geometry.count_y, samples,
                          geometry.count_x, samples).transpose(0, 2, 1, 3)
-
-    # Local coordinates within a window relative to its lenslet center are
-    # identical for every lenslet (integer tiling), as are the camera pixel
-    # offsets, so one DFT matrix per axis serves all sub-apertures.
-    local_x = coords[ix0[0]:ix0[0] + samples] - cx[0]
-    local_y = coords[iy0[0]:iy0[0] + samples] - cy[0]
-    p = geometry.pixels_per_lenslet
-    pix = (np.arange(p) - (p - 1) / 2.0) * geometry.pixel_size
-    lam_f = field.wavelength * geometry.focal_length
-    kern_x = np.exp(-2j * math.pi * np.outer(pix, local_x) / lam_f)
-    kern_y = np.exp(-2j * math.pi * np.outer(pix, local_y) / lam_f)
-    spots = np.einsum("vn,yxnm,um->yxvu", kern_y, blocks, kern_x,
-                      optimize=True)
-    images = np.abs(spots) ** 2
+    _, _, kern, _ = _lenslet_optics(geometry, field.wavelength, samples)
+    images = _focal_spots(kern, blocks)
 
     if shot_noise_photons > 0.0 or read_noise > 0.0:
         rng = substream(noise_seed)
@@ -209,78 +197,90 @@ def capture(field: ComplexField, geometry: LensletArray,
                      field_samples_per_lenslet=samples)
 
 
-def _windowed_com(img: np.ndarray, pix: np.ndarray,
-                  half: int) -> tuple[float, float] | None:
-    """Iteratively re-centered center of mass of one sub-image.
+@lru_cache(maxsize=32)
+def _lenslet_optics(geometry: LensletArray, wavelength: float, samples: int
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Read-only optics of one lenslet: camera pixel centers, sub-aperture
+    coordinates, the DFT matrix K between them, and the centroid window
+    half-width (~2.5 diffraction lobes of one sub-aperture) in pixels.
+
+    Coordinates are centered on the lenslet; every lenslet tiles the grid
+    alike, so K serves both axes of every sub-aperture.
+    """
+    p = geometry.pixels_per_lenslet
+    pix = (np.arange(p) - (p - 1) / 2.0) * geometry.pixel_size
+    local = (np.arange(samples) - (samples - 1) / 2.0) \
+        * (geometry.pitch / samples)
+    lam_f = wavelength * geometry.focal_length
+    kern = np.exp(-2j * math.pi * np.outer(pix, local) / lam_f)
+    half = max(3, int(round(2.5 * lam_f / (geometry.pitch
+                                            * geometry.pixel_size))))
+    pix.flags.writeable = local.flags.writeable = kern.flags.writeable = False
+    return pix, local, kern, half
+
+
+def _focal_spots(kern: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Focal-plane intensities of a (..., samples, samples) field stack."""
+    return np.abs(kern @ blocks @ kern.T) ** 2
+
+
+def _windowed_com(stack: np.ndarray, pix: np.ndarray, half: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Iteratively re-centered centers of mass of a (..., P, P) stack:
+    the (x, y) centroids, shape (2, ...), and where they exist.
 
     A full-frame center of mass drags the slowly decaying diffraction tails
     against the window edges, biasing displacements low by several percent;
     re-centering a smaller window on the spot keeps the truncation symmetric
     about the spot itself. Two re-centering passes are enough since the
-    initial estimate is already within a fraction of a pixel.
+    initial estimate is already within a fraction of a pixel. Sub-images
+    whose frame or window holds no light get finite, meaningless entries.
     """
-    work = img - CENTROID_FLOOR * img.max()
+    work = stack - CENTROID_FLOOR * stack.max(axis=(-2, -1), keepdims=True)
     np.clip(work, 0.0, None, out=work)
-    tot = work.sum()
-    if tot <= 0.0:
-        return None
-    p = img.shape[0]
-    cu = float((work.sum(axis=0) @ pix) / tot)
-    cv = float((work.sum(axis=1) @ pix) / tot)
+    win, ok = work, np.ones(stack.shape[:-2], dtype=bool)
     step = pix[1] - pix[0]
-
-    def bounds(c):
-        # pixels whose centers lie within +-(half * step) of c, chosen
-        # symmetrically about c so the truncation itself stays unbiased
-        lo = int(math.ceil((c - half * step - pix[0]) / step - 1e-9))
-        hi = int(math.floor((c + half * step - pix[0]) / step + 1e-9)) + 1
-        return max(0, lo), min(p, hi)
-
-    for _ in range(2):
-        u0, u1 = bounds(cu)
-        v0, v1 = bounds(cv)
-        win = work[v0:v1, u0:u1]
-        wtot = win.sum()
-        if wtot <= 0.0:
-            return None
-        cu = float((win.sum(axis=0) @ pix[u0:u1]) / wtot)
-        cv = float((win.sum(axis=1) @ pix[v0:v1]) / wtot)
-    return cu, cv
+    index = np.arange(stack.shape[-1])
+    for window in range(3):
+        if window:
+            # pixels within +-(half * step) of the centroid, symmetric
+            # about it so the truncation itself stays unbiased
+            lo = np.ceil((com - half * step - pix[0]) / step - 1e-9)
+            hi = np.floor((com + half * step - pix[0]) / step + 1e-9)
+            inside = (index >= lo[..., None]) & (index <= hi[..., None])
+            win = work * inside[1][..., :, None] * inside[0][..., None, :]
+        tot = win.sum(axis=(-2, -1))
+        ok &= tot > 0.0
+        com = np.stack([win.sum(axis=-2) @ pix, win.sum(axis=-1) @ pix]) \
+            / np.where(ok, tot, 1.0)
+    return com, ok
 
 
 @lru_cache(maxsize=32)
 def _centroid_response(geometry: LensletArray, wavelength: float,
-                       samples: int, half: int
-                       ) -> tuple[np.ndarray, np.ndarray]:
+                       samples: int) -> tuple[np.ndarray, np.ndarray]:
     """Displacement response curve of the windowed center of mass.
 
     The diffraction tails a hard-edged sub-aperture throws across the finite
     centroiding window make the measured spot displacement a few percent
     smaller than f * tilt, with a pixel-quantization ripple on top. Calibrate
     the response the way a bench sensor is calibrated: push uniform
-    sub-aperture fields with known tilts through the identical spot-formation
-    and centroiding path. Returns (measured, true) displacement tables for
-    inverse interpolation; both start at 0 and are strictly increasing.
+    sub-aperture fields with known tilts through the spot former and the
+    centroider of :func:`capture` and :func:`extract_slopes`. Returns
+    (measured, true) displacement tables for inverse interpolation; both
+    start at 0 and are strictly increasing.
     """
-    spacing = geometry.pitch / samples
-    local = (np.arange(samples) - (samples - 1) / 2.0) * spacing
-    p = geometry.pixels_per_lenslet
-    pix = (np.arange(p) - (p - 1) / 2.0) * geometry.pixel_size
-    lam_f = wavelength * geometry.focal_length
-    kern = np.exp(-2j * math.pi * np.outer(pix, local) / lam_f)
+    pix, local, kern, half = _lenslet_optics(geometry, wavelength, samples)
     true = np.arange(0.0, 3.001, 0.0625) * geometry.pixel_size
-    measured = [0.0]
-    for disp in true[1:]:
-        grad = disp * 2.0 * math.pi / lam_f      # phase slope giving disp
-        block = np.exp(1j * grad * local)[None, :] * np.ones((samples, 1))
-        spot = np.abs(kern @ block @ kern.T) ** 2
-        com = _windowed_com(spot, pix, half)
-        if com is None:
-            raise RuntimeError(
-                "centroid calibration produced an empty window; "
-                "unusable sensor configuration")
-        measured.append(com[0])
-    measured = np.asarray(measured)
+    # phase slopes giving each displacement, one tilted field per row
+    grad = true[1:] * 2.0 * math.pi / (wavelength * geometry.focal_length)
+    tilts = np.exp(1j * grad[:, None] * local)
+    blocks = np.broadcast_to(tilts[:, None, :], (*tilts.shape, samples))
+    com, ok = _windowed_com(_focal_spots(kern, blocks), pix, half)
+    if not ok.all():
+        raise RuntimeError("centroid calibration produced an empty window; "
+                           "unusable sensor configuration")
+    measured = np.concatenate(([0.0], com[0]))
     if np.any(np.diff(measured) <= 0):
         raise RuntimeError("centroid response is not monotone; "
                            "unusable sensor configuration")
@@ -319,26 +319,15 @@ def extract_slopes(spots: SpotImage,
     if peak <= 0.0 or not valid.any():
         raise ValueError("all lenslets below the intensity floor")
 
-    p = geom.pixels_per_lenslet
-    pix = (np.arange(p) - (p - 1) / 2.0) * geom.pixel_size
-    # Window half-width: ~2.5 diffraction lobes of one sub-aperture.
-    lobe_px = spots.wavelength * geom.focal_length / (geom.pitch
-                                                      * geom.pixel_size)
-    half = max(3, int(round(2.5 * lobe_px)))
-    resp_meas, resp_true = _centroid_response(
-        geom, spots.wavelength, spots.field_samples_per_lenslet, half)
+    optics = (geom, spots.wavelength, spots.field_samples_per_lenslet)
+    pix, _, _, half = _lenslet_optics(*optics)
+    com, found = _windowed_com(images[valid], pix, half)
+    ok = np.zeros_like(valid)
+    ok[valid] = found
     scale = 2.0 * math.pi / (spots.wavelength * geom.focal_length)
-
     slopes = np.full((2, geom.count_y, geom.count_x), np.nan)
-    ok = np.zeros((geom.count_y, geom.count_x), dtype=bool)
-    coms = []
-    for iy, ix in zip(*np.nonzero(valid)):
-        com = _windowed_com(images[iy, ix], pix, half)
-        if com is not None:
-            coms.append(com)
-            ok[iy, ix] = True
-    coms = np.array(coms).reshape(-1, 2).T       # (x, y) rows
-    slopes[:, ok] = _invert_response(coms, resp_meas, resp_true) * scale
+    slopes[:, ok] = _invert_response(
+        com[:, found], *_centroid_response(*optics)) * scale
     return SlopeField(slope_x=slopes[0], slope_y=slopes[1], valid=ok,
                       geometry=geom)
 

@@ -32,9 +32,9 @@ CASES = {
         "channel.screens.kind=kolmogorov", "channel.screens.r0=0.2",
         "analysis.trials=5"), ("r0", (0.2, 0.4, 0.8))),
 }
-BUNDLED = tuple(c for c, (_, sets, swp) in CASES.items()
-                if not sets and swp is None)
-SWEEPS = tuple(c for c in CASES if c not in BUNDLED)
+BUNDLED = ("polarization-qkd", "oam-crosstalk", "oam-gallery",
+           "wavefront-survey")
+SWEEPS = ("sweep-polarization", "sweep-kolmogorov")
 
 #: Tolerance classes as (relative, absolute): a cell passes when
 #: |got - ref| <= relative * |ref| + absolute. Cells of any column not named

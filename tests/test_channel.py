@@ -283,6 +283,8 @@ class TestChannelConfig:
         dict(n_screens=2),                          # no source
         dict(n_screens=1, screen_source="modal"),   # no sigmas
         dict(n_screens=1, screen_source="kolmogorov"),
+        dict(screen_aperture_radius=0.0),
+        dict(occluder_radius=-1e-3),
     ])
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValueError):

@@ -402,13 +402,35 @@ analysis:
         (["polarization-qkd", "--parameter", "r0", "--values", "0.2"],
          "channel.screens.kind"),
         (["oam-crosstalk", "--parameter", "length", "--values", "1,0",
-          "--set", "analysis.trials=2"], "channel")], ids=["r0", "length"])
+          "--set", "analysis.trials=2"], "channel.length")],
+        ids=["r0", "length"])
     def test_sweep_validates_every_value_before_writing(self, tmp_path,
                                                         capsys, args, key):
         code = main(["sweep", *args, "-o", str(tmp_path / "sw")])
         assert code == 1
         assert f"error: {key}:" in capsys.readouterr().err
         assert not (tmp_path / "sw").exists()
+
+    @pytest.mark.parametrize("key, scenario", [
+        ("grid.spacing", "oam-crosstalk"),
+        ("source.waist", "oam-crosstalk"),
+        ("source.wavelength", "wavefront-survey"),
+        ("channel.length", "oam-crosstalk"),
+        ("channel.screens.aperture_radius", "wavefront-survey"),
+        ("channel.screens.r0", "oam-crosstalk"),
+        ("channel.occlusion.radius", "oam-gallery"),
+        ("sensor.pitch", "wavefront-survey"),
+        ("sensor.focal_length", "wavefront-survey"),
+        ("sensor.pixel_size", "wavefront-survey"),
+        ("analysis.fit_aperture_radius", "wavefront-survey")])
+    def test_zero_for_positive_key_refused_before_writing(
+            self, tmp_path, capsys, key, scenario):
+        code = main(["simulate", scenario, "--set", f"{key}=0", "-o",
+                     str(tmp_path / "r")])
+        assert code == 1
+        assert f"error: {key}: must be > 0.0, got 0.0" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("sets, key", [
         (["analysis.ell_values=[-40, 40]", "analysis.superposition_basis="

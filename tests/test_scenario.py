@@ -72,10 +72,18 @@ class TestParse:
             parse_scenario("name: x\nanalysis:\n  kind: wavelet\n")
 
     def test_out_of_range_value(self):
-        with pytest.raises(ScenarioError, match=">="):
+        with pytest.raises(ScenarioError,
+                           match=r"^channel\.length: must be > 0\.0, got -2"):
             parse_scenario(
                 "name: x\nanalysis:\n  kind: qkd-pol\n"
                 "channel:\n  length: -2.0\n")
+
+    def test_below_inclusive_minimum(self):
+        with pytest.raises(ScenarioError, match=r"^channel\."
+                           r"attenuation_db_per_m: must be >= 0\.0, got -1"):
+            parse_scenario(
+                "name: x\nanalysis:\n  kind: qkd-pol\n"
+                "channel:\n  attenuation_db_per_m: -1.0\n")
 
     def test_wrong_type(self):
         with pytest.raises(ScenarioError, match="integer"):

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from hydrolink.field import ComplexField, Grid, lg_mode
-from hydrolink.shack_hartmann import (LensletArray, SlopeField, SpotImage,
+from hydrolink.shack_hartmann import (CENTROID_FLOOR, LensletArray,
+                                      SlopeField, SpotImage,
                                       _centroid_response, _gradient_basis,
-                                      _invert_response, average_magnitudes,
-                                      capture,
-                                      extract_slopes, fit_aperture_radius,
-                                      modal_fit, reconstruct_wavefront)
+                                      _invert_response, _lenslet_optics,
+                                      _windowed_com, average_magnitudes,
+                                      capture, extract_slopes,
+                                      fit_aperture_radius, modal_fit,
+                                      reconstruct_wavefront)
 from hydrolink.zernike import (ZernikeSpectrum, gradient_unchecked,
                                draw_modal_spectrum, nm_from_index,
                                phase_from_spectrum)
@@ -321,7 +323,7 @@ class TestFitCaches:
             full[0, 0, 0] = 0.0
 
     def test_array_inversion_equals_scalar_loop(self):
-        meas, true = _centroid_response(GEOMETRY, WAVELENGTH, 12, 9)
+        meas, true = _centroid_response(GEOMETRY, WAVELENGTH, 12)
         top = meas[-1]
         com = np.concatenate([
             np.random.default_rng(4).uniform(-1.5 * top, 1.5 * top, 200),
@@ -330,6 +332,95 @@ class TestFitCaches:
         ref = np.array([_invert_scalar(c, meas, true) for c in com])
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
         assert np.count_nonzero(np.abs(com) >= top) > 4   # extrapolated
+
+
+def _windowed_com_scalar(img, pix, half):
+    """One sub-image's re-centered center of mass, as extract_slopes
+    computed it lenslet by lenslet before the stack centroider; None when
+    the frame or a window holds no light above the floor."""
+    work = img - CENTROID_FLOOR * img.max()
+    np.clip(work, 0.0, None, out=work)
+    tot = work.sum()
+    if tot <= 0.0:
+        return None
+    p = img.shape[0]
+    cu = float((work.sum(axis=0) @ pix) / tot)
+    cv = float((work.sum(axis=1) @ pix) / tot)
+    step = pix[1] - pix[0]
+
+    def bounds(c):
+        lo = int(math.ceil((c - half * step - pix[0]) / step - 1e-9))
+        hi = int(math.floor((c + half * step - pix[0]) / step + 1e-9)) + 1
+        return max(0, lo), min(p, hi)
+
+    for _ in range(2):
+        u0, u1 = bounds(cu)
+        v0, v1 = bounds(cv)
+        win = work[v0:v1, u0:u1]
+        wtot = win.sum()
+        if wtot <= 0.0:
+            return None
+        cu = float((win.sum(axis=0) @ pix[u0:u1]) / wtot)
+        cv = float((win.sum(axis=1) @ pix[v0:v1]) / wtot)
+    return cu, cv
+
+
+def _assert_stack_matches_scalar(stack):
+    pix, _, _, half = _lenslet_optics(GEOMETRY, WAVELENGTH, 12)
+    com, ok = _windowed_com(stack, pix, half)
+    assert com.shape == (2, *stack.shape[:-2]) and ok.shape == com.shape[1:]
+    assert np.all(np.isfinite(com))
+    for pos in np.ndindex(ok.shape):
+        ref = _windowed_com_scalar(stack[pos], pix, half)
+        assert ok[pos] == (ref is not None), pos
+        if ref is not None:
+            assert np.abs(com[(slice(None), *pos)] - ref).max() \
+                < 1e-12 * GEOMETRY.pixel_size, pos
+    return ok
+
+
+class TestStackCentroider:
+    def test_turbulent_frame_matches_per_lenslet_reference(self):
+        spectrum = draw_modal_spectrum(
+            {j: 0.8 for j in range(2, 16)}, R_AP, seed=11)
+        field = lg_mode(3, 0, 1.2e-3, GRID, WAVELENGTH)
+        field = ComplexField(GRID, WAVELENGTH, field.amplitude * np.exp(
+            1j * phase_from_spectrum(spectrum, GRID).phase))
+        ok = _assert_stack_matches_scalar(capture(field, GEOMETRY).images)
+        assert ok.shape == (23, 23) and ok.all()
+
+    def test_dark_and_split_sub_images_flagged_without_nan(self):
+        images = capture(uniform_field(screen_from({2: 0.7})),
+                         GEOMETRY).images[:3, :3].copy()
+        images[0, 1] = 0.0                   # all dark
+        images[2, 2] = 0.0                   # light only in two far corners:
+        images[2, 2, 0, 0] = images[2, 2, -1, -1] = 1.0   # empty window
+        ok = _assert_stack_matches_scalar(images)
+        assert not ok[0, 1] and not ok[2, 2]
+        assert np.count_nonzero(ok) == 7
+
+    def test_calibration_equals_per_tilt_reference_loop(self):
+        pix, _, _, half = _lenslet_optics(GEOMETRY, WAVELENGTH, 12)
+        measured, true = _centroid_response(GEOMETRY, WAVELENGTH, 12)
+        local = (np.arange(12) - 5.5) * (GEOMETRY.pitch / 12)
+        lam_f = WAVELENGTH * GEOMETRY.focal_length
+        kern = np.exp(-2j * math.pi * np.outer(pix, local) / lam_f)
+        ref = [0.0]
+        for disp in true[1:]:
+            grad = disp * 2.0 * math.pi / lam_f
+            block = np.exp(1j * grad * local)[None, :] * np.ones((12, 1))
+            spot = np.abs(kern @ block @ kern.T) ** 2
+            ref.append(_windowed_com_scalar(spot, pix, half)[0])
+        assert np.abs(measured - ref).max() < 1e-12 * GEOMETRY.pixel_size
+
+    def test_plan_is_shared_and_read_only(self):
+        plan = _lenslet_optics(GEOMETRY, WAVELENGTH, 12)
+        assert plan is _lenslet_optics(GEOMETRY, WAVELENGTH, 12)
+        pix, local, kern, half = plan
+        assert half == 9 and kern.shape == (30, 12)
+        for arr in (pix, local, kern):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestReconstruct:
