@@ -28,7 +28,8 @@ WATER_REFRACTIVE_INDEX = 1.33
 NYQUIST_GUARD_FRACTION = 0.8
 ALIASING_ENERGY_FRACTION = 1e-6
 
-SCREEN_SOURCES = ("none", "modal", "kolmogorov", "explicit")
+#: The channel.screens.kind choices.
+SCREEN_SOURCES = ("none", "modal", "kolmogorov")
 
 #: Rim roll-off fraction for channel-generated modal screens, keeping the
 #: screen exponential band-limited under the split-step aliasing guard.
@@ -204,7 +205,6 @@ class ChannelConfig:
     screen_aperture_radius: float | None = None
     r0: float | None = None
     subharmonic_levels: int = 0
-    screens: tuple[PhaseScreen, ...] | None = None
     occlusion_rate: float = 0.0
     occluder_radius: float | None = None
     occluder_opacity: float = 1.0
@@ -235,10 +235,6 @@ class ChannelConfig:
                 raise ValueError("modal screens require modal_sigmas")
             if self.screen_source == "kolmogorov" and not self.r0:
                 raise ValueError("kolmogorov screens require r0")
-            if self.screen_source == "explicit":
-                if not self.screens or len(self.screens) != self.n_screens:
-                    raise ValueError(
-                        "explicit screens must supply exactly n_screens")
         if self.modal_sigmas is not None:
             object.__setattr__(self, "modal_sigmas",
                                tuple((int(j), float(s))
@@ -274,8 +270,6 @@ def realize_screens(config: ChannelConfig, grid: Grid,
     """
     if config.n_screens == 0:
         return (), None
-    if config.screen_source == "explicit":
-        return tuple(config.screens), None
     seeds = [child_seed(config.seed, TAG_SCREEN, k)
              for k in range(config.n_screens)]
     if config.screen_source == "modal":
@@ -320,9 +314,6 @@ def run_channel(input_field: ComplexField | tuple[ComplexField, ...],
             raise GridMismatchError(
                 "batched fields must share one grid and wavelength")
     screens, spectra = realize_screens(config, grid)
-    for s in screens:
-        if s.grid != grid:
-            raise GridMismatchError("channel screens must match field grid")
 
     occluders: dict[int, list[Occluder]] = {}
     if config.occlusion_rate > 0.0:

@@ -73,6 +73,11 @@ DEFAULT_GRID = Grid(256, 4e-5)
 DEFAULT_WAIST_DIVISOR = 16.0
 
 
+def waist_or_default(waist: float | None, grid: Grid) -> float:
+    """``waist``, or the grid extent / DEFAULT_WAIST_DIVISOR when None."""
+    return grid.extent / DEFAULT_WAIST_DIVISOR if waist is None else waist
+
+
 @dataclass(frozen=True)
 class ComplexField:
     """A sampled scalar optical field with physical metadata.

@@ -40,15 +40,14 @@ def write_csv(path: Path | str, header: Sequence[str],
     return path
 
 
-def write_pgm16(path: Path | str, intensity: np.ndarray,
-                vmax: float | None = None) -> Path:
+def write_pgm16(path: Path | str, intensity: np.ndarray) -> Path:
     """Write a 16-bit big-endian binary PGM of a non-negative image."""
     arr = np.asarray(intensity, dtype=float)
     if arr.ndim != 2:
         raise ValueError("PGM export needs a 2-D array")
     if np.any(arr < 0) or not np.all(np.isfinite(arr)):
         raise ValueError("PGM export needs finite non-negative values")
-    top = float(arr.max()) if vmax is None else float(vmax)
+    top = float(arr.max())
     scaled = np.zeros(arr.shape, dtype=">u2") if top <= 0 else \
         np.clip(arr / top * 65535.0, 0, 65535).astype(">u2")
     path = Path(path)

@@ -18,10 +18,10 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelConfig, run_channel
-from .field import (ANTIDIAGONAL, DEFAULT_GRID, DEFAULT_WAIST_DIVISOR,
-                    DEFAULT_WAVELENGTH, DIAGONAL, HORIZONTAL, VERTICAL,
-                    ComplexField, Grid, JonesVector, lg_mode, mode_overlap,
-                    superpose)
+from .field import (ANTIDIAGONAL, DEFAULT_GRID, DEFAULT_WAVELENGTH,
+                    DIAGONAL, HORIZONTAL, VERTICAL, ComplexField, Grid,
+                    JonesVector, lg_mode, mode_overlap, superpose,
+                    waist_or_default)
 from .seeding import TAG_TRIAL, child_seed
 
 
@@ -217,8 +217,7 @@ def detection_matrix_oam(channel_config: ChannelConfig,
     measurement basis (ideal projective mode sorting, post-selected on
     detection). The ensemble mean and its standard error are returned.
     """
-    if waist is None:
-        waist = grid.extent / DEFAULT_WAIST_DIVISOR
+    waist = waist_or_default(waist, grid)
     ells = oam_alphabet(ell_values, include_superposition_basis, waist,
                         grid)
     bases, modes = _oam_bases(ells, include_superposition_basis, waist,

@@ -20,11 +20,11 @@ import scipy
 
 from . import io as hio
 from .channel import ChannelConfig, run_channel, transmittance
-from .field import (DEFAULT_WAIST_DIVISOR, ComplexField, Grid, centroid,
-                    lg_mode, petal_mode)
+from .field import (ComplexField, Grid, centroid, lg_mode, petal_mode,
+                    waist_or_default)
 from .qkd import (DetectionMatrix, PolarizationChannel, QkdReport,
                   detection_matrix_oam, detection_matrix_polarization,
-                  report_from_matrix)
+                  qber_threshold, report_from_matrix)
 from .scenario import (QKD_KINDS, Scenario, ScenarioError, SourceSpec,
                        parse_document)
 from .seeding import TAG_FRAME, child_seed
@@ -45,8 +45,7 @@ class RunResult:
 
 
 def build_source_field(spec: SourceSpec, grid: Grid) -> ComplexField:
-    waist = spec.waist if spec.waist is not None \
-        else grid.extent / DEFAULT_WAIST_DIVISOR
+    waist = waist_or_default(spec.waist, grid)
     if spec.kind == "gaussian":
         return lg_mode(0, 0, waist, grid, spec.wavelength)
     if spec.kind == "lg":
@@ -180,7 +179,8 @@ def _qkd_outputs(out: Path, matrix: DetectionMatrix,
             f"key rate          : {report.key_rate:.4f} bits per sifted "
             f"photon\n"
             f"threshold margin  : {report.threshold_margin * 100:.3f} "
-            f"percentage points below the 11.0 % limit\n"
+            f"percentage points below the {qber_threshold() * 100:.1f} % "
+            f"limit\n"
             f"sifted fraction   : {report.sifted_fraction:.3f}\n"
             f"feasible          : {'yes' if report.feasible() else 'no'}\n")
     path = out / "qkd_report.txt"

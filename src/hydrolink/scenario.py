@@ -20,9 +20,9 @@ from typing import Any, Mapping, Sequence
 
 import yaml
 
-from .channel import ChannelConfig
+from .channel import SCREEN_SOURCES, ChannelConfig
 from .field import (DEFAULT_GRID, DEFAULT_WAIST_DIVISOR, DEFAULT_WAVELENGTH,
-                    Grid)
+                    Grid, waist_or_default)
 from .qkd import AlphabetError, oam_alphabet
 from .shack_hartmann import LensletArray
 
@@ -77,7 +77,7 @@ _SOURCE = (
 
 _SCREENS = (
     SchemaField("kind", str, "none", "per-screen statistics",
-           choices=("none", "modal", "kolmogorov")),
+           choices=SCREEN_SOURCES),
     SchemaField("sigma", float, 0.2, "modal: coefficient scale in radians; "
            "per-mode sigma_j = sigma * ((n_j + 1) / 2)^(-11/6) "
            "(synthetic default decay, tilt-dominated)", minimum=0.0),
@@ -323,8 +323,10 @@ def _build_channel(resolved: dict, seed: int) -> ChannelConfig:
                 modal_sigmas = tuple(sorted(
                     (int(j), float(s)) for j, s in scr["sigmas"].items()))
             except (TypeError, ValueError):
+                modal_sigmas = ()
+            if not modal_sigmas:
                 raise ScenarioError("sigmas must map mode index -> radians",
-                                    "channel.screens.sigmas") from None
+                                    "channel.screens.sigmas")
         else:
             modal_sigmas = tuple(
                 modal_sigma_table(scr["sigma"], scr["j_max"]).items())
@@ -405,7 +407,8 @@ def parse_document(doc: Mapping) -> Scenario:
     try:
         grid = Grid(resolved["grid"]["n_samples"], resolved["grid"]["spacing"])
     except ValueError as exc:
-        raise ScenarioError(str(exc), "grid") from None
+        # The schema has already checked spacing > 0 and n_samples >= 16.
+        raise ScenarioError(str(exc), "grid.n_samples") from None
     source = _build_source(resolved["source"], grid, "source")
     channel = _build_channel(resolved, resolved["seed"])
     try:
@@ -426,11 +429,9 @@ def parse_document(doc: Mapping) -> Scenario:
             ana["modes"][i] = sec
         modes = tuple(built)
     if ana["kind"] == "qkd-oam":
-        waist = source.waist if source.waist is not None \
-            else grid.extent / DEFAULT_WAIST_DIVISOR
         try:
-            oam_alphabet(ana["ell_values"], ana["superposition_basis"], waist,
-                         grid)
+            oam_alphabet(ana["ell_values"], ana["superposition_basis"],
+                         waist_or_default(source.waist, grid), grid)
         except AlphabetError as exc:
             raise ScenarioError(str(exc), f"analysis.{exc.key}") from None
     # AnalysisSpec's fields are the analysis section's keys.

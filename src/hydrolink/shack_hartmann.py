@@ -284,6 +284,7 @@ def _centroid_response(geometry: LensletArray, wavelength: float,
     if np.any(np.diff(measured) <= 0):
         raise RuntimeError("centroid response is not monotone; "
                            "unusable sensor configuration")
+    measured.flags.writeable = true.flags.writeable = False
     return measured, true
 
 

@@ -328,39 +328,28 @@ def draw_modal_spectrum(stats: Mapping[int, float], aperture_radius: float,
     return ZernikeSpectrum.from_dict(coeffs, aperture_radius)
 
 
-def _cell_mean_psd(scale: float, kx: float, ky: float, df: float) -> float:
-    """Average of the -11/3 power law over one df x df frequency cell.
+def _cell_moments(kx: int, ky: int, df: float) -> tuple[float, float, float]:
+    """Unit-scale mean of f^(-11/3) over one df x df frequency cell, and the
+    power-weighted RMS fx and fy over it, signed as kx and ky.
 
     Near the origin the power law varies by orders of magnitude across a
     cell, so the midpoint value badly underweights it; a 16x16 midpoint
-    subsample of the cell fixes that.
-    """
-    sub = (np.arange(16) + 0.5) / 16.0 - 0.5
-    sx, sy = np.meshgrid(sub, sub, indexing="xy")
-    cell = np.hypot(kx + sx, ky + sy) * df
-    return scale * float(np.mean(cell ** (-11.0 / 3.0)))
-
-
-def _cell_mode(scale: float, kx: float, ky: float, df: float,
-               ) -> tuple[float, float, float]:
-    """Moment-matched plane-wave surrogate for one frequency cell.
-
-    Returns (variance, fx_eff, fy_eff): the cell's integrated spectral mass
-    and its power-weighted RMS frequency components. Matching the second
-    moments keeps the mode's structure-function contribution exact to
-    quadratic order in the lag, which is the regime where these
-    long-wavelength cells act.
+    subsample of the cell fixes that. A plane wave at the RMS frequency
+    matches the cell's second moments, which keeps its structure-function
+    contribution exact to quadratic order in the lag, the regime where
+    these long-wavelength cells act.
     """
     sub = (np.arange(16) + 0.5) / 16.0 - 0.5
     sx, sy = np.meshgrid(sub, sub, indexing="xy")
     fxs = (kx + sx) * df
     fys = (ky + sy) * df
-    w = scale * np.hypot(fxs, fys) ** (-11.0 / 3.0)
-    mass = float(np.mean(w)) * df * df
+    # hypot before the df scaling: the plain screens' cell means keep their
+    # last digits
+    w = (np.hypot(kx + sx, ky + sy) * df) ** (-11.0 / 3.0)
     wsum = float(np.sum(w))
     fx_eff = math.copysign(math.sqrt(float(np.sum(w * fxs**2)) / wsum), kx)
     fy_eff = math.copysign(math.sqrt(float(np.sum(w * fys**2)) / wsum), ky)
-    return mass, fx_eff, fy_eff
+    return float(np.mean(w)), fx_eff, fy_eff
 
 
 def _hole_gradient_moment(scale: float, half: float) -> float:
@@ -379,6 +368,51 @@ def _hole_gradient_moment(scale: float, half: float) -> float:
     w = scale * fr[corner] ** (-11.0 / 3.0)
     cell_area = (2.0 * half / 64.0) ** 2
     return disk + float(np.sum(w * fxs[corner] ** 2)) * cell_area
+
+
+@lru_cache(maxsize=8)
+def _kolmogorov_plan(r0: float, grid: Grid, subharmonic_levels: int):
+    """Read-only parts of :func:`kolmogorov_screen` that depend only on the
+    arguments: (sqrt(psd), df, mode amplitudes, the modes' exp(2 pi i f x)
+    column and row factors, hole-tilt sigma, sample coordinates).
+    """
+    n = grid.n_samples
+    df = 1.0 / grid.extent
+    f = np.fft.fftfreq(n, d=grid.spacing)
+    fx, fy = np.meshgrid(f, f, indexing="xy")
+    fr = np.hypot(fx, fy)
+    fr[0, 0] = np.inf                       # kill DC before the power law
+    scale = 0.023 * r0 ** (-5.0 / 3.0)
+    psd = scale * fr ** (-11.0 / 3.0)
+    for kx in range(-4, 5):
+        for ky in range(-4, 5):
+            if (kx, ky) != (0, 0):
+                psd[ky % n, kx % n] = scale * _cell_moments(kx, ky, df)[0]
+    # With subharmonics, the ring of cells around DC plus each nested 3x3
+    # refinement of the DC hole becomes one moment-matched mode. Ring-1
+    # lattice cells are steep enough that a fixed on-lattice frequency
+    # misplaces their second moment, so they leave the FFT spectrum.
+    levels = range(subharmonic_levels + 1) if subharmonic_levels else ()
+    cells = [(kx, ky, df / 3.0 ** level) for level in levels
+             for kx in (-1, 0, 1) for ky in (-1, 0, 1) if (kx, ky) != (0, 0)]
+    if cells:
+        psd[np.ix_([0, 1, n - 1], [0, 1, n - 1])] = 0.0
+    mean, fxe, fye = np.array([_cell_moments(*c) for c in cells]
+                              ).reshape(-1, 3).T
+    amps = np.sqrt(scale * mean) * np.array([c[2] for c in cells])
+    coords = np.arange(n) * grid.spacing     # same origin as the IFFT
+    ex = np.exp(2j * np.pi * fxe[:, None] * coords)
+    ey = np.exp(2j * np.pi * fye[:, None] * coords)
+    # The hole left below the deepest level acts as a pure random tilt at
+    # any lag well inside the grid; close it with a tilt whose per-axis
+    # gradient variance equals the hole's exactly (its total variance
+    # diverges, but that is all piston).
+    half = df / (2.0 * 3.0 ** subharmonic_levels)
+    tilt = math.sqrt((2.0 * math.pi) ** 2 * _hole_gradient_moment(scale, half))
+    sqrt_psd = np.sqrt(psd)
+    for a in (sqrt_psd, amps, ex, ey, coords):
+        a.flags.writeable = False
+    return sqrt_psd, df, amps, ex, ey, tilt, coords
 
 
 def kolmogorov_screen(r0: float, grid: Grid, seed: int,
@@ -406,56 +440,20 @@ def kolmogorov_screen(r0: float, grid: Grid, seed: int,
         raise ValueError(f"Fried parameter must be > 0, got {r0}")
     if subharmonic_levels < 0:
         raise ValueError("subharmonic_levels must be >= 0")
+    sqrt_psd, df, amps, ex, ey, tilt, coords = _kolmogorov_plan(
+        r0, grid, subharmonic_levels)
     n = grid.n_samples
-    df = 1.0 / grid.extent
-    f = np.fft.fftfreq(n, d=grid.spacing)
-    fx, fy = np.meshgrid(f, f, indexing="xy")
-    fr = np.hypot(fx, fy)
-    fr[0, 0] = np.inf                       # kill DC before the power law
-    scale = 0.023 * r0 ** (-5.0 / 3.0)
-    psd = scale * fr ** (-11.0 / 3.0)
-    for kx in range(-4, 5):
-        for ky in range(-4, 5):
-            if kx == 0 and ky == 0:
-                continue
-            psd[ky % n, kx % n] = _cell_mean_psd(scale, kx, ky, df)
-    if subharmonic_levels > 0:
-        # Ring-1 lattice cells are steep enough that a fixed on-lattice
-        # frequency misplaces their second moment; hand them to the
-        # moment-matched synthesis below instead.
-        for kx in (-1, 0, 1):
-            for ky in (-1, 0, 1):
-                psd[ky % n, kx % n] = 0.0
     rng = substream(seed, TAG_COEFF)
     noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    spectrum = noise * np.sqrt(psd) * df
+    spectrum = noise * sqrt_psd * df
     phase = np.real(np.fft.ifft2(spectrum)) * n * n
-
     if subharmonic_levels > 0:
-        cells = [(kx, ky, df) for kx in (-1, 0, 1) for ky in (-1, 0, 1)
-                 if (kx, ky) != (0, 0)]
-        for level in range(1, subharmonic_levels + 1):
-            dfl = df / 3.0 ** level
-            cells += [(kx, ky, dfl) for kx in (-1, 0, 1) for ky in (-1, 0, 1)
-                      if (kx, ky) != (0, 0)]
-        coords = np.arange(n) * grid.spacing     # same origin as the IFFT
-        for kx, ky, dfc in cells:
-            var, fx_eff, fy_eff = _cell_mode(scale, kx, ky, dfc)
-            c = math.sqrt(var) * (rng.standard_normal()
-                                  + 1j * rng.standard_normal())
-            ex = np.exp(2j * np.pi * fx_eff * coords)
-            ey = np.exp(2j * np.pi * fy_eff * coords)
-            phase = phase + np.real(c * ey[:, None] * ex[None, :])
-        # The hole left below the deepest level acts as a pure random tilt
-        # at any lag well inside the grid; close it with a tilt whose
-        # per-axis gradient variance equals the hole's exactly (its total
-        # variance diverges, but that is all piston).
-        half = df / (2.0 * 3.0 ** subharmonic_levels)
-        grad_var = (2.0 * math.pi) ** 2 * _hole_gradient_moment(scale, half)
-        gx = math.sqrt(grad_var) * rng.standard_normal()
-        gy = math.sqrt(grad_var) * rng.standard_normal()
+        g = rng.standard_normal(2 * amps.size + 2)
+        for a, re, im, exm, eym in zip(amps, g[:-2:2], g[1:-2:2], ex, ey):
+            c = a * (re + 1j * im)
+            phase = phase + np.real(c * eym[:, None] * exm[None, :])
+        gx, gy = tilt * g[-2:]
         phase = phase + gx * coords[None, :] + gy * coords[:, None]
-
     return PhaseScreen(grid, phase, label)
 
 

@@ -285,6 +285,7 @@ class TestChannelConfig:
         dict(n_screens=1, screen_source="kolmogorov"),
         dict(screen_aperture_radius=0.0),
         dict(occluder_radius=-1e-3),
+        dict(n_screens=1, screen_source="explicit"),  # not a screen source
     ])
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hydrolink.channel import ChannelConfig, realize_screens, run_channel
+from hydrolink.channel import ChannelConfig, run_channel
 from hydrolink.field import (ANTIDIAGONAL, DIAGONAL, HORIZONTAL, VERTICAL,
                              Grid, lg_mode, mode_overlap)
 from hydrolink.qkd import (DetectionMatrix, PolarizationBasis,
@@ -295,8 +295,9 @@ class TestDetectionMatrixOam:
         assert abs(p_up - p_dn) <= 3 * max(se, 1e-12)
 
     def test_one_transit_matches_per_state_transits(self):
-        # Reference: each state sent on its own through the trial's frozen
-        # realization, as the Monte Carlo did before it batched them.
+        # Reference: each state sent on its own through the trial's
+        # realization, as the Monte Carlo did before it batched them; the
+        # trial seed fixes the screens and occluders of every call.
         cfg = replace(_turbulent_channel(0.5, seed=3), n_screens=2,
                       occlusion_rate=1.5)
         m = detection_matrix_oam(cfg, [-4, 4],
@@ -308,9 +309,6 @@ class TestDetectionMatrixOam:
         acc = np.zeros((4, 4))
         for trial in range(3):
             trial_cfg = cfg.with_seed(child_seed(cfg.seed, TAG_TRIAL, trial))
-            screens, _ = realize_screens(trial_cfg, OAM_GRID)
-            trial_cfg = replace(trial_cfg, screen_source="explicit",
-                                screens=screens, modal_sigmas=None)
             for i, s in enumerate(labels):
                 out = run_channel(modes[s], trial_cfg).output_field
                 for basis in bases:

@@ -196,6 +196,22 @@ class TestBundledRuntime:
         assert sorted(dirs) == sorted(bundled_scenarios())
         assert seconds < 300.0
 
+    @pytest.mark.parametrize("name, qber, rate, margin", [
+        ("polarization-qkd", "4.010", "0.5145", "6.993"),
+        ("oam-crosstalk", "0.006", "0.9983", "10.997")])
+    def test_qkd_report_text_pinned(self, bundled_runs, name, qber, rate,
+                                    margin):
+        # the limit is formatted from qber_threshold(); the bytes must not
+        # move from the hard-coded "11.0 %" text they replaced
+        text = (bundled_runs[0][name] / "qkd_report.txt").read_text()
+        assert text == (
+            f"sifted error rate : {qber} %\n"
+            f"key rate          : {rate} bits per sifted photon\n"
+            f"threshold margin  : {margin} percentage points below the "
+            "11.0 % limit\n"
+            "sifted fraction   : 0.500\n"
+            "feasible          : yes\n")
+
 
 class TestSweep:
     def test_attenuation_sweep_values(self, tmp_path):
@@ -435,8 +451,11 @@ analysis:
     @pytest.mark.parametrize("sets, key", [
         (["analysis.ell_values=[-40, 40]", "analysis.superposition_basis="
           "false"], "analysis.ell_values"),
-        (["analysis.ell_values=[-2, 0, 2]"], "analysis.superposition_basis")],
-        ids=["unresolvable", "three-letter-superposition"])
+        (["analysis.ell_values=[-2, 0, 2]"], "analysis.superposition_basis"),
+        (["grid.n_samples=129"], "grid.n_samples"),
+        (["channel.screens.sigmas={}"], "channel.screens.sigmas")],
+        ids=["unresolvable", "three-letter-superposition", "odd-n-samples",
+             "empty-sigmas"])
     def test_oam_alphabet_checked_before_writing(self, tmp_path, capsys,
                                                  sets, key):
         argv = ["qkd", "oam-crosstalk", "-o", str(tmp_path / "r")]

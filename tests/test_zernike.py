@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hydrolink.channel import ChannelConfig, realize_screens
 from hydrolink.field import Grid
+from hydrolink.seeding import TAG_COEFF, substream
 from hydrolink.shack_hartmann import LensletArray, capture, extract_slopes, \
     modal_fit
 from hydrolink.field import ComplexField
 from hydrolink.zernike import (PhaseScreen, ZernikeIndex, ZernikeSpectrum,
-                               _disk_geometry, draw_modal_spectrum,
+                               _disk_geometry, _hole_gradient_moment,
+                               _kolmogorov_plan, draw_modal_spectrum,
                                index_from_nm, kolmogorov_screen,
                                nm_from_index, phase_from_spectra,
                                phase_from_spectrum, radians_to_um,
@@ -357,6 +360,92 @@ class TestModalScreen:
     def test_piston_rejected(self):
         with pytest.raises(ValueError):
             draw_modal_spectrum({1: 0.1, 2: 0.1}, 1e-3, 0)
+
+
+def _kolmogorov_screen_reference(r0, grid, seed, subharmonic_levels=0):
+    """The screen as kolmogorov_screen drew it before its input-only work
+    moved into a cached plan, with its two cell integrators inlined."""
+    n = grid.n_samples
+    df = 1.0 / grid.extent
+    f = np.fft.fftfreq(n, d=grid.spacing)
+    fx, fy = np.meshgrid(f, f, indexing="xy")
+    fr = np.hypot(fx, fy)
+    fr[0, 0] = np.inf
+    scale = 0.023 * r0 ** (-5.0 / 3.0)
+    psd = scale * fr ** (-11.0 / 3.0)
+    sub = (np.arange(16) + 0.5) / 16.0 - 0.5
+    sx, sy = np.meshgrid(sub, sub, indexing="xy")
+    for kx in range(-4, 5):
+        for ky in range(-4, 5):
+            if kx == 0 and ky == 0:
+                continue
+            cell = np.hypot(kx + sx, ky + sy) * df
+            psd[ky % n, kx % n] = scale * float(np.mean(cell ** (-11 / 3)))
+    if subharmonic_levels > 0:
+        for kx in (-1, 0, 1):
+            for ky in (-1, 0, 1):
+                psd[ky % n, kx % n] = 0.0
+    rng = substream(seed, TAG_COEFF)
+    noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    spectrum = noise * np.sqrt(psd) * df
+    phase = np.real(np.fft.ifft2(spectrum)) * n * n
+    if subharmonic_levels > 0:
+        cells = [(kx, ky, df / 3.0 ** level)
+                 for level in range(subharmonic_levels + 1)
+                 for kx in (-1, 0, 1) for ky in (-1, 0, 1)
+                 if (kx, ky) != (0, 0)]
+        coords = np.arange(n) * grid.spacing
+        for kx, ky, dfc in cells:
+            fxs = (kx + sx) * dfc
+            fys = (ky + sy) * dfc
+            w = scale * np.hypot(fxs, fys) ** (-11.0 / 3.0)
+            var = float(np.mean(w)) * dfc * dfc
+            wsum = float(np.sum(w))
+            fx_eff = math.copysign(math.sqrt(float(np.sum(w * fxs**2))
+                                             / wsum), kx)
+            fy_eff = math.copysign(math.sqrt(float(np.sum(w * fys**2))
+                                             / wsum), ky)
+            c = math.sqrt(var) * (rng.standard_normal()
+                                  + 1j * rng.standard_normal())
+            ex = np.exp(2j * np.pi * fx_eff * coords)
+            ey = np.exp(2j * np.pi * fy_eff * coords)
+            phase = phase + np.real(c * ey[:, None] * ex[None, :])
+        half = df / (2.0 * 3.0 ** subharmonic_levels)
+        grad_var = (2.0 * math.pi) ** 2 * _hole_gradient_moment(scale, half)
+        gx = math.sqrt(grad_var) * rng.standard_normal()
+        gy = math.sqrt(grad_var) * rng.standard_normal()
+        phase = phase + gx * coords[None, :] + gy * coords[:, None]
+    return phase
+
+
+class TestKolmogorovPlan:
+    CASES = [(0.01, Grid(64, 1e-4), 0), (0.2, Grid(128, 8e-5), 5),
+             (0.05, Grid(96, 2.5e-4), 11), (3e-3, Grid(256, 4e-5), 1234)]
+
+    @pytest.mark.parametrize("r0, grid, seed", CASES)
+    def test_plain_screen_bit_identical_to_reference(self, r0, grid, seed):
+        got = kolmogorov_screen(r0, grid, seed).phase
+        assert np.array_equal(got, _kolmogorov_screen_reference(r0, grid,
+                                                                seed))
+
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    @pytest.mark.parametrize("r0, grid, seed", CASES)
+    def test_subharmonic_screen_matches_reference(self, r0, grid, seed,
+                                                  levels):
+        # the merged cell integrator rounds the mode amplitudes and
+        # frequencies differently, so only the last bits may move
+        ref = _kolmogorov_screen_reference(r0, grid, seed, levels)
+        got = kolmogorov_screen(r0, grid, seed,
+                                subharmonic_levels=levels).phase
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_plan_built_once_per_key(self, grid256):
+        _kolmogorov_plan.cache_clear()
+        cfg = ChannelConfig(n_screens=3, screen_source="kolmogorov",
+                            r0=0.02, subharmonic_levels=2, seed=4)
+        realize_screens(cfg, grid256)
+        info = _kolmogorov_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
 
 class TestKolmogorovScreen:
