@@ -15,10 +15,11 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erf
 
-from .field import ComplexField, Grid, GridMismatchError, total_power
+from .field import (ComplexField, ConfigError, Grid, GridMismatchError,
+                    total_power)
 from .seeding import TAG_OCCLUSION, TAG_SCREEN, child_seed, substream
 from .zernike import PhaseScreen, ZernikeSpectrum, draw_modal_spectrum, \
-    kolmogorov_screen, phase_from_spectra
+    kolmogorov_screen, phase_from_spectra, sigma_table
 
 #: Refractive index of water at the green design wavelength.
 WATER_REFRACTIVE_INDEX = 1.33
@@ -193,7 +194,8 @@ class ChannelConfig:
     Defaults describe the measured river link: 5.5 m of water with
     5.4 dB/m of bulk extinction. ``modal_sigmas`` are per-mode coefficient
     deviations in radians applied per screen; ``screen_aperture_radius``
-    defaults to 45% of the grid extent at realization time.
+    defaults to 45% of the grid extent at realization time. A ConfigError's
+    key is relative to a scenario's channel section.
     """
 
     length: float = 5.5
@@ -228,17 +230,19 @@ class ChannelConfig:
             raise ValueError(
                 f"screen_source must be one of {SCREEN_SOURCES}, "
                 f"got {self.screen_source!r}")
+        if self.modal_sigmas is not None:
+            object.__setattr__(self, "modal_sigmas", sigma_table(
+                self.modal_sigmas, "screens.sigmas"))
         if self.n_screens > 0:
             if self.screen_source == "none":
-                raise ValueError("n_screens > 0 requires a screen_source")
+                raise ConfigError("n_screens > 0 requires a screen kind",
+                                  "n_screens")
             if self.screen_source == "modal" and not self.modal_sigmas:
-                raise ValueError("modal screens require modal_sigmas")
+                raise ConfigError("modal screens require a non-empty sigma "
+                                  "table", "screens.sigmas")
             if self.screen_source == "kolmogorov" and not self.r0:
-                raise ValueError("kolmogorov screens require r0")
-        if self.modal_sigmas is not None:
-            object.__setattr__(self, "modal_sigmas",
-                               tuple((int(j), float(s))
-                                     for j, s in self.modal_sigmas))
+                raise ConfigError("kolmogorov screens require r0",
+                                  "screens.r0")
 
     def with_seed(self, seed: int) -> "ChannelConfig":
         return replace(self, seed=seed)

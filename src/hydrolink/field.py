@@ -28,6 +28,15 @@ class GridMismatchError(ValueError):
     """Two fields (or a field and a screen) do not share the same sampling."""
 
 
+class ConfigError(ValueError):
+    """A broken configuration rule at the dotted scenario ``key``, relative
+    to the section its caller validates ("" for the section itself)."""
+
+    def __init__(self, message: str, key: str = ""):
+        super().__init__(message)
+        self.key = key
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform square sampling of the transverse plane.
@@ -76,6 +85,16 @@ DEFAULT_WAIST_DIVISOR = 16.0
 def waist_or_default(waist: float | None, grid: Grid) -> float:
     """``waist``, or the grid extent / DEFAULT_WAIST_DIVISOR when None."""
     return grid.extent / DEFAULT_WAIST_DIVISOR if waist is None else waist
+
+
+def check_waist(waist: float, grid: Grid) -> None:
+    """Raise ValueError unless 0 < waist <= extent / 4 (beam fits grid)."""
+    if not waist > 0:
+        raise ValueError(f"waist must be > 0, got {waist}")
+    if waist > grid.extent / 4:
+        raise ValueError(
+            f"beam too large for grid: waist {waist} > extent/4 "
+            f"({grid.extent / 4})")
 
 
 @dataclass(frozen=True)
@@ -162,12 +181,7 @@ def lg_mode(ell: int, p: int, waist: float, grid: Grid,
     """
     if p < 0:
         raise ValueError(f"radial index p must be >= 0, got {p}")
-    if not waist > 0:
-        raise ValueError(f"waist must be > 0, got {waist}")
-    if waist > grid.extent / 4:
-        raise ValueError(
-            f"beam too large for grid: waist {waist} > extent/4 "
-            f"({grid.extent / 4})")
+    check_waist(waist, grid)
     x, y = grid.mesh()
     r2 = x * x + y * y
     phi = np.arctan2(y, x)

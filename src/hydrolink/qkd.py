@@ -19,9 +19,9 @@ import numpy as np
 
 from .channel import ChannelConfig, run_channel
 from .field import (ANTIDIAGONAL, DEFAULT_GRID, DEFAULT_WAVELENGTH,
-                    DIAGONAL, HORIZONTAL, VERTICAL, ComplexField, Grid,
-                    JonesVector, lg_mode, mode_overlap, superpose,
-                    waist_or_default)
+                    DIAGONAL, HORIZONTAL, VERTICAL, ComplexField,
+                    ConfigError, Grid, JonesVector, lg_mode, mode_overlap,
+                    superpose, waist_or_default)
 from .seeding import TAG_TRIAL, child_seed
 
 
@@ -155,33 +155,27 @@ def detection_matrix_polarization(
                            bases=tuple(b.labels for b in bases))
 
 
-class AlphabetError(ValueError):
-    """A broken OAM-alphabet rule; ``key`` names the argument at fault."""
-
-    def __init__(self, message: str, key: str = "ell_values"):
-        super().__init__(message)
-        self.key = key
-
-
 def oam_alphabet(ell_values: Sequence[int], superposition_basis: bool,
                  waist: float, grid: Grid) -> tuple[int, ...]:
-    """The sorted alphabet if it keeps every rule, else AlphabetError: at
+    """The sorted alphabet if it keeps every rule, else ConfigError: at
     least two distinct integers, exactly two with the superposition basis,
     every |l| resolvable on the grid for a beam of this waist."""
     if not all(isinstance(e, Integral) and not isinstance(e, bool)
                for e in ell_values):
-        raise AlphabetError("ell_values must be integers")
+        raise ConfigError("ell_values must be integers", "ell_values")
     ells = sorted(set(ell_values))
     if len(ells) != len(ell_values) or len(ells) < 2:
-        raise AlphabetError("ell_values must be at least two distinct values")
+        raise ConfigError("ell_values must be at least two distinct values",
+                          "ell_values")
     if superposition_basis and len(ells) != 2:
-        raise AlphabetError("superposition basis needs exactly two ell "
-                            "values", "superposition_basis")
+        raise ConfigError("superposition basis needs exactly two ell values",
+                          "superposition_basis")
     max_ell = max(abs(ells[0]), abs(ells[-1]))
     ring = waist * math.sqrt(max_ell / 2.0)
     if 2.0 * math.pi * ring / grid.spacing < 8.0 * max_ell:
-        raise AlphabetError(
-            f"grid cannot resolve the azimuthal structure of |l|={max_ell}")
+        raise ConfigError(
+            f"grid cannot resolve the azimuthal structure of |l|={max_ell}",
+            "ell_values")
     return tuple(ells)
 
 

@@ -269,7 +269,8 @@ def _scaled_scenario(scenario: Scenario, parameter: str,
     if parameter == "r0":
         scr["r0"] = value
     elif parameter == "sigma_scale" and scr["sigmas"] is not None:
-        scr["sigmas"] = {j: s * value for j, s in scr["sigmas"].items()}
+        scr["sigmas"] = {j: float(s) * value
+                         for j, s in scr["sigmas"].items()}
     elif parameter == "sigma_scale":
         scr["sigma"] = scr["sigma"] * value
     else:

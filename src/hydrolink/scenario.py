@@ -22,9 +22,10 @@ import yaml
 
 from .channel import SCREEN_SOURCES, ChannelConfig
 from .field import (DEFAULT_GRID, DEFAULT_WAIST_DIVISOR, DEFAULT_WAVELENGTH,
-                    Grid, waist_or_default)
-from .qkd import AlphabetError, oam_alphabet
-from .shack_hartmann import LensletArray
+                    ConfigError, Grid, check_waist, waist_or_default)
+from .qkd import oam_alphabet
+from .shack_hartmann import LensletArray, check_intensity_floor, lenslet_tiling
+from .zernike import check_aperture
 
 #: Fixed default seed so default runs reproduce bit-identically.
 DEFAULT_SEED = 1234
@@ -138,8 +139,7 @@ _ANALYSIS = (
     SchemaField("fit_aperture_radius", float, None, "wavefront: analysis disk "
            "radius in meters (default: valid-lenslet box)", above=0.0),
     SchemaField("intensity_floor", float, 0.01, "wavefront: lenslet validity "
-           "floor as fraction of the brightest lenslet", minimum=0.0,
-           maximum=1.0),
+           "floor as fraction of the brightest lenslet, below 1", minimum=0.0),
     SchemaField("theta", float, 0.0, "qkd-pol: channel rotation in radians"),
     SchemaField("depolarization", float, 0.0802, "qkd-pol: depolarization "
            "fraction (QBER = depolarization / 2 at theta = 0)",
@@ -154,7 +154,8 @@ _ANALYSIS = (
 
 _TOP = (
     SchemaField("name", str, None, "scenario name", required=True),
-    SchemaField("seed", int, DEFAULT_SEED, "master seed for every random draw"),
+    SchemaField("seed", int, DEFAULT_SEED, "master seed for every random draw",
+           minimum=0),
     SchemaField("frames", int, 1, "number of frames / repeated realizations",
            minimum=1),
     SchemaField("time_average", bool, False, "images: also write the per-mode "
@@ -307,51 +308,40 @@ def modal_sigma_table(sigma: float, j_max: int) -> dict[int, float]:
     return table
 
 
+def _checked(where: str, rule, *args, **kwargs):
+    """``rule(*args, **kwargs)``; a ValueError it raises becomes a
+    ScenarioError at ``where``, extended by a ConfigError's key."""
+    try:
+        return rule(*args, **kwargs)
+    except ValueError as exc:
+        key = exc.key if isinstance(exc, ConfigError) else ""
+        where = ".".join(filter(None, (where, key)))
+        raise ScenarioError(str(exc), where) from None
+
+
 def _build_channel(resolved: dict, seed: int) -> ChannelConfig:
     ch = resolved["channel"]
     scr = ch["screens"]
     occ = ch["occlusion"]
-    n_screens = ch["n_screens"]
-    source = scr["kind"] if n_screens > 0 else "none"
-    if n_screens > 0 and scr["kind"] == "none":
-        raise ScenarioError("n_screens > 0 needs channel.screens.kind",
-                            "channel.n_screens")
+    source = scr["kind"] if ch["n_screens"] > 0 else "none"
     modal_sigmas = None
     if source == "modal":
-        if scr["sigmas"] is not None:
-            try:
-                modal_sigmas = tuple(sorted(
-                    (int(j), float(s)) for j, s in scr["sigmas"].items()))
-            except (TypeError, ValueError):
-                modal_sigmas = ()
-            if not modal_sigmas:
-                raise ScenarioError("sigmas must map mode index -> radians",
-                                    "channel.screens.sigmas")
-        else:
-            modal_sigmas = tuple(
-                modal_sigma_table(scr["sigma"], scr["j_max"]).items())
-    if source == "kolmogorov" and scr["r0"] is None:
-        raise ScenarioError("kolmogorov screens need r0",
-                            "channel.screens.r0")
-    try:
-        # The channel section's keys are ChannelConfig's field names.
-        return ChannelConfig(
-            **{f.name: ch[f.name] for f in _CHANNEL}, screen_source=source,
-            modal_sigmas=modal_sigmas,
-            screen_aperture_radius=scr["aperture_radius"], r0=scr["r0"],
-            subharmonic_levels=scr["subharmonic_levels"],
-            occlusion_rate=occ["rate"], occluder_radius=occ["radius"],
-            occluder_opacity=occ["opacity"], seed=seed)
-    except ValueError as exc:
-        raise ScenarioError(str(exc), "channel") from None
+        table = scr["sigmas"] if scr["sigmas"] is not None \
+            else modal_sigma_table(scr["sigma"], scr["j_max"])
+        modal_sigmas = tuple(table.items())
+    # The channel section's keys are ChannelConfig's field names.
+    return _checked(
+        "channel", ChannelConfig, **{f.name: ch[f.name] for f in _CHANNEL},
+        screen_source=source, modal_sigmas=modal_sigmas,
+        screen_aperture_radius=scr["aperture_radius"], r0=scr["r0"],
+        subharmonic_levels=scr["subharmonic_levels"],
+        occlusion_rate=occ["rate"], occluder_radius=occ["radius"],
+        occluder_opacity=occ["opacity"], seed=seed)
 
 
 def _build_source(sec: dict, grid: Grid, where: str) -> SourceSpec:
-    waist = sec["waist"]
-    if waist is not None and waist > grid.extent / 4:
-        raise ScenarioError(
-            f"waist {waist} exceeds grid extent / 4 ({grid.extent / 4})",
-            f"{where}.waist")
+    if sec["waist"] is not None:
+        _checked(f"{where}.waist", check_waist, sec["waist"], grid)
     if sec["kind"] == "petal" and sec["ell"] == 0:
         raise ScenarioError("petal sources need ell != 0", f"{where}.ell")
     return SourceSpec(**sec)
@@ -404,17 +394,12 @@ def parse_document(doc: Mapping) -> Scenario:
         (resolved[parent] if parent else resolved)[key] = _apply_schema(
             raw[where], schema, where)
 
-    try:
-        grid = Grid(resolved["grid"]["n_samples"], resolved["grid"]["spacing"])
-    except ValueError as exc:
-        # The schema has already checked spacing > 0 and n_samples >= 16.
-        raise ScenarioError(str(exc), "grid.n_samples") from None
+    # The schema has already checked spacing > 0 and n_samples >= 16.
+    grid = _checked("grid.n_samples", Grid, resolved["grid"]["n_samples"],
+                    resolved["grid"]["spacing"])
     source = _build_source(resolved["source"], grid, "source")
     channel = _build_channel(resolved, resolved["seed"])
-    try:
-        sensor = LensletArray(**resolved["sensor"])
-    except ValueError as exc:
-        raise ScenarioError(str(exc), "sensor") from None
+    sensor = _checked("sensor", LensletArray, **resolved["sensor"])
 
     ana = resolved["analysis"]
     modes: tuple[SourceSpec, ...] = ()
@@ -429,26 +414,21 @@ def parse_document(doc: Mapping) -> Scenario:
             ana["modes"][i] = sec
         modes = tuple(built)
     if ana["kind"] == "qkd-oam":
-        try:
-            oam_alphabet(ana["ell_values"], ana["superposition_basis"],
-                         waist_or_default(source.waist, grid), grid)
-        except AlphabetError as exc:
-            raise ScenarioError(str(exc), f"analysis.{exc.key}") from None
+        _checked("analysis", oam_alphabet, ana["ell_values"],
+                 ana["superposition_basis"],
+                 waist_or_default(source.waist, grid), grid)
+    if ana["kind"] == "wavefront":
+        _checked("", lenslet_tiling, sensor, grid)
+    _checked("analysis.intensity_floor", check_intensity_floor,
+             ana["intensity_floor"])
+    for where, radius in (
+            ("channel.screens.aperture_radius", channel.screen_aperture_radius),
+            ("analysis.fit_aperture_radius", ana["fit_aperture_radius"])):
+        if radius is not None:
+            _checked(where, check_aperture, radius, grid)
     # AnalysisSpec's fields are the analysis section's keys.
     analysis = AnalysisSpec(**{**ana, "ell_values": tuple(ana["ell_values"]),
                                "modes": modes})
-
-    if analysis.kind == "wavefront":
-        pitch_samples = sensor.pitch / grid.spacing
-        if abs(pitch_samples - round(pitch_samples)) > 1e-9 * pitch_samples \
-                or round(pitch_samples) < 8:
-            raise ScenarioError(
-                "wavefront analysis needs the sensor pitch to be an integer "
-                "multiple (>= 8) of the grid spacing; got "
-                f"pitch/spacing = {pitch_samples:.6g}", "sensor.pitch")
-        if grid.extent < sensor.extent_x or grid.extent < sensor.extent_y:
-            raise ScenarioError("grid extent smaller than the lenslet array",
-                                "grid.n_samples")
 
     return Scenario(name=resolved["name"], seed=resolved["seed"],
                     frames=resolved["frames"],
@@ -466,7 +446,7 @@ def load_scenario(ref: str | Path, sets: Sequence[str] = (),
     ``seed`` and ``frames`` replace the document's values when given.
     """
     path = Path(ref)
-    if path.exists():
+    if path.is_file():
         text = path.read_text()
     else:
         bundled = bundled_scenarios()

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .field import ComplexField, Grid
+from .field import ComplexField, ConfigError, Grid
 from .seeding import substream
 from .zernike import (PhaseScreen, ZernikeSpectrum, gradient_unchecked,
                       nm_from_index, phase_from_spectrum)
@@ -141,37 +141,12 @@ def capture(field: ComplexField, geometry: LensletArray,
     pixel positions, so a mean phase gradient g displaces the spot by
     ~ f * g * lambda / (2 pi) as the geometric model predicts.
 
-    The field grid must cover the array with at least 8 samples per lenslet
-    and an integer number of samples per pitch. Optional detector noise
-    (additive Gaussian ``read_noise`` relative to the peak, Poisson shot
-    noise with ``shot_noise_photons`` photons in the brightest sub-image) is
-    off by default.
+    The array must tile the field grid (see :func:`lenslet_tiling`).
+    Optional detector noise (additive Gaussian ``read_noise`` relative to
+    the peak, Poisson shot noise with ``shot_noise_photons`` photons in the
+    brightest sub-image) is off by default.
     """
-    grid = field.grid
-    if grid.extent < geometry.extent_x or grid.extent < geometry.extent_y:
-        raise ValueError("field grid extent smaller than lenslet array")
-    ratio = geometry.pitch / grid.spacing
-    samples = int(round(ratio))
-    if abs(ratio - samples) > 1e-9 * ratio:
-        raise ValueError(
-            f"lenslet pitch {geometry.pitch} is not an integer number of "
-            f"grid samples (pitch/spacing = {ratio})")
-    if samples < 8:
-        raise ValueError(
-            f"need >= 8 field samples per lenslet, got {samples}")
-
-    n = grid.n_samples
-    coords = grid.coords()
-    cx, cy = geometry.centers()
-    # Index of the first sample of each lenslet window.
-    ix0 = np.rint((cx - geometry.pitch / 2 - coords[0])
-                  / grid.spacing).astype(int)
-    iy0 = np.rint((cy - geometry.pitch / 2 - coords[0])
-                  / grid.spacing).astype(int)
-    if ix0.min() < 0 or iy0.min() < 0 or ix0.max() + samples > n \
-            or iy0.max() + samples > n:
-        raise ValueError("lenslet array does not fit inside the field grid")
-
+    samples, ix0, iy0 = lenslet_tiling(geometry, field.grid)
     # Block view (count_y, count_x, samples_y, samples_x); the array is
     # contiguous on the grid so one reshape suffices.
     amp = field.amplitude[iy0[0]:iy0[-1] + samples,
@@ -195,6 +170,34 @@ def capture(field: ComplexField, geometry: LensletArray,
     return SpotImage(images=images, geometry=geometry,
                      wavelength=field.wavelength,
                      field_samples_per_lenslet=samples)
+
+
+def lenslet_tiling(geometry: LensletArray, grid: Grid,
+                   ) -> tuple[int, np.ndarray, np.ndarray]:
+    """Samples per lenslet and the first grid index of each lenslet column
+    and row, if the array tiles the grid: an integer pitch of >= 8 samples
+    (else a ConfigError at sensor.pitch) and the whole array inside the
+    grid (else at grid.n_samples)."""
+    ratio = geometry.pitch / grid.spacing
+    samples = int(round(ratio))
+    if abs(ratio - samples) > 1e-9 * ratio or samples < 8:
+        raise ConfigError(
+            "the lenslet pitch must be an integer multiple (>= 8) of the "
+            f"grid spacing; got pitch/spacing = {ratio:.6g}", "sensor.pitch")
+    coords = grid.coords()
+    cx, cy = geometry.centers()
+    ix0 = np.rint((cx - geometry.pitch / 2 - coords[0])
+                  / grid.spacing).astype(int)
+    iy0 = np.rint((cy - geometry.pitch / 2 - coords[0])
+                  / grid.spacing).astype(int)
+    n = grid.n_samples
+    if ix0.min() < 0 or iy0.min() < 0 or ix0.max() + samples > n \
+            or iy0.max() + samples > n:
+        raise ConfigError(
+            f"the {geometry.extent_x:.6g} x {geometry.extent_y:.6g} m lenslet "
+            f"array does not fit inside the {grid.extent:.6g} m grid",
+            "grid.n_samples")
+    return samples, ix0, iy0
 
 
 @lru_cache(maxsize=32)
@@ -299,6 +302,12 @@ def _invert_response(com: np.ndarray, measured: np.ndarray,
     return np.copysign(val, com)
 
 
+def check_intensity_floor(intensity_floor: float) -> None:
+    """Raise ValueError unless the lenslet validity floor is in [0, 1)."""
+    if not 0.0 <= intensity_floor < 1.0:
+        raise ValueError("intensity_floor must be in [0, 1)")
+
+
 def extract_slopes(spots: SpotImage,
                    intensity_floor: float = 0.01) -> SlopeField:
     """Centroid each sub-image and convert displacements to phase slopes.
@@ -310,8 +319,7 @@ def extract_slopes(spots: SpotImage,
     corrected by the model's own centroid gain, and the slope in radians
     per meter is (2 pi / lambda) * displacement / focal_length.
     """
-    if not 0.0 <= intensity_floor < 1.0:
-        raise ValueError("intensity_floor must be in [0, 1)")
+    check_intensity_floor(intensity_floor)
     geom = spots.geometry
     images = spots.images
     energy = images.sum(axis=(2, 3))

@@ -25,11 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from numbers import Integral
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .field import Grid
+from .field import ConfigError, Grid
 from .seeding import TAG_COEFF, substream
 
 
@@ -237,6 +238,13 @@ class PhaseScreen:
         object.__setattr__(self, "phase", ph)
 
 
+def check_aperture(radius: float, grid: Grid) -> None:
+    """Raise ValueError unless a disk of ``radius`` fits inside the grid."""
+    if radius > grid.extent / 2:
+        raise ValueError(
+            f"aperture radius {radius} exceeds half extent {grid.extent / 2}")
+
+
 @lru_cache(maxsize=8)
 def _disk_geometry(grid: Grid, aperture_radius: float,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -275,9 +283,7 @@ def phase_from_spectra(spectra: tuple[ZernikeSpectrum, ...], grid: Grid,
     r_ap = spectra[0].aperture_radius
     if any(spec.aperture_radius != r_ap for spec in spectra):
         raise ValueError("spectra must share one aperture radius")
-    if r_ap > grid.extent / 2:
-        raise ValueError(
-            f"aperture radius {r_ap} exceeds half extent {grid.extent / 2}")
+    check_aperture(r_ap, grid)
     if not 0.0 <= rim_taper < 1.0:
         raise ValueError("rim_taper must be in [0, 1)")
     inside, rho_in, phi_in = _disk_geometry(grid, r_ap)
@@ -306,23 +312,39 @@ def phase_from_spectrum(spec: ZernikeSpectrum, grid: Grid, label: str = "",
     return phase_from_spectra((spec,), grid, (label,), rim_taper)[0]
 
 
+def sigma_table(entries: Iterable[tuple], key: str = "",
+                ) -> tuple[tuple[int, float], ...]:
+    """Per-mode deviations as (j, sigma) pairs sorted by j, if every j is a
+    distinct integer >= 2 (piston j = 1 is unobservable in slope data) and
+    every sigma a finite number >= 0; else a ConfigError at ``key``."""
+    table = {}
+    for j, sigma in entries:
+        if isinstance(j, bool) or not isinstance(j, Integral) or j < 2 \
+                or j in table:
+            raise ConfigError(f"mode index {j!r} must be a distinct integer "
+                              ">= 2 (piston j=1 is unobservable)", key)
+        try:
+            value = math.nan if isinstance(sigma, bool) else float(sigma)
+        except (TypeError, ValueError):
+            value = math.nan
+        if not 0.0 <= value < math.inf:
+            raise ConfigError(f"sigma for j={j} must be a finite number "
+                              f">= 0, got {sigma!r}", key)
+        table[int(j)] = value
+    return tuple(sorted(table.items()))
+
+
 def draw_modal_spectrum(stats: Mapping[int, float], aperture_radius: float,
                         seed: int) -> ZernikeSpectrum:
     """Draw random modal coefficients from per-mode deviations.
 
     Each a_j is an independent zero-mean Gaussian with the given standard
     deviation (radians), drawn from its own (seed, j)-keyed stream so the
-    result does not depend on dict ordering. Piston (j = 1) is unobservable
-    in slope data and is rejected, as are indices below it.
+    result does not depend on dict ordering. ``stats`` must keep the rules
+    of :func:`sigma_table`.
     """
     coeffs = {}
-    for j in sorted(stats):
-        if j < 2:
-            raise ValueError(f"mode index {j} in screen statistics must be "
-                             ">= 2 (piston j=1 is unobservable)")
-        sigma = float(stats[j])
-        if sigma < 0:
-            raise ValueError(f"negative sigma for j={j}")
+    for j, sigma in sigma_table(stats.items()):
         rng = substream(seed, TAG_COEFF, j)
         coeffs[j] = rng.normal(0.0, sigma) if sigma > 0 else 0.0
     return ZernikeSpectrum.from_dict(coeffs, aperture_radius)

@@ -286,6 +286,10 @@ class TestChannelConfig:
         dict(screen_aperture_radius=0.0),
         dict(occluder_radius=-1e-3),
         dict(n_screens=1, screen_source="explicit"),  # not a screen source
+        dict(n_screens=1, screen_source="modal",
+             modal_sigmas=((2, math.nan),)),
+        dict(n_screens=1, screen_source="modal",
+             modal_sigmas=((2, 0.1), (2, 0.2))),    # j given twice
     ])
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValueError):

@@ -418,8 +418,11 @@ analysis:
         (["polarization-qkd", "--parameter", "r0", "--values", "0.2"],
          "channel.screens.kind"),
         (["oam-crosstalk", "--parameter", "length", "--values", "1,0",
-          "--set", "analysis.trials=2"], "channel.length")],
-        ids=["r0", "length"])
+          "--set", "analysis.trials=2"], "channel.length"),
+        (["oam-crosstalk", "--set", "channel.screens.sigmas={2: 0.1}",
+          "--set", "analysis.trials=2", "--parameter", "sigma_scale",
+          "--values", "1,-1"], "channel.screens.sigmas")],
+        ids=["r0", "length", "sigma_scale"])
     def test_sweep_validates_every_value_before_writing(self, tmp_path,
                                                         capsys, args, key):
         code = main(["sweep", *args, "-o", str(tmp_path / "sw")])
@@ -448,19 +451,32 @@ analysis:
             capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
-    @pytest.mark.parametrize("sets, key", [
-        (["analysis.ell_values=[-40, 40]", "analysis.superposition_basis="
-          "false"], "analysis.ell_values"),
-        (["analysis.ell_values=[-2, 0, 2]"], "analysis.superposition_basis"),
-        (["grid.n_samples=129"], "grid.n_samples"),
-        (["channel.screens.sigmas={}"], "channel.screens.sigmas")],
+    @pytest.mark.parametrize("command, key", [
+        ("qkd oam-crosstalk --set 'analysis.ell_values=[-40, 40]' "
+         "--set analysis.superposition_basis=false", "analysis.ell_values"),
+        ("qkd oam-crosstalk --set 'analysis.ell_values=[-2, 0, 2]'",
+         "analysis.superposition_basis"),
+        ("qkd oam-crosstalk --set grid.n_samples=129", "grid.n_samples"),
+        ("qkd oam-crosstalk --set 'channel.screens.sigmas={}'",
+         "channel.screens.sigmas"),
+        ("wfs wavefront-survey --set analysis.fit_aperture_radius=0.0025",
+         "analysis.fit_aperture_radius"),
+        ("qkd oam-crosstalk --set channel.screens.aperture_radius=0.006",
+         "channel.screens.aperture_radius"),
+        *((f"qkd oam-crosstalk --set 'channel.screens.sigmas={{{table}}}'",
+           "channel.screens.sigmas")
+          for table in ("1: 0.1", "2: -0.1", "true: 0.1", "2: .nan",
+                        "2.7: 0.1")),
+        ("wfs wavefront-survey --set analysis.intensity_floor=1.0",
+         "analysis.intensity_floor"),
+        ("qkd oam-crosstalk --seed -1", "seed")],
         ids=["unresolvable", "three-letter-superposition", "odd-n-samples",
-             "empty-sigmas"])
+             "empty-sigmas", "fit-aperture", "screen-aperture",
+             "piston-sigma", "negative-sigma", "bool-index", "nan-sigma",
+             "float-index", "intensity-floor-one", "negative-seed"])
     def test_oam_alphabet_checked_before_writing(self, tmp_path, capsys,
-                                                 sets, key):
-        argv = ["qkd", "oam-crosstalk", "-o", str(tmp_path / "r")]
-        for item in sets:
-            argv += ["--set", item]
+                                                 command, key):
+        argv = [*shlex.split(command), "-o", str(tmp_path / "r")]
         assert main(argv) == 1
         assert f"error: {key}:" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()

@@ -1,14 +1,20 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hydrolink.channel import ChannelConfig
-from hydrolink.field import DEFAULT_WAVELENGTH
+from hydrolink.field import DEFAULT_WAVELENGTH, Grid, lg_mode
 from hydrolink.scenario import (ScenarioError, bundled_scenarios,
                                 load_scenario, modal_sigma_table,
-                                parse_scenario, schema_reference,
-                                set_by_path)
-from hydrolink.shack_hartmann import LensletArray
+                                parse_document, parse_scenario,
+                                schema_reference, set_by_path)
+from hydrolink.shack_hartmann import (LensletArray, SpotImage, extract_slopes,
+                                      lenslet_tiling)
+from hydrolink.zernike import (ZernikeSpectrum, draw_modal_spectrum,
+                               phase_from_spectrum)
 
 MINIMAL_WAVEFRONT = """
 name: minimal
@@ -168,6 +174,44 @@ class TestParse:
         assert s.channel.modal_sigmas == ((2, 0.4), (5, 0.1))
 
 
+class TestKernelRules:
+    """The parser reports a kernel's own rule: its message, at the key."""
+
+    BASE = {"name": "x", "grid": {"n_samples": 128, "spacing": 8e-5},
+            "analysis": {"kind": "qkd-pol"}}
+    GRID = Grid(128, 8e-5)
+
+    @pytest.mark.parametrize("kernel, sections, key", [
+        (lambda: lg_mode(0, 0, 0.01, TestKernelRules.GRID),
+         {"source": {"waist": 0.01}}, "source.waist"),
+        (lambda: lenslet_tiling(LensletArray(), Grid(384, 1.3e-5)),
+         {"grid": {"n_samples": 384, "spacing": 1.3e-5},
+          "analysis": {"kind": "wavefront"}}, "sensor.pitch"),
+        (lambda: lenslet_tiling(LensletArray(), Grid(256, 12.5e-6)),
+         {"grid": {"n_samples": 256, "spacing": 12.5e-6},
+          "analysis": {"kind": "wavefront"}}, "grid.n_samples"),
+        (lambda: draw_modal_spectrum({2: math.nan}, 1e-3, 0),
+         {"channel": {"n_screens": 1, "screens": {
+             "kind": "modal", "sigmas": {2: math.nan}}}},
+         "channel.screens.sigmas"),
+        (lambda: phase_from_spectrum(ZernikeSpectrum(((2, 0.1),), 0.006),
+                                     TestKernelRules.GRID),
+         {"channel": {"screens": {"aperture_radius": 0.006}}},
+         "channel.screens.aperture_radius"),
+        (lambda: extract_slopes(SpotImage(np.ones((23, 23, 30, 30)),
+                                          LensletArray(), 532e-9), 1.0),
+         {"analysis": {"kind": "qkd-pol", "intensity_floor": 1.0}},
+         "analysis.intensity_floor")],
+        ids=["waist", "pitch", "array-extent", "nan-sigma", "aperture",
+             "intensity-floor"])
+    def test_parser_reports_the_kernel_rule(self, kernel, sections, key):
+        with pytest.raises(ValueError) as direct:
+            kernel()
+        with pytest.raises(ScenarioError) as parsed:
+            parse_document({**self.BASE, **sections})
+        assert str(parsed.value) == f"{key}: {direct.value}"
+
+
 class TestRoundTrip:
     def test_yaml_echo_reparses_identically(self):
         s1 = parse_scenario(MINIMAL_WAVEFRONT)
@@ -190,6 +234,12 @@ class TestRoundTrip:
         path = tmp_path / "custom.yaml"
         path.write_text(MINIMAL_WAVEFRONT)
         assert load_scenario(path).name == "minimal"
+
+    def test_bundled_name_not_shadowed_by_directory(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "polarization-qkd").mkdir()
+        assert load_scenario("polarization-qkd").name == "polarization-qkd"
 
     def test_load_missing(self):
         with pytest.raises(ScenarioError, match="bundled"):
