@@ -221,15 +221,13 @@ def detection_matrix_oam(channel_config: ChannelConfig,
 
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    acc = np.zeros((len(labels), len(labels)))
-    acc2 = np.zeros_like(acc)
-    for trial in range(n_trials):
+    blocks = np.zeros((n_trials, len(labels), len(labels)))
+    for trial, row_block in enumerate(blocks):
         cfg = channel_config.with_seed(
             child_seed(channel_config.seed, TAG_TRIAL, trial))
         # One frozen channel realization per trial, shared by all sent
         # states.
         transits = run_channel(tuple(modes[lbl] for lbl in labels), cfg)
-        row_block = np.zeros_like(acc)
         for s_lbl, transit in zip(labels, transits):
             received = transit.output_field
             for basis in bases:
@@ -241,14 +239,10 @@ def detection_matrix_oam(channel_config: ChannelConfig,
                     tot = 1.0
                 for m_lbl, p in zip(basis, raw / tot):
                     row_block[cols[s_lbl], cols[m_lbl]] = p
-        acc += row_block
-        acc2 += row_block**2
-    mean = acc / n_trials
-    if n_trials > 1:
-        var = (acc2 - n_trials * mean**2) / (n_trials - 1)
-        stderr = np.sqrt(np.clip(var, 0.0, None) / n_trials)
-    else:
-        stderr = np.zeros_like(mean)
+    mean = blocks.sum(axis=0) / n_trials
+    # Two passes (deviations from the mean), so identical trials give 0.
+    stderr = blocks.std(axis=0, ddof=1) / math.sqrt(n_trials) \
+        if n_trials > 1 else np.zeros_like(mean)
     # Renormalize the ensemble mean exactly within each basis block.
     for basis in bases:
         idx = [cols[m] for m in basis]

@@ -294,6 +294,14 @@ class TestDetectionMatrixOam:
             m.standard_errors[0, 1], m.standard_errors[1, 0])
         assert abs(p_up - p_dn) <= 3 * max(se, 1e-12)
 
+    def test_identical_trials_have_zero_standard_error(self):
+        # Without screens every trial is the same transit, so the spread is
+        # zero; a one-pass variance reports ~2e-9 here from cancellation.
+        m = detection_matrix_oam(ChannelConfig(n_screens=0), [-4, 4],
+                                 include_superposition_basis=True,
+                                 grid=OAM_GRID, n_trials=10)
+        assert m.standard_errors.max() <= 1e-15
+
     def test_one_transit_matches_per_state_transits(self):
         # Reference: each state sent on its own through the trial's
         # realization, as the Monte Carlo did before it batched them; the
