@@ -40,6 +40,10 @@ SCREEN_RIM_TAPER = 0.1
 class AliasingError(ValueError):
     """Field energy near the Nyquist limit would alias under propagation."""
 
+    def at(self, where: str) -> "AliasingError":
+        """The same error with ``where`` (a trial or frame) in front."""
+        return AliasingError(f"{where}: {self}")
+
 
 def transmittance(alpha_db_per_m: float, length: float) -> float:
     """Beer-Lambert power ratio 10^(-alpha * L / 10)."""
@@ -55,10 +59,14 @@ def apply_attenuation(field: ComplexField, alpha_db_per_m: float,
     """Scale amplitude by 10^(-alpha*dz/20); power drops by 10^(-alpha*dz/10)."""
     if alpha_db_per_m < 0 or dz < 0:
         raise ValueError("attenuation and distance must be >= 0")
-    factor = 10.0 ** (-alpha_db_per_m * dz / 20.0)
+    factor = _amplitude_factor(alpha_db_per_m, dz)
     if factor == 1.0:
         return field
     return field.with_amplitude(field.amplitude * factor)
+
+
+def _amplitude_factor(alpha_db_per_m: float, dz: float) -> float:
+    return 10.0 ** (-alpha_db_per_m * dz / 20.0)
 
 
 def apply_phase_screen(field: ComplexField,
@@ -114,7 +122,8 @@ def angular_spectrum_propagate(field: ComplexField, dz: float,
     physically. Raises :class:`AliasingError` when more than
     ``ALIASING_ENERGY_FRACTION`` of the energy sits beyond
     ``NYQUIST_GUARD_FRACTION`` of the Nyquist frequency, since such content
-    would wrap around the periodic grid.
+    would wrap around the periodic grid. This is the one-field call of the
+    step :func:`run_channel` takes for a whole stack of fields.
     """
     if dz < 0:
         raise ValueError(f"propagation distance must be >= 0, got {dz}")
@@ -122,20 +131,56 @@ def angular_spectrum_propagate(field: ComplexField, dz: float,
         raise ValueError("refractive index must be >= 1")
     if dz == 0.0:
         return field
-    spec = np.fft.fft2(field.amplitude)
-    guard, h = _propagation_plan(field.grid, field.wavelength,
-                                 refractive_index, dz)
-    energy = np.abs(spec) ** 2
-    tot = float(energy.sum())
-    if tot > 0.0:
-        frac = float(energy[guard].sum()) / tot
-        if frac > ALIASING_ENERGY_FRACTION:
-            raise AliasingError(
-                f"{frac:.2e} of field energy beyond "
-                f"{NYQUIST_GUARD_FRACTION:.0%} of Nyquist (limit "
-                f"{ALIASING_ENERGY_FRACTION:.0e}); enlarge the grid or beam")
-    out = np.fft.ifft2(spec * h)
-    return field.with_amplitude(out)
+    out = _propagate_stack(field.amplitude[None], field.grid,
+                           field.wavelength, refractive_index, dz,
+                           np.ones((1, 1)), 0)
+    return field.with_amplitude(out[0])
+
+
+def _propagate_stack(stack: np.ndarray, grid: Grid, wavelength: float,
+                     refractive_index: float, dz: float, states: np.ndarray,
+                     step: int) -> np.ndarray:
+    """Propagate a (d, N, N) stack of amplitudes by dz > 0, after checking
+    every state formed from it (each row of ``states``, a (k, d)
+    coefficient matrix) against the aliasing guard."""
+    spec = np.fft.fft2(stack)
+    guard, h = _propagation_plan(grid, wavelength, refractive_index, dz)
+    fractions = _guard_fractions(spec, guard, states)
+    row = int(np.argmax(fractions))
+    if fractions[row] > ALIASING_ENERGY_FRACTION:
+        raise AliasingError(
+            f"split step {step}, row {row}: {fractions[row]:.2e} of field "
+            f"energy beyond {NYQUIST_GUARD_FRACTION:.0%} of Nyquist (limit "
+            f"{ALIASING_ENERGY_FRACTION:.0e}); weaken the screens "
+            f"(channel.screens.sigma or channel.screens.r0) or sample finer "
+            f"(grid.n_samples, grid.spacing)")
+    spec *= h
+    return np.fft.ifft2(spec)
+
+
+def _guard_fractions(spec: np.ndarray, guard: np.ndarray,
+                    states: np.ndarray) -> np.ndarray:
+    """Exact share of each formed state's energy inside the ``guard`` band.
+
+    Row c of ``states`` forms the spectrum sum_i c_i S_i from the stack of
+    spectra S, shape (d, N, N); its energy over a region is c G c* with
+    G_ij = sum S_i S_j* over that region, so the d x d sums over the band
+    and over the whole grid decide every row. A row without energy has
+    fraction 0.
+    """
+    d = len(spec)
+    g_all = np.zeros((d, d), dtype=complex)
+    g_band = np.zeros((d, d), dtype=complex)
+    for i in range(d):
+        for j in range(i, d):
+            prod = np.abs(spec[i]) ** 2 if i == j \
+                else spec[i] * spec[j].conj()
+            g_all[i, j], g_band[i, j] = prod.sum(), prod[guard].sum()
+            g_all[j, i], g_band[j, i] = (np.conj(g_all[i, j]),
+                                         np.conj(g_band[i, j]))
+    total, band = (np.einsum("ri,ij,rj->r", states, g, states.conj()).real
+                   for g in (g_all, g_band))
+    return np.divide(band, total, out=np.zeros_like(total), where=total > 0)
 
 
 @dataclass(frozen=True)
@@ -172,10 +217,16 @@ def apply_occlusion(field: ComplexField,
     """
     if occluder.opacity == 0.0:
         return field
+    return field.with_amplitude(
+        field.amplitude * _occluder_transmission(occluder, field.grid))
+
+
+def _occluder_transmission(occluder: Occluder, grid: Grid) -> np.ndarray:
+    """Amplitude factor 1 - opacity * blocked-fraction over the grid."""
     edge = occluder.edge_width
     if edge is None:
-        edge = max(0.05 * occluder.radius, 3.0 * field.grid.spacing)
-    x, y = field.grid.mesh()
+        edge = max(0.05 * occluder.radius, 3.0 * grid.spacing)
+    x, y = grid.mesh()
     x0, y0 = occluder.position
     r = np.hypot(x - x0, y - y0)
     if edge > 0.0:
@@ -183,8 +234,7 @@ def apply_occlusion(field: ComplexField,
         blocked = 0.5 * (1.0 - erf((r - occluder.radius) / edge))
     else:
         blocked = (r <= occluder.radius).astype(float)
-    amp = field.amplitude * (1.0 - occluder.opacity * blocked)
-    return field.with_amplitude(amp)
+    return 1.0 - occluder.opacity * blocked
 
 
 @dataclass(frozen=True)
@@ -292,7 +342,7 @@ def realize_screens(config: ChannelConfig, grid: Grid,
 
 
 def run_channel(input_field: ComplexField | tuple[ComplexField, ...],
-                config: ChannelConfig,
+                config: ChannelConfig, states=None,
                 ) -> ChannelResult | tuple[ChannelResult, ...]:
     """Run the full split-step chain and report the power ratio.
 
@@ -303,20 +353,34 @@ def run_channel(input_field: ComplexField | tuple[ComplexField, ...],
     and no attenuation the result equals plain propagation over the full
     length.
 
-    ``input_field`` may also be a tuple of fields on one grid and
-    wavelength. They then all cross the same realization (screens and
-    occluders are drawn once) and a tuple of results comes back in the
-    same order; each equals what a single call would return.
+    ``input_field`` may also be a tuple of d fields on one grid and
+    wavelength. They cross the same realization (screens and occluders are
+    drawn once) as one (d, N, N) stack: one FFT pair, one screen product
+    and one occluder mask per step for all of them. ``states``, a (k, d)
+    coefficient matrix (default: the identity), names the sent states as
+    combinations of those d fields; every channel operation is linear, so
+    state r's output is sum_i states[r, i] * output_i, formed after the
+    last step. The aliasing guard checks every formed state at every step.
+    A tuple of k results comes back, one per row; a field sent as itself
+    (a unit row) gets what a single call would return.
     """
-    batch = isinstance(input_field, tuple)
-    fields = input_field if batch else (input_field,)
+    batch = isinstance(input_field, tuple) or states is not None
+    fields = input_field if isinstance(input_field, tuple) \
+        else (input_field,)
     if not fields:
         raise ValueError("run_channel needs at least one field")
-    grid = fields[0].grid
+    grid, wavelength = fields[0].grid, fields[0].wavelength
     for f in fields[1:]:
-        if f.grid != grid or f.wavelength != fields[0].wavelength:
+        if f.grid != grid or f.wavelength != wavelength:
             raise GridMismatchError(
                 "batched fields must share one grid and wavelength")
+    coeffs = np.eye(len(fields)) if states is None else np.asarray(states)
+    if coeffs.ndim != 2 or coeffs.shape[1] != len(fields) \
+            or not np.all(np.isfinite(coeffs)) \
+            or not np.all(coeffs.any(axis=1)):
+        raise ValueError(
+            f"states must be a (k, {len(fields)}) matrix of finite "
+            f"coefficients with a nonzero entry in every row")
     screens, spectra = realize_screens(config, grid)
 
     occluders: dict[int, list[Occluder]] = {}
@@ -335,29 +399,38 @@ def run_channel(input_field: ComplexField | tuple[ComplexField, ...],
                          position=pos))
 
     dz = config.length / (config.n_screens + 1)
-    outs = list(fields)
+    factor = _amplitude_factor(config.attenuation_db_per_m, dz)
+    stack = np.stack([f.amplitude for f in fields])
     for step in range(config.n_screens + 1):
-        # One screen exponential per step, shared by the whole batch. It is
-        # applied as t * amplitude, as apply_phase_screen does: complex
+        # Each product keeps the operand order of the one-field functions
+        # (apply_occlusion, apply_attenuation, apply_phase_screen): complex
         # products round differently with the operands swapped.
-        t = (np.exp(1j * screens[step].phase)
-             if step < config.n_screens else None)
-        for i, out in enumerate(outs):
-            for occ in occluders.get(step, ()):
-                out = apply_occlusion(out, occ)
-            out = angular_spectrum_propagate(out, dz,
-                                             config.refractive_index)
-            out = apply_attenuation(out, config.attenuation_db_per_m, dz)
-            if t is not None:
-                out = out.with_amplitude(t * out.amplitude)
-            outs[i] = out
+        for occ in occluders.get(step, ()):
+            if occ.opacity != 0.0:
+                stack *= _occluder_transmission(occ, grid)
+        stack = _propagate_stack(stack, grid, wavelength,
+                                 config.refractive_index, dz, coeffs, step)
+        if factor != 1.0:
+            stack *= factor
+        if step < config.n_screens:
+            np.multiply(np.exp(1j * screens[step].phase), stack, out=stack)
 
     results = []
-    for field, out in zip(fields, outs):
-        p_in = total_power(field)
+    inputs = [f.amplitude for f in fields]
+    for row in coeffs:
+        sent = ComplexField(grid, wavelength, _formed(row, inputs))
+        out = sent.with_amplitude(_formed(row, stack))
+        p_in = total_power(sent)
         ratio = total_power(out) / p_in if p_in > 0 else 0.0
         results.append(ChannelResult(output_field=out,
                                      transmittance=min(ratio, 1.0),
                                      screens_used=screens,
                                      ground_truth_spectra=spectra))
     return tuple(results) if batch else results[0]
+
+
+def _formed(row: np.ndarray, amplitudes) -> np.ndarray:
+    """sum_i row[i] * amplitudes[i]; a unit row gives its array as is."""
+    terms = [amp if c == 1 else c * amp
+             for c, amp in zip(row, amplitudes) if c != 0]
+    return sum(terms[1:], terms[0])

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelConfig, run_channel
+from .channel import AliasingError, ChannelConfig, run_channel
 from .field import (ANTIDIAGONAL, DEFAULT_GRID, DEFAULT_WAVELENGTH,
                     DIAGONAL, HORIZONTAL, VERTICAL, ComplexField,
                     ConfigError, Grid, JonesVector, lg_mode, mode_overlap,
@@ -182,18 +182,23 @@ def oam_alphabet(ell_values: Sequence[int], superposition_basis: bool,
 def _oam_bases(ells: tuple[int, ...], include_superposition: bool,
                waist: float, grid: Grid, wavelength: float,
                ) -> tuple[tuple[tuple[str, ...], ...],
-                          dict[str, ComplexField]]:
+                          dict[str, ComplexField],
+                          dict[str, tuple[float, ...]]]:
+    """(bases, each label's mode, each label's coefficients over the
+    first basis's modes, the ones a trial sends through the channel)."""
     primary = tuple(f"l{ell:+d}" for ell in ells)
-    modes = {label: lg_mode(ell, 0, waist, grid, wavelength)
-             for label, ell in zip(primary, ells)}
+    fields = [lg_mode(ell, 0, waist, grid, wavelength) for ell in ells]
+    modes = dict(zip(primary, fields))
+    rows = {lbl: tuple(float(i == k) for i in range(len(ells)))
+            for k, lbl in enumerate(primary)}
     bases = [primary]
     if include_superposition:
-        a, b = (modes[p] for p in primary)
         s = 1.0 / math.sqrt(2.0)
         for sign, tag in ((1.0, "s+"), (-1.0, "s-")):
-            modes[tag] = superpose([a, b], [s, sign * s])
+            rows[tag] = (s, sign * s)
+            modes[tag] = superpose(fields, list(rows[tag]))
         bases.append(("s+", "s-"))
-    return tuple(bases), modes
+    return tuple(bases), modes, rows
 
 
 def detection_matrix_oam(channel_config: ChannelConfig,
@@ -206,18 +211,23 @@ def detection_matrix_oam(channel_config: ChannelConfig,
     """Monte Carlo crosstalk matrix for orbital-angular-momentum encoding.
 
     Every trial realizes one deterministic channel (seeded from the config
-    seed and the trial index), sends each basis state through it, projects
-    the received field onto every basis state, and renormalizes within each
+    seed and the trial index) and sends the d computational modes through
+    it, d transits per trial; each superposition state's received field is
+    formed from theirs by linearity, and the aliasing guard checks every
+    formed state as well (a tripped guard names the trial). Each received
+    field is projected onto every basis state and renormalized within each
     measurement basis (ideal projective mode sorting, post-selected on
     detection). The ensemble mean and its standard error are returned.
     """
     waist = waist_or_default(waist, grid)
     ells = oam_alphabet(ell_values, include_superposition_basis, waist,
                         grid)
-    bases, modes = _oam_bases(ells, include_superposition_basis, waist,
-                              grid, wavelength)
+    bases, modes, rows = _oam_bases(ells, include_superposition_basis,
+                                    waist, grid, wavelength)
     labels = tuple(lbl for b in bases for lbl in b)
     cols = {lbl: i for i, lbl in enumerate(labels)}
+    sent = tuple(modes[lbl] for lbl in bases[0])
+    states = np.array([rows[lbl] for lbl in labels])
 
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -227,7 +237,10 @@ def detection_matrix_oam(channel_config: ChannelConfig,
             child_seed(channel_config.seed, TAG_TRIAL, trial))
         # One frozen channel realization per trial, shared by all sent
         # states.
-        transits = run_channel(tuple(modes[lbl] for lbl in labels), cfg)
+        try:
+            transits = run_channel(sent, cfg, states)
+        except AliasingError as exc:
+            raise exc.at(f"trial {trial}") from exc
         for s_lbl, transit in zip(labels, transits):
             received = transit.output_field
             for basis in bases:

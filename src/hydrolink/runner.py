@@ -19,7 +19,8 @@ import numpy as np
 import scipy
 
 from . import io as hio
-from .channel import ChannelConfig, run_channel, transmittance
+from .channel import (AliasingError, ChannelResult, run_channel,
+                      transmittance)
 from .field import (ComplexField, Grid, centroid, lg_mode, petal_mode,
                     waist_or_default)
 from .qkd import (DetectionMatrix, PolarizationChannel, QkdReport,
@@ -89,9 +90,16 @@ def _version() -> str:
         return "unknown"
 
 
-def _frame_channel(scenario: Scenario, *path: int) -> ChannelConfig:
-    return scenario.channel.with_seed(
+def _frame_transit(scenario: Scenario, source: ComplexField, where: str,
+                   *path: int) -> ChannelResult:
+    """``source`` through the realization seeded by ``path``; a tripped
+    aliasing guard names ``where``."""
+    cfg = scenario.channel.with_seed(
         child_seed(scenario.seed, TAG_FRAME, *path))
+    try:
+        return run_channel(source, cfg)
+    except AliasingError as exc:
+        raise exc.at(where) from exc
 
 
 def _run_wavefront(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
@@ -103,8 +111,7 @@ def _run_wavefront(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
     truth_rows = []
     source = build_source_field(scenario.source, scenario.grid)
     for k in range(scenario.frames):
-        cfg = _frame_channel(scenario, k)
-        res = run_channel(source, cfg)
+        res = _frame_transit(scenario, source, f"frame {k}", k)
         spots = capture(res.output_field, scenario.sensor)
         slopes = extract_slopes(spots, intensity_floor=ana.intensity_floor)
         fit = modal_fit(slopes, j_max=ana.j_max,
@@ -216,8 +223,8 @@ def _run_images(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
         source = build_source_field(mode, scenario.grid)
         stack = []
         for k in range(scenario.frames):
-            cfg = _frame_channel(scenario, k, m_i)
-            res = run_channel(source, cfg)
+            res = _frame_transit(scenario, source,
+                                 f"mode {label}, frame {k}", k, m_i)
             inten = res.output_field.intensity()
             stack.append(inten)
             cx, cy = centroid(res.output_field)

@@ -24,7 +24,8 @@ from .channel import SCREEN_SOURCES, ChannelConfig
 from .field import (DEFAULT_GRID, DEFAULT_WAIST_DIVISOR, DEFAULT_WAVELENGTH,
                     ConfigError, Grid, check_waist, waist_or_default)
 from .qkd import oam_alphabet
-from .shack_hartmann import LensletArray, check_intensity_floor, lenslet_tiling
+from .shack_hartmann import (LensletArray, check_fit_modes,
+                             check_intensity_floor, lenslet_tiling)
 from .zernike import check_aperture
 
 #: Fixed default seed so default runs reproduce bit-identically.
@@ -426,6 +427,9 @@ def parse_document(doc: Mapping) -> Scenario:
             ("analysis.fit_aperture_radius", ana["fit_aperture_radius"])):
         if radius is not None:
             _checked(where, check_aperture, radius, grid)
+    if ana["kind"] == "wavefront":
+        _checked("analysis", check_fit_modes, sensor, ana["j_max"],
+                 ana["fit_aperture_radius"])
     # AnalysisSpec's fields are the analysis section's keys.
     analysis = AnalysisSpec(**{**ana, "ell_values": tuple(ana["ell_values"]),
                                "modes": modes})

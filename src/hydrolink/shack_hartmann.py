@@ -359,6 +359,34 @@ def fit_aperture_radius(slopes: SlopeField) -> float:
                      np.abs(gy[slopes.valid]).max()) + half)
 
 
+def _in_disk(geometry: LensletArray, radius: float) -> np.ndarray:
+    """Which lenslet centers lie inside the fit disk, shape (count_y,
+    count_x)."""
+    cx, cy = geometry.centers()
+    ux, uy = np.meshgrid(cx / radius, cy / radius, indexing="xy")
+    return ux**2 + uy**2 <= 1.0
+
+
+def check_fit_modes(geometry: LensletArray, j_max: int,
+                    aperture_radius: float | None = None) -> None:
+    """Raise ValueError unless j_max >= 2 and the widest disk the fit can
+    use holds at least one lenslet center per fitted mode (ConfigError at
+    j_max). That disk has ``aperture_radius``, or without one the array's
+    half-width, the most :func:`fit_aperture_radius` can return."""
+    if j_max < 2:
+        raise ValueError("j_max must be >= 2")
+    if aperture_radius is None:
+        cx, cy = geometry.centers()
+        aperture_radius = float(min(np.abs(cx).max(), np.abs(cy).max())
+                                + geometry.pitch / 2)
+    inside = int(np.count_nonzero(_in_disk(geometry, aperture_radius)))
+    if j_max - 1 > inside:
+        raise ConfigError(
+            f"j_max {j_max} fits {j_max - 1} modes, but only {inside} "
+            f"lenslet centers lie inside the {aperture_radius:.6g} m fit "
+            f"disk", "j_max")
+
+
 @lru_cache(maxsize=8)
 def _gradient_basis(geometry: LensletArray, radius: float, j_max: int,
                     ) -> tuple[np.ndarray, np.ndarray]:
@@ -372,7 +400,7 @@ def _gradient_basis(geometry: LensletArray, radius: float, j_max: int,
     """
     cx, cy = geometry.centers()
     ux, uy = np.meshgrid(cx / radius, cy / radius, indexing="xy")
-    in_disk = ux**2 + uy**2 <= 1.0
+    in_disk = _in_disk(geometry, radius)
     gauss = geometry.pitch / (2.0 * math.sqrt(3.0)) / radius
     basis = np.zeros((2, *ux.shape, j_max - 1))
     for col, j in enumerate(range(2, j_max + 1)):
@@ -399,13 +427,12 @@ def modal_fit(slopes: SlopeField, j_max: int = 15,
     ``residual_rms`` is the RMS slope residual expressed in radians per unit
     disk radius.
     """
-    if j_max < 2:
-        raise ValueError("j_max must be >= 2")
     geom = slopes.geometry
     radius = fit_aperture_radius(slopes) if aperture_radius is None \
         else float(aperture_radius)
     if not radius > 0:
         raise ValueError("aperture_radius must be > 0")
+    check_fit_modes(geom, j_max, radius)
 
     in_disk, full = _gradient_basis(geom, radius, j_max)
     use = slopes.valid & in_disk

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 
 from hydrolink.channel import (NYQUIST_GUARD_FRACTION, AliasingError,
                                ChannelConfig, ChannelResult, Occluder,
-                               _propagation_plan, angular_spectrum_propagate,
+                               _guard_fractions, _propagation_plan,
+                               angular_spectrum_propagate,
                                apply_attenuation, apply_occlusion,
                                apply_phase_screen, realize_screens,
                                run_channel, transmittance)
 from hydrolink.field import (ComplexField, Grid, GridMismatchError,
                              beam_width, centroid, find_vortices, lg_mode,
-                             petal_mode, total_power, total_vortex_charge)
+                             petal_mode, superpose, total_power,
+                             total_vortex_charge)
 from hydrolink.seeding import TAG_SCREEN, child_seed
 from hydrolink.zernike import (ZernikeSpectrum, _disk_geometry,
                                draw_modal_spectrum, phase_from_spectrum)
@@ -462,3 +464,102 @@ class TestBatchedTransit:
                 run_channel(pair, cfg)
         with pytest.raises(ValueError):
             run_channel((), cfg)
+
+
+class TestFormedStates:
+    """States sent as coefficient rows over a stack of fields."""
+
+    def _config(self, **kw):
+        sig = tuple(modal_sigma_table(0.4, 15).items())
+        return ChannelConfig(length=5.5, attenuation_db_per_m=5.4,
+                             n_screens=2, screen_source="modal",
+                             modal_sigmas=sig, occlusion_rate=2.0, **kw)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_formed_output_equals_direct_transit(self, seed):
+        grid = Grid(128, 8e-5)
+        fields = tuple(lg_mode(ell, 0, grid.extent / 16, grid, WAVELENGTH)
+                       for ell in (-3, 1, 4))
+        rng = np.random.default_rng(seed)
+        states = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        states[0] = (1.0, 0.0, 0.0)
+        states[1, 0] = 0.0
+        cfg = self._config(seed=seed)
+        formed = run_channel(fields, cfg, states)
+        assert len(formed) == 3
+        for row, res in zip(states, formed):
+            sent = superpose(list(fields), list(row))
+            direct = run_channel(sent, cfg)
+            scale = np.abs(direct.output_field.amplitude).max()
+            assert np.abs(res.output_field.amplitude
+                          - direct.output_field.amplitude).max() \
+                <= 1e-13 * scale
+            assert res.transmittance == pytest.approx(direct.transmittance,
+                                                      rel=1e-12)
+        # A unit row is the field's own transit, bit for bit.
+        assert np.array_equal(formed[0].output_field.amplitude,
+                              run_channel(fields[0], cfg)
+                              .output_field.amplitude)
+
+    def test_guard_fractions_are_exact_for_every_row(self):
+        grid = Grid(32, 1e-4)
+        guard, _ = _propagation_plan(grid, WAVELENGTH, WATER_N, 1.0)
+        rng = np.random.default_rng(5)
+        spec = rng.normal(size=(3, 32, 32)) + 1j * rng.normal(
+            size=(3, 32, 32))
+        states = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+        states[3] = (0.0, 2.0, 0.0)
+        got = _guard_fractions(spec, guard, states)
+        energy = np.abs(np.einsum("ri,ixy->rxy", states, spec)) ** 2
+        want = energy[:, guard].sum(axis=1) / energy.sum(axis=(1, 2))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_guard_trips_on_a_formed_state_only(self):
+        # a = smooth + eps*hf and b = -smooth + eps*hf each keep ~1e-7 of
+        # their energy in the guard band, but (a + b)/sqrt(2) is all hf.
+        grid = Grid(64, 1e-4)
+        smooth = lg_mode(0, 0, grid.extent / 16, grid, WAVELENGTH).amplitude
+        x, _ = grid.mesh()
+        k = int(0.9 * grid.n_samples / 2)        # a bin inside the band
+        hf = np.exp(2j * np.pi * k * x / grid.extent)
+        eps = math.sqrt(1e-7 * np.sum(np.abs(smooth) ** 2)
+                        / np.sum(np.abs(hf) ** 2))
+        a = ComplexField(grid, WAVELENGTH, smooth + eps * hf)
+        b = ComplexField(grid, WAVELENGTH, -smooth + eps * hf)
+        cfg = ChannelConfig(length=1.0, attenuation_db_per_m=0.0)
+        s = 1.0 / math.sqrt(2.0)
+        run_channel((a, b), cfg)            # each component passes
+        run_channel((a, b), cfg, [[1.0, 0.0], [0.0, 1.0], [s, -s]])
+        with pytest.raises(AliasingError) as err:
+            run_channel((a, b), cfg, [[1.0, 0.0], [0.0, 1.0], [s, s]])
+        assert str(err.value).startswith("split step 0, row 2: 1.00e+00 of "
+                                         "field energy beyond 80%")
+        # The direct transit of the formed state trips the same guard.
+        with pytest.raises(AliasingError):
+            run_channel(superpose([a, b], [s, s]), cfg)
+
+    def test_error_names_step_row_and_keys(self, grid256):
+        rng = np.random.default_rng(0)
+        clean = lg_mode(0, 0, grid256.extent / 16, grid256, WAVELENGTH)
+        noisy = ComplexField(grid256, WAVELENGTH,
+                             rng.normal(size=(256, 256)).astype(complex))
+        cfg = ChannelConfig(n_screens=1, screen_source="modal",
+                            modal_sigmas=((2, 0.1),))
+        with pytest.raises(AliasingError) as err:
+            run_channel((clean, noisy), cfg)
+        msg = str(err.value)
+        assert msg.startswith("split step 0, row 1: ")
+        for key in ("channel.screens.sigma", "channel.screens.r0",
+                    "grid.n_samples", "grid.spacing"):
+            assert key in msg
+        assert str(err.value.at("trial 7")).startswith(
+            "trial 7: split step 0, row 1: ")
+
+    @pytest.mark.parametrize("states", [
+        [[1.0]], [[1.0, 0.0, 0.0]], [[0.0, 0.0]], [[1.0, np.nan]],
+        [1.0, 0.0]], ids=["too-few-columns", "too-many-columns", "zero-row",
+                          "nan", "one-dimensional"])
+    def test_bad_states_rejected(self, grid256, states):
+        f = lg_mode(0, 0, grid256.extent / 16, grid256, WAVELENGTH)
+        with pytest.raises(ValueError, match="states must be"):
+            run_channel((f, f), ChannelConfig(), states)

@@ -391,6 +391,17 @@ analysis:
         assert main(["simulate", str(path), "-o",
                      str(tmp_path / "r")]) == 2
 
+    def test_aliasing_error_names_frame_and_keys(self, tmp_path, capsys):
+        code = main(["simulate", "oam-gallery", "--set",
+                     "channel.screens.sigma=4", "-o", str(tmp_path / "r")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: mode gaussian, frame 4: split "
+                              "step 2, row 0: 9.33e-05 of field energy")
+        for key in ("channel.screens.sigma", "grid.n_samples",
+                    "grid.spacing"):
+            assert key in err
+
     def test_io_exit_code(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
@@ -469,11 +480,14 @@ analysis:
                         "2.7: 0.1")),
         ("wfs wavefront-survey --set analysis.intensity_floor=1.0",
          "analysis.intensity_floor"),
-        ("qkd oam-crosstalk --seed -1", "seed")],
+        ("qkd oam-crosstalk --seed -1", "seed"),
+        ("wfs wavefront-survey --set analysis.j_max=500 --frames 2",
+         "analysis.j_max")],
         ids=["unresolvable", "three-letter-superposition", "odd-n-samples",
              "empty-sigmas", "fit-aperture", "screen-aperture",
              "piston-sigma", "negative-sigma", "bool-index", "nan-sigma",
-             "float-index", "intensity-floor-one", "negative-seed"])
+             "float-index", "intensity-floor-one", "negative-seed",
+             "j-max-over-lenslets"])
     def test_oam_alphabet_checked_before_writing(self, tmp_path, capsys,
                                                  command, key):
         argv = [*shlex.split(command), "-o", str(tmp_path / "r")]

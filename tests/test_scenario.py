@@ -11,8 +11,9 @@ from hydrolink.scenario import (ScenarioError, bundled_scenarios,
                                 load_scenario, modal_sigma_table,
                                 parse_document, parse_scenario,
                                 schema_reference, set_by_path)
-from hydrolink.shack_hartmann import (LensletArray, SpotImage, extract_slopes,
-                                      lenslet_tiling)
+from hydrolink.shack_hartmann import (LensletArray, SlopeField, SpotImage,
+                                      extract_slopes, lenslet_tiling,
+                                      modal_fit)
 from hydrolink.zernike import (ZernikeSpectrum, draw_modal_spectrum,
                                phase_from_spectrum)
 
@@ -201,9 +202,15 @@ class TestKernelRules:
         (lambda: extract_slopes(SpotImage(np.ones((23, 23, 30, 30)),
                                           LensletArray(), 532e-9), 1.0),
          {"analysis": {"kind": "qkd-pol", "intensity_floor": 1.0}},
-         "analysis.intensity_floor")],
+         "analysis.intensity_floor"),
+        (lambda: modal_fit(SlopeField(*np.zeros((2, 23, 23)),
+                                      np.ones((23, 23), bool),
+                                      LensletArray()), j_max=500),
+         {"grid": {"n_samples": 384, "spacing": 12.5e-6},
+          "analysis": {"kind": "wavefront", "j_max": 500}},
+         "analysis.j_max")],
         ids=["waist", "pitch", "array-extent", "nan-sigma", "aperture",
-             "intensity-floor"])
+             "intensity-floor", "j-max"])
     def test_parser_reports_the_kernel_rule(self, kernel, sections, key):
         with pytest.raises(ValueError) as direct:
             kernel()
