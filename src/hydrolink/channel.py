@@ -342,7 +342,7 @@ def realize_screens(config: ChannelConfig, grid: Grid,
 
 
 def run_channel(input_field: ComplexField | tuple[ComplexField, ...],
-                config: ChannelConfig, states=None,
+                config: ChannelConfig, states: np.ndarray | None = None,
                 ) -> ChannelResult | tuple[ChannelResult, ...]:
     """Run the full split-step chain and report the power ratio.
 
