@@ -316,8 +316,8 @@ def realize_screens(config: ChannelConfig, grid: Grid,
                                tuple[ZernikeSpectrum, ...] | None]:
     """Generate the channel's phase screens without running it.
 
-    Modal spectra are all drawn first, then rendered in one pass that
-    evaluates each Zernike mode once for the whole realization. Useful for
+    Modal spectra are all drawn first, then rendered in one pass over the
+    disk's cached Zernike mode maps, which every realization shares. Useful for
     inspecting or storing a realization. To send several fields through one
     realization, pass them to :func:`run_channel` as a tuple, which realizes
     the screens once for the whole batch.

@@ -102,8 +102,24 @@ def _frame_transit(scenario: Scenario, source: ComplexField, where: str,
         raise exc.at(where) from exc
 
 
-def _run_wavefront(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
+def _sensed_frame(scenario: Scenario, source: ComplexField, k: int,
+                  ) -> tuple[float, tuple[ZernikeSpectrum, ...] | None,
+                             WfsResult]:
+    """Frame ``k`` through the channel, the sensor and the modal fit: its
+    transmittance, ground-truth spectra and fit. The output field and its
+    screens are dropped before centroiding, and nothing of the frame
+    outlives the call, so no frame's arrays stack up on the next one's."""
     ana = scenario.analysis
+    res = _frame_transit(scenario, source, f"frame {k}", k)
+    spots = capture(res.output_field, scenario.sensor)
+    tau, truth = res.transmittance, res.ground_truth_spectra
+    del res
+    slopes = extract_slopes(spots, intensity_floor=ana.intensity_floor)
+    return tau, truth, modal_fit(slopes, j_max=ana.j_max,
+                                 aperture_radius=ana.fit_aperture_radius)
+
+
+def _run_wavefront(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
     files = []
     results: list[WfsResult] = []
     frame_rows = []
@@ -111,19 +127,14 @@ def _run_wavefront(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
     truth_rows = []
     source = build_source_field(scenario.source, scenario.grid)
     for k in range(scenario.frames):
-        res = _frame_transit(scenario, source, f"frame {k}", k)
-        spots = capture(res.output_field, scenario.sensor)
-        slopes = extract_slopes(spots, intensity_floor=ana.intensity_floor)
-        fit = modal_fit(slopes, j_max=ana.j_max,
-                        aperture_radius=ana.fit_aperture_radius)
+        tau, truth, fit = _sensed_frame(scenario, source, k)
         results.append(fit)
-        frame_rows.append((k, res.transmittance, fit.n_valid_lenslets,
-                           fit.residual_rms))
+        frame_rows.append((k, tau, fit.n_valid_lenslets, fit.residual_rms))
         for j, a in fit.spectrum.coefficients:
             idx = nm_from_index(j)
             coeff_rows.append((k, j, idx.n, idx.m, a))
-        if res.ground_truth_spectra:
-            for s_i, spec in enumerate(res.ground_truth_spectra):
+        if truth:
+            for s_i, spec in enumerate(truth):
                 for j, a in spec.coefficients:
                     idx = nm_from_index(j)
                     truth_rows.append((k, s_i, j, idx.n, idx.m, a))
@@ -226,7 +237,8 @@ def _run_images(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
             res = _frame_transit(scenario, source,
                                  f"mode {label}, frame {k}", k, m_i)
             inten = res.output_field.intensity()
-            stack.append(inten)
+            if scenario.time_average:
+                stack.append(inten)
             cx, cy = centroid(res.output_field)
             rows.append((label, k, res.transmittance, cx, cy))
             files.append(hio.write_pgm16(

@@ -244,6 +244,7 @@ def _windowed_com(stack: np.ndarray, pix: np.ndarray, half: int
     win, ok = work, np.ones(stack.shape[:-2], dtype=bool)
     step = pix[1] - pix[0]
     index = np.arange(stack.shape[-1])
+    buf = np.empty_like(work)
     for window in range(3):
         if window:
             # pixels within +-(half * step) of the centroid, symmetric
@@ -251,7 +252,9 @@ def _windowed_com(stack: np.ndarray, pix: np.ndarray, half: int
             lo = np.ceil((com - half * step - pix[0]) / step - 1e-9)
             hi = np.floor((com + half * step - pix[0]) / step + 1e-9)
             inside = (index >= lo[..., None]) & (index <= hi[..., None])
-            win = work * inside[1][..., :, None] * inside[0][..., None, :]
+            # work * rows * columns, in that order, in one reused buffer
+            win = np.multiply(work, inside[1][..., :, None], out=buf)
+            win *= inside[0][..., None, :]
         tot = win.sum(axis=(-2, -1))
         ok &= tot > 0.0
         com = np.stack([win.sum(axis=-2) @ pix, win.sum(axis=-1) @ pix]) \

@@ -26,6 +26,7 @@ PLANS = {
     shack_hartmann._centroid_response: (SENSOR, 532e-9, 12),
     shack_hartmann._gradient_basis: (SENSOR, 1.5e-3, 15),
     zernike._disk_geometry: (GRID, 2e-3),
+    zernike._mode_maps: (GRID, 2e-3, (2, 5, 9)),
     zernike._cartesian_coeffs: (4, -2),
     zernike._kolmogorov_plan: (0.05, GRID, 2),
 }

@@ -169,6 +169,30 @@ class TestRunScenario:
         assert rows[0][0] == "mode"
         assert len(rows) == 1 + 2 * 2
 
+    def test_time_average_is_the_mean_of_the_frames(self, tmp_path):
+        from hydrolink.channel import run_channel
+        from hydrolink.runner import build_source_field
+        from hydrolink.seeding import TAG_FRAME, child_seed
+        s = parse_scenario(FAST_GALLERY)
+        run_scenario(s, tmp_path / "out")
+        for m_i, (mode, label) in enumerate(zip(s.analysis.modes,
+                                                ("gaussian", "petal4"))):
+            source = build_source_field(mode, s.grid)
+            frames = [run_channel(source, s.channel.with_seed(
+                child_seed(s.seed, TAG_FRAME, k, m_i))).output_field
+                .intensity() for k in range(s.frames)]
+            want = write_pgm16(tmp_path / f"{label}_want.pgm",
+                               np.mean(np.stack(frames), axis=0))
+            got = tmp_path / "out" / f"{label}_mean.pgm"
+            assert got.read_bytes() == want.read_bytes()
+
+    def test_no_time_average_writes_no_mean(self, tmp_path):
+        s = parse_scenario(FAST_GALLERY.replace("time_average: true",
+                                                "time_average: false"))
+        run_scenario(s, tmp_path / "out")
+        assert (tmp_path / "out" / "gaussian_frame001.pgm").exists()
+        assert not list((tmp_path / "out").glob("*_mean.pgm"))
+
     def test_rerun_from_echo_is_byte_identical(self, tmp_path):
         s = parse_scenario(FAST_WAVEFRONT)
         first = run_scenario(s, tmp_path / "a")

@@ -13,7 +13,8 @@ from hydrolink.shack_hartmann import LensletArray, capture, extract_slopes, \
 from hydrolink.field import ComplexField
 from hydrolink.zernike import (PhaseScreen, ZernikeIndex, ZernikeSpectrum,
                                _disk_geometry, _hole_gradient_moment,
-                               _kolmogorov_plan, draw_modal_spectrum,
+                               _kolmogorov_plan, _mode_maps,
+                               draw_modal_spectrum,
                                index_from_nm, kolmogorov_screen,
                                nm_from_index, phase_from_spectra,
                                phase_from_spectrum, radians_to_um,
@@ -275,6 +276,7 @@ class TestBatchedRender:
 
     def test_each_mode_evaluated_once(self, grid256, monkeypatch):
         import hydrolink.zernike as zmod
+        _mode_maps.cache_clear()
         calls = []
 
         def counting(idx, rho, phi):
@@ -294,6 +296,58 @@ class TestBatchedRender:
                    ZernikeSpectrum(((2, 0.1),), 2e-3))
         with pytest.raises(ValueError, match="one aperture radius"):
             phase_from_spectra(spectra, grid256, ("a", "b"))
+
+
+class TestModeMapPlan:
+    def test_rows_equal_fresh_evaluations(self, grid256):
+        r_ap = 0.45 * grid256.extent
+        js = (2, 3, 5, 9, 14)
+        _, rho_in, phi_in = _disk_geometry(grid256, r_ap)
+        maps = _mode_maps(grid256, r_ap, js)
+        assert maps.shape == (len(js), rho_in.size)
+        for j, row in zip(js, maps):
+            assert np.array_equal(
+                row, zernike_eval(nm_from_index(j), rho_in, phi_in))
+
+    def test_each_mode_evaluated_once_per_disk(self, grid256, monkeypatch):
+        import hydrolink.zernike as zmod
+        _mode_maps.cache_clear()
+        calls = []
+
+        def counting(idx, rho, phi):
+            calls.append(idx.j)
+            return zernike_eval(idx, rho, phi)
+
+        monkeypatch.setattr(zmod, "zernike_eval", counting)
+        sigmas = ((2, 0.3), (3, 0.3), (5, 0.2), (7, 0.1))
+        for seed in (1, 2, 3):
+            screens, spectra = realize_screens(ChannelConfig(
+                n_screens=3, screen_source="modal", modal_sigmas=sigmas,
+                seed=seed), grid256)
+            assert len(screens) == len(spectra) == 3
+        assert calls == [2, 3, 5, 7]
+
+    def test_second_disk_replaces_the_first(self, grid256, monkeypatch):
+        import hydrolink.zernike as zmod
+        _mode_maps.cache_clear()
+        calls = []
+
+        def counting(idx, rho, phi):
+            calls.append(idx.j)
+            return zernike_eval(idx, rho, phi)
+
+        monkeypatch.setattr(zmod, "zernike_eval", counting)
+        coeffs = ((2, 0.1), (5, -0.2))
+        first, second = (ZernikeSpectrum(coeffs, f * grid256.extent)
+                         for f in (0.45, 0.3))
+        for spec in (first, first, second):
+            phase_from_spectrum(spec, grid256)
+        assert _mode_maps.cache_info().currsize == 1
+        assert calls == [2, 5, 2, 5]
+        again = phase_from_spectrum(first, grid256)
+        assert calls == [2, 5, 2, 5, 2, 5]
+        assert np.array_equal(again.phase,
+                              _per_mode_phase(first, grid256, 0.0))
 
 
 class TestSpectrumType:
