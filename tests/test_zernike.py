@@ -252,6 +252,22 @@ def _per_mode_phase(spec, grid, rim_taper):
     return phase
 
 
+@pytest.fixture
+def eval_calls(monkeypatch):
+    """The j of every later ``zernike_eval`` call, from an empty mode-map
+    plan."""
+    import hydrolink.zernike as zmod
+    _mode_maps.cache_clear()
+    calls = []
+
+    def counting(idx, rho, phi):
+        calls.append(idx.j)
+        return zernike_eval(idx, rho, phi)
+
+    monkeypatch.setattr(zmod, "zernike_eval", counting)
+    return calls
+
+
 _COEFFICIENT = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
 
 
@@ -274,22 +290,13 @@ class TestBatchedRender:
             assert np.array_equal(screen.phase,
                                   _per_mode_phase(spec, grid, rim_taper))
 
-    def test_each_mode_evaluated_once(self, grid256, monkeypatch):
-        import hydrolink.zernike as zmod
-        _mode_maps.cache_clear()
-        calls = []
-
-        def counting(idx, rho, phi):
-            calls.append(idx.j)
-            return zernike_eval(idx, rho, phi)
-
-        monkeypatch.setattr(zmod, "zernike_eval", counting)
+    def test_each_mode_evaluated_once(self, grid256, eval_calls):
         r_ap = 0.4 * grid256.extent
         spectra = (ZernikeSpectrum(((2, 0.1), (5, 0.0), (7, 0.2)), r_ap),
                    ZernikeSpectrum(((2, -0.3), (9, 0.4)), r_ap),
                    ZernikeSpectrum((), r_ap))
         phase_from_spectra(spectra, grid256, ("a", "b", "c"))
-        assert calls == [2, 7, 9]
+        assert eval_calls == [2, 7, 9]
 
     def test_radii_must_match(self, grid256):
         spectra = (ZernikeSpectrum(((2, 0.1),), 1e-3),
@@ -309,43 +316,25 @@ class TestModeMapPlan:
             assert np.array_equal(
                 row, zernike_eval(nm_from_index(j), rho_in, phi_in))
 
-    def test_each_mode_evaluated_once_per_disk(self, grid256, monkeypatch):
-        import hydrolink.zernike as zmod
-        _mode_maps.cache_clear()
-        calls = []
-
-        def counting(idx, rho, phi):
-            calls.append(idx.j)
-            return zernike_eval(idx, rho, phi)
-
-        monkeypatch.setattr(zmod, "zernike_eval", counting)
+    def test_each_mode_evaluated_once_per_disk(self, grid256, eval_calls):
         sigmas = ((2, 0.3), (3, 0.3), (5, 0.2), (7, 0.1))
         for seed in (1, 2, 3):
             screens, spectra = realize_screens(ChannelConfig(
                 n_screens=3, screen_source="modal", modal_sigmas=sigmas,
                 seed=seed), grid256)
             assert len(screens) == len(spectra) == 3
-        assert calls == [2, 3, 5, 7]
+        assert eval_calls == [2, 3, 5, 7]
 
-    def test_second_disk_replaces_the_first(self, grid256, monkeypatch):
-        import hydrolink.zernike as zmod
-        _mode_maps.cache_clear()
-        calls = []
-
-        def counting(idx, rho, phi):
-            calls.append(idx.j)
-            return zernike_eval(idx, rho, phi)
-
-        monkeypatch.setattr(zmod, "zernike_eval", counting)
+    def test_second_disk_replaces_the_first(self, grid256, eval_calls):
         coeffs = ((2, 0.1), (5, -0.2))
         first, second = (ZernikeSpectrum(coeffs, f * grid256.extent)
                          for f in (0.45, 0.3))
         for spec in (first, first, second):
             phase_from_spectrum(spec, grid256)
         assert _mode_maps.cache_info().currsize == 1
-        assert calls == [2, 5, 2, 5]
+        assert eval_calls == [2, 5, 2, 5]
         again = phase_from_spectrum(first, grid256)
-        assert calls == [2, 5, 2, 5, 2, 5]
+        assert eval_calls == [2, 5, 2, 5, 2, 5]
         assert np.array_equal(again.phase,
                               _per_mode_phase(first, grid256, 0.0))
 
