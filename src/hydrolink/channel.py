@@ -265,17 +265,24 @@ class ChannelConfig:
     def __post_init__(self):
         if not self.length > 0:
             raise ValueError("channel length must be > 0")
-        if self.refractive_index < 1.0:
+        if not self.refractive_index >= 1.0:
             raise ValueError("refractive index must be >= 1")
-        if self.attenuation_db_per_m < 0:
+        if not self.attenuation_db_per_m >= 0:
             raise ValueError("attenuation must be >= 0")
         if self.n_screens < 0:
             raise ValueError("n_screens must be >= 0")
-        if self.occlusion_rate < 0:
+        if not self.occlusion_rate >= 0:
             raise ValueError("occlusion_rate must be >= 0")
-        for name in ("screen_aperture_radius", "occluder_radius"):
+        for name, key in (
+                ("screen_aperture_radius", "screens.aperture_radius"),
+                ("occluder_radius", "occlusion.radius"), ("r0", "screens.r0")):
             if getattr(self, name) is not None and not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+                raise ConfigError(f"{name} must be > 0", key)
+        if not 0.0 <= self.occluder_opacity <= 1.0:
+            raise ConfigError("opacity must be in [0, 1]", "occlusion.opacity")
+        if self.subharmonic_levels < 0:
+            raise ConfigError("subharmonic_levels must be >= 0",
+                              "screens.subharmonic_levels")
         if self.screen_source not in SCREEN_SOURCES:
             raise ValueError(
                 f"screen_source must be one of {SCREEN_SOURCES}, "
@@ -356,15 +363,14 @@ def run_channel(input_field: ComplexField | tuple[ComplexField, ...],
     ``input_field`` may also be a tuple of d fields on one grid and
     wavelength. They cross the same realization (screens and occluders are
     drawn once) as one (d, N, N) stack: one FFT pair, one screen product
-    and one occluder mask per step for all of them. ``states``, a (k, d)
-    coefficient matrix (default: the identity), names the sent states as
-    combinations of those d fields; every channel operation is linear, so
-    state r's output is sum_i states[r, i] * output_i, formed after the
-    last step. The aliasing guard checks every formed state at every step.
-    A tuple of k results comes back, one per row; a field sent as itself
-    (a unit row) gets what a single call would return.
+    and one occluder mask per step for all of them. A tuple of d results
+    comes back, one per field, each what a single call would return.
+    Every channel operation is linear, so a combination of the fields
+    leaves as the same combination of their outputs; ``states``, a (k, d)
+    coefficient matrix (default: the identity), names the combinations the
+    caller will form, and the aliasing guard checks each of them exactly
+    at every step.
     """
-    batch = isinstance(input_field, tuple) or states is not None
     fields = input_field if isinstance(input_field, tuple) \
         else (input_field,)
     if not fields:
@@ -416,21 +422,12 @@ def run_channel(input_field: ComplexField | tuple[ComplexField, ...],
             np.multiply(np.exp(1j * screens[step].phase), stack, out=stack)
 
     results = []
-    inputs = [f.amplitude for f in fields]
-    for row in coeffs:
-        sent = ComplexField(grid, wavelength, _formed(row, inputs))
-        out = sent.with_amplitude(_formed(row, stack))
-        p_in = total_power(sent)
+    for f, amplitude in zip(fields, stack):
+        p_in = total_power(f)
+        out = f.with_amplitude(amplitude)
         ratio = total_power(out) / p_in if p_in > 0 else 0.0
         results.append(ChannelResult(output_field=out,
                                      transmittance=min(ratio, 1.0),
                                      screens_used=screens,
                                      ground_truth_spectra=spectra))
-    return tuple(results) if batch else results[0]
-
-
-def _formed(row: np.ndarray, amplitudes) -> np.ndarray:
-    """sum_i row[i] * amplitudes[i]; a unit row gives its array as is."""
-    terms = [amp if c == 1 else c * amp
-             for c, amp in zip(row, amplitudes) if c != 0]
-    return sum(terms[1:], terms[0])
+    return tuple(results) if isinstance(input_field, tuple) else results[0]

@@ -4,7 +4,8 @@ Covers mutually unbiased basis construction, probability-of-detection
 matrices (analytic for polarization, Monte Carlo over channel realizations
 for orbital-angular-momentum modes), the sifted error rate, binary entropy,
 the asymptotic two-dimensional key rate r = 1 - 2*h(Q), and the error-rate
-threshold where that rate vanishes.
+threshold where that rate vanishes. The OAM Monte Carlo forms every sent
+state's projections from those of the computational modes, by linearity.
 """
 
 from __future__ import annotations
@@ -212,57 +213,58 @@ def detection_matrix_oam(channel_config: ChannelConfig,
 
     Every trial realizes one deterministic channel (seeded from the config
     seed and the trial index) and sends the d computational modes through
-    it, d transits per trial; each superposition state's received field is
-    formed from theirs by linearity, and the aliasing guard checks every
-    formed state as well (a tripped guard names the trial). Each received
-    field is projected onto every basis state and renormalized within each
-    measurement basis (ideal projective mode sorting, post-selected on
-    detection). The ensemble mean and its standard error are returned.
+    it, d transits per trial; the aliasing guard checks every sent state (a
+    tripped guard names the trial). The d outputs are projected onto every
+    basis state, and each sent state's projections are its coefficient row
+    times those overlaps, by linearity. The probabilities are renormalized
+    within each measurement basis (ideal projective mode sorting,
+    post-selected on detection). The ensemble mean and its standard error
+    are returned.
     """
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
     waist = waist_or_default(waist, grid)
     ells = oam_alphabet(ell_values, include_superposition_basis, waist,
                         grid)
     bases, modes, rows = _oam_bases(ells, include_superposition_basis,
                                     waist, grid, wavelength)
     labels = tuple(lbl for b in bases for lbl in b)
-    cols = {lbl: i for i, lbl in enumerate(labels)}
     sent = tuple(modes[lbl] for lbl in bases[0])
     states = np.array([rows[lbl] for lbl in labels])
 
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
     blocks = np.zeros((n_trials, len(labels), len(labels)))
-    for trial, row_block in enumerate(blocks):
+    for trial in range(n_trials):
         cfg = channel_config.with_seed(
             child_seed(channel_config.seed, TAG_TRIAL, trial))
-        # One frozen channel realization per trial, shared by all sent
-        # states.
         try:
             transits = run_channel(sent, cfg, states)
         except AliasingError as exc:
             raise exc.at(f"trial {trial}") from exc
-        for s_lbl, transit in zip(labels, transits):
-            received = transit.output_field
-            for basis in bases:
-                raw = np.array([abs(mode_overlap(received, modes[m])) ** 2
-                                for m in basis])
-                tot = raw.sum()
-                if tot <= 0.0:
-                    raw = np.full(len(basis), 1.0 / len(basis))
-                    tot = 1.0
-                for m_lbl, p in zip(basis, raw / tot):
-                    row_block[cols[s_lbl], cols[m_lbl]] = p
-    mean = blocks.sum(axis=0) / n_trials
+        overlaps = np.array([[mode_overlap(t.output_field, modes[m])
+                              for m in labels] for t in transits])
+        # abs() and ** 2 on Python complexes, not numpy's: they round as
+        # a direct projection of a computational output always has.
+        blocks[trial] = [[abs(a) ** 2 for a in row]
+                         for row in (states @ overlaps).tolist()]
+    mean = _renormalize(blocks, bases).sum(axis=0) / n_trials
     # Two passes (deviations from the mean), so identical trials give 0.
     stderr = blocks.std(axis=0, ddof=1) / math.sqrt(n_trials) \
         if n_trials > 1 else np.zeros_like(mean)
-    # Renormalize the ensemble mean exactly within each basis block.
-    for basis in bases:
-        idx = [cols[m] for m in basis]
-        mean[:, idx] /= mean[:, idx].sum(axis=1, keepdims=True)
     return DetectionMatrix(sent_labels=labels, measured_labels=labels,
-                           probabilities=mean, bases=bases,
-                           standard_errors=stderr)
+                           probabilities=_renormalize(mean, bases),
+                           bases=bases, standard_errors=stderr)
+
+
+def _renormalize(probs: np.ndarray, bases: tuple) -> np.ndarray:
+    """Scale ``probs`` in place so that each row sums to 1 over each basis's
+    columns, which follow one another in basis order; a row with nothing in
+    a basis becomes uniform over it."""
+    cuts = np.cumsum([len(basis) for basis in bases[:-1]])
+    for part in np.split(probs, cuts, axis=-1):
+        tot = part.sum(axis=-1, keepdims=True)
+        part[tot[..., 0] <= 0.0] = 1.0 / part.shape[-1]
+        part /= np.where(tot > 0.0, tot, 1.0)
+    return probs
 
 
 def _error_stats(matrix: DetectionMatrix

@@ -161,10 +161,7 @@ def _run_wavefront(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
 
     mean_spec = ZernikeSpectrum(tuple(zip(avg.j_values, avg.mean_abs)),
                                 results[0].spectrum.aperture_radius)
-    recon = reconstruct_wavefront(
-        WfsResult(spectrum=mean_spec, residual_rms=0.0,
-                  n_valid_lenslets=results[0].n_valid_lenslets),
-        scenario.grid)
+    recon = reconstruct_wavefront(mean_spec, scenario.grid)
     files.append(hio.write_pgm16(out / "wavefront_mean.pgm",
                                  recon.phase - recon.phase.min()))
     files.append(hio.screen_to_csv(recon, out / "wavefront_mean.csv"))

@@ -462,9 +462,10 @@ def modal_fit(slopes: SlopeField, j_max: int = 15,
                      n_valid_lenslets=int(np.count_nonzero(slopes.valid)))
 
 
-def reconstruct_wavefront(result: WfsResult, grid: Grid) -> PhaseScreen:
-    """Render the fitted spectrum back onto a grid (radians)."""
-    return phase_from_spectrum(result.spectrum, grid, label="reconstruction")
+def reconstruct_wavefront(spectrum: ZernikeSpectrum,
+                          grid: Grid) -> PhaseScreen:
+    """Render a fitted spectrum back onto a grid (radians)."""
+    return phase_from_spectrum(spectrum, grid, label="reconstruction")
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,10 @@ from hydrolink.channel import (NYQUIST_GUARD_FRACTION, AliasingError,
                                apply_attenuation, apply_occlusion,
                                apply_phase_screen, realize_screens,
                                run_channel, transmittance)
-from hydrolink.field import (ComplexField, Grid, GridMismatchError,
-                             beam_width, centroid, find_vortices, lg_mode,
-                             petal_mode, superpose, total_power,
-                             total_vortex_charge)
+from hydrolink.field import (ComplexField, ConfigError, Grid,
+                             GridMismatchError, beam_width, centroid,
+                             find_vortices, lg_mode, petal_mode, superpose,
+                             total_power, total_vortex_charge)
 from hydrolink.seeding import TAG_SCREEN, child_seed
 from hydrolink.zernike import (ZernikeSpectrum, _disk_geometry,
                                draw_modal_spectrum, phase_from_spectrum)
@@ -292,10 +292,27 @@ class TestChannelConfig:
              modal_sigmas=((2, math.nan),)),
         dict(n_screens=1, screen_source="modal",
              modal_sigmas=((2, 0.1), (2, 0.2))),    # j given twice
+        dict(refractive_index=math.nan),
+        dict(attenuation_db_per_m=math.nan),
+        dict(occlusion_rate=math.nan),
     ])
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValueError):
             ChannelConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, key", [
+        (dict(occluder_opacity=1.5), "occlusion.opacity"),
+        (dict(occluder_opacity=-0.1), "occlusion.opacity"),
+        (dict(r0=-0.1), "screens.r0"),
+        (dict(subharmonic_levels=-1), "screens.subharmonic_levels"),
+    ], ids=["opacity-above-1", "negative-opacity", "negative-r0",
+            "negative-subharmonic-levels"])
+    def test_every_stored_field_checked_when_built(self, kwargs, key):
+        # Without screens or occluders these values would never be used,
+        # so only the constructor can catch them.
+        with pytest.raises(ConfigError) as err:
+            ChannelConfig(**kwargs)
+        assert err.value.key == key
 
     def test_transmittance_bounds(self, gaussian512):
         with pytest.raises(ValueError):
@@ -475,31 +492,22 @@ class TestFormedStates:
                              n_screens=2, screen_source="modal",
                              modal_sigmas=sig, occlusion_rate=2.0, **kw)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_formed_output_equals_direct_transit(self, seed):
+    def test_states_only_guard_the_fields(self):
+        # One result per sent field, whatever combinations the guard checks.
         grid = Grid(128, 8e-5)
-        fields = tuple(lg_mode(ell, 0, grid.extent / 16, grid, WAVELENGTH)
-                       for ell in (-3, 1, 4))
-        rng = np.random.default_rng(seed)
-        states = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        states[0] = (1.0, 0.0, 0.0)
-        states[1, 0] = 0.0
-        cfg = self._config(seed=seed)
-        formed = run_channel(fields, cfg, states)
-        assert len(formed) == 3
-        for row, res in zip(states, formed):
-            sent = superpose(list(fields), list(row))
-            direct = run_channel(sent, cfg)
-            scale = np.abs(direct.output_field.amplitude).max()
-            assert np.abs(res.output_field.amplitude
-                          - direct.output_field.amplitude).max() \
-                <= 1e-13 * scale
-            assert res.transmittance == pytest.approx(direct.transmittance,
-                                                      rel=1e-12)
-        # A unit row is the field's own transit, bit for bit.
-        assert np.array_equal(formed[0].output_field.amplitude,
-                              run_channel(fields[0], cfg)
-                              .output_field.amplitude)
+        a, b = (lg_mode(ell, 0, grid.extent / 16, grid, WAVELENGTH)
+                for ell in (-3, 4))
+        s = 1.0 / math.sqrt(2.0)
+        states = [[1.0, 0.0], [0.0, 1.0], [s, s], [s, -s]]
+        cfg = self._config(seed=1)
+        guarded = run_channel((a, b), cfg, states)
+        plain = run_channel((a, b), cfg)
+        assert len(guarded) == 2
+        for got, want in zip(guarded, plain):
+            assert np.array_equal(got.output_field.amplitude,
+                                  want.output_field.amplitude)
+            assert got.transmittance == want.transmittance
+        assert isinstance(run_channel(a, cfg, [[2.0]]), ChannelResult)
 
     def test_guard_fractions_are_exact_for_every_row(self):
         grid = Grid(32, 1e-4)

@@ -341,6 +341,33 @@ class TestDetectionMatrixOam:
         np.testing.assert_allclose(m.probabilities[2:], mean[2:], rtol=0.0,
                                    atol=1e-13)
 
+    def test_projects_by_linearity(self, monkeypatch):
+        # d outputs x 4 labels per trial; one projection per (sent state,
+        # label) pair would be 4 x 4.
+        import hydrolink.qkd as qmod
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return mode_overlap(a, b)
+
+        monkeypatch.setattr(qmod, "mode_overlap", counted)
+        detection_matrix_oam(_turbulent_channel(0.5), [-4, 4],
+                             include_superposition_basis=True,
+                             grid=OAM_GRID, n_trials=3)
+        assert len(calls) == 3 * 2 * 4
+
+    def test_bad_trial_count_builds_no_mode(self, monkeypatch):
+        import hydrolink.qkd as qmod
+
+        def refuse(*args):
+            raise AssertionError("a mode was built")
+
+        monkeypatch.setattr(qmod, "lg_mode", refuse)
+        with pytest.raises(ValueError, match="n_trials"):
+            detection_matrix_oam(_clean_channel(), [-4, 4], grid=OAM_GRID,
+                                 n_trials=0)
+
     @pytest.mark.parametrize("ells, superposition", [
         ([4, 4], False), ([4], False), ([-2, 0, 2], True), ([-40, 40], False),
         ([4.0, -4.0], False)], ids=["duplicate", "one-letter",

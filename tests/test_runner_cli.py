@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hydrolink.cli import _RUN_COMMANDS, build_parser, main
+from hydrolink.field import superpose
 from hydrolink.io import (fmt, read_pgm16, screen_to_csv, sha256_of,
                           write_csv, write_pgm16)
 from hydrolink.runner import _scaled_scenario, run_scenario, sweep
@@ -529,17 +530,36 @@ analysis:
         assert "line 4, column 1" in capsys.readouterr().err
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def _readme_command_lines():
     """Argument lists of the README's "Command line" block, continuation
     lines joined and comments dropped."""
-    readme = Path(__file__).resolve().parent.parent / "README.md"
-    block = readme.read_text().split("## Command line", 1)[1].split("```")[1]
+    block = README.read_text().split("## Command line", 1)[1].split("```")[1]
     return [shlex.split(line, comments=True)
             for line in block.replace("\\\n", " ").splitlines()
             if line.startswith("hydrolink ")]
 
 
+def _readme_library_block():
+    """The README's "Library" Python block."""
+    return README.read_text().split("## Library", 1)[1] \
+        .split("```python", 1)[1].split("```", 1)[0]
+
+
 class TestReadme:
+    def test_library_block_runs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        names = {}
+        exec(_readme_library_block(), names)
+        # mixed is the combination formed from the two outputs.
+        s = names["s"]
+        formed = superpose([names["through_beam"].output_field,
+                            names["through_ring"].output_field], [s, s])
+        assert np.array_equal(names["mixed"].amplitude, formed.amplitude)
+        assert (tmp_path / "runs" / "oam-lib" / "manifest.txt").is_file()
+
     def test_command_line_block_parses(self):
         lines = _readme_command_lines()
         assert len(lines) >= 7

@@ -425,10 +425,7 @@ class TestStackCentroider:
 
 class TestReconstruct:
     def test_empty_spectrum_flat(self, grid256):
-        from hydrolink.shack_hartmann import WfsResult
-        res = WfsResult(spectrum=ZernikeSpectrum((), 1e-3),
-                        residual_rms=0.0, n_valid_lenslets=0)
-        screen = reconstruct_wavefront(res, grid256)
+        screen = reconstruct_wavefront(ZernikeSpectrum((), 1e-3), grid256)
         assert np.all(screen.phase == 0.0)
 
     def test_round_trip_reconstruction_error(self):
@@ -438,7 +435,7 @@ class TestReconstruct:
         fit = modal_fit(extract_slopes(capture(uniform_field(screen),
                                                GEOMETRY)),
                         j_max=15, aperture_radius=R_AP)
-        recon = reconstruct_wavefront(fit, GRID)
+        recon = reconstruct_wavefront(fit.spectrum, GRID)
         x, y = GRID.mesh()
         inside = np.hypot(x, y) <= R_AP
         err = recon.phase[inside] - screen.phase[inside]
@@ -449,7 +446,7 @@ class TestReconstruct:
         fit = modal_fit(extract_slopes(capture(
             uniform_field(screen_from({2: 1.0})), GEOMETRY)),
             j_max=3, aperture_radius=R_AP)
-        recon = reconstruct_wavefront(fit, GRID)
+        recon = reconstruct_wavefront(fit.spectrum, GRID)
         x, y = GRID.mesh()
         inside = np.hypot(x, y) <= 0.9 * R_AP
         grad_y = np.gradient(recon.phase, GRID.spacing, axis=0)
