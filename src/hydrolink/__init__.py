@@ -7,10 +7,10 @@ modal fit, and evaluates BB84 quantum-key-distribution feasibility for
 polarization and spatial-mode encodings.
 """
 
-from .channel import (AliasingError, ChannelConfig, ChannelResult, Occluder,
-                      angular_spectrum_propagate, apply_attenuation,
-                      apply_occlusion, apply_phase_screen, run_channel,
-                      transmittance)
+from .channel import (AliasingError, ChannelConfig, ChannelResult, Launch,
+                      Occluder, angular_spectrum_propagate,
+                      apply_attenuation, apply_occlusion, apply_phase_screen,
+                      launch, run_channel, transmittance)
 from .field import (ANTIDIAGONAL, DEFAULT_WAVELENGTH, DIAGONAL, HORIZONTAL,
                     VERTICAL, ComplexField, Grid, GridMismatchError,
                     JonesVector, Vortex, beam_width, centroid, find_vortices,

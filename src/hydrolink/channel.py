@@ -9,8 +9,10 @@ deterministic given the configured seed.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 from scipy.special import erf
@@ -263,14 +265,20 @@ class ChannelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.length > 0:
-            raise ValueError("channel length must be > 0")
+        if not 0 < self.length < math.inf:
+            raise ConfigError("channel length must be finite and > 0",
+                              "length")
         if not self.refractive_index >= 1.0:
             raise ValueError("refractive index must be >= 1")
         if not self.attenuation_db_per_m >= 0:
             raise ValueError("attenuation must be >= 0")
-        if self.n_screens < 0:
-            raise ValueError("n_screens must be >= 0")
+        for name, key in (("n_screens", "n_screens"), (
+                "subharmonic_levels", "screens.subharmonic_levels")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) \
+                    or value < 0:
+                raise ConfigError(f"{name} must be an integer >= 0, got "
+                                  f"{value!r}", key)
         if not self.occlusion_rate >= 0:
             raise ValueError("occlusion_rate must be >= 0")
         for name, key in (
@@ -280,9 +288,6 @@ class ChannelConfig:
                 raise ConfigError(f"{name} must be > 0", key)
         if not 0.0 <= self.occluder_opacity <= 1.0:
             raise ConfigError("opacity must be in [0, 1]", "occlusion.opacity")
-        if self.subharmonic_levels < 0:
-            raise ConfigError("subharmonic_levels must be >= 0",
-                              "screens.subharmonic_levels")
         if self.screen_source not in SCREEN_SOURCES:
             raise ValueError(
                 f"screen_source must be one of {SCREEN_SOURCES}, "
@@ -348,8 +353,122 @@ def realize_screens(config: ChannelConfig, grid: Grid,
         for k, seed_k in enumerate(seeds)), None
 
 
-def run_channel(input_field: ComplexField | tuple[ComplexField, ...],
-                config: ChannelConfig, states: np.ndarray | None = None,
+@dataclass(frozen=True, eq=False)
+class Launch:
+    """Sources after the channel's first diffraction step, for every
+    realization of a run.
+
+    Step 0 (propagation over dz, then its share of the attenuation) comes
+    before any screen and depends only on the sources and on the config's
+    ``path``: (length, n_screens, refractive_index, attenuation_db_per_m).
+    ``stack`` is the read-only (d, N, N) result, which the aliasing guard
+    checked once for every row of ``states``; ``powers`` are the sources'
+    input powers. :func:`run_channel` starts each realization from it.
+    """
+
+    fields: tuple[ComplexField, ...]
+    powers: tuple[float, ...]
+    states: np.ndarray
+    stack: np.ndarray
+    path: tuple[float, int, float, float]
+
+
+def _path(config: ChannelConfig) -> tuple[float, int, float, float]:
+    return (config.length, config.n_screens, config.refractive_index,
+            config.attenuation_db_per_m)
+
+
+def _batch(input_field: ComplexField | tuple[ComplexField, ...],
+           states: np.ndarray | None,
+           ) -> tuple[tuple[ComplexField, ...], np.ndarray]:
+    """The fields as a tuple on one grid and wavelength, and the checked
+    (k, d) ``states`` matrix (default: the identity)."""
+    fields = input_field if isinstance(input_field, tuple) \
+        else (input_field,)
+    if not fields:
+        raise ValueError("run_channel needs at least one field")
+    grid, wavelength = fields[0].grid, fields[0].wavelength
+    for f in fields[1:]:
+        if f.grid != grid or f.wavelength != wavelength:
+            raise GridMismatchError(
+                "batched fields must share one grid and wavelength")
+    coeffs = np.eye(len(fields)) if states is None else np.asarray(states)
+    if coeffs.ndim != 2 or coeffs.shape[1] != len(fields) \
+            or not np.all(np.isfinite(coeffs)) \
+            or not np.all(coeffs.any(axis=1)):
+        raise ValueError(
+            f"states must be a (k, {len(fields)}) matrix of finite "
+            f"coefficients with a nonzero entry in every row")
+    return fields, coeffs
+
+
+def _diffract(stack: np.ndarray, fields: tuple[ComplexField, ...],
+              config: ChannelConfig, states: np.ndarray, step: int,
+              occluders: Sequence[Occluder]) -> np.ndarray:
+    """One diffraction substep of the chain: ``occluders`` (in place),
+    propagation over dz with the aliasing guard, then attenuation.
+
+    Each product keeps the operand order of the one-field functions
+    (apply_occlusion, apply_attenuation, apply_phase_screen): complex
+    products round differently with the operands swapped.
+    """
+    grid = fields[0].grid
+    for occ in occluders:
+        if occ.opacity != 0.0:
+            stack *= _occluder_transmission(occ, grid)
+    dz = config.length / (config.n_screens + 1)
+    stack = _propagate_stack(stack, grid, fields[0].wavelength,
+                             config.refractive_index, dz, states, step)
+    factor = _amplitude_factor(config.attenuation_db_per_m, dz)
+    if factor != 1.0:
+        stack *= factor
+    return stack
+
+
+def launch(input_field: ComplexField | tuple[ComplexField, ...],
+           config: ChannelConfig, states: np.ndarray | None = None,
+           ) -> Launch:
+    """Run step 0 of the chain once, for every realization of ``config``.
+
+    Takes what :func:`run_channel` takes; the seed is irrelevant here.
+    Raises :class:`AliasingError` if a source (or a row of ``states``)
+    already aliases over the first dz.
+    """
+    fields, coeffs = _batch(input_field, states)
+    stack = _diffract(np.stack([f.amplitude for f in fields]), fields,
+                      config, coeffs, 0, ())
+    stack.flags.writeable = False
+    coeffs = coeffs.copy()
+    coeffs.flags.writeable = False
+    return Launch(fields=fields,
+                  powers=tuple(total_power(f) for f in fields),
+                  states=coeffs, stack=stack, path=_path(config))
+
+
+def _draw_occluders(config: ChannelConfig, grid: Grid,
+                    ) -> dict[int, list[Occluder]]:
+    """The realization's occluders by split step, Poisson-counted from the
+    occlusion rate at seeded positions."""
+    occluders: dict[int, list[Occluder]] = {}
+    if config.occlusion_rate > 0.0:
+        rng = substream(config.seed, TAG_OCCLUSION)
+        count = int(rng.poisson(config.occlusion_rate))
+        radius = grid.extent / 10.0 if config.occluder_radius is None \
+            else config.occluder_radius
+        half = grid.extent / 4.0
+        for i in range(count):
+            step = int(rng.integers(0, config.n_screens + 1))
+            pos = (float(rng.uniform(-half, half)),
+                   float(rng.uniform(-half, half)))
+            occluders.setdefault(step, []).append(
+                Occluder(radius=radius, opacity=config.occluder_opacity,
+                         position=pos))
+    return occluders
+
+
+def run_channel(input_field: ComplexField | tuple[ComplexField, ...]
+                | Launch, config: ChannelConfig,
+                states: np.ndarray | None = None,
                 ) -> ChannelResult | tuple[ChannelResult, ...]:
     """Run the full split-step chain and report the power ratio.
 
@@ -370,64 +489,55 @@ def run_channel(input_field: ComplexField | tuple[ComplexField, ...],
     coefficient matrix (default: the identity), names the combinations the
     caller will form, and the aliasing guard checks each of them exactly
     at every step.
+
+    ``input_field`` may instead be a :class:`Launch` of the fields, made
+    once per run by :func:`launch` (its ``states`` then apply, and a
+    tuple comes back). Step 0 does not depend on the seed, so each
+    realization starts at step 1 from the launched stack, with the same
+    operations in the same order and therefore the same bits; plain fields
+    are launched here first. A realization with an occluder on step 0
+    starts at step 0 from the fields instead. A config whose ``length``,
+    ``n_screens``, ``refractive_index`` or ``attenuation_db_per_m``
+    differs from the launch's raises ValueError.
     """
-    fields = input_field if isinstance(input_field, tuple) \
-        else (input_field,)
-    if not fields:
-        raise ValueError("run_channel needs at least one field")
-    grid, wavelength = fields[0].grid, fields[0].wavelength
-    for f in fields[1:]:
-        if f.grid != grid or f.wavelength != wavelength:
-            raise GridMismatchError(
-                "batched fields must share one grid and wavelength")
-    coeffs = np.eye(len(fields)) if states is None else np.asarray(states)
-    if coeffs.ndim != 2 or coeffs.shape[1] != len(fields) \
-            or not np.all(np.isfinite(coeffs)) \
-            or not np.all(coeffs.any(axis=1)):
+    start = input_field if isinstance(input_field, Launch) else None
+    if start is None:
+        fields, coeffs = _batch(input_field, states)
+    elif states is not None:
+        raise ValueError("a Launch carries its own states")
+    elif start.path != _path(config):
         raise ValueError(
-            f"states must be a (k, {len(fields)}) matrix of finite "
-            f"coefficients with a nonzero entry in every row")
+            f"config (length, n_screens, refractive_index, "
+            f"attenuation_db_per_m) {_path(config)} differs from the "
+            f"launch's {start.path}")
+    else:
+        fields, coeffs = start.fields, start.states
+    grid = fields[0].grid
     screens, spectra = realize_screens(config, grid)
+    occluders = _draw_occluders(config, grid)
 
-    occluders: dict[int, list[Occluder]] = {}
-    if config.occlusion_rate > 0.0:
-        rng = substream(config.seed, TAG_OCCLUSION)
-        count = int(rng.poisson(config.occlusion_rate))
-        radius = grid.extent / 10.0 if config.occluder_radius is None \
-            else config.occluder_radius
-        half = grid.extent / 4.0
-        for i in range(count):
-            step = int(rng.integers(0, config.n_screens + 1))
-            pos = (float(rng.uniform(-half, half)),
-                   float(rng.uniform(-half, half)))
-            occluders.setdefault(step, []).append(
-                Occluder(radius=radius, opacity=config.occluder_opacity,
-                         position=pos))
+    if 0 in occluders:
+        first, stack = 0, np.stack([f.amplitude for f in fields])
+    else:
+        start = start or launch(fields, config, coeffs)
+        first, stack = 1, start.stack
+    for step in range(first, config.n_screens + 1):
+        if step:
+            # exp(i * phase) * stack, in place unless it is the launch's.
+            stack = np.multiply(
+                np.exp(1j * screens[step - 1].phase), stack,
+                out=stack if stack.flags.writeable else None)
+        stack = _diffract(stack, fields, config, coeffs, step,
+                          occluders.get(step, ()))
 
-    dz = config.length / (config.n_screens + 1)
-    factor = _amplitude_factor(config.attenuation_db_per_m, dz)
-    stack = np.stack([f.amplitude for f in fields])
-    for step in range(config.n_screens + 1):
-        # Each product keeps the operand order of the one-field functions
-        # (apply_occlusion, apply_attenuation, apply_phase_screen): complex
-        # products round differently with the operands swapped.
-        for occ in occluders.get(step, ()):
-            if occ.opacity != 0.0:
-                stack *= _occluder_transmission(occ, grid)
-        stack = _propagate_stack(stack, grid, wavelength,
-                                 config.refractive_index, dz, coeffs, step)
-        if factor != 1.0:
-            stack *= factor
-        if step < config.n_screens:
-            np.multiply(np.exp(1j * screens[step].phase), stack, out=stack)
-
+    powers = start.powers if start else tuple(map(total_power, fields))
     results = []
-    for f, amplitude in zip(fields, stack):
-        p_in = total_power(f)
+    for f, p_in, amplitude in zip(fields, powers, stack):
         out = f.with_amplitude(amplitude)
         ratio = total_power(out) / p_in if p_in > 0 else 0.0
         results.append(ChannelResult(output_field=out,
                                      transmittance=min(ratio, 1.0),
                                      screens_used=screens,
                                      ground_truth_spectra=spectra))
-    return tuple(results) if isinstance(input_field, tuple) else results[0]
+    return results[0] if isinstance(input_field, ComplexField) \
+        else tuple(results)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import AliasingError, ChannelConfig, run_channel
+from .channel import AliasingError, ChannelConfig, launch, run_channel
 from .field import (ANTIDIAGONAL, DEFAULT_GRID, DEFAULT_WAVELENGTH,
                     DIAGONAL, HORIZONTAL, VERTICAL, ComplexField,
                     ConfigError, Grid, JonesVector, lg_mode, mode_overlap,
@@ -211,15 +211,17 @@ def detection_matrix_oam(channel_config: ChannelConfig,
                          n_trials: int = 100) -> DetectionMatrix:
     """Monte Carlo crosstalk matrix for orbital-angular-momentum encoding.
 
-    Every trial realizes one deterministic channel (seeded from the config
-    seed and the trial index) and sends the d computational modes through
-    it, d transits per trial; the aliasing guard checks every sent state (a
-    tripped guard names the trial). The d outputs are projected onto every
-    basis state, and each sent state's projections are its coefficient row
-    times those overlaps, by linearity. The probabilities are renormalized
-    within each measurement basis (ideal projective mode sorting,
-    post-selected on detection). The ensemble mean and its standard error
-    are returned.
+    The d computational modes are launched once (the channel's first
+    step, which no seed changes); every trial then realizes one
+    deterministic channel (seeded from the config seed and the trial
+    index) and sends the launched modes through the rest of it. The
+    aliasing guard checks every sent state; a tripped guard names the
+    trial, or the sources if the launch trips it. The d outputs are
+    projected onto every basis state, and each sent state's projections
+    are its coefficient row times those overlaps, by linearity. The
+    probabilities are renormalized within each measurement basis (ideal
+    projective mode sorting, post-selected on detection). The ensemble
+    mean and its standard error are returned.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -229,15 +231,18 @@ def detection_matrix_oam(channel_config: ChannelConfig,
     bases, modes, rows = _oam_bases(ells, include_superposition_basis,
                                     waist, grid, wavelength)
     labels = tuple(lbl for b in bases for lbl in b)
-    sent = tuple(modes[lbl] for lbl in bases[0])
-    states = np.array([rows[lbl] for lbl in labels])
+    try:
+        sent = launch(tuple(modes[lbl] for lbl in bases[0]), channel_config,
+                      np.array([rows[lbl] for lbl in labels]))
+    except AliasingError as exc:
+        raise exc.at(f"sources {', '.join(labels)}") from exc
 
     blocks = np.zeros((n_trials, len(labels), len(labels)))
     for trial in range(n_trials):
         cfg = channel_config.with_seed(
             child_seed(channel_config.seed, TAG_TRIAL, trial))
         try:
-            transits = run_channel(sent, cfg, states)
+            transits = run_channel(sent, cfg)
         except AliasingError as exc:
             raise exc.at(f"trial {trial}") from exc
         overlaps = np.array([[mode_overlap(t.output_field, modes[m])
@@ -245,7 +250,7 @@ def detection_matrix_oam(channel_config: ChannelConfig,
         # abs() and ** 2 on Python complexes, not numpy's: they round as
         # a direct projection of a computational output always has.
         blocks[trial] = [[abs(a) ** 2 for a in row]
-                         for row in (states @ overlaps).tolist()]
+                         for row in (sent.states @ overlaps).tolist()]
     mean = _renormalize(blocks, bases).sum(axis=0) / n_trials
     # Two passes (deviations from the mean), so identical trials give 0.
     stderr = blocks.std(axis=0, ddof=1) / math.sqrt(n_trials) \

@@ -19,8 +19,8 @@ import numpy as np
 import scipy
 
 from . import io as hio
-from .channel import (AliasingError, ChannelResult, run_channel,
-                      transmittance)
+from .channel import (AliasingError, ChannelResult, Launch, launch,
+                      run_channel, transmittance)
 from .field import (ComplexField, Grid, centroid, lg_mode, petal_mode,
                     waist_or_default)
 from .qkd import (DetectionMatrix, PolarizationChannel, QkdReport,
@@ -90,19 +90,29 @@ def _version() -> str:
         return "unknown"
 
 
-def _frame_transit(scenario: Scenario, source: ComplexField, where: str,
+def _launch(scenario: Scenario, spec: SourceSpec) -> Launch:
+    """The source of ``spec`` after the channel's first step, once per run
+    (or per mode); a tripped aliasing guard names the source."""
+    try:
+        return launch(build_source_field(spec, scenario.grid),
+                      scenario.channel)
+    except AliasingError as exc:
+        raise exc.at(f"source {_source_label(spec)}") from exc
+
+
+def _frame_transit(scenario: Scenario, source: Launch, where: str,
                    *path: int) -> ChannelResult:
     """``source`` through the realization seeded by ``path``; a tripped
     aliasing guard names ``where``."""
     cfg = scenario.channel.with_seed(
         child_seed(scenario.seed, TAG_FRAME, *path))
     try:
-        return run_channel(source, cfg)
+        return run_channel(source, cfg)[0]
     except AliasingError as exc:
         raise exc.at(where) from exc
 
 
-def _sensed_frame(scenario: Scenario, source: ComplexField, k: int,
+def _sensed_frame(scenario: Scenario, source: Launch, k: int,
                   ) -> tuple[float, tuple[ZernikeSpectrum, ...] | None,
                              WfsResult]:
     """Frame ``k`` through the channel, the sensor and the modal fit: its
@@ -125,7 +135,7 @@ def _run_wavefront(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
     frame_rows = []
     coeff_rows = []
     truth_rows = []
-    source = build_source_field(scenario.source, scenario.grid)
+    source = _launch(scenario, scenario.source)
     for k in range(scenario.frames):
         tau, truth, fit = _sensed_frame(scenario, source, k)
         results.append(fit)
@@ -172,6 +182,7 @@ def _run_wavefront(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
         r.residual_rms for r in results) / len(results)
     record["n_valid_lenslets_mean"] = math.fsum(
         r.n_valid_lenslets for r in results) / len(results)
+    record["slope_condition_max"] = max(r.condition_number for r in results)
     return files, record
 
 
@@ -228,7 +239,7 @@ def _run_images(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
     rows = []
     for m_i, mode in enumerate(scenario.analysis.modes):
         label = _source_label(mode)
-        source = build_source_field(mode, scenario.grid)
+        source = _launch(scenario, mode)
         stack = []
         for k in range(scenario.frames):
             res = _frame_transit(scenario, source,

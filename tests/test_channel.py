@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hydrolink.channel import (NYQUIST_GUARD_FRACTION, AliasingError,
-                               ChannelConfig, ChannelResult, Occluder,
-                               _guard_fractions, _propagation_plan,
+                               ChannelConfig, ChannelResult, Launch,
+                               Occluder, _draw_occluders, _guard_fractions,
+                               _propagation_plan,
                                angular_spectrum_propagate,
                                apply_attenuation, apply_occlusion,
-                               apply_phase_screen, realize_screens,
+                               apply_phase_screen, launch, realize_screens,
                                run_channel, transmittance)
 from hydrolink.field import (ComplexField, ConfigError, Grid,
                              GridMismatchError, beam_width, centroid,
@@ -314,6 +315,27 @@ class TestChannelConfig:
             ChannelConfig(**kwargs)
         assert err.value.key == key
 
+    @pytest.mark.parametrize("kwargs, key", [
+        (dict(length=math.inf), "length"),
+        (dict(length=math.nan), "length"),
+        (dict(n_screens=1.5, screen_source="kolmogorov", r0=0.1),
+         "n_screens"),
+        (dict(n_screens=True, screen_source="kolmogorov", r0=0.1),
+         "n_screens"),
+        (dict(n_screens=2.0, screen_source="kolmogorov", r0=0.1),
+         "n_screens"),
+        (dict(subharmonic_levels=0.5), "screens.subharmonic_levels"),
+        (dict(subharmonic_levels=False), "screens.subharmonic_levels"),
+    ], ids=["infinite-length", "nan-length", "fractional-n-screens",
+            "bool-n-screens", "float-n-screens", "fractional-subharmonics",
+            "bool-subharmonics"])
+    def test_path_fields_are_sound_when_built(self, kwargs, key):
+        # The launch derives dz from these fields; each of them used to
+        # fail mid-transit, or (a bool) pass.
+        with pytest.raises(ConfigError) as err:
+            ChannelConfig(**kwargs)
+        assert err.value.key == key
+
     def test_transmittance_bounds(self, gaussian512):
         with pytest.raises(ValueError):
             ChannelResult(output_field=gaussian512, transmittance=1.5,
@@ -571,3 +593,133 @@ class TestFormedStates:
         f = lg_mode(0, 0, grid256.extent / 16, grid256, WAVELENGTH)
         with pytest.raises(ValueError, match="states must be"):
             run_channel((f, f), ChannelConfig(), states)
+
+
+def _chain(field, cfg):
+    """The reference transit: every step from the source itself, composed
+    from the public per-step functions (occluders, propagation,
+    attenuation, then the screen)."""
+    screens, _ = realize_screens(cfg, field.grid)
+    occluders = _draw_occluders(cfg, field.grid)
+    dz = cfg.length / (cfg.n_screens + 1)
+    out = field
+    for step in range(cfg.n_screens + 1):
+        for occ in occluders.get(step, ()):
+            out = apply_occlusion(out, occ)
+        out = angular_spectrum_propagate(out, dz, cfg.refractive_index)
+        out = apply_attenuation(out, cfg.attenuation_db_per_m, dz)
+        if step < cfg.n_screens:
+            out = apply_phase_screen(out, screens[step])
+    return out
+
+
+class TestLaunch:
+    """Step 0 run once per run, every realization started from it."""
+
+    GRID = Grid(128, 8e-5)
+
+    def _fields(self):
+        return tuple(lg_mode(ell, 0, self.GRID.extent / 16, self.GRID,
+                             WAVELENGTH) for ell in (-4, 4))
+
+    @pytest.mark.parametrize("cfg", [
+        ChannelConfig(n_screens=2, screen_source="modal",
+                      modal_sigmas=tuple(modal_sigma_table(0.3, 15).items())),
+        ChannelConfig(n_screens=2, screen_source="kolmogorov", r0=0.2,
+                      subharmonic_levels=1),
+        ChannelConfig(n_screens=0),
+    ], ids=["modal", "kolmogorov", "no-screens"])
+    def test_launched_equals_fresh_transit(self, cfg):
+        fields = self._fields()
+        launched = launch(fields, cfg)
+        for seed in range(4):
+            trial = cfg.with_seed(seed)
+            got = run_channel(launched, trial)
+            fresh = run_channel(fields, trial)
+            for f, g, h in zip(fields, got, fresh):
+                assert np.array_equal(g.output_field.amplitude,
+                                      h.output_field.amplitude)
+                assert np.array_equal(g.output_field.amplitude,
+                                      _chain(f, trial).amplitude)
+                assert g.transmittance == h.transmittance
+                assert g.ground_truth_spectra == h.ground_truth_spectra
+                for a, b in zip(g.screens_used, h.screens_used):
+                    assert np.array_equal(a.phase, b.phase)
+
+    def test_launch_holds_the_first_step(self):
+        fields = self._fields()
+        cfg = ChannelConfig(n_screens=2, screen_source="kolmogorov", r0=0.2)
+        launched = launch(fields, cfg)
+        assert isinstance(launched, Launch)
+        assert not launched.stack.flags.writeable
+        assert not launched.states.flags.writeable
+        np.testing.assert_array_equal(launched.states, np.eye(2))
+        assert launched.powers == tuple(map(total_power, fields))
+        dz = cfg.length / 3
+        for f, row in zip(fields, launched.stack):
+            first = apply_attenuation(
+                angular_spectrum_propagate(f, dz, cfg.refractive_index),
+                cfg.attenuation_db_per_m, dz)
+            assert np.array_equal(row, first.amplitude)
+
+    def test_occluder_on_step_zero_starts_from_the_fields(self, monkeypatch):
+        cfg = ChannelConfig(
+            n_screens=2, screen_source="modal", occlusion_rate=2.0,
+            modal_sigmas=tuple(modal_sigma_table(0.3, 15).items()))
+
+        def drawn(seed):
+            return _draw_occluders(cfg.with_seed(seed), self.GRID)
+
+        def on_axis(occs):
+            return any(math.hypot(*o.position) < 1.5e-3 for o in occs)
+
+        # A realization with an occluder across the beam on step 0, and
+        # one with occluders on later steps only, one across the beam.
+        seeds = {0: next(s for s in range(200)
+                         if on_axis(drawn(s).get(0, ()))),
+                 1: next(s for s in range(200) if 0 not in drawn(s)
+                         and on_axis(sum(drawn(s).values(), [])))}
+        fields = self._fields()
+        launched = launch(fields, cfg)
+        calls = []
+        real_fft2 = np.fft.fft2
+        monkeypatch.setattr(np.fft, "fft2",
+                            lambda a, *k, **kw: calls.append(1)
+                            or real_fft2(a, *k, **kw))
+        for step, seed in seeds.items():
+            trial = cfg.with_seed(seed)
+            calls.clear()
+            got = run_channel(launched, trial)
+            # Steps 1 and 2 always; step 0 again only under its occluder.
+            assert len(calls) == (3 if step == 0 else 2)
+            clear = _chain(fields[0], replace(trial, occlusion_rate=0.0))
+            for f, g in zip(fields, got):
+                assert np.array_equal(g.output_field.amplitude,
+                                      _chain(f, trial).amplitude)
+            assert total_power(got[0].output_field) < total_power(clear)
+
+    @pytest.mark.parametrize("change", [
+        dict(length=5.0), dict(n_screens=1), dict(refractive_index=1.0),
+        dict(attenuation_db_per_m=0.0)],
+        ids=["length", "n-screens", "refractive-index", "attenuation"])
+    def test_mismatched_config_raises(self, change):
+        cfg = ChannelConfig(n_screens=2, screen_source="kolmogorov", r0=0.2)
+        launched = launch(self._fields(), cfg)
+        with pytest.raises(ValueError, match="differs from the launch"):
+            run_channel(launched, replace(cfg, **change))
+        # The seed and the screen and occluder draws may differ.
+        run_channel(launched, replace(cfg, seed=9, r0=0.4,
+                                      occlusion_rate=0.5))
+
+    def test_launch_carries_its_states(self):
+        fields = self._fields()
+        cfg = ChannelConfig()
+        with pytest.raises(ValueError, match="carries its own states"):
+            run_channel(launch(fields, cfg), cfg, np.eye(2))
+        assert len(run_channel(launch(fields[0], cfg), cfg)) == 1
+
+    def test_launch_trips_the_guard_once(self):
+        grid = Grid(64, 1e-5)
+        source = lg_mode(9, 0, 1.5e-4, grid, WAVELENGTH)
+        with pytest.raises(AliasingError, match="^split step 0, row 0: "):
+            launch(source, ChannelConfig(attenuation_db_per_m=0.0))

@@ -17,7 +17,8 @@ from hydrolink.qkd import (DetectionMatrix, PolarizationBasis,
                            qber_from_matrix, qber_threshold,
                            report_from_matrix)
 from hydrolink.runner import build_source_field
-from hydrolink.scenario import modal_sigma_table, parse_scenario
+from hydrolink.scenario import (load_scenario, modal_sigma_table,
+                                parse_scenario)
 from hydrolink.seeding import TAG_TRIAL, child_seed
 
 # 50-digit arithmetic oracle values, frozen:
@@ -356,6 +357,23 @@ class TestDetectionMatrixOam:
                              include_superposition_basis=True,
                              grid=OAM_GRID, n_trials=3)
         assert len(calls) == 3 * 2 * 4
+
+    def test_sources_launched_once(self, monkeypatch):
+        # The oam-crosstalk run: 100 trials through 2 screens. Step 0 is
+        # the same for every trial, so it runs once: 1 + 100 x 2 FFTs, not
+        # 100 x 3.
+        s = load_scenario("oam-crosstalk")
+        ana = s.analysis
+        calls = []
+        real_fft2 = np.fft.fft2
+        monkeypatch.setattr(np.fft, "fft2",
+                            lambda a, *k, **kw: calls.append(1)
+                            or real_fft2(a, *k, **kw))
+        detection_matrix_oam(s.channel, ana.ell_values,
+                             ana.superposition_basis, s.source.waist,
+                             s.grid, s.source.wavelength, ana.trials)
+        assert (ana.trials, s.channel.n_screens) == (100, 2)
+        assert len(calls) == 201
 
     def test_bad_trial_count_builds_no_mode(self, monkeypatch):
         import hydrolink.qkd as qmod

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hydrolink.channel import AliasingError, launch
 from hydrolink.cli import _RUN_COMMANDS, build_parser, main
 from hydrolink.field import superpose
 from hydrolink.io import (fmt, read_pgm16, screen_to_csv, sha256_of,
@@ -205,6 +206,45 @@ class TestRunScenario:
             twin = tmp_path / "b" / path.name
             assert path.read_bytes() == twin.read_bytes()
 
+    def test_sources_launched_once_per_run_and_mode(self, tmp_path,
+                                                    monkeypatch):
+        import hydrolink.runner as rmod
+        calls = []
+        monkeypatch.setattr(rmod, "launch", lambda *a: calls.append(1)
+                            or launch(*a))
+        run_scenario(parse_scenario(FAST_WAVEFRONT), tmp_path / "w")
+        assert len(calls) == 1                      # 3 frames
+        calls.clear()
+        run_scenario(parse_scenario(FAST_GALLERY), tmp_path / "g")
+        assert len(calls) == 2                      # 2 modes x 2 frames
+
+    def test_launch_error_names_the_source(self, tmp_path):
+        s = parse_scenario("""
+name: alias
+grid: {n_samples: 64, spacing: 1.0e-5}
+channel: {length: 5.5, attenuation_db_per_m: 0.0}
+analysis:
+  kind: images
+  modes:
+    - {kind: lg, ell: 9, waist: 1.5e-4}
+""")
+        with pytest.raises(AliasingError) as err:
+            run_scenario(s, tmp_path / "r")
+        assert str(err.value).startswith("source lg+9: split step 0, "
+                                         "row 0: ")
+
+    def test_bundled_fit_solves_normal_equations(self, tmp_path,
+                                                 monkeypatch):
+        # The bundled sensor's slope system has kappa ~ 6, far inside the
+        # normal equations' limit, so no frame reaches the SVD solve.
+        def refuse(*args, **kwargs):
+            raise AssertionError("lstsq called")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        run = run_scenario(load_scenario("wavefront-survey", frames=3),
+                           tmp_path / "w")
+        assert 5.0 < run.summary["slope_condition_max"] < 8.0
+
     def test_qkd_pol_outputs(self, tmp_path):
         s = load_scenario("polarization-qkd")
         run_scenario(s, tmp_path / "out")
@@ -315,9 +355,10 @@ analysis:
         sweep(s, "sigma_scale", [0.5, 2.0], tmp_path / "sw")
         header, *rows = read_rows(tmp_path / "sw" / "sweep_summary.csv")
         assert header[3:5] == ["mean_abs_j2", "stderr_j2"]
-        assert header[-2:] == ["residual_rms_radians_mean",
-                               "n_valid_lenslets_mean"]
-        assert len(header) == 3 + 2 * 14 + 2
+        assert header[-3:] == ["residual_rms_radians_mean",
+                               "n_valid_lenslets_mean",
+                               "slope_condition_max"]
+        assert len(header) == 3 + 2 * 14 + 3
         j2 = [float(r[3]) for r in rows]
         assert 0.0 < j2[0] < j2[1]
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hydrolink.field import ComplexField, Grid, lg_mode
-from hydrolink.shack_hartmann import (CENTROID_FLOOR, LensletArray,
-                                      SlopeField, SpotImage,
+from hydrolink.shack_hartmann import (CENTROID_FLOOR, FIT_CONDITION_LIMIT,
+                                      LensletArray, SlopeField, SpotImage,
                                       _centroid_response, _gradient_basis,
                                       _invert_response, _lenslet_optics,
                                       _windowed_com, average_magnitudes,
@@ -269,6 +269,49 @@ class TestModalFit:
                              geometry=GEOMETRY)
         with pytest.raises(ValueError, match="rank|constrain"):
             modal_fit(starved, j_max=15, aperture_radius=R_AP)
+
+    def test_normal_equations_within_the_condition_limit(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        coeffs = {j: rng.uniform(-0.5, 0.5) for j in range(2, 16)}
+        slopes = extract_slopes(capture(uniform_field(screen_from(coeffs)),
+                                        GEOMETRY))
+        in_disk, full = _gradient_basis(GEOMETRY, R_AP, 15)
+        use = slopes.valid & in_disk
+        basis = full[:, use].reshape(-1, 14)
+        meas = np.concatenate([slopes.slope_x[use], slopes.slope_y[use]])
+        svd, *_ = np.linalg.lstsq(basis, meas, rcond=None)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("lstsq called")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        fit = modal_fit(slopes, j_max=15, aperture_radius=R_AP)
+        got = np.array([a for _, a in fit.spectrum.coefficients])
+        np.testing.assert_allclose(got, svd, rtol=0.0,
+                                   atol=1e-12 * np.abs(svd).max())
+        assert fit.condition_number == pytest.approx(np.linalg.cond(basis),
+                                                     rel=1e-9)
+        assert fit.condition_number < FIT_CONDITION_LIMIT
+
+    def test_svd_fallback_above_the_condition_limit(self, monkeypatch):
+        # Four lenslet rows carry all 14 modes, but barely: kappa ~ 2.4e3.
+        slopes = extract_slopes(capture(uniform_field(screen_from(
+            {5: 0.3, 8: 0.1})), GEOMETRY))
+        keep = np.zeros((23, 23), bool)
+        keep[9:13, :] = True
+        rows = SlopeField(slope_x=slopes.slope_x, slope_y=slopes.slope_y,
+                          valid=keep, geometry=GEOMETRY)
+        calls = []
+        real_lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k:
+                            calls.append(1) or real_lstsq(*a, **k))
+        fit = modal_fit(rows, j_max=15, aperture_radius=R_AP)
+        assert len(calls) == 1
+        in_disk, full = _gradient_basis(GEOMETRY, R_AP, 15)
+        basis = full[:, keep & in_disk].reshape(-1, 14)
+        assert fit.condition_number == pytest.approx(np.linalg.cond(basis),
+                                                     rel=1e-9)
+        assert fit.condition_number > FIT_CONDITION_LIMIT
 
 
 def _per_frame_basis(geometry, radius, valid, j_max):
