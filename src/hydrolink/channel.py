@@ -144,8 +144,15 @@ def _propagate_stack(stack: np.ndarray, grid: Grid, wavelength: float,
                      step: int) -> np.ndarray:
     """Propagate a (d, N, N) stack of amplitudes by dz > 0, after checking
     every state formed from it (each row of ``states``, a (k, d)
-    coefficient matrix) against the aliasing guard."""
-    spec = np.fft.fft2(stack)
+    coefficient matrix) against the aliasing guard.
+
+    A writable ``stack`` is the caller's scratch buffer: both transforms
+    run in it and it comes back as the result. A read-only one (a field's
+    amplitude, a launched stack) is left untouched. The inverse transform
+    is ``ifftn`` over the last two axes, which is ``ifft2`` but honours
+    ``out=`` (numpy 2.4's ``ifft2`` drops it and allocates).
+    """
+    spec = np.fft.fft2(stack, out=stack if stack.flags.writeable else None)
     guard, h = _propagation_plan(grid, wavelength, refractive_index, dz)
     fractions = _guard_fractions(spec, guard, states)
     row = int(np.argmax(fractions))
@@ -157,7 +164,7 @@ def _propagate_stack(stack: np.ndarray, grid: Grid, wavelength: float,
             f"(channel.screens.sigma or channel.screens.r0) or sample finer "
             f"(grid.n_samples, grid.spacing)")
     spec *= h
-    return np.fft.ifft2(spec)
+    return np.fft.ifftn(spec, axes=(-2, -1), out=spec)
 
 
 def _guard_fractions(spec: np.ndarray, guard: np.ndarray,
@@ -230,13 +237,24 @@ def _occluder_transmission(occluder: Occluder, grid: Grid) -> np.ndarray:
         edge = max(0.05 * occluder.radius, 3.0 * grid.spacing)
     x, y = grid.mesh()
     x0, y0 = occluder.position
-    r = np.hypot(x - x0, y - y0)
+    # Every step runs in place on the two fresh mesh arrays, so a call
+    # never holds more than two grids.
+    x -= x0
+    y -= y0
+    r = np.hypot(x, y, out=x)
+    del y
     if edge > 0.0:
-        # Gaussian-convolved rim: spectrally compact, area-preserving.
-        blocked = 0.5 * (1.0 - erf((r - occluder.radius) / edge))
+        # Gaussian-convolved rim: spectrally compact, area-preserving:
+        # 0.5 * (1 - erf((r - radius) / edge)).
+        r -= occluder.radius
+        r /= edge
+        blocked = erf(r, out=r)
+        np.subtract(1.0, blocked, out=blocked)
+        blocked *= 0.5
     else:
         blocked = (r <= occluder.radius).astype(float)
-    return 1.0 - occluder.opacity * blocked
+    blocked *= occluder.opacity
+    return np.subtract(1.0, blocked, out=blocked)
 
 
 @dataclass(frozen=True)
@@ -524,9 +542,10 @@ def run_channel(input_field: ComplexField | tuple[ComplexField, ...]
     for step in range(first, config.n_screens + 1):
         if step:
             # exp(i * phase) * stack, in place unless it is the launch's.
-            stack = np.multiply(
-                np.exp(1j * screens[step - 1].phase), stack,
-                out=stack if stack.flags.writeable else None)
+            rot = 1j * screens[step - 1].phase
+            stack = np.multiply(np.exp(rot, out=rot), stack,
+                                out=stack if stack.flags.writeable else None)
+            del rot
         stack = _diffract(stack, fields, config, coeffs, step,
                           occluders.get(step, ()))
 

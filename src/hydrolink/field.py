@@ -124,7 +124,9 @@ class ComplexField:
         object.__setattr__(self, "amplitude", amp)
 
     def intensity(self) -> np.ndarray:
-        return np.abs(self.amplitude) ** 2
+        inten = np.abs(self.amplitude)
+        inten *= inten
+        return inten
 
     def with_amplitude(self, amplitude: np.ndarray) -> "ComplexField":
         """New field on the same grid/wavelength with different samples."""
@@ -249,7 +251,9 @@ def centroid(field: ComplexField) -> tuple[float, float]:
     if p <= 0.0:
         raise ValueError("centroid undefined for zero-power field")
     x, y = field.grid.mesh()
-    return float((inten * x).sum() / p), float((inten * y).sum() / p)
+    x *= inten
+    y *= inten
+    return float(x.sum() / p), float(y.sum() / p)
 
 
 def beam_width(field: ComplexField) -> float:

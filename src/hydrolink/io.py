@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -45,11 +46,17 @@ def write_pgm16(path: Path | str, intensity: np.ndarray) -> Path:
     arr = np.asarray(intensity, dtype=float)
     if arr.ndim != 2:
         raise ValueError("PGM export needs a 2-D array")
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-        raise ValueError("PGM export needs finite non-negative values")
     top = float(arr.max())
-    scaled = np.zeros(arr.shape, dtype=">u2") if top <= 0 else \
-        np.clip(arr / top * 65535.0, 0, 65535).astype(">u2")
+    # NaN fails the first test, +inf the second; neither makes a temporary.
+    if not (arr.min() >= 0.0 and math.isfinite(top)):
+        raise ValueError("PGM export needs finite non-negative values")
+    if top <= 0:
+        scaled = np.zeros(arr.shape, dtype=">u2")
+    else:
+        # arr / top * 65535 clipped to [0, 65535], in one scratch array
+        scaled = arr / top
+        scaled *= 65535.0
+        scaled = np.clip(scaled, 0, 65535, out=scaled).astype(">u2")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:

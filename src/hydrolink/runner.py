@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import copy
 import math
+import shutil
+import tempfile
 import time
 from dataclasses import dataclass
 from importlib import metadata
@@ -28,7 +30,7 @@ from .qkd import (DetectionMatrix, PolarizationChannel, QkdReport,
                   qber_threshold, report_from_matrix)
 from .scenario import (QKD_KINDS, Scenario, ScenarioError, SourceSpec,
                        parse_document)
-from .seeding import TAG_FRAME, child_seed
+from .seeding import TAG_FRAME, child_seed, realize
 from .shack_hartmann import (WfsResult, average_magnitudes, capture,
                              extract_slopes, modal_fit,
                              reconstruct_wavefront)
@@ -116,14 +118,17 @@ def _sensed_frame(scenario: Scenario, source: Launch, k: int,
                   ) -> tuple[float, tuple[ZernikeSpectrum, ...] | None,
                              WfsResult]:
     """Frame ``k`` through the channel, the sensor and the modal fit: its
-    transmittance, ground-truth spectra and fit. The output field and its
-    screens are dropped before centroiding, and nothing of the frame
-    outlives the call, so no frame's arrays stack up on the next one's."""
+    transmittance, ground-truth spectra and fit. The screens are dropped
+    before capture and the output field before centroiding, and nothing of
+    the frame outlives the call, so frames running side by side each hold
+    as little as they can."""
     ana = scenario.analysis
     res = _frame_transit(scenario, source, f"frame {k}", k)
-    spots = capture(res.output_field, scenario.sensor)
-    tau, truth = res.transmittance, res.ground_truth_spectra
+    tau, truth, field = (res.transmittance, res.ground_truth_spectra,
+                         res.output_field)
     del res
+    spots = capture(field, scenario.sensor)
+    del field
     slopes = extract_slopes(spots, intensity_floor=ana.intensity_floor)
     return tau, truth, modal_fit(slopes, j_max=ana.j_max,
                                  aperture_radius=ana.fit_aperture_radius)
@@ -136,8 +141,9 @@ def _run_wavefront(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
     coeff_rows = []
     truth_rows = []
     source = _launch(scenario, scenario.source)
-    for k in range(scenario.frames):
-        tau, truth, fit = _sensed_frame(scenario, source, k)
+    frames = realize(lambda k: _sensed_frame(scenario, source, k),
+                     scenario.frames)
+    for k, (tau, truth, fit) in enumerate(frames):
         results.append(fit)
         frame_rows.append((k, tau, fit.n_valid_lenslets, fit.residual_rms))
         for j, a in fit.spectrum.coefficients:
@@ -240,21 +246,25 @@ def _run_images(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
     for m_i, mode in enumerate(scenario.analysis.modes):
         label = _source_label(mode)
         source = _launch(scenario, mode)
-        stack = []
-        for k in range(scenario.frames):
+
+        def frame(k: int) -> tuple[tuple, Path, np.ndarray | None]:
             res = _frame_transit(scenario, source,
                                  f"mode {label}, frame {k}", k, m_i)
             inten = res.output_field.intensity()
-            if scenario.time_average:
-                stack.append(inten)
             cx, cy = centroid(res.output_field)
-            rows.append((label, k, res.transmittance, cx, cy))
-            files.append(hio.write_pgm16(
-                out / f"{label}_frame{k:03d}.pgm", inten))
+            return ((label, k, res.transmittance, cx, cy),
+                    hio.write_pgm16(out / f"{label}_frame{k:03d}.pgm", inten),
+                    inten if scenario.time_average else None)
+
+        frames = realize(frame, scenario.frames)
+        rows += [row for row, _, _ in frames]
+        files += [path for _, path, _ in frames]
         if scenario.time_average:
             files.append(hio.write_pgm16(
                 out / f"{label}_mean.pgm",
-                np.mean(np.stack(stack), axis=0)))
+                np.mean(np.stack([inten for *_, inten in frames]), axis=0)))
+        # The next mode launches without this mode's source or frames.
+        del source, frames
     files.append(hio.write_csv(
         out / "frames_summary.csv",
         ("mode", "frame_id", "transmittance", "centroid_x_m",
@@ -271,17 +281,32 @@ _RUNNERS = {"wavefront": _run_wavefront, **dict.fromkeys(QKD_KINDS, _run_qkd),
 
 
 def run_scenario(scenario: Scenario, output_dir: Path | str) -> RunResult:
-    """Run one scenario end to end, writing artifacts plus the manifest."""
+    """Run one scenario end to end, writing artifacts plus the manifest.
+
+    The run writes into a hidden sibling of ``output_dir`` and moves its
+    files there only once every one of them is written; a run that fails
+    removes that staging directory and leaves ``output_dir`` as it was.
+    """
     out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    start = time.perf_counter()
-    files, record = _RUNNERS[scenario.analysis.kind](scenario, out)
-    echo = out / "scenario-echo.yaml"
-    echo.write_text(scenario.to_yaml())
-    files.append(echo)
-    wall = time.perf_counter() - start
-    manifest = _write_manifest(out, scenario, files, wall)
-    return RunResult(output_dir=out, files=tuple(sorted(files + [manifest])),
+    target = out.resolve()
+    target.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=f".{target.name}.",
+                                  dir=target.parent))
+    try:
+        start = time.perf_counter()
+        files, record = _RUNNERS[scenario.analysis.kind](scenario, stage)
+        echo = stage / "scenario-echo.yaml"
+        echo.write_text(scenario.to_yaml())
+        files.append(echo)
+        wall = time.perf_counter() - start
+        files.append(_write_manifest(stage, scenario, files, wall))
+        out.mkdir(exist_ok=True)
+        for path in files:
+            path.replace(out / path.name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+    return RunResult(output_dir=out,
+                     files=tuple(sorted(out / p.name for p in files)),
                      summary=record)
 
 

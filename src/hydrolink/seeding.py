@@ -4,12 +4,23 @@ Every stochastic operation in the package draws from a Philox counter-based
 generator keyed by an integer seed plus a path of integer tags. Streams for
 different paths are statistically independent and do not depend on the order
 in which they are created, so per-frame / per-screen / per-mode draws stay
-reproducible under any execution schedule.
+reproducible under any execution schedule, which lets :func:`realize`
+run independent frames on every CPU the process may use.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from collections.abc import Callable
+from typing import TypeVar
+
 import numpy as np
+
+T = TypeVar("T")
+
+#: Threads :func:`realize` runs frames on: one per CPU this process may use.
+WORKERS = len(os.sched_getaffinity(0))
 
 # Stream tags. Keep values stable: changing them changes every seeded output.
 TAG_SCREEN = 1
@@ -29,3 +40,55 @@ def child_seed(seed: int, *path: int) -> int:
     """Derive an integer seed for a nested component from (seed, *path)."""
     ss = np.random.SeedSequence((int(seed),) + tuple(int(p) for p in path))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+def realize(fn: Callable[[int], T], count: int) -> list[T]:
+    """``[fn(0), ..., fn(count - 1)]``, computed on up to :data:`WORKERS`
+    threads.
+
+    ``fn(0)`` runs first, alone, on the calling thread, so it fills the
+    run's lazily built plans before any other index starts; then the
+    calling thread and ``WORKERS - 1`` helpers take the remaining indices
+    in increasing order from one shared iterator. numpy's FFTs, ufuncs and
+    matrix products release the GIL, so frames overlap, and each result is
+    the same bits whichever thread computed it. Once a call fails, no
+    further index is started, and the error of the lowest failing index is
+    raised when every started call has ended; every lower index has then
+    completed, as in a serial loop.
+    """
+    if count <= 0:
+        return []
+    results: list = [fn(0)] + [None] * (count - 1)
+    pending = iter(range(1, count))
+    failed: dict[int, Exception] = {}
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def drain() -> None:
+        while not stop.is_set():
+            with lock:
+                k = next(pending, None)
+            if k is None:
+                return
+            try:
+                results[k] = fn(k)
+            except Exception as exc:   # re-raised below, lowest index first
+                with lock:
+                    failed[k] = exc
+                stop.set()
+
+    helpers = [threading.Thread(target=drain)
+               for _ in range(min(WORKERS, count - 1) - 1)]
+    for thread in helpers:
+        thread.start()
+    try:
+        drain()
+    finally:
+        # Also when the calling thread is interrupted: helpers finish the
+        # frame in hand and start no other.
+        stop.set()
+        for thread in helpers:
+            thread.join()
+    if failed:
+        raise failed[min(failed)]
+    return results

@@ -25,6 +25,9 @@ from .zernike import (PhaseScreen, ZernikeSpectrum, gradient_unchecked,
 #: Fraction of a sub-image's own peak subtracted before centroiding.
 CENTROID_FLOOR = 0.01
 
+#: Sub-images the centroider floors and windows at once.
+CENTROID_CHUNK = 64
+
 #: Largest slope-system condition number the fit solves through its normal
 #: equations; above it the fit falls back to an SVD least-squares solve.
 FIT_CONDITION_LIMIT = 1e3
@@ -91,12 +94,17 @@ class SpotImage:
         want = (self.geometry.count_y, self.geometry.count_x, p, p)
         if img.shape != want:
             raise ValueError(f"images shape {img.shape}, expected {want}")
-        if np.any(img < 0) or not np.all(np.isfinite(img)):
+        # min and max make no temporary the size of the images; NaN fails
+        # the first test, +inf the second.
+        if not (img.min() >= 0.0 and np.isfinite(img.max())):
             raise ValueError("spot intensities must be finite and >= 0")
         if self.field_samples_per_lenslet < 2:
             raise ValueError("field_samples_per_lenslet must be >= 2")
-        img = img.copy()
-        img.flags.writeable = False
+        # A read-only array that owns its data (as capture hands over) is
+        # kept; anything else is copied so no caller can change it later.
+        if img.flags.writeable or not img.flags.owndata:
+            img = img.copy()
+            img.flags.writeable = False
         object.__setattr__(self, "images", img)
 
 
@@ -174,6 +182,7 @@ def capture(field: ComplexField, geometry: LensletArray,
                 0.0, read_noise * images.max(), size=images.shape)
         images = np.clip(images, 0.0, None)
 
+    images.flags.writeable = False
     return SpotImage(images=images, geometry=geometry,
                      wavelength=field.wavelength,
                      field_samples_per_lenslet=samples)
@@ -230,14 +239,29 @@ def _lenslet_optics(geometry: LensletArray, wavelength: float, samples: int
 
 
 def _focal_spots(kern: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Focal-plane intensities of a (..., samples, samples) field stack."""
-    return np.abs(kern @ blocks @ kern.T) ** 2
+    """Focal-plane intensities of a (rows, ..., samples, samples) field
+    stack, one row of lenslets at a time.
+
+    Only one row's complex spectra exist at once; each is written into the
+    float result as its magnitude, then squared in place. Every lenslet's
+    product is its own matrix product, so the bits do not depend on how
+    many lenslets one call takes.
+    """
+    p = len(kern)
+    spots = np.empty((*blocks.shape[:-2], p, p))
+    for row, out in zip(blocks, spots):
+        np.abs(kern @ row @ kern.T, out=out)
+        out *= out
+    return spots
 
 
-def _windowed_com(stack: np.ndarray, pix: np.ndarray, half: int
+def _windowed_com(stack: np.ndarray, pix: np.ndarray, half: int,
+                  select: np.ndarray | None = None,
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Iteratively re-centered centers of mass of a (..., P, P) stack:
-    the (x, y) centroids, shape (2, ...), and where they exist.
+    """Iteratively re-centered centers of mass of a (..., P, P) stack, or of
+    the sub-images ``stack[select]`` for a boolean mask ``select`` over its
+    leading axes: the (x, y) centroids, shape (2, ...) as for those
+    sub-images, and where they exist.
 
     A full-frame center of mass drags the slowly decaying diffraction tails
     against the window edges, biasing displacements low by several percent;
@@ -245,28 +269,47 @@ def _windowed_com(stack: np.ndarray, pix: np.ndarray, half: int
     about the spot itself. Two re-centering passes are enough since the
     initial estimate is already within a fraction of a pixel. Sub-images
     whose frame or window holds no light get finite, meaningless entries.
+
+    Each pass floors and windows ``CENTROID_CHUNK`` sub-images at a time,
+    so no copy of the whole stack is made; the row and column sums are
+    then weighted by the pixel positions over all sub-images at once, as a
+    matrix-vector product rounds by its number of rows.
     """
-    work = stack - CENTROID_FLOOR * stack.max(axis=(-2, -1), keepdims=True)
-    np.clip(work, 0.0, None, out=work)
-    win, ok = work, np.ones(stack.shape[:-2], dtype=bool)
+    p = stack.shape[-1]
+    flat = stack.reshape(-1, p, p)
+    shape = stack.shape[:-2]
+    rows = np.arange(len(flat))
+    if select is not None:
+        rows, shape = rows[select.reshape(-1)], (int(select.sum()),)
+    n = len(rows)
+    sums = np.empty((2, n, p))      # column sums, then row sums
+    tot = np.empty(n)
+    ok = np.ones(n, dtype=bool)
     step = pix[1] - pix[0]
-    index = np.arange(stack.shape[-1])
-    buf = np.empty_like(work)
+    index = np.arange(p)
     for window in range(3):
-        if window:
-            # pixels within +-(half * step) of the centroid, symmetric
-            # about it so the truncation itself stays unbiased
-            lo = np.ceil((com - half * step - pix[0]) / step - 1e-9)
-            hi = np.floor((com + half * step - pix[0]) / step + 1e-9)
-            inside = (index >= lo[..., None]) & (index <= hi[..., None])
-            # work * rows * columns, in that order, in one reused buffer
-            win = np.multiply(work, inside[1][..., :, None], out=buf)
-            win *= inside[0][..., None, :]
-        tot = win.sum(axis=(-2, -1))
+        for a in range(0, n, CENTROID_CHUNK):
+            part = slice(a, a + CENTROID_CHUNK)
+            work = flat[rows[part]]
+            work -= CENTROID_FLOOR * work.max(axis=(-2, -1), keepdims=True)
+            np.clip(work, 0.0, None, out=work)
+            if window:
+                # pixels within +-(half * step) of the centroid, symmetric
+                # about it so the truncation itself stays unbiased
+                c = com[:, part]
+                lo = np.ceil((c - half * step - pix[0]) / step - 1e-9)
+                hi = np.floor((c + half * step - pix[0]) / step + 1e-9)
+                inside = (index >= lo[..., None]) & (index <= hi[..., None])
+                # work * rows * columns, in that order
+                work *= inside[1][..., :, None]
+                work *= inside[0][..., None, :]
+            work.sum(axis=-2, out=sums[0, part])
+            work.sum(axis=-1, out=sums[1, part])
+            work.sum(axis=(-2, -1), out=tot[part])
         ok &= tot > 0.0
-        com = np.stack([win.sum(axis=-2) @ pix, win.sum(axis=-1) @ pix]) \
+        com = np.stack([sums[0] @ pix, sums[1] @ pix]) \
             / np.where(ok, tot, 1.0)
-    return com, ok
+    return com.reshape(2, *shape), ok.reshape(shape)
 
 
 @lru_cache(maxsize=32)
@@ -340,7 +383,7 @@ def extract_slopes(spots: SpotImage,
 
     optics = (geom, spots.wavelength, spots.field_samples_per_lenslet)
     pix, _, _, half = _lenslet_optics(*optics)
-    com, found = _windowed_com(images[valid], pix, half)
+    com, found = _windowed_com(images, pix, half, valid)
     ok = np.zeros_like(valid)
     ok[valid] = found
     scale = 2.0 * math.pi / (spots.wavelength * geom.focal_length)

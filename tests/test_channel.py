@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hydrolink.channel import (NYQUIST_GUARD_FRACTION, AliasingError,
                                ChannelConfig, ChannelResult, Launch,
                                Occluder, _draw_occluders, _guard_fractions,
-                               _propagation_plan,
+                               _propagate_stack, _propagation_plan,
                                angular_spectrum_propagate,
                                apply_attenuation, apply_occlusion,
                                apply_phase_screen, launch, realize_screens,
@@ -108,6 +108,24 @@ class TestPropagation:
     def test_negative_distance(self, gaussian512):
         with pytest.raises(ValueError):
             angular_spectrum_propagate(gaussian512, -1.0, WATER_N)
+
+    def test_read_only_input_untouched(self, grid256):
+        field = lg_mode(3, 0, grid256.extent / 16, grid256, WAVELENGTH)
+        before = field.amplitude.copy()
+        assert not field.amplitude.flags.writeable
+        out = angular_spectrum_propagate(field, 0.5, WATER_N)
+        assert np.array_equal(field.amplitude.view(np.float64),
+                              before.view(np.float64))
+        assert not np.shares_memory(out.amplitude, field.amplitude)
+
+    def test_writable_stack_transformed_in_place(self, grid256):
+        field = lg_mode(3, 0, grid256.extent / 16, grid256, WAVELENGTH)
+        stack = field.amplitude[None].copy()
+        args = (grid256, WAVELENGTH, WATER_N, 0.5, np.ones((1, 1)), 0)
+        want = _propagate_stack(field.amplitude[None], *args)
+        got = _propagate_stack(stack, *args)
+        assert got is stack
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
 
 
 def _reference_propagate(field, dz, refractive_index):
@@ -710,6 +728,17 @@ class TestLaunch:
         # The seed and the screen and occluder draws may differ.
         run_channel(launched, replace(cfg, seed=9, r0=0.4,
                                       occlusion_rate=0.5))
+
+    def test_launched_stack_unchanged_by_transits(self):
+        cfg = ChannelConfig(
+            n_screens=2, screen_source="modal", occlusion_rate=1.0,
+            modal_sigmas=tuple(modal_sigma_table(0.3, 15).items()))
+        launched = launch(self._fields(), cfg)
+        before = launched.stack.copy()
+        for seed in range(10):
+            run_channel(launched, cfg.with_seed(seed))
+        assert np.array_equal(launched.stack.view(np.float64),
+                              before.view(np.float64))
 
     def test_launch_carries_its_states(self):
         fields = self._fields()

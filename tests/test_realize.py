@@ -1,0 +1,100 @@
+"""Frames mapped over threads by ``seeding.realize``: results in index
+order, the first index alone on the calling thread, the serial loop's
+error, and outputs that do not depend on the number of threads."""
+
+import sys
+import threading
+import time
+
+import pytest
+
+from hydrolink import seeding, zernike
+from hydrolink.runner import run_scenario
+from hydrolink.scenario import load_scenario
+from hydrolink.seeding import realize
+
+
+def test_results_in_index_order(monkeypatch):
+    monkeypatch.setattr(seeding, "WORKERS", 3)
+
+    def fn(k):
+        time.sleep(0.002 * (12 - k))       # later indices finish first
+        return k * k
+
+    assert realize(fn, 12) == [k * k for k in range(12)]
+    assert realize(fn, 1) == [0]
+    assert realize(fn, 0) == []
+
+
+def test_every_index_runs_once_under_frequent_switches(monkeypatch):
+    # More threads than cores, switching as often as the interpreter can.
+    monkeypatch.setattr(seeding, "WORKERS", 8)
+    calls = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = time.perf_counter()
+        got = realize(lambda k: calls.append(k) or -k, 3000)
+        assert time.perf_counter() - start < 30.0
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [-k for k in range(3000)]
+    assert sorted(calls) == list(range(3000))
+
+
+def test_first_index_runs_alone_on_the_caller(monkeypatch):
+    monkeypatch.setattr(seeding, "WORKERS", 3)
+    idle = threading.active_count()
+    seen = {}
+
+    def fn(k):
+        seen[k] = (threading.current_thread(), threading.active_count())
+
+    realize(fn, 6)
+    assert seen[0] == (threading.current_thread(), idle)
+    assert len({thread for thread, _ in seen.values()}) <= 3
+    assert threading.active_count() == idle
+
+
+def test_plans_built_once_per_run(tmp_path, monkeypatch):
+    # Frame 0 renders the first screens before any helper starts, so the
+    # run's one screen disk is evaluated once for all modes and frames.
+    monkeypatch.setattr(seeding, "WORKERS", 2)
+    zernike._mode_maps.cache_clear()
+    run_scenario(load_scenario("oam-gallery", frames=4), tmp_path / "g")
+    assert zernike._mode_maps.cache_info().misses == 1
+
+
+def test_lowest_failure_raised_after_every_lower_index(monkeypatch):
+    monkeypatch.setattr(seeding, "WORKERS", 3)
+    started, done = [], []
+
+    def fn(k):
+        started.append(k)
+        if k == 4:                         # fails first
+            raise ValueError("four")
+        time.sleep({1: 0.05, 2: 0.3, 3: 0.15}.get(k, 0.0))
+        if k == 3:                         # fails later, at a lower index
+            raise ValueError("three")
+        done.append(k)
+
+    with pytest.raises(ValueError, match="^three$"):
+        realize(fn, 40)
+    assert sorted(done) == [0, 1, 2]       # 2 ended after both failures
+    assert sorted(started) == list(range(len(started)))
+    assert len(started) <= 6               # no index started after a failure
+
+
+@pytest.mark.parametrize("name, frames", [("wavefront-survey", 4),
+                                          ("oam-gallery", None)])
+def test_outputs_do_not_depend_on_the_thread_count(tmp_path, monkeypatch,
+                                                   name, frames):
+    outputs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(seeding, "WORKERS", workers)
+        out = tmp_path / str(workers)
+        run_scenario(load_scenario(name, seed=1, frames=frames), out)
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()
+                        if p.suffix in (".csv", ".pgm")})
+    assert len(outputs[0]) >= 6
+    assert outputs[0] == outputs[1]

@@ -195,6 +195,12 @@ class TestRunScenario:
         assert (tmp_path / "out" / "gaussian_frame001.pgm").exists()
         assert not list((tmp_path / "out").glob("*_mean.pgm"))
 
+    def test_run_moves_every_file_out_of_its_staging(self, tmp_path):
+        result = run_scenario(parse_scenario(FAST_GALLERY), tmp_path / "out")
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert sorted(result.files) == sorted((tmp_path / "out").iterdir())
+        assert result.output_dir == tmp_path / "out"
+
     def test_rerun_from_echo_is_byte_identical(self, tmp_path):
         s = parse_scenario(FAST_WAVEFRONT)
         first = run_scenario(s, tmp_path / "a")
@@ -467,6 +473,20 @@ analysis:
         for key in ("channel.screens.sigma", "grid.n_samples",
                     "grid.spacing"):
             assert key in err
+
+    def test_failed_run_leaves_no_output(self, tmp_path, capsys):
+        # The guard trips at frame 4 of the first mode, after four frames
+        # were written (and more may be, on other threads): none of them
+        # reaches the output directory, and no staging directory is left.
+        out = tmp_path / "r"
+        out.mkdir()
+        (out / "kept.txt").write_text("from an earlier run")
+        code = main(["simulate", "oam-gallery", "--set",
+                     "channel.screens.sigma=4", "-o", str(out)])
+        assert code == 2
+        assert "mode gaussian, frame 4: " in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["r"]
+        assert [p.name for p in out.iterdir()] == ["kept.txt"]
 
     def test_io_exit_code(self, tmp_path):
         blocker = tmp_path / "blocked"

@@ -1,14 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hydrolink.field import ComplexField, Grid, lg_mode
+import hydrolink.shack_hartmann as shm
 from hydrolink.shack_hartmann import (CENTROID_FLOOR, FIT_CONDITION_LIMIT,
                                       LensletArray, SlopeField, SpotImage,
-                                      _centroid_response, _gradient_basis,
-                                      _invert_response, _lenslet_optics,
-                                      _windowed_com, average_magnitudes,
+                                      _centroid_response, _focal_spots,
+                                      _gradient_basis, _invert_response,
+                                      _lenslet_optics, _windowed_com,
+                                      average_magnitudes,
                                       capture, extract_slopes,
                                       fit_aperture_radius, modal_fit,
                                       reconstruct_wavefront)
@@ -464,6 +467,84 @@ class TestStackCentroider:
         for arr in (pix, local, kern):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+def _turbulent_vortex():
+    """A vortex beam under strong modal turbulence on the sensor grid: a
+    dark core of invalid lenslets and displaced spots elsewhere."""
+    spectrum = draw_modal_spectrum(
+        {j: 0.8 for j in range(2, 16)}, R_AP, seed=11)
+    field = lg_mode(3, 0, 1.2e-3, GRID, WAVELENGTH)
+    return ComplexField(GRID, WAVELENGTH, field.amplitude * np.exp(
+        1j * phase_from_spectrum(spectrum, GRID).phase))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype \
+        and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestMemoryDiet:
+    """Each sensor stage holds one frame's result plus a small working
+    set, and gives the bits the whole-stack expressions give."""
+
+    def test_row_by_row_spots_equal_the_whole_batch(self):
+        field = _turbulent_vortex()
+        _, _, kern, _ = _lenslet_optics(GEOMETRY, WAVELENGTH, 12)
+        blocks = field.amplitude[:23 * 12, :23 * 12].reshape(
+            23, 12, 23, 12).transpose(0, 2, 1, 3)
+        assert _same_bits(_focal_spots(kern, blocks),
+                          np.abs(kern @ blocks @ kern.T) ** 2)
+
+    def test_capture_peak_is_its_result_plus_one_row(self):
+        field = _turbulent_vortex()
+        capture(field, GEOMETRY)                 # plans built outside
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            spots = capture(field, GEOMETRY)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        p = GEOMETRY.pixels_per_lenslet
+        # K @ blocks and its product with K^T, for one row of lenslets
+        row_spectra = GEOMETRY.count_x * p * (12 + p) * 16
+        assert peak <= spots.images.nbytes + row_spectra + 16 * 1024
+        # capture's fresh array is the one the SpotImage keeps
+        assert spots.images.flags.owndata
+        assert not spots.images.flags.writeable
+
+    def test_spot_image_copies_what_it_does_not_own(self):
+        images = capture(_turbulent_vortex(), GEOMETRY).images
+        kept = SpotImage(images=images, geometry=GEOMETRY,
+                         wavelength=WAVELENGTH)
+        assert kept.images is images
+        writable = images.copy()
+        copied = SpotImage(images=writable, geometry=GEOMETRY,
+                           wavelength=WAVELENGTH)
+        writable[0, 0] = 1.0
+        assert copied.images is not writable
+        assert _same_bits(copied.images, images)
+        for bad in (np.nan, np.inf, -1.0):
+            broken = images.copy()
+            broken[3, 4, 5, 6] = bad
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                SpotImage(images=broken, geometry=GEOMETRY,
+                          wavelength=WAVELENGTH)
+
+    def test_chunked_centroids_equal_one_gathered_stack(self, monkeypatch):
+        images = capture(_turbulent_vortex(), GEOMETRY).images
+        energy = images.sum(axis=(2, 3))
+        valid = energy >= 0.01 * energy.max()
+        assert 0 < np.count_nonzero(valid) < valid.size
+        pix, _, _, half = _lenslet_optics(GEOMETRY, WAVELENGTH, 12)
+        monkeypatch.setattr(shm, "CENTROID_CHUNK", valid.size)
+        want = _windowed_com(images[valid], pix, half)
+        monkeypatch.setattr(shm, "CENTROID_CHUNK", 7)
+        got = _windowed_com(images, pix, half, valid)
+        assert _same_bits(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
 
 
 class TestReconstruct:
