@@ -15,11 +15,12 @@ from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
-from scipy.special import erf
+import numpy.fft
 
 from .field import (ComplexField, ConfigError, Grid, GridMismatchError,
-                    total_power)
+                    row_bands, total_power)
 from .seeding import TAG_OCCLUSION, TAG_SCREEN, child_seed, substream
+from .special import erf
 from .zernike import PhaseScreen, ZernikeSpectrum, draw_modal_spectrum, \
     kolmogorov_screen, phase_from_spectra, sigma_table
 
@@ -420,6 +421,17 @@ def _batch(input_field: ComplexField | tuple[ComplexField, ...],
     return fields, coeffs
 
 
+def _apply_screen(stack: np.ndarray, phase: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """exp(i * phase) * stack into ``out`` (which may be ``stack``), one
+    row band at a time, so a step holds one band of the rotor instead of a
+    whole complex grid."""
+    for rows in row_bands(len(phase)):
+        rot = 1j * phase[rows]
+        np.multiply(np.exp(rot, out=rot), stack[:, rows], out=out[:, rows])
+    return out
+
+
 def _diffract(stack: np.ndarray, fields: tuple[ComplexField, ...],
               config: ChannelConfig, states: np.ndarray, step: int,
               occluders: Sequence[Occluder]) -> np.ndarray:
@@ -531,24 +543,26 @@ def run_channel(input_field: ComplexField | tuple[ComplexField, ...]
     else:
         fields, coeffs = start.fields, start.states
     grid = fields[0].grid
-    screens, spectra = realize_screens(config, grid)
     occluders = _draw_occluders(config, grid)
-
     if 0 in occluders:
         first, stack = 0, np.stack([f.amplitude for f in fields])
+        work = stack
     else:
         start = start or launch(fields, config, coeffs)
         first, stack = 1, start.stack
+        work = np.empty_like(stack)
+    # The working stack is allocated before the screens are rendered: the
+    # space the screens free when a caller drops the result then lies
+    # above it, where the next large arrays of a frame can reuse it.
+    screens, spectra = realize_screens(config, grid)
     for step in range(first, config.n_screens + 1):
         if step:
-            # exp(i * phase) * stack, in place unless it is the launch's.
-            rot = 1j * screens[step - 1].phase
-            stack = np.multiply(np.exp(rot, out=rot), stack,
-                                out=stack if stack.flags.writeable else None)
-            del rot
+            stack = _apply_screen(stack, screens[step - 1].phase, work)
         stack = _diffract(stack, fields, config, coeffs, step,
                           occluders.get(step, ()))
 
+    # The results keep read-only views of the stack rather than copies.
+    stack.flags.writeable = False
     powers = start.powers if start else tuple(map(total_power, fields))
     results = []
     for f, p_in, amplitude in zip(fields, powers, stack):

@@ -16,8 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter
-from scipy.special import eval_genlaguerre
+from numpy.lib.stride_tricks import sliding_window_view
+
+from .special import genlaguerre
 
 #: Default vacuum wavelength in meters (green diode, near the blue-green
 #: transmission window of natural water).
@@ -97,6 +98,26 @@ def check_waist(waist: float, grid: Grid) -> None:
             f"({grid.extent / 4})")
 
 
+#: Samples per row band of the loops that work on a grid a band at a time.
+BAND_SAMPLES = 1 << 14
+
+
+def row_bands(n: int) -> list[slice]:
+    """Slices covering the rows of an n x n grid, in order, each of about
+    ``BAND_SAMPLES`` samples (at least one row)."""
+    step = max(1, BAND_SAMPLES // n)
+    return [slice(top, min(top + step, n)) for top in range(0, n, step)]
+
+
+def frozen(a: np.ndarray) -> bool:
+    """Whether ``a`` is read-only and owns its data, or is a read-only view
+    of such an array: then no one can change it without first making it
+    writable again, so a value object may keep it instead of a copy."""
+    owner = a if a.base is None else a.base
+    return (not a.flags.writeable and isinstance(owner, np.ndarray)
+            and owner.flags.owndata and not owner.flags.writeable)
+
+
 @dataclass(frozen=True)
 class ComplexField:
     """A sampled scalar optical field with physical metadata.
@@ -117,10 +138,12 @@ class ComplexField:
         if amp.shape != (n, n):
             raise ValueError(
                 f"amplitude shape {amp.shape} does not match grid {n}x{n}")
-        if not np.all(np.isfinite(amp.view(np.float64))):
+        parts = amp.view(np.float64)
+        if not (math.isfinite(parts.min()) and math.isfinite(parts.max())):
             raise ValueError("amplitude contains non-finite samples")
-        amp = amp.copy()
-        amp.flags.writeable = False
+        if not frozen(amp):
+            amp = amp.copy()
+            amp.flags.writeable = False
         object.__setattr__(self, "amplitude", amp)
 
     def intensity(self) -> np.ndarray:
@@ -191,9 +214,10 @@ def lg_mode(ell: int, p: int, waist: float, grid: Grid,
     # Unit-power continuum normalization; re-normalized on the grid below.
     norm = math.sqrt(2.0 * math.factorial(p)
                      / (math.pi * math.factorial(p + a))) / waist
-    radial = ((np.sqrt(2.0 * r2) / waist) ** a
-              * eval_genlaguerre(p, a, 2.0 * r2 / waist**2)
-              * np.exp(-r2 / waist**2))
+    radial = (np.sqrt(2.0 * r2) / waist) ** a
+    if p:   # L_0 is exactly 1
+        radial = radial * genlaguerre(p, a, 2.0 * r2 / waist**2)
+    radial = radial * np.exp(-r2 / waist**2)
     amp = norm * radial * np.exp(1j * ell * phi)
     amp /= math.sqrt(float(np.sum(np.abs(amp) ** 2)) * grid.spacing**2)
     return ComplexField(grid, wavelength, amp)
@@ -309,8 +333,14 @@ def find_vortices(field: ComplexField,
     circ = (ddx[:-1, :] + ddy[:, 1:] - ddx[1:, :] - ddy[:, :-1])
     charge = np.rint(circ / (2.0 * np.pi)).astype(int)
 
-    bright = maximum_filter(inten, size=2 * max(2, n // 16) + 1,
-                            mode="nearest")
+    # Brightest pixel within ``reach`` samples along each axis, the edge
+    # rows and columns repeated beyond the grid: one axis at a time, since
+    # a square window's maximum is the maximum of its rows' maxima.
+    reach = max(2, n // 16)
+    bright = np.pad(inten, reach, mode="edge")
+    for axis in (0, 1):
+        bright = sliding_window_view(bright, 2 * reach + 1, axis=axis
+                                     ).max(axis=-1)
     gate = bright[:-1, :-1] >= min_intensity_frac * peak
 
     js, is_ = np.nonzero((charge != 0) & gate)

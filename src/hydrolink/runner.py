@@ -13,12 +13,13 @@ import math
 import shutil
 import tempfile
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import metadata
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import io as hio
 from .channel import (AliasingError, ChannelResult, Launch, launch,
@@ -73,7 +74,6 @@ def _write_manifest(out: Path, scenario: Scenario, files: list[Path],
              f"seed: {scenario.seed}",
              f"package: hydrolink {_version()}",
              f"numpy: {np.__version__}",
-             f"scipy: {scipy.__version__}",
              f"wall_time_s: {wall:.3f}",
              "outputs:"]
     for path in sorted(files):
@@ -280,6 +280,43 @@ _RUNNERS = {"wavefront": _run_wavefront, **dict.fromkeys(QKD_KINDS, _run_qkd),
             "images": _run_images}
 
 
+@contextmanager
+def _staging(out: Path) -> Iterator[Path]:
+    """A hidden sibling directory of ``out`` to write into, removed with
+    whatever is left in it when the block ends."""
+    target = out.resolve()
+    target.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=f".{target.name}.",
+                                  dir=target.parent))
+    try:
+        yield stage
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
+def _publish(stage: Path, files: list[Path], out: Path) -> list[Path]:
+    """Move ``files`` from ``stage`` to the same relative paths in ``out``."""
+    moved = []
+    for path in files:
+        dest = out / path.relative_to(stage)
+        dest.parent.mkdir(parents=True, exist_ok=True)
+        path.replace(dest)
+        moved.append(dest)
+    return moved
+
+
+def _run_into(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
+    """Every artifact of one run, the manifest last, written into ``out``."""
+    start = time.perf_counter()
+    files, record = _RUNNERS[scenario.analysis.kind](scenario, out)
+    echo = out / "scenario-echo.yaml"
+    echo.write_text(scenario.to_yaml())
+    files.append(echo)
+    wall = time.perf_counter() - start
+    files.append(_write_manifest(out, scenario, files, wall))
+    return files, record
+
+
 def run_scenario(scenario: Scenario, output_dir: Path | str) -> RunResult:
     """Run one scenario end to end, writing artifacts plus the manifest.
 
@@ -288,25 +325,10 @@ def run_scenario(scenario: Scenario, output_dir: Path | str) -> RunResult:
     removes that staging directory and leaves ``output_dir`` as it was.
     """
     out = Path(output_dir)
-    target = out.resolve()
-    target.parent.mkdir(parents=True, exist_ok=True)
-    stage = Path(tempfile.mkdtemp(prefix=f".{target.name}.",
-                                  dir=target.parent))
-    try:
-        start = time.perf_counter()
-        files, record = _RUNNERS[scenario.analysis.kind](scenario, stage)
-        echo = stage / "scenario-echo.yaml"
-        echo.write_text(scenario.to_yaml())
-        files.append(echo)
-        wall = time.perf_counter() - start
-        files.append(_write_manifest(stage, scenario, files, wall))
-        out.mkdir(exist_ok=True)
-        for path in files:
-            path.replace(out / path.name)
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
-    return RunResult(output_dir=out,
-                     files=tuple(sorted(out / p.name for p in files)),
+    with _staging(out) as stage:
+        files, record = _run_into(scenario, stage)
+        files = _publish(stage, files, out)
+    return RunResult(output_dir=out, files=tuple(sorted(files)),
                      summary=record)
 
 
@@ -335,7 +357,9 @@ def sweep(scenario: Scenario, parameter: str, values: list[float],
     """Run a scenario of any kind once per value, value k into
     ``valueNNN/``, after validating every value. ``sweep_summary.csv`` gets
     one row per value: parameter, value, Beer-Lambert transmittance and the
-    run's summary record."""
+    run's summary record. The whole sweep is staged as one run is: its
+    files reach ``output_dir`` only once every value has run, and a sweep
+    that fails leaves ``output_dir`` as it was."""
     if parameter not in SWEEPABLE_PARAMETERS:
         raise ScenarioError(
             f"unknown sweep parameter {parameter!r}; declared sweepables: "
@@ -346,18 +370,22 @@ def sweep(scenario: Scenario, parameter: str, values: list[float],
     scaled = [_scaled_scenario(scenario, parameter, float(v))
               for v in values]
     out = Path(output_dir)
-    files, rows = [], []
-    for k, (value, s) in enumerate(zip(values, scaled)):
-        run = run_scenario(s, out / f"value{k:03d}")
-        files += run.files
-        rows.append((parameter, value,
-                     transmittance(s.channel.attenuation_db_per_m,
-                                   s.channel.length),
-                     *run.summary.values()))
-    path = hio.write_csv(out / "sweep_summary.csv",
-                         ("parameter", "value", "transmittance",
-                          *run.summary), rows)
-    wall = time.perf_counter() - start
-    manifest = _write_manifest(out, scenario, [path], wall)
-    return RunResult(output_dir=out, files=(*files, path, manifest),
+    with _staging(out) as stage:
+        files, rows = [], []
+        for k, (value, s) in enumerate(zip(values, scaled)):
+            run_dir = stage / f"value{k:03d}"
+            run_dir.mkdir()
+            run_files, record = _run_into(s, run_dir)
+            files += sorted(run_files)
+            rows.append((parameter, value,
+                         transmittance(s.channel.attenuation_db_per_m,
+                                       s.channel.length),
+                         *record.values()))
+        summary = hio.write_csv(stage / "sweep_summary.csv",
+                                ("parameter", "value", "transmittance",
+                                 *record), rows)
+        wall = time.perf_counter() - start
+        files += [summary, _write_manifest(stage, scenario, [summary], wall)]
+        files = _publish(stage, files, out)
+    return RunResult(output_dir=out, files=tuple(files),
                      summary={"rows": len(rows)})

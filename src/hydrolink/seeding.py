@@ -16,6 +16,7 @@ from collections.abc import Callable
 from typing import TypeVar
 
 import numpy as np
+import numpy.random
 
 T = TypeVar("T")
 

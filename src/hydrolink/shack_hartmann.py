@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .field import ComplexField, ConfigError, Grid
+from .field import ComplexField, ConfigError, Grid, frozen
 from .seeding import substream
 from .zernike import (PhaseScreen, ZernikeSpectrum, gradient_unchecked,
                       nm_from_index, phase_from_spectrum)
@@ -100,9 +100,9 @@ class SpotImage:
             raise ValueError("spot intensities must be finite and >= 0")
         if self.field_samples_per_lenslet < 2:
             raise ValueError("field_samples_per_lenslet must be >= 2")
-        # A read-only array that owns its data (as capture hands over) is
-        # kept; anything else is copied so no caller can change it later.
-        if img.flags.writeable or not img.flags.owndata:
+        # capture's read-only array is kept; anything not frozen is copied
+        # so no caller can change it later.
+        if not frozen(img):
             img = img.copy()
             img.flags.writeable = False
         object.__setattr__(self, "images", img)

@@ -29,9 +29,12 @@ from numbers import Integral
 from typing import Iterable, Mapping
 
 import numpy as np
+import numpy.fft
+import numpy.polynomial.polynomial
 
-from .field import ConfigError, Grid
+from .field import ConfigError, Grid, frozen, row_bands
 from .seeding import TAG_COEFF, substream
+from .special import erf
 
 
 @dataclass(frozen=True)
@@ -231,10 +234,11 @@ class PhaseScreen:
         if ph.shape != (n, n):
             raise ValueError(
                 f"phase shape {ph.shape} does not match grid {n}x{n}")
-        if not np.all(np.isfinite(ph)):
+        if not (math.isfinite(ph.min()) and math.isfinite(ph.max())):
             raise ValueError("phase contains non-finite samples")
-        ph = ph.copy()
-        ph.flags.writeable = False
+        if not frozen(ph):
+            ph = ph.copy()
+            ph.flags.writeable = False
         object.__setattr__(self, "phase", ph)
 
 
@@ -285,6 +289,25 @@ def _mode_maps(grid: Grid, aperture_radius: float, js: tuple[int, ...],
     return maps
 
 
+@lru_cache(maxsize=1)
+def _rim_taper(grid: Grid, aperture_radius: float, rim_taper: float,
+               ) -> np.ndarray:
+    """Read-only roll-off 0.5 * (1 - erf((rho - (1 - t/2)) / (t/5))) over
+    the inside samples of :func:`_disk_geometry`, for ``rim_taper`` t > 0.
+
+    It depends only on the arguments, so a run computes it once, beside
+    its :func:`_mode_maps`, and every screen on the disk multiplies by it.
+    """
+    _, rho_in, _ = _disk_geometry(grid, aperture_radius)
+    taper = rho_in - (1.0 - rim_taper / 2.0)
+    taper /= rim_taper / 5.0
+    erf(taper, out=taper)
+    np.subtract(1.0, taper, out=taper)
+    taper *= 0.5
+    taper.flags.writeable = False
+    return taper
+
+
 def phase_from_spectra(spectra: tuple[ZernikeSpectrum, ...], grid: Grid,
                        labels: tuple[str, ...],
                        rim_taper: float = 0.0) -> tuple[PhaseScreen, ...]:
@@ -311,19 +334,26 @@ def phase_from_spectra(spectra: tuple[ZernikeSpectrum, ...], grid: Grid,
     inside, rho_in, _ = _disk_geometry(grid, r_ap)
     coeffs = [spec.as_dict() for spec in spectra]
     js = tuple(sorted({j for c in coeffs for j, a in c.items() if a != 0.0}))
-    accs = np.zeros((len(spectra), rho_in.size))
-    for j, z in zip(js, _mode_maps(grid, r_ap, js)):
-        for c, acc in zip(coeffs, accs):
-            if c.get(j, 0.0) != 0.0:
-                acc += c[j] * z
-    if rim_taper > 0.0:
-        from scipy.special import erf
-        accs *= 0.5 * (1.0 - erf((rho_in - (1.0 - rim_taper / 2.0))
-                                 / (rim_taper / 5.0)))
+    maps = _mode_maps(grid, r_ap, js)
+    taper = _rim_taper(grid, r_ap, rim_taper) if rim_taper > 0.0 else None
+    # Each screen is summed and scattered one row band at a time; a band's
+    # inside samples are one slice of the disk's row-major order, so a
+    # render holds its screens and little more.
+    offsets = np.concatenate(([0], np.cumsum(inside.sum(axis=1))))
+    bands = [(rows, slice(offsets[rows.start], offsets[rows.stop]))
+             for rows in row_bands(len(inside))]
     screens = []
-    for acc, label in zip(accs, labels):
+    for c, label in zip(coeffs, labels):
         phase = np.zeros(inside.shape)
-        phase[inside] = acc
+        for rows, band in bands:
+            acc = np.zeros(band.stop - band.start)
+            for j, z in zip(js, maps):
+                if c.get(j, 0.0) != 0.0:
+                    acc += c[j] * z[band]
+            if taper is not None:
+                acc *= taper[band]
+            phase[rows][inside[rows]] = acc
+        phase.flags.writeable = False
         screens.append(PhaseScreen(grid, phase, label))
     return tuple(screens)
 
@@ -490,7 +520,8 @@ def kolmogorov_screen(r0: float, grid: Grid, seed: int,
     rng = substream(seed, TAG_COEFF)
     noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     spectrum = noise * sqrt_psd * df
-    phase = np.real(np.fft.ifft2(spectrum)) * n * n
+    phase = np.real(np.fft.ifftn(spectrum, axes=(-2, -1), out=spectrum)) \
+        * n * n
     if subharmonic_levels > 0:
         g = rng.standard_normal(2 * amps.size + 2)
         for a, re, im, exm, eym in zip(amps, g[:-2:2], g[1:-2:2], ex, ey):
@@ -498,6 +529,7 @@ def kolmogorov_screen(r0: float, grid: Grid, seed: int,
             phase = phase + np.real(c * eym[:, None] * exm[None, :])
         gx, gy = tilt * g[-2:]
         phase = phase + gx * coords[None, :] + gy * coords[:, None]
+    phase.flags.writeable = False
     return PhaseScreen(grid, phase, label)
 
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from hydrolink.channel import (NYQUIST_GUARD_FRACTION, AliasingError,
                                ChannelConfig, ChannelResult, Launch,
-                               Occluder, _draw_occluders, _guard_fractions,
+                               Occluder, _apply_screen, _draw_occluders,
+                               _guard_fractions,
                                _propagate_stack, _propagation_plan,
                                angular_spectrum_propagate,
                                apply_attenuation, apply_occlusion,
@@ -752,3 +753,59 @@ class TestLaunch:
         source = lg_mode(9, 0, 1.5e-4, grid, WAVELENGTH)
         with pytest.raises(AliasingError, match="^split step 0, row 0: "):
             launch(source, ChannelConfig(attenuation_db_per_m=0.0))
+
+
+class TestTransitMemory:
+    """A transit holds its screens, one working stack and the guard's
+    temporaries, and hands its results views of that stack."""
+
+    @pytest.mark.parametrize("n", [130, 384])
+    def test_banded_rotor_bit_identical(self, n):
+        rng = np.random.default_rng(n)
+        phase = rng.normal(scale=3.0, size=(n, n))
+        stack = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
+        want = np.exp(1j * phase) * stack
+        stack.flags.writeable = False
+        out = _apply_screen(stack, phase, np.empty_like(stack))
+        assert np.array_equal(out.view(np.float64), want.view(np.float64))
+        work = stack.copy()
+        assert _apply_screen(work, phase, work) is work
+        assert np.array_equal(work.view(np.float64), want.view(np.float64))
+
+    def test_results_are_views_of_one_read_only_stack(self):
+        grid = Grid(128, 8e-5)
+        fields = tuple(lg_mode(ell, 0, grid.extent / 16, grid, WAVELENGTH)
+                       for ell in (-4, 4))
+        cfg = ChannelConfig(
+            n_screens=2, screen_source="modal",
+            modal_sigmas=tuple(modal_sigma_table(0.3, 15).items()))
+        a, b = (r.output_field.amplitude for r in run_channel(fields, cfg))
+        assert a.base is b.base is not None
+        assert not (a.flags.writeable or a.base.flags.writeable)
+
+    def test_peak_is_screens_stack_and_guard(self):
+        # The wavefront-survey transit: 384^2, three modal screens.
+        import tracemalloc
+        grid = Grid(384, 12.5e-6)
+        cfg = ChannelConfig(
+            n_screens=3, screen_source="modal",
+            modal_sigmas=tuple(modal_sigma_table(0.3, 15).items()))
+        launched = launch(lg_mode(0, 0, 1.1e-3, grid, WAVELENGTH), cfg)
+        run_channel(launched, cfg)              # fill the run's plans
+        guard, _ = _propagation_plan(grid, WAVELENGTH, cfg.refractive_index,
+                                     cfg.length / 4)
+        grid_bytes = 8 * grid.n_samples ** 2
+        # Three screens, the complex stack, the guard's |spectrum|^2 and
+        # its band, and 256 KiB for row bands and small objects.
+        bound = 3 * grid_bytes + 2 * grid_bytes + grid_bytes \
+            + 8 * int(guard.sum()) + (256 << 10)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            res = run_channel(launched, cfg.with_seed(5))
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert len(res) == 1
+        assert peak <= bound

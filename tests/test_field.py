@@ -54,6 +54,32 @@ class TestComplexField:
         with pytest.raises(ValueError):
             ComplexField(grid512, WAVELENGTH, amp)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, complex(0, np.inf),
+                                     complex(0, -np.inf)])
+    def test_infinite_parts_rejected(self, grid256, bad):
+        amp = np.ones((256, 256), complex)
+        amp[3, 5] = bad
+        with pytest.raises(ValueError):
+            ComplexField(grid256, WAVELENGTH, amp)
+
+    def test_keeps_a_frozen_amplitude_and_copies_the_rest(self, grid256):
+        shape = (256, 256)
+        frozen = np.ones(shape, complex)
+        frozen.flags.writeable = False
+        assert ComplexField(grid256, WAVELENGTH, frozen).amplitude is frozen
+        stack = np.ones((2, *shape), complex)
+        stack.flags.writeable = False
+        row = ComplexField(grid256, WAVELENGTH, stack[1]).amplitude
+        assert row.base is stack
+        writable = np.ones(shape, complex)
+        kept = ComplexField(grid256, WAVELENGTH, writable).amplitude
+        assert kept is not writable and not kept.flags.writeable
+        base = np.ones((2, *shape), complex)
+        view = base[0]
+        view.flags.writeable = False
+        assert not np.shares_memory(
+            ComplexField(grid256, WAVELENGTH, view).amplitude, base)
+
 
 class TestLgMode:
     def test_unit_power(self, grid512):
@@ -270,6 +296,34 @@ class TestFindVortices:
     def test_invalid_floor(self, gaussian512):
         with pytest.raises(ValueError):
             find_vortices(gaussian512, min_intensity_frac=1.0)
+
+    @pytest.mark.parametrize("frac", [1e-4, 1e-2, 0.2])
+    def test_gate_matches_maximum_filter(self, grid256, frac):
+        # The windowed maximum is scipy.ndimage.maximum_filter's with
+        # mode="nearest", so the same plaquettes pass the gate.
+        ndimage = pytest.importorskip("scipy.ndimage")
+        rng = np.random.default_rng(11)
+        n = grid256.n_samples
+        speckle = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        speckle[:, : n // 3] *= 1e-4        # a dark band next to an edge
+        # The gate drops some of the speckle's vortices at every floor.
+        for field, gated in (
+                (lg_mode(4, 1, grid256.extent / 16, grid256, WAVELENGTH),
+                 False),
+                (ComplexField(grid256, WAVELENGTH, speckle), True)):
+            inten = field.intensity()
+            bright = ndimage.maximum_filter(
+                inten, size=2 * max(2, n // 16) + 1, mode="nearest")
+            gate = bright[:-1, :-1] >= frac * inten.max()
+            loose = find_vortices(field, min_intensity_frac=0.0)
+            want = [v for v in loose
+                    if gate[round(v.position[1] / grid256.spacing - 0.5)
+                            + n // 2,
+                            round(v.position[0] / grid256.spacing - 0.5)
+                            + n // 2]]
+            got = find_vortices(field, min_intensity_frac=frac)
+            assert got == want
+            assert len(got) < len(loose) or not gated
 
 
 class TestParseval:

@@ -1,0 +1,46 @@
+"""What importing and running the package loads, in a fresh interpreter.
+
+scipy is a test dependency only, and numpy's lazily loaded submodules are
+imported with the package, so a run's time holds no import.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import hydrolink
+
+SRC = Path(hydrolink.__file__).resolve().parents[1]
+
+PROGRAM = """
+import json, sys, tempfile
+import hydrolink
+from hydrolink.runner import run_scenario
+from hydrolink.scenario import load_scenario
+
+scenarios = [load_scenario("oam-crosstalk"),
+             load_scenario("oam-crosstalk", sets=["analysis.trials=2"]),
+             load_scenario("wavefront-survey", frames=2),
+             load_scenario("oam-gallery", frames=1),
+             load_scenario("polarization-qkd")]
+loaded = set(sys.modules)
+with tempfile.TemporaryDirectory() as tmp:
+    for k, scenario in enumerate(scenarios[1:]):
+        run_scenario(scenario, f"{tmp}/{k}")
+print(json.dumps({"scipy": sorted(m for m in loaded
+                                  if m.split(".")[0] == "scipy"),
+                  "numpy_in_run": sorted(m for m in set(sys.modules) - loaded
+                                         if m.split(".")[0] == "numpy")}))
+"""
+
+
+def test_no_scipy_and_no_numpy_import_during_runs():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", PROGRAM], env=env,
+                          capture_output=True, text=True, timeout=300,
+                          check=True)
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == {"scipy": [], "numpy_in_run": []}

@@ -379,6 +379,15 @@ analysis:
             assert (tmp_path / "sw" / f"value{k:03d}" /
                     "manifest.txt") in result.files
 
+    def test_sweep_moves_every_file_out_of_its_staging(self, tmp_path):
+        s = parse_scenario(FAST_GALLERY.replace("frames: 2", "frames: 1"))
+        result = sweep(s, "length", [1.0, 2.0], tmp_path / "sw")
+        assert [p.name for p in tmp_path.iterdir()] == ["sw"]
+        assert sorted(result.files) == sorted(
+            p for p in (tmp_path / "sw").rglob("*") if p.is_file())
+        assert result.files[-2:] == (tmp_path / "sw" / "sweep_summary.csv",
+                                     tmp_path / "sw" / "manifest.txt")
+
     def test_unknown_parameter(self, tmp_path):
         s = load_scenario("polarization-qkd")
         with pytest.raises(Exception, match="sweepable"):
@@ -486,6 +495,24 @@ analysis:
         assert code == 2
         assert "mode gaussian, frame 4: " in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["r"]
+        assert [p.name for p in out.iterdir()] == ["kept.txt"]
+
+    def test_failed_sweep_leaves_no_output(self, tmp_path, capsys):
+        # r0 = 0.02 m trips the guard in the second value's first trial,
+        # after the first value's run was written: neither run reaches the
+        # output directory, and no staging directory is left.
+        out = tmp_path / "OUT"
+        out.mkdir()
+        (out / "kept.txt").write_text("from an earlier run")
+        code = main(["sweep", "oam-crosstalk",
+                     "--set", "channel.screens.kind=kolmogorov",
+                     "--set", "channel.screens.r0=0.2",
+                     "--set", "analysis.trials=3", "--parameter", "r0",
+                     "--values", "0.4,0.02", "-o", str(out)])
+        assert code == 2
+        assert "runtime error: trial 0: split step 1, row 2: " in \
+            capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["OUT"]
         assert [p.name for p in out.iterdir()] == ["kept.txt"]
 
     def test_io_exit_code(self, tmp_path):

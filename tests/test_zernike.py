@@ -13,7 +13,7 @@ from hydrolink.shack_hartmann import LensletArray, capture, extract_slopes, \
 from hydrolink.field import ComplexField
 from hydrolink.zernike import (PhaseScreen, ZernikeIndex, ZernikeSpectrum,
                                _disk_geometry, _hole_gradient_moment,
-                               _kolmogorov_plan, _mode_maps,
+                               _kolmogorov_plan, _mode_maps, _rim_taper,
                                draw_modal_spectrum,
                                index_from_nm, kolmogorov_screen,
                                nm_from_index, phase_from_spectra,
@@ -305,6 +305,40 @@ class TestBatchedRender:
             phase_from_spectra(spectra, grid256, ("a", "b"))
 
 
+class TestRimTaperPlan:
+    @pytest.mark.parametrize("n, spacing", [(128, 4e-5), (200, 3e-5),
+                                            (384, 12.5e-6)])
+    @pytest.mark.parametrize("t", [0.05, 0.1, 0.3])
+    def test_equals_per_render_expression(self, n, spacing, t):
+        from scipy.special import erf
+        grid = Grid(n, spacing)
+        r_ap = 0.45 * grid.extent
+        _, rho_in, _ = _disk_geometry(grid, r_ap)
+        taper = _rim_taper(grid, r_ap, t)
+        want = 0.5 * (1.0 - erf((rho_in - (1.0 - t / 2.0)) / (t / 5.0)))
+        assert np.array_equal(taper.view(np.int64), want.view(np.int64))
+        assert not taper.flags.writeable
+
+    def test_computed_once_per_run(self, grid256):
+        _rim_taper.cache_clear()
+        sigmas = ((2, 0.3), (5, 0.2))
+        for seed in (1, 2, 3):
+            realize_screens(ChannelConfig(
+                n_screens=2, screen_source="modal", modal_sigmas=sigmas,
+                seed=seed), grid256)
+        assert _rim_taper.cache_info().misses == 1
+
+    @pytest.mark.parametrize("n", [130, 384])
+    def test_row_bands_render_any_grid(self, n):
+        # 130 and 384 rows split into bands that do not divide them.
+        grid = Grid(n, 1e-2 / n)
+        spec = ZernikeSpectrum(((2, 0.3), (4, 0.2), (7, -0.5), (11, 0.1)),
+                               0.45 * grid.extent)
+        screen = phase_from_spectrum(spec, grid, rim_taper=0.1)
+        assert np.array_equal(screen.phase,
+                              _reference_phase(spec, grid, 0.1))
+
+
 class TestModeMapPlan:
     def test_rows_equal_fresh_evaluations(self, grid256):
         r_ap = 0.45 * grid256.extent
@@ -550,3 +584,22 @@ class TestPhaseScreenType:
         ph[1, 1] = np.inf
         with pytest.raises(ValueError):
             PhaseScreen(grid256, ph)
+
+    @pytest.mark.parametrize("bad", [-np.inf, np.nan])
+    def test_negative_inf_and_nan_rejected(self, grid256, bad):
+        ph = np.zeros((256, 256))
+        ph[1, 1] = bad
+        with pytest.raises(ValueError):
+            PhaseScreen(grid256, ph)
+
+    def test_keeps_a_frozen_phase_and_copies_the_rest(self, grid256):
+        frozen = np.ones((256, 256))
+        frozen.flags.writeable = False
+        assert PhaseScreen(grid256, frozen).phase is frozen
+        writable = np.ones((256, 256))
+        kept = PhaseScreen(grid256, writable).phase
+        assert kept is not writable and not kept.flags.writeable
+        base = np.ones((2, 256, 256))
+        view = base[0]
+        view.flags.writeable = False
+        assert not np.shares_memory(PhaseScreen(grid256, view).phase, base)
