@@ -13,9 +13,8 @@ from .channel import (AliasingError, ChannelConfig, ChannelResult, Launch,
                       launch, run_channel, transmittance)
 from .field import (ANTIDIAGONAL, DEFAULT_WAVELENGTH, DIAGONAL, HORIZONTAL,
                     VERTICAL, ComplexField, Grid, GridMismatchError,
-                    JonesVector, Vortex, beam_width, centroid, find_vortices,
-                    lg_mode, mode_overlap, petal_mode, superpose,
-                    total_power, total_vortex_charge)
+                    JonesVector, beam_width, centroid, lg_mode, mode_overlap,
+                    petal_mode, superpose, total_power)
 from .qkd import (DetectionMatrix, PolarizationBasis, PolarizationChannel,
                   QkdReport, bb84_key_rate, binary_entropy, channel_for_qber,
                   detection_matrix_oam, detection_matrix_polarization,
@@ -27,11 +26,11 @@ from .runner import RunResult, run_scenario, sweep
 from .shack_hartmann import (LensletArray, ModalAverage, SlopeField,
                              SpotImage, WfsResult, average_magnitudes,
                              capture, extract_slopes, fit_aperture_radius,
-                             modal_fit, reconstruct_wavefront, spot_mosaic)
+                             modal_fit, reconstruct_wavefront)
 from .zernike import (PhaseScreen, ZernikeIndex, ZernikeSpectrum,
                       draw_modal_spectrum, index_from_nm, kolmogorov_screen,
                       nm_from_index, phase_from_spectrum, radians_to_um,
                       radians_to_waves, um_to_radians, waves_to_radians,
-                      zernike_eval, zernike_gradient)
+                      zernike_eval)
 
 __version__ = "0.1.0"

@@ -76,13 +76,26 @@ def apply_phase_screen(field: ComplexField,
                        screen: PhaseScreen) -> ComplexField:
     """Multiply by exp(i * phase). Conserves power exactly.
 
-    The product is taken as exp(i * phase) * amplitude, the operand order
-    :func:`run_channel` uses, so both round alike on every grid size.
+    This is the one-field call of the screen product :func:`run_channel`
+    takes for a whole stack of fields.
     """
     if field.grid != screen.grid:
         raise GridMismatchError(
             f"screen grid {screen.grid} does not match field {field.grid}")
-    return field.with_amplitude(np.exp(1j * screen.phase) * field.amplitude)
+    stack = field.amplitude[None]
+    return field.with_amplitude(
+        _apply_screen(stack, screen.phase, np.empty_like(stack))[0])
+
+
+def _apply_screen(stack: np.ndarray, phase: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """exp(i * phase) * stack into ``out`` (which may be ``stack``), one
+    row band at a time, so a step holds one band of the rotor instead of a
+    whole complex grid."""
+    for rows in row_bands(len(phase)):
+        rot = 1j * phase[rows]
+        np.multiply(np.exp(rot, out=rot), stack[:, rows], out=out[:, rows])
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -136,16 +149,18 @@ def angular_spectrum_propagate(field: ComplexField, dz: float,
         return field
     out = _propagate_stack(field.amplitude[None], field.grid,
                            field.wavelength, refractive_index, dz,
-                           np.ones((1, 1)), 0)
+                           np.ones((1, 1)), None)
     return field.with_amplitude(out[0])
 
 
 def _propagate_stack(stack: np.ndarray, grid: Grid, wavelength: float,
                      refractive_index: float, dz: float, states: np.ndarray,
-                     step: int) -> np.ndarray:
+                     step: int | None) -> np.ndarray:
     """Propagate a (d, N, N) stack of amplitudes by dz > 0, after checking
     every state formed from it (each row of ``states``, a (k, d)
-    coefficient matrix) against the aliasing guard.
+    coefficient matrix) against the aliasing guard. A tripped guard names
+    the chain's split ``step`` and the row, and the keys that weaken it;
+    with ``step`` None (one field on its own) it names only the fraction.
 
     A writable ``stack`` is the caller's scratch buffer: both transforms
     run in it and it comes back as the result. A read-only one (a field's
@@ -158,12 +173,14 @@ def _propagate_stack(stack: np.ndarray, grid: Grid, wavelength: float,
     fractions = _guard_fractions(spec, guard, states)
     row = int(np.argmax(fractions))
     if fractions[row] > ALIASING_ENERGY_FRACTION:
-        raise AliasingError(
-            f"split step {step}, row {row}: {fractions[row]:.2e} of field "
-            f"energy beyond {NYQUIST_GUARD_FRACTION:.0%} of Nyquist (limit "
-            f"{ALIASING_ENERGY_FRACTION:.0e}); weaken the screens "
-            f"(channel.screens.sigma or channel.screens.r0) or sample finer "
-            f"(grid.n_samples, grid.spacing)")
+        msg = (f"{fractions[row]:.2e} of field energy beyond "
+               f"{NYQUIST_GUARD_FRACTION:.0%} of Nyquist (limit "
+               f"{ALIASING_ENERGY_FRACTION:.0e})")
+        if step is not None:
+            msg = (f"split step {step}, row {row}: {msg}; weaken the screens "
+                   f"(channel.screens.sigma or channel.screens.r0) or sample "
+                   f"finer (grid.n_samples, grid.spacing)")
+        raise AliasingError(msg)
     spec *= h
     return np.fft.ifftn(spec, axes=(-2, -1), out=spec)
 
@@ -397,51 +414,11 @@ def _path(config: ChannelConfig) -> tuple[float, int, float, float]:
             config.attenuation_db_per_m)
 
 
-def _batch(input_field: ComplexField | tuple[ComplexField, ...],
-           states: np.ndarray | None,
-           ) -> tuple[tuple[ComplexField, ...], np.ndarray]:
-    """The fields as a tuple on one grid and wavelength, and the checked
-    (k, d) ``states`` matrix (default: the identity)."""
-    fields = input_field if isinstance(input_field, tuple) \
-        else (input_field,)
-    if not fields:
-        raise ValueError("run_channel needs at least one field")
-    grid, wavelength = fields[0].grid, fields[0].wavelength
-    for f in fields[1:]:
-        if f.grid != grid or f.wavelength != wavelength:
-            raise GridMismatchError(
-                "batched fields must share one grid and wavelength")
-    coeffs = np.eye(len(fields)) if states is None else np.asarray(states)
-    if coeffs.ndim != 2 or coeffs.shape[1] != len(fields) \
-            or not np.all(np.isfinite(coeffs)) \
-            or not np.all(coeffs.any(axis=1)):
-        raise ValueError(
-            f"states must be a (k, {len(fields)}) matrix of finite "
-            f"coefficients with a nonzero entry in every row")
-    return fields, coeffs
-
-
-def _apply_screen(stack: np.ndarray, phase: np.ndarray,
-                  out: np.ndarray) -> np.ndarray:
-    """exp(i * phase) * stack into ``out`` (which may be ``stack``), one
-    row band at a time, so a step holds one band of the rotor instead of a
-    whole complex grid."""
-    for rows in row_bands(len(phase)):
-        rot = 1j * phase[rows]
-        np.multiply(np.exp(rot, out=rot), stack[:, rows], out=out[:, rows])
-    return out
-
-
 def _diffract(stack: np.ndarray, fields: tuple[ComplexField, ...],
               config: ChannelConfig, states: np.ndarray, step: int,
               occluders: Sequence[Occluder]) -> np.ndarray:
     """One diffraction substep of the chain: ``occluders`` (in place),
-    propagation over dz with the aliasing guard, then attenuation.
-
-    Each product keeps the operand order of the one-field functions
-    (apply_occlusion, apply_attenuation, apply_phase_screen): complex
-    products round differently with the operands swapped.
-    """
+    propagation over dz with the aliasing guard, then attenuation."""
     grid = fields[0].grid
     for occ in occluders:
         if occ.opacity != 0.0:
@@ -455,21 +432,38 @@ def _diffract(stack: np.ndarray, fields: tuple[ComplexField, ...],
     return stack
 
 
-def launch(input_field: ComplexField | tuple[ComplexField, ...],
+def launch(input_field: ComplexField | Sequence[ComplexField],
            config: ChannelConfig, states: np.ndarray | None = None,
            ) -> Launch:
     """Run step 0 of the chain once, for every realization of ``config``.
 
-    Takes what :func:`run_channel` takes; the seed is irrelevant here.
-    Raises :class:`AliasingError` if a source (or a row of ``states``)
-    already aliases over the first dz.
+    ``input_field`` is one field or a sequence of d fields on one grid and
+    wavelength. ``states``, a (k, d) coefficient matrix (default: the
+    identity), names the combinations of the fields the caller will form
+    from their outputs; the aliasing guard checks each of them exactly at
+    every step. The seed is irrelevant here. Raises :class:`AliasingError`
+    if a source (or a row of ``states``) already aliases over the first dz.
     """
-    fields, coeffs = _batch(input_field, states)
+    fields = (input_field,) if isinstance(input_field, ComplexField) \
+        else tuple(input_field)
+    if not fields:
+        raise ValueError("launch needs at least one field")
+    grid, wavelength = fields[0].grid, fields[0].wavelength
+    for f in fields[1:]:
+        if f.grid != grid or f.wavelength != wavelength:
+            raise GridMismatchError(
+                "batched fields must share one grid and wavelength")
+    coeffs = np.eye(len(fields)) if states is None else np.array(states)
+    if coeffs.ndim != 2 or coeffs.shape[1] != len(fields) \
+            or not np.all(np.isfinite(coeffs)) \
+            or not np.all(coeffs.any(axis=1)):
+        raise ValueError(
+            f"states must be a (k, {len(fields)}) matrix of finite "
+            f"coefficients with a nonzero entry in every row")
+    coeffs.flags.writeable = False
     stack = _diffract(np.stack([f.amplitude for f in fields]), fields,
                       config, coeffs, 0, ())
     stack.flags.writeable = False
-    coeffs = coeffs.copy()
-    coeffs.flags.writeable = False
     return Launch(fields=fields,
                   powers=tuple(total_power(f) for f in fields),
                   states=coeffs, stack=stack, path=_path(config))
@@ -496,9 +490,8 @@ def _draw_occluders(config: ChannelConfig, grid: Grid,
     return occluders
 
 
-def run_channel(input_field: ComplexField | tuple[ComplexField, ...]
+def run_channel(input_field: ComplexField | Sequence[ComplexField]
                 | Launch, config: ChannelConfig,
-                states: np.ndarray | None = None,
                 ) -> ChannelResult | tuple[ChannelResult, ...]:
     """Run the full split-step chain and report the power ratio.
 
@@ -509,46 +502,37 @@ def run_channel(input_field: ComplexField | tuple[ComplexField, ...]
     and no attenuation the result equals plain propagation over the full
     length.
 
-    ``input_field`` may also be a tuple of d fields on one grid and
-    wavelength. They cross the same realization (screens and occluders are
-    drawn once) as one (d, N, N) stack: one FFT pair, one screen product
-    and one occluder mask per step for all of them. A tuple of d results
-    comes back, one per field, each what a single call would return.
-    Every channel operation is linear, so a combination of the fields
-    leaves as the same combination of their outputs; ``states``, a (k, d)
-    coefficient matrix (default: the identity), names the combinations the
-    caller will form, and the aliasing guard checks each of them exactly
-    at every step.
+    ``input_field`` is a :class:`Launch`, made once per run by
+    :func:`launch`, or the fields :func:`launch` takes, which are launched
+    here first. The d launched fields cross the same realization (screens
+    and occluders are drawn once) as one (d, N, N) stack: one FFT pair, one
+    screen product and one occluder mask per step for all of them. One
+    result per field comes back, each what a single call would return: a
+    tuple, unless ``input_field`` is one field. Every channel operation is
+    linear, so a combination of the fields leaves as the same combination
+    of their outputs; the launch's ``states`` are checked by the aliasing
+    guard at every step.
 
-    ``input_field`` may instead be a :class:`Launch` of the fields, made
-    once per run by :func:`launch` (its ``states`` then apply, and a
-    tuple comes back). Step 0 does not depend on the seed, so each
-    realization starts at step 1 from the launched stack, with the same
-    operations in the same order and therefore the same bits; plain fields
-    are launched here first. A realization with an occluder on step 0
+    Step 0 does not depend on the seed, so each realization starts at step
+    1 from the launched stack. A realization with an occluder on step 0
     starts at step 0 from the fields instead. A config whose ``length``,
-    ``n_screens``, ``refractive_index`` or ``attenuation_db_per_m``
-    differs from the launch's raises ValueError.
+    ``n_screens``, ``refractive_index`` or ``attenuation_db_per_m`` differs
+    from the launch's raises ValueError.
     """
-    start = input_field if isinstance(input_field, Launch) else None
-    if start is None:
-        fields, coeffs = _batch(input_field, states)
-    elif states is not None:
-        raise ValueError("a Launch carries its own states")
-    elif start.path != _path(config):
+    start = input_field if isinstance(input_field, Launch) \
+        else launch(input_field, config)
+    if start.path != _path(config):
         raise ValueError(
             f"config (length, n_screens, refractive_index, "
             f"attenuation_db_per_m) {_path(config)} differs from the "
             f"launch's {start.path}")
-    else:
-        fields, coeffs = start.fields, start.states
+    fields = start.fields
     grid = fields[0].grid
     occluders = _draw_occluders(config, grid)
     if 0 in occluders:
         first, stack = 0, np.stack([f.amplitude for f in fields])
         work = stack
     else:
-        start = start or launch(fields, config, coeffs)
         first, stack = 1, start.stack
         work = np.empty_like(stack)
     # The working stack is allocated before the screens are rendered: the
@@ -558,14 +542,13 @@ def run_channel(input_field: ComplexField | tuple[ComplexField, ...]
     for step in range(first, config.n_screens + 1):
         if step:
             stack = _apply_screen(stack, screens[step - 1].phase, work)
-        stack = _diffract(stack, fields, config, coeffs, step,
+        stack = _diffract(stack, fields, config, start.states, step,
                           occluders.get(step, ()))
 
     # The results keep read-only views of the stack rather than copies.
     stack.flags.writeable = False
-    powers = start.powers if start else tuple(map(total_power, fields))
     results = []
-    for f, p_in, amplitude in zip(fields, powers, stack):
+    for f, p_in, amplitude in zip(fields, start.powers, stack):
         out = f.with_amplitude(amplitude)
         ratio = total_power(out) / p_in if p_in > 0 else 0.0
         results.append(ChannelResult(output_field=out,

@@ -1,9 +1,9 @@
 """Sampled complex optical fields on square grids.
 
 Provides Laguerre-Gauss mode synthesis, superpositions, overlap integrals,
-intensity centroids, and detection of optical vortices (phase singularities)
-by plaquette phase winding. All values are immutable after construction and
-all functions are pure, so they are safe to share across parallel workers.
+intensity centroids and beam widths. All values are immutable after
+construction and all functions are pure, so they are safe to share across
+parallel workers.
 
 Conventions: amplitude arrays are indexed ``[iy, ix]``; the sample at index
 ``n // 2`` sits at physical coordinate 0 (FFT-aligned grid). Azimuthal modes
@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .special import genlaguerre
 
@@ -156,18 +155,6 @@ class ComplexField:
         return ComplexField(self.grid, self.wavelength, amplitude)
 
 
-@dataclass(frozen=True)
-class Vortex:
-    """A phase singularity: position in meters and signed winding number."""
-
-    position: tuple[float, float]
-    charge: int
-
-    def __post_init__(self):
-        if self.charge == 0:
-            raise ValueError("vortex charge must be nonzero")
-
-
 def _check_same_grid(a: ComplexField, b: ComplexField) -> None:
     if a.grid != b.grid:
         raise GridMismatchError(f"grids differ: {a.grid} vs {b.grid}")
@@ -290,71 +277,6 @@ def beam_width(field: ComplexField) -> float:
     x, y = field.grid.mesh()
     var = float((inten * ((x - cx) ** 2 + (y - cy) ** 2)).sum() / p)
     return 2.0 * math.sqrt(var / 2.0)
-
-
-def _wrap_phase(d: np.ndarray) -> np.ndarray:
-    """Wrap phase differences to (-pi, pi]."""
-    return np.pi - np.mod(np.pi - d, 2.0 * np.pi)
-
-
-def find_vortices(field: ComplexField,
-                  min_intensity_frac: float = 1e-4) -> list[Vortex]:
-    """Locate phase singularities by 2x2-plaquette winding summation.
-
-    A plaquette whose wrapped phase circulation rounds to a nonzero multiple
-    of 2*pi is reported as a vortex at the plaquette center. Because genuine
-    singularities sit in locally dark cores, the intensity gate is applied to
-    the *surroundings*: a candidate is kept only if some pixel within
-    max(2, n_samples // 16) samples reaches ``min_intensity_frac`` of the
-    global peak intensity. This suppresses spurious windings in numerically
-    dark regions while keeping dark-core vortices embedded in bright
-    structure. A created vortex pair shares one neighborhood, so the gate
-    preserves total charge.
-
-    Parameters
-    ----------
-    field : ComplexField
-    min_intensity_frac : float
-        Relative intensity floor in [0, 1).
-    """
-    if not 0.0 <= min_intensity_frac < 1.0:
-        raise ValueError(
-            f"min_intensity_frac must be in [0, 1), got {min_intensity_frac}")
-    inten = field.intensity()
-    peak = float(inten.max())
-    if peak == 0.0:
-        return []
-    n = field.grid.n_samples
-
-    phase = np.angle(field.amplitude)
-    ddx = _wrap_phase(np.diff(phase, axis=1))   # (n, n-1) step i -> i+1
-    ddy = _wrap_phase(np.diff(phase, axis=0))   # (n-1, n) step j -> j+1
-    # Counter-clockwise circulation around plaquette with lower-left (j, i).
-    circ = (ddx[:-1, :] + ddy[:, 1:] - ddx[1:, :] - ddy[:, :-1])
-    charge = np.rint(circ / (2.0 * np.pi)).astype(int)
-
-    # Brightest pixel within ``reach`` samples along each axis, the edge
-    # rows and columns repeated beyond the grid: one axis at a time, since
-    # a square window's maximum is the maximum of its rows' maxima.
-    reach = max(2, n // 16)
-    bright = np.pad(inten, reach, mode="edge")
-    for axis in (0, 1):
-        bright = sliding_window_view(bright, 2 * reach + 1, axis=axis
-                                     ).max(axis=-1)
-    gate = bright[:-1, :-1] >= min_intensity_frac * peak
-
-    js, is_ = np.nonzero((charge != 0) & gate)
-    s = field.grid.spacing
-    half = n // 2
-    out = []
-    for j, i in zip(js.tolist(), is_.tolist()):
-        pos = ((i + 0.5 - half) * s, (j + 0.5 - half) * s)
-        out.append(Vortex(position=pos, charge=int(charge[j, i])))
-    return out
-
-
-def total_vortex_charge(vortices: list[Vortex]) -> int:
-    return sum(v.charge for v in vortices)
 
 
 @dataclass(frozen=True)

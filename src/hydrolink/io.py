@@ -65,17 +65,6 @@ def write_pgm16(path: Path | str, intensity: np.ndarray) -> Path:
     return path
 
 
-def read_pgm16(path: Path | str) -> np.ndarray:
-    """Read back a 16-bit binary PGM written by :func:`write_pgm16`."""
-    data = Path(path).read_bytes()
-    parts = data.split(b"\n", 3)
-    if parts[0] != b"P5" or parts[2] != b"65535":
-        raise ValueError(f"{path} is not a 16-bit binary PGM")
-    width, height = (int(v) for v in parts[1].split())
-    pixels = np.frombuffer(parts[3], dtype=">u2", count=width * height)
-    return pixels.reshape(height, width).astype(np.uint16)
-
-
 def screen_to_csv(screen: PhaseScreen, path: Path | str) -> Path:
     """Rows as :func:`write_csv` writes them, sent one grid row at a time."""
     path = Path(path)

@@ -159,8 +159,12 @@ def capture(field: ComplexField, geometry: LensletArray,
     The array must tile the field grid (see :func:`lenslet_tiling`).
     Optional detector noise (additive Gaussian ``read_noise`` relative to
     the peak, Poisson shot noise with ``shot_noise_photons`` photons in the
-    brightest sub-image) is off by default.
+    brightest sub-image) is off by default; both must be finite and >= 0.
     """
+    for name, value in (("read_noise", read_noise),
+                        ("shot_noise_photons", shot_noise_photons)):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
     samples, ix0, iy0 = lenslet_tiling(geometry, field.grid)
     # Block view (count_y, count_x, samples_y, samples_x); the array is
     # contiguous on the grid so one reshape suffices.
@@ -392,15 +396,6 @@ def extract_slopes(spots: SpotImage,
         com[:, found], *_centroid_response(*optics)) * scale
     return SlopeField(slope_x=slopes[0], slope_y=slopes[1], valid=ok,
                       geometry=geom)
-
-
-def spot_mosaic(spots: SpotImage) -> np.ndarray:
-    """All sub-images tiled into one 2-D array for visual inspection."""
-    geom = spots.geometry
-    p = geom.pixels_per_lenslet
-    mosaic = spots.images.transpose(0, 2, 1, 3).reshape(
-        geom.count_y * p, geom.count_x * p)
-    return mosaic
 
 
 def fit_aperture_radius(slopes: SlopeField) -> float:

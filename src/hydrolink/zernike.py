@@ -159,20 +159,6 @@ def _poly2d_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def zernike_gradient(idx: ZernikeIndex, x, y):
-    """Cartesian gradient (dZ/dx, dZ/dy) at unit-disk coordinates.
-
-    Evaluated from the exact polynomial representation of Z_n^m, so it is
-    smooth everywhere including the origin. Points must satisfy
-    x^2 + y^2 <= 1.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(x * x + y * y > 1.0 + 1e-12):
-        raise ValueError("point outside the unit disk")
-    return gradient_unchecked(idx, x, y)
-
-
 def gradient_unchecked(idx: ZernikeIndex, x, y):
     """Gradient of the polynomial continuation of Z_n^m, any (x, y).
 

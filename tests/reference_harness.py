@@ -91,7 +91,8 @@ def _table(header, rows) -> str:
 
 def artifacts(out: Path) -> dict[str, str]:
     """Reference file name -> text for the outputs in run directory ``out``."""
-    from hydrolink.io import read_pgm16, sha256_of
+    from hydrolink.io import sha256_of
+    from oracles import read_pgm16
     found = {p.name: p.read_text() for p in sorted(out.glob("*.csv"))
              if p.name in STORED_CSVS}
     mean_csv = out / "wavefront_mean.csv"

@@ -13,8 +13,7 @@ import pytest
 from hydrolink.channel import (ChannelConfig, angular_spectrum_propagate,
                                apply_phase_screen, transmittance)
 from hydrolink.field import (ComplexField, DIAGONAL, Grid, HORIZONTAL,
-                             beam_width, find_vortices, lg_mode,
-                             total_power, total_vortex_charge)
+                             beam_width, lg_mode, total_power)
 from hydrolink.qkd import (bb84_key_rate, channel_for_qber,
                            detection_matrix_oam,
                            detection_matrix_polarization, mub_overlap,
@@ -26,7 +25,9 @@ from hydrolink.shack_hartmann import (LensletArray, capture, extract_slopes,
                                       modal_fit)
 from hydrolink.zernike import (ZernikeSpectrum, index_from_nm, nm_from_index,
                                draw_modal_spectrum, phase_from_spectrum,
-                               zernike_eval, zernike_gradient)
+                               zernike_eval)
+
+from oracles import find_vortices, total_vortex_charge, zernike_gradient
 
 WAVELENGTH = 532e-9
 WATER_N = 1.33

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -17,14 +18,14 @@ from hydrolink.channel import (NYQUIST_GUARD_FRACTION, AliasingError,
                                run_channel, transmittance)
 from hydrolink.field import (ComplexField, ConfigError, Grid,
                              GridMismatchError, beam_width, centroid,
-                             find_vortices, lg_mode, petal_mode, superpose,
-                             total_power, total_vortex_charge)
+                             lg_mode, petal_mode, superpose, total_power)
 from hydrolink.seeding import TAG_SCREEN, child_seed
 from hydrolink.zernike import (ZernikeSpectrum, _disk_geometry,
                                draw_modal_spectrum, phase_from_spectrum)
 from hydrolink.scenario import modal_sigma_table
 
 from conftest import WATER_N, WAVELENGTH, rayleigh_range
+from oracles import find_vortices, total_vortex_charge
 
 
 class TestTransmittance:
@@ -103,8 +104,11 @@ class TestPropagation:
         rng = np.random.default_rng(0)
         noisy = ComplexField(grid256, WAVELENGTH,
                              rng.normal(size=(256, 256)).astype(complex))
-        with pytest.raises(AliasingError):
+        with pytest.raises(AliasingError) as err:
             angular_spectrum_propagate(noisy, 0.1, WATER_N)
+        # One propagation on its own has no split step, row or screen.
+        assert re.fullmatch(r"\d\.\d\de[+-]\d\d of field energy beyond 80% "
+                            r"of Nyquist \(limit 1e-06\)", str(err.value))
 
     def test_negative_distance(self, gaussian512):
         with pytest.raises(ValueError):
@@ -489,20 +493,31 @@ class TestBatchedTransit:
 
     @pytest.mark.parametrize("n, spacing", [(64, 1.6e-4), (256, 4e-5)])
     def test_matches_step_by_step_chain(self, n, spacing):
-        # The chain composed from the public per-step functions, on grids
-        # on both sides of numpy's 256 KiB in-place temporary threshold.
-        cfg = replace(self._config(), occlusion_rate=0.0)
+        # The chain composed from the public per-step functions, occluders
+        # included, on grids on both sides of numpy's 256 KiB in-place
+        # temporary threshold.
+        cfg = self._config()
         grid = Grid(n, spacing)
+        assert _draw_occluders(cfg, grid)
         f = lg_mode(2, 0, grid.extent / 16, grid, WAVELENGTH)
-        res = run_channel(f, cfg)
-        dz = cfg.length / (cfg.n_screens + 1)
-        out = f
-        for step in range(cfg.n_screens + 1):
-            out = angular_spectrum_propagate(out, dz, cfg.refractive_index)
-            out = apply_attenuation(out, cfg.attenuation_db_per_m, dz)
-            if step < cfg.n_screens:
-                out = apply_phase_screen(out, res.screens_used[step])
-        assert np.array_equal(res.output_field.amplitude, out.amplitude)
+        assert np.array_equal(run_channel(f, cfg).output_field.amplitude,
+                              _chain(f, cfg).amplitude)
+
+    def test_list_of_fields_equals_tuple(self, grid256):
+        cfg = self._config()
+        fields = [lg_mode(ell, 0, grid256.extent / 16, grid256, WAVELENGTH)
+                  for ell in (-2, 3)]
+        got = run_channel(fields, cfg)
+        want = run_channel(tuple(fields), cfg)
+        assert isinstance(got, tuple) and len(got) == 2
+        for g, w in zip(got, want):
+            assert np.array_equal(g.output_field.amplitude,
+                                  w.output_field.amplitude)
+            assert g.transmittance == w.transmittance
+        launched = launch(fields, cfg)
+        assert all(a is b for a, b in zip(launched.fields, fields))
+        assert np.array_equal(launched.stack,
+                              launch(tuple(fields), cfg).stack)
 
     def test_single_field_returns_one_result(self, grid256):
         f = lg_mode(0, 0, grid256.extent / 16, grid256, WAVELENGTH)
@@ -541,14 +556,15 @@ class TestFormedStates:
         s = 1.0 / math.sqrt(2.0)
         states = [[1.0, 0.0], [0.0, 1.0], [s, s], [s, -s]]
         cfg = self._config(seed=1)
-        guarded = run_channel((a, b), cfg, states)
+        guarded = run_channel(launch((a, b), cfg, states), cfg)
         plain = run_channel((a, b), cfg)
         assert len(guarded) == 2
         for got, want in zip(guarded, plain):
             assert np.array_equal(got.output_field.amplitude,
                                   want.output_field.amplitude)
             assert got.transmittance == want.transmittance
-        assert isinstance(run_channel(a, cfg, [[2.0]]), ChannelResult)
+        (one,) = run_channel(launch(a, cfg, [[2.0]]), cfg)
+        assert isinstance(one, ChannelResult)
 
     def test_guard_fractions_are_exact_for_every_row(self):
         grid = Grid(32, 1e-4)
@@ -578,9 +594,9 @@ class TestFormedStates:
         cfg = ChannelConfig(length=1.0, attenuation_db_per_m=0.0)
         s = 1.0 / math.sqrt(2.0)
         run_channel((a, b), cfg)            # each component passes
-        run_channel((a, b), cfg, [[1.0, 0.0], [0.0, 1.0], [s, -s]])
+        launch((a, b), cfg, [[1.0, 0.0], [0.0, 1.0], [s, -s]])
         with pytest.raises(AliasingError) as err:
-            run_channel((a, b), cfg, [[1.0, 0.0], [0.0, 1.0], [s, s]])
+            launch((a, b), cfg, [[1.0, 0.0], [0.0, 1.0], [s, s]])
         assert str(err.value).startswith("split step 0, row 2: 1.00e+00 of "
                                          "field energy beyond 80%")
         # The direct transit of the formed state trips the same guard.
@@ -611,7 +627,7 @@ class TestFormedStates:
     def test_bad_states_rejected(self, grid256, states):
         f = lg_mode(0, 0, grid256.extent / 16, grid256, WAVELENGTH)
         with pytest.raises(ValueError, match="states must be"):
-            run_channel((f, f), ChannelConfig(), states)
+            launch((f, f), ChannelConfig(), states)
 
 
 def _chain(field, cfg):
@@ -744,9 +760,11 @@ class TestLaunch:
     def test_launch_carries_its_states(self):
         fields = self._fields()
         cfg = ChannelConfig()
-        with pytest.raises(ValueError, match="carries its own states"):
-            run_channel(launch(fields, cfg), cfg, np.eye(2))
         assert len(run_channel(launch(fields[0], cfg), cfg)) == 1
+        s = 1.0 / math.sqrt(2.0)
+        rows = [[s, s], [s, -s]]
+        launched = launch(fields, cfg, rows)
+        np.testing.assert_array_equal(launched.states, rows)
 
     def test_launch_trips_the_guard_once(self):
         grid = Grid(64, 1e-5)

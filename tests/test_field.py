@@ -5,12 +5,12 @@ import pytest
 
 from hydrolink.channel import angular_spectrum_propagate, apply_phase_screen
 from hydrolink.field import (ComplexField, Grid, GridMismatchError,
-                             JonesVector, Vortex, centroid, find_vortices,
-                             lg_mode, mode_overlap, petal_mode, superpose,
-                             total_power, total_vortex_charge)
+                             JonesVector, centroid, lg_mode, mode_overlap,
+                             petal_mode, superpose, total_power)
 from hydrolink.zernike import ZernikeSpectrum, phase_from_spectrum
 
 from conftest import WATER_N, WAVELENGTH, rayleigh_range
+from oracles import Vortex, find_vortices, total_vortex_charge
 
 
 def oracle_overlap(amp_a, amp_b, spacing):

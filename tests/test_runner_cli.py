@@ -8,11 +8,13 @@ import pytest
 from hydrolink.channel import AliasingError, launch
 from hydrolink.cli import _RUN_COMMANDS, build_parser, main
 from hydrolink.field import superpose
-from hydrolink.io import (fmt, read_pgm16, screen_to_csv, sha256_of,
-                          write_csv, write_pgm16)
+from hydrolink.io import (fmt, screen_to_csv, sha256_of, write_csv,
+                          write_pgm16)
 from hydrolink.runner import _scaled_scenario, run_scenario, sweep
 from hydrolink.scenario import (bundled_scenarios, load_scenario,
                                 parse_scenario)
+
+from oracles import read_pgm16
 
 FAST_WAVEFRONT = """
 name: tiny-wavefront
@@ -120,18 +122,6 @@ class TestIo:
                         ("x_index", "y_index", "phase_radians"), rows())
         got = screen_to_csv(screen, tmp_path / "new" / "screen.csv")
         assert got.read_bytes() == ref.read_bytes()
-
-    def test_spot_mosaic_pgm(self, tmp_path):
-        from hydrolink.field import ComplexField, Grid
-        from hydrolink.shack_hartmann import (LensletArray, capture,
-                                              spot_mosaic)
-        geom = LensletArray(count_x=4, count_y=4, pixels_per_lenslet=10)
-        grid = Grid(48, geom.pitch / 12)
-        field = ComplexField(grid, 532e-9, np.ones((48, 48), complex))
-        mosaic = spot_mosaic(capture(field, geom))
-        assert mosaic.shape == (40, 40)
-        path = write_pgm16(tmp_path / "spots.pgm", mosaic)
-        assert read_pgm16(path).shape == (40, 40)
 
 
 class TestRunScenario:

@@ -109,6 +109,17 @@ class TestCapture:
         assert np.array_equal(noisy1.images, noisy2.images)
         assert not np.array_equal(noisy1.images, base.images)
 
+    @pytest.mark.parametrize("noise", [
+        dict(read_noise=-1.0), dict(read_noise=math.nan),
+        dict(read_noise=math.inf), dict(shot_noise_photons=-5.0),
+        dict(shot_noise_photons=math.nan), dict(shot_noise_photons=math.inf),
+    ], ids=["read-negative", "read-nan", "read-inf", "shot-negative",
+            "shot-nan", "shot-inf"])
+    def test_bad_noise_settings_rejected(self, noise):
+        name = next(iter(noise))
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            capture(uniform_field(), GEOMETRY, **noise)
+
 
 class TestExtractSlopes:
     def test_known_offset_definition(self):

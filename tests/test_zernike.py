@@ -19,8 +19,9 @@ from hydrolink.zernike import (PhaseScreen, ZernikeIndex, ZernikeSpectrum,
                                nm_from_index, phase_from_spectra,
                                phase_from_spectrum, radians_to_um,
                                radians_to_waves, um_to_radians,
-                               waves_to_radians, zernike_eval,
-                               zernike_gradient)
+                               waves_to_radians, zernike_eval)
+
+from oracles import zernike_gradient
 
 
 def enumerate_orders(n_max):
