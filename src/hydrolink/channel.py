@@ -215,8 +215,8 @@ class Occluder:
     """A floating object crossing the beam: an opaque (or gray) disk.
 
     ``position`` is the disk center (x, y) in meters. The rim is softened
-    over ``edge_width`` (default: 10% of the radius, at least a few grid
-    samples) so the blocked field stays band-limited, as a physical
+    over ``edge_width`` (default: the larger of 5% of the radius and three
+    grid spacings) so the blocked field stays band-limited, as a physical
     floating object rather than a knife edge would.
     """
 
@@ -238,7 +238,7 @@ def apply_occlusion(field: ComplexField,
                     occluder: Occluder) -> ComplexField:
     """Multiply amplitude by (1 - opacity) inside the occluder footprint.
 
-    The raised-cosine rim is symmetric about the nominal radius, so the
+    The erf rim is symmetric about the nominal radius, so the
     effective blocked area equals the hard-disk area to second order in the
     edge width.
     """

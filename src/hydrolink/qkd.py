@@ -4,8 +4,9 @@ Covers mutually unbiased basis construction, probability-of-detection
 matrices (analytic for polarization, Monte Carlo over channel realizations
 for orbital-angular-momentum modes), the sifted error rate, binary entropy,
 the asymptotic two-dimensional key rate r = 1 - 2*h(Q), and the error-rate
-threshold where that rate vanishes. The OAM Monte Carlo forms every sent
-state's projections from those of the computational modes, by linearity.
+threshold where that rate vanishes. The OAM Monte Carlo forms every
+(sent, measured) amplitude from the overlaps of the computational modes'
+outputs with those modes, by linearity.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ import numpy as np
 
 from .channel import AliasingError, ChannelConfig, launch, run_channel
 from .field import (ANTIDIAGONAL, DEFAULT_GRID, DEFAULT_WAVELENGTH,
-                    DIAGONAL, HORIZONTAL, VERTICAL, ComplexField,
-                    ConfigError, Grid, JonesVector, lg_mode, mode_overlap,
-                    superpose, waist_or_default)
+                    DIAGONAL, HORIZONTAL, VERTICAL, ConfigError, Grid,
+                    JonesVector, lg_mode, mode_overlap, waist_or_default)
 from .seeding import TAG_TRIAL, child_seed
 
 
@@ -181,25 +181,16 @@ def oam_alphabet(ell_values: Sequence[int], superposition_basis: bool,
 
 
 def _oam_bases(ells: tuple[int, ...], include_superposition: bool,
-               waist: float, grid: Grid, wavelength: float,
-               ) -> tuple[tuple[tuple[str, ...], ...],
-                          dict[str, ComplexField],
-                          dict[str, tuple[float, ...]]]:
-    """(bases, each label's mode, each label's coefficients over the
-    first basis's modes, the ones a trial sends through the channel)."""
-    primary = tuple(f"l{ell:+d}" for ell in ells)
-    fields = [lg_mode(ell, 0, waist, grid, wavelength) for ell in ells]
-    modes = dict(zip(primary, fields))
-    rows = {lbl: tuple(float(i == k) for i in range(len(ells)))
-            for k, lbl in enumerate(primary)}
-    bases = [primary]
+               ) -> tuple[tuple[tuple[str, ...], ...], np.ndarray]:
+    """(bases, each label's coefficients over the computational modes
+    ``ells``, one row per label in basis order)."""
+    bases = [tuple(f"l{ell:+d}" for ell in ells)]
+    rows = np.eye(len(ells))
     if include_superposition:
         s = 1.0 / math.sqrt(2.0)
-        for sign, tag in ((1.0, "s+"), (-1.0, "s-")):
-            rows[tag] = (s, sign * s)
-            modes[tag] = superpose(fields, list(rows[tag]))
         bases.append(("s+", "s-"))
-    return tuple(bases), modes, rows
+        rows = np.vstack((rows, [[s, s], [s, -s]]))
+    return tuple(bases), rows
 
 
 def detection_matrix_oam(channel_config: ChannelConfig,
@@ -217,8 +208,9 @@ def detection_matrix_oam(channel_config: ChannelConfig,
     index) and sends the launched modes through the rest of it. The
     aliasing guard checks every sent state; a tripped guard names the
     trial, or the sources if the launch trips it. The d outputs are
-    projected onto every basis state, and each sent state's projections
-    are its coefficient row times those overlaps, by linearity. The
+    projected onto the d computational modes, and every (sent, measured)
+    amplitude is formed from those d x d overlaps O as
+    ``states @ O @ states^H``, by linearity on both sides. The
     probabilities are renormalized within each measurement basis (ideal
     projective mode sorting, post-selected on detection). The ensemble
     mean and its standard error are returned.
@@ -228,12 +220,11 @@ def detection_matrix_oam(channel_config: ChannelConfig,
     waist = waist_or_default(waist, grid)
     ells = oam_alphabet(ell_values, include_superposition_basis, waist,
                         grid)
-    bases, modes, rows = _oam_bases(ells, include_superposition_basis,
-                                    waist, grid, wavelength)
+    bases, rows = _oam_bases(ells, include_superposition_basis)
     labels = tuple(lbl for b in bases for lbl in b)
+    modes = tuple(lg_mode(ell, 0, waist, grid, wavelength) for ell in ells)
     try:
-        sent = launch(tuple(modes[lbl] for lbl in bases[0]), channel_config,
-                      np.array([rows[lbl] for lbl in labels]))
+        sent = launch(modes, channel_config, rows)
     except AliasingError as exc:
         raise exc.at(f"sources {', '.join(labels)}") from exc
 
@@ -245,12 +236,13 @@ def detection_matrix_oam(channel_config: ChannelConfig,
             transits = run_channel(sent, cfg)
         except AliasingError as exc:
             raise exc.at(f"trial {trial}") from exc
-        overlaps = np.array([[mode_overlap(t.output_field, modes[m])
-                              for m in labels] for t in transits])
+        overlaps = np.array([[mode_overlap(t.output_field, mode)
+                              for mode in modes] for t in transits])
+        amplitudes = sent.states @ overlaps @ sent.states.conj().T
         # abs() and ** 2 on Python complexes, not numpy's: they round as
         # a direct projection of a computational output always has.
         blocks[trial] = [[abs(a) ** 2 for a in row]
-                         for row in (sent.states @ overlaps).tolist()]
+                         for row in amplitudes.tolist()]
     mean = _renormalize(blocks, bases).sum(axis=0) / n_trials
     # Two passes (deviations from the mean), so identical trials give 0.
     stderr = blocks.std(axis=0, ddof=1) / math.sqrt(n_trials) \

@@ -59,14 +59,6 @@ def build_source_field(spec: SourceSpec, grid: Grid) -> ComplexField:
     raise ValueError(f"unknown source kind {spec.kind!r}")
 
 
-def _source_label(spec: SourceSpec) -> str:
-    if spec.kind == "gaussian":
-        return "gaussian"
-    if spec.kind == "lg":
-        return f"lg{spec.ell:+d}" + (f"p{spec.p}" if spec.p else "")
-    return f"petal{abs(spec.ell)}"
-
-
 def _write_manifest(out: Path, scenario: Scenario, files: list[Path],
                     wall: float) -> Path:
     lines = ["hydrolink run manifest",
@@ -99,7 +91,7 @@ def _launch(scenario: Scenario, spec: SourceSpec) -> Launch:
         return launch(build_source_field(spec, scenario.grid),
                       scenario.channel)
     except AliasingError as exc:
-        raise exc.at(f"source {_source_label(spec)}") from exc
+        raise exc.at(f"source {spec.label}") from exc
 
 
 def _frame_transit(scenario: Scenario, source: Launch, where: str,
@@ -244,7 +236,7 @@ def _run_images(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
     files = []
     rows = []
     for m_i, mode in enumerate(scenario.analysis.modes):
-        label = _source_label(mode)
+        label = mode.label
         source = _launch(scenario, mode)
 
         def frame(k: int) -> tuple[tuple, Path, np.ndarray | None]:

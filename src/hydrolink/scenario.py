@@ -182,6 +182,16 @@ class SourceSpec:
     p: int
     wavelength: float
 
+    @property
+    def label(self) -> str:
+        """The name a run gives this source in file names, rows and
+        errors; an images analysis needs a distinct one per mode."""
+        if self.kind == "gaussian":
+            return "gaussian"
+        if self.kind == "lg":
+            return f"lg{self.ell:+d}" + (f"p{self.p}" if self.p else "")
+        return f"petal{abs(self.ell)}"
+
 
 @dataclass(frozen=True)
 class AnalysisSpec:
@@ -410,8 +420,14 @@ def parse_document(doc: Mapping) -> Scenario:
                                 "list", "analysis.modes")
         built = []
         for i, entry in enumerate(ana["modes"]):
-            sec = _apply_schema(entry, _SOURCE, f"analysis.modes[{i}]")
-            built.append(_build_source(sec, grid, f"analysis.modes[{i}]"))
+            where = f"analysis.modes[{i}]"
+            sec = _apply_schema(entry, _SOURCE, where)
+            spec = _build_source(sec, grid, where)
+            if spec.label in (b.label for b in built):
+                raise ScenarioError(
+                    f"repeats the label {spec.label!r} of an earlier mode; "
+                    "each mode's frames are named by its label", where)
+            built.append(spec)
             ana["modes"][i] = sec
         modes = tuple(built)
     if ana["kind"] == "qkd-oam":

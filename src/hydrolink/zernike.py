@@ -30,7 +30,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 import numpy.fft
-import numpy.polynomial.polynomial
 
 from .field import ConfigError, Grid, frozen, row_bands
 from .seeding import TAG_COEFF, substream
@@ -113,66 +112,33 @@ def zernike_eval(idx: ZernikeIndex, rho, phi):
     return out if out.ndim else float(out)
 
 
-@lru_cache(maxsize=None)
-def _cartesian_coeffs(n: int, m: int) -> np.ndarray:
-    """Z_n^m as a polynomial in (x, y): C[i, k] holds the x^i y^k term.
-
-    Built exactly from ``rho^(n-2s) * cos/sin(|m| phi)`` terms rewritten as
-    Re/Im[(x+iy)^|m|] * (x^2+y^2)^t, which keeps integer arithmetic until the
-    final normalization.
-    """
-    a = abs(m)
-    # Angular factor Re[(x+iy)^a] (cos) or Im[(x+iy)^a] (sin).
-    ang = np.zeros((a + 1, a + 1))
-    for t in range(a + 1):
-        b = math.comb(a, t)
-        if m >= 0 and t % 2 == 0:
-            ang[a - t, t] = b * (-1.0) ** (t // 2)
-        elif m < 0 and t % 2 == 1:
-            ang[a - t, t] = b * (-1.0) ** ((t - 1) // 2)
-    if a == 0:
-        ang[0, 0] = 1.0
-
-    radial = _radial_coeffs(n, a)
-    out = np.zeros((n + 1, n + 1))
-    for power in range(n + 1):          # power of rho with coefficient c
-        c = radial[n - power]
-        if c == 0.0 or (power - a) % 2 != 0 or power < a:
-            continue
-        t = (power - a) // 2            # (x^2 + y^2)^t factor
-        ring = np.zeros((2 * t + 1, 2 * t + 1))
-        for u in range(t + 1):
-            ring[2 * (t - u), 2 * u] = math.comb(t, u)
-        term = _poly2d_mul(ang, ring)
-        out[:term.shape[0], :term.shape[1]] += c * term
-    out *= _noll_norm(n, m)
-    out.flags.writeable = False
-    return out
-
-
-def _poly2d_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    out = np.zeros((p.shape[0] + q.shape[0] - 1, p.shape[1] + q.shape[1] - 1))
-    for i in range(p.shape[0]):
-        for k in range(p.shape[1]):
-            if p[i, k] != 0.0:
-                out[i:i + q.shape[0], k:k + q.shape[1]] += p[i, k] * q
-    return out
-
-
 def gradient_unchecked(idx: ZernikeIndex, x, y):
     """Gradient of the polynomial continuation of Z_n^m, any (x, y).
 
     The polynomials extend smoothly beyond the unit disk; sensor code uses
     this to average gradients over sub-apertures that straddle the analysis
-    circle.
+    circle. The polar chain rule on :func:`zernike_eval`'s radial
+    coefficients gives N [R' cos t A - (R/rho) sin t A'] and
+    N [R' sin t A + (R/rho) cos t A'] for A = cos/sin(|m| t). For |m| >= 1,
+    R/rho is R's coefficients without their zero constant term, a
+    polynomial, and for m = 0 its term has A' = 0; so the gradient is exact
+    at the origin too.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    c = _cartesian_coeffs(idx.n, idx.m)
-    cx = (c[1:, :].T * np.arange(1, c.shape[0])).T   # d/dx
-    cy = c[:, 1:] * np.arange(1, c.shape[1])         # d/dy
-    dzdx = np.polynomial.polynomial.polyval2d(x, y, cx) if cx.size else 0.0 * x
-    dzdy = np.polynomial.polynomial.polyval2d(x, y, cy) if cy.size else 0.0 * x
+    a = abs(idx.m)
+    coeffs = _radial_coeffs(idx.n, a)
+    rho = np.hypot(x, y)
+    t = np.arctan2(y, x)
+    if idx.m >= 0:
+        ang, d_ang = np.cos(a * t), -a * np.sin(a * t)
+    else:
+        ang, d_ang = np.sin(a * t), a * np.cos(a * t)
+    radial = np.polyval(np.polyder(coeffs), rho) * ang
+    azimuthal = np.polyval(coeffs[:-1], rho) * d_ang
+    norm = _noll_norm(idx.n, idx.m)
+    dzdx = norm * (radial * np.cos(t) - azimuthal * np.sin(t))
+    dzdy = norm * (radial * np.sin(t) + azimuthal * np.cos(t))
     if np.ndim(dzdx) == 0:
         return float(dzdx), float(dzdy)
     return dzdx, dzdy

@@ -34,8 +34,8 @@ def read_pgm16(path: Path | str) -> np.ndarray:
 def zernike_gradient(idx: ZernikeIndex, x, y):
     """Cartesian gradient (dZ/dx, dZ/dy) at unit-disk coordinates.
 
-    Evaluated from the exact polynomial representation of Z_n^m, so it is
-    smooth everywhere including the origin. Points must satisfy
+    The package's chain-rule gradient on the radial polynomial, exact at
+    the origin too, restricted to the disk: points must satisfy
     x^2 + y^2 <= 1.
     """
     x = np.asarray(x, dtype=float)

@@ -28,7 +28,6 @@ PLANS = {
     zernike._disk_geometry: (GRID, 2e-3),
     zernike._mode_maps: (GRID, 2e-3, (2, 5, 9)),
     zernike._rim_taper: (GRID, 2e-3, 0.1),
-    zernike._cartesian_coeffs: (4, -2),
     zernike._kolmogorov_plan: (0.05, GRID, 2),
 }
 #: Cached functions that return no arrays.

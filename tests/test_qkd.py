@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from hydrolink.channel import AliasingError, ChannelConfig, run_channel
 from hydrolink.field import (ANTIDIAGONAL, DIAGONAL, HORIZONTAL, VERTICAL,
-                             Grid, lg_mode, mode_overlap)
+                             Grid, lg_mode, mode_overlap, superpose)
 from hydrolink.qkd import (DetectionMatrix, PolarizationBasis,
-                           PolarizationChannel, QkdReport, _oam_bases,
+                           PolarizationChannel, QkdReport,
                            bb84_key_rate, binary_entropy, channel_for_qber,
                            detection_matrix_oam,
                            detection_matrix_polarization, mub_overlap,
@@ -313,15 +313,20 @@ class TestDetectionMatrixOam:
         # Reference: each state sent on its own through the trial's
         # realization, as the Monte Carlo did before it batched them; the
         # trial seed fixes the screens and occluders of every call. Only
-        # l-4 and l+4 cross the channel now, so their rows are bit-exact;
-        # the s+- outputs are formed from theirs by linearity.
+        # l-4 and l+4 cross the channel and are projected on l-4 and l+4
+        # now, so those entries are bit-exact; every s+- amplitude is
+        # formed from theirs by linearity.
         cfg = replace(_turbulent_channel(0.5, seed=3), n_screens=2,
                       occlusion_rate=1.5)
         m = detection_matrix_oam(cfg, [-4, 4],
                                  include_superposition_basis=True,
                                  grid=OAM_GRID, n_trials=3)
-        bases, modes, _ = _oam_bases([-4, 4], True, OAM_GRID.extent / 16.0,
-                                     OAM_GRID, 532e-9)
+        lg = [lg_mode(ell, 0, OAM_GRID.extent / 16.0, OAM_GRID, 532e-9)
+              for ell in (-4, 4)]
+        h = 1.0 / math.sqrt(2.0)
+        modes = {"l-4": lg[0], "l+4": lg[1], "s+": superpose(lg, [h, h]),
+                 "s-": superpose(lg, [h, -h])}
+        bases = (("l-4", "l+4"), ("s+", "s-"))
         labels = m.sent_labels
         acc = np.zeros((4, 4))
         for trial in range(3):
@@ -337,14 +342,15 @@ class TestDetectionMatrixOam:
         for basis in bases:
             idx = [labels.index(b) for b in basis]
             mean[:, idx] /= mean[:, idx].sum(axis=1, keepdims=True)
-        assert labels[:2] == ("l-4", "l+4")
-        assert np.array_equal(m.probabilities[:2], mean[:2])
-        np.testing.assert_allclose(m.probabilities[2:], mean[2:], rtol=0.0,
+        assert labels == ("l-4", "l+4", "s+", "s-")
+        assert np.array_equal(m.probabilities[:2, :2], mean[:2, :2])
+        np.testing.assert_allclose(m.probabilities, mean, rtol=0.0,
                                    atol=1e-13)
 
     def test_projects_by_linearity(self, monkeypatch):
-        # d outputs x 4 labels per trial; one projection per (sent state,
-        # label) pair would be 4 x 4.
+        # d outputs x d computational modes per trial; one projection per
+        # (output, label) pair would be d x 4, and per (sent state, label)
+        # pair 4 x 4.
         import hydrolink.qkd as qmod
         calls = []
 
@@ -356,7 +362,7 @@ class TestDetectionMatrixOam:
         detection_matrix_oam(_turbulent_channel(0.5), [-4, 4],
                              include_superposition_basis=True,
                              grid=OAM_GRID, n_trials=3)
-        assert len(calls) == 3 * 2 * 4
+        assert len(calls) == 3 * 2 * 2
 
     def test_sources_launched_once(self, monkeypatch):
         # The oam-crosstalk run: 100 trials through 2 screens. Step 0 is
@@ -423,11 +429,11 @@ class TestDetectionMatrixOam:
         import hydrolink.qkd as qmod
         used = {}
 
-        def record(ell_values, superposition, waist, grid, wavelength):
+        def record(ell, p, waist, grid, wavelength):
             used.update(waist=waist, grid=grid, wavelength=wavelength)
             raise LookupError("recorded")
 
-        monkeypatch.setattr(qmod, "_oam_bases", record)
+        monkeypatch.setattr(qmod, "lg_mode", record)
         with pytest.raises(LookupError):
             detection_matrix_oam(_clean_channel(), [-1, 1])
         scenario = parse_scenario("name: x\nanalysis: {kind: qkd-oam}\n")

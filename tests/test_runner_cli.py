@@ -487,6 +487,35 @@ analysis:
         assert [p.name for p in tmp_path.iterdir()] == ["r"]
         assert [p.name for p in out.iterdir()] == ["kept.txt"]
 
+    @pytest.mark.parametrize("first, second, label", [
+        ("{kind: lg, ell: 1, wavelength: 532.0e-9}",
+         "{kind: lg, ell: 1, wavelength: 450.0e-9}", "lg+1"),
+        ("{kind: petal, ell: 1}", "{kind: petal, ell: -1}", "petal1")],
+        ids=["lg", "petal"])
+    def test_repeated_mode_label_fails_at_parse(self, tmp_path, capsys,
+                                                first, second, label):
+        # Frames are named by their mode's label, so a second mode under
+        # the same label would overwrite the first one's images.
+        path = tmp_path / "twins.yaml"
+        path.write_text(f"""
+name: twins
+grid: {{n_samples: 64, spacing: 2.0e-5}}
+frames: 2
+analysis:
+  kind: images
+  modes:
+    - {first}
+    - {second}
+""")
+        out = tmp_path / "r"
+        out.mkdir()
+        assert main(["simulate", str(path), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "analysis.modes[1]" in err and repr(label) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["r", "twins.yaml"]
+        assert not any(out.iterdir())
+
     def test_failed_sweep_leaves_no_output(self, tmp_path, capsys):
         # r0 = 0.02 m trips the guard in the second value's first trial,
         # after the first value's run was written: neither run reaches the

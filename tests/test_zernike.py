@@ -13,8 +13,9 @@ from hydrolink.shack_hartmann import LensletArray, capture, extract_slopes, \
 from hydrolink.field import ComplexField
 from hydrolink.zernike import (PhaseScreen, ZernikeIndex, ZernikeSpectrum,
                                _disk_geometry, _hole_gradient_moment,
-                               _kolmogorov_plan, _mode_maps, _rim_taper,
-                               draw_modal_spectrum,
+                               _kolmogorov_plan, _mode_maps, _radial_coeffs,
+                               _rim_taper, draw_modal_spectrum,
+                               gradient_unchecked,
                                index_from_nm, kolmogorov_screen,
                                nm_from_index, phase_from_spectra,
                                phase_from_spectrum, radians_to_um,
@@ -127,28 +128,44 @@ class TestGradient:
         assert gy == pytest.approx(fd[1], abs=1e-6)
 
     def test_matches_finite_differences(self):
+        # On the disk for j <= 15, and for j <= 28 on the continuation the
+        # modal fit averages over: up to rho ~ 1.39 on the 1.725 mm fit
+        # disk of the bundled sensor and ~ 1.68 on its 1.425 mm disk.
         rng = np.random.default_rng(42)
-        pts = []
-        while len(pts) < 100:
-            x, y = rng.uniform(-1, 1, size=2)
-            if x * x + y * y <= 0.95**2:
-                pts.append((x, y))
-        for j in range(1, 16):
-            idx = nm_from_index(j)
-            for x, y in pts:
-                fd = _fd_gradient(idx, x, y)
-                gx, gy = zernike_gradient(idx, x, y)
-                assert gx == pytest.approx(fd[0], abs=1e-6)
-                assert gy == pytest.approx(fd[1], abs=1e-6)
+        for rho_min, rho_max, j_max, rel in ((0.0, 0.95, 15, 0.0),
+                                             (1.0, 1.75, 28, 1e-6)):
+            pts = []
+            while len(pts) < 100:
+                x, y = rng.uniform(-1, 1, size=2) * rho_max
+                if rho_min < math.hypot(x, y) <= rho_max:
+                    pts.append((x, y))
+            for j in range(1, j_max + 1):
+                idx = nm_from_index(j)
+                for x, y in pts:
+                    fd = _fd_gradient(idx, x, y)
+                    gx, gy = gradient_unchecked(idx, x, y)
+                    assert gx == pytest.approx(fd[0], rel=rel, abs=1e-6)
+                    assert gy == pytest.approx(fd[1], rel=rel, abs=1e-6)
 
     def test_outside_disk(self):
         with pytest.raises(ValueError):
             zernike_gradient(index_from_nm(2, 0), 0.9, 0.9)
 
 
+def _continued(idx, x, y):
+    """N R(rho) A(|m| phi) at any (x, y), the disk's polynomial continued."""
+    a = abs(idx.m)
+    rho, phi = math.hypot(x, y), math.atan2(y, x)
+    angular = math.cos(a * phi) if idx.m >= 0 else math.sin(a * phi)
+    norm = math.sqrt((2.0 if idx.m else 1.0) * (idx.n + 1))
+    return norm * np.polyval(_radial_coeffs(idx.n, a), rho) * angular
+
+
 def _fd_gradient(idx, x, y, h=1e-5):
     def ev(xx, yy):
-        return zernike_eval(idx, math.hypot(xx, yy), math.atan2(yy, xx))
+        if math.hypot(xx, yy) <= 1.0:
+            return zernike_eval(idx, math.hypot(xx, yy), math.atan2(yy, xx))
+        return _continued(idx, xx, yy)
     return ((ev(x + h, y) - ev(x - h, y)) / (2 * h),
             (ev(x, y + h) - ev(x, y - h)) / (2 * h))
 
