@@ -25,8 +25,8 @@ from .scenario import (Scenario, ScenarioError, bundled_scenarios,
 from .runner import RunResult, run_scenario, sweep
 from .shack_hartmann import (LensletArray, ModalAverage, SlopeField,
                              SpotImage, WfsResult, average_magnitudes,
-                             capture, extract_slopes, fit_aperture_radius,
-                             modal_fit, reconstruct_wavefront)
+                             capture, extract_slopes, modal_fit,
+                             reconstruct_wavefront)
 from .zernike import (PhaseScreen, ZernikeIndex, ZernikeSpectrum,
                       draw_modal_spectrum, index_from_nm, kolmogorov_screen,
                       nm_from_index, phase_from_spectrum, radians_to_um,

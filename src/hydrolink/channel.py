@@ -350,7 +350,6 @@ class ChannelConfig:
 class ChannelResult:
     output_field: ComplexField
     transmittance: float
-    screens_used: tuple[PhaseScreen, ...]
     ground_truth_spectra: tuple[ZernikeSpectrum, ...] | None = None
 
     def __post_init__(self):
@@ -536,8 +535,8 @@ def run_channel(input_field: ComplexField | Sequence[ComplexField]
         first, stack = 1, start.stack
         work = np.empty_like(stack)
     # The working stack is allocated before the screens are rendered: the
-    # space the screens free when a caller drops the result then lies
-    # above it, where the next large arrays of a frame can reuse it.
+    # space the screens free when this call returns then lies above it,
+    # where the next large arrays of a frame can reuse it.
     screens, spectra = realize_screens(config, grid)
     for step in range(first, config.n_screens + 1):
         if step:
@@ -553,7 +552,6 @@ def run_channel(input_field: ComplexField | Sequence[ComplexField]
         ratio = total_power(out) / p_in if p_in > 0 else 0.0
         results.append(ChannelResult(output_field=out,
                                      transmittance=min(ratio, 1.0),
-                                     screens_used=screens,
                                      ground_truth_spectra=spectra))
     return results[0] if isinstance(input_field, ComplexField) \
         else tuple(results)

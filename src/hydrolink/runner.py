@@ -109,18 +109,14 @@ def _frame_transit(scenario: Scenario, source: Launch, where: str,
 def _sensed_frame(scenario: Scenario, source: Launch, k: int,
                   ) -> tuple[float, tuple[ZernikeSpectrum, ...] | None,
                              WfsResult]:
-    """Frame ``k`` through the channel, the sensor and the modal fit: its
-    transmittance, ground-truth spectra and fit. The screens are dropped
-    before capture and the output field before centroiding, and nothing of
-    the frame outlives the call, so frames running side by side each hold
-    as little as they can."""
+    """Frame ``k``'s transmittance, ground-truth spectra and modal fit. Its
+    output field is dropped before centroiding and nothing of the frame
+    outlives the call, so frames side by side hold as little as they can."""
     ana = scenario.analysis
     res = _frame_transit(scenario, source, f"frame {k}", k)
-    tau, truth, field = (res.transmittance, res.ground_truth_spectra,
-                         res.output_field)
+    spots = capture(res.output_field, scenario.sensor)
+    tau, truth = res.transmittance, res.ground_truth_spectra
     del res
-    spots = capture(field, scenario.sensor)
-    del field
     slopes = extract_slopes(spots, intensity_floor=ana.intensity_floor)
     return tau, truth, modal_fit(slopes, j_max=ana.j_max,
                                  aperture_radius=ana.fit_aperture_radius)
@@ -168,7 +164,7 @@ def _run_wavefront(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
             truth_rows))
 
     mean_spec = ZernikeSpectrum(tuple(zip(avg.j_values, avg.mean_abs)),
-                                results[0].spectrum.aperture_radius)
+                                avg.aperture_radius)
     recon = reconstruct_wavefront(mean_spec, scenario.grid)
     files.append(hio.write_pgm16(out / "wavefront_mean.pgm",
                                  recon.phase - recon.phase.min()))

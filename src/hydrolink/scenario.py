@@ -138,7 +138,8 @@ _ANALYSIS = (
            required=True),
     SchemaField("j_max", int, 15, "wavefront: highest fitted mode", minimum=2),
     SchemaField("fit_aperture_radius", float, None, "wavefront: analysis disk "
-           "radius in meters (default: valid-lenslet box)", above=0.0),
+           "radius in meters (default: the lenslet array's half-width)",
+           above=0.0),
     SchemaField("intensity_floor", float, 0.01, "wavefront: lenslet validity "
            "floor as fraction of the brightest lenslet, below 1", minimum=0.0),
     SchemaField("theta", float, 0.0, "qkd-pol: channel rotation in radians"),
@@ -430,6 +431,9 @@ def parse_document(doc: Mapping) -> Scenario:
             built.append(spec)
             ana["modes"][i] = sec
         modes = tuple(built)
+    elif ana["modes"] is not None or resolved["time_average"]:
+        key = "analysis.modes" if ana["modes"] is not None else "time_average"
+        raise ScenarioError("applies only to images analysis", key)
     if ana["kind"] == "qkd-oam":
         _checked("analysis", oam_alphabet, ana["ell_values"],
                  ana["superposition_basis"],

@@ -65,6 +65,12 @@ class LensletArray:
     def extent_y(self) -> float:
         return self.count_y * self.pitch
 
+    @property
+    def half_width(self) -> float:
+        """The default fit disk radius: axis to the nearer array edge."""
+        cx, cy = self.centers()
+        return float(min(np.abs(cx).max(), np.abs(cy).max()) + self.pitch / 2)
+
     def centers(self) -> tuple[np.ndarray, np.ndarray]:
         """Physical (x, y) lenslet-center coordinate vectors, array centered
         on the optical axis."""
@@ -398,15 +404,6 @@ def extract_slopes(spots: SpotImage,
                       geometry=geom)
 
 
-def fit_aperture_radius(slopes: SlopeField) -> float:
-    """Default analysis-disk radius: half-width of the valid lenslet box."""
-    cx, cy = slopes.geometry.centers()
-    gx, gy = np.meshgrid(cx, cy, indexing="xy")
-    half = slopes.geometry.pitch / 2
-    return float(min(np.abs(gx[slopes.valid]).max(),
-                     np.abs(gy[slopes.valid]).max()) + half)
-
-
 def _in_disk(geometry: LensletArray, radius: float) -> np.ndarray:
     """Which lenslet centers lie inside the fit disk, shape (count_y,
     count_x)."""
@@ -416,23 +413,22 @@ def _in_disk(geometry: LensletArray, radius: float) -> np.ndarray:
 
 
 def check_fit_modes(geometry: LensletArray, j_max: int,
-                    aperture_radius: float | None = None) -> None:
-    """Raise ValueError unless j_max >= 2 and the widest disk the fit can
-    use holds at least one lenslet center per fitted mode (ConfigError at
-    j_max). That disk has ``aperture_radius``, or without one the array's
-    half-width, the most :func:`fit_aperture_radius` can return."""
+                    aperture_radius: float | None = None) -> float:
+    """The fit disk radius: ``aperture_radius``, else the array's
+    half-width. Raise ValueError unless it is > 0, j_max >= 2 and the disk
+    holds a lenslet center per fitted mode (ConfigError at j_max)."""
+    radius = geometry.half_width if aperture_radius is None \
+        else float(aperture_radius)
+    if not radius > 0:
+        raise ValueError("aperture_radius must be > 0")
     if j_max < 2:
         raise ValueError("j_max must be >= 2")
-    if aperture_radius is None:
-        cx, cy = geometry.centers()
-        aperture_radius = float(min(np.abs(cx).max(), np.abs(cy).max())
-                                + geometry.pitch / 2)
-    inside = int(np.count_nonzero(_in_disk(geometry, aperture_radius)))
+    inside = int(np.count_nonzero(_in_disk(geometry, radius)))
     if j_max - 1 > inside:
         raise ConfigError(
             f"j_max {j_max} fits {j_max - 1} modes, but only {inside} "
-            f"lenslet centers lie inside the {aperture_radius:.6g} m fit "
-            f"disk", "j_max")
+            f"lenslet centers lie inside the {radius:.6g} m fit disk", "j_max")
+    return radius
 
 
 @lru_cache(maxsize=8)
@@ -467,9 +463,11 @@ def modal_fit(slopes: SlopeField, j_max: int = 15,
               aperture_radius: float | None = None) -> WfsResult:
     """Least-squares Zernike coefficients (j = 2..j_max) from slopes.
 
-    Lenslet centers are mapped to unit-disk coordinates over the analysis
-    aperture; both slope components of every valid lenslet inside the disk
-    enter the system B a = m. The system's rows are taken from
+    Lenslet centers are mapped to unit-disk coordinates over the fit disk,
+    ``aperture_radius`` or else the array's half-width: one disk for every
+    frame, whichever lenslets it lights, so coefficients can be averaged.
+    Both slope components of every valid lenslet inside the disk enter the
+    system B a = m. The system's rows are taken from
     :func:`_gradient_basis`, built once per (geometry, radius, j_max).
     Piston is excluded as unobservable. ``residual_rms`` is the RMS slope
     residual expressed in radians per unit disk radius.
@@ -486,11 +484,7 @@ def modal_fit(slopes: SlopeField, j_max: int = 15,
     system. ``condition_number`` reports kappa(B).
     """
     geom = slopes.geometry
-    radius = fit_aperture_radius(slopes) if aperture_radius is None \
-        else float(aperture_radius)
-    if not radius > 0:
-        raise ValueError("aperture_radius must be > 0")
-    check_fit_modes(geom, j_max, radius)
+    radius = check_fit_modes(geom, j_max, aperture_radius)
 
     in_disk, full = _gradient_basis(geom, radius, j_max)
     use = slopes.valid & in_disk
@@ -534,8 +528,10 @@ def reconstruct_wavefront(spectrum: ZernikeSpectrum,
 
 @dataclass(frozen=True)
 class ModalAverage:
-    """Per-mode |a_j| statistics over a set of frames."""
+    """Per-mode |a_j| statistics over frames all fitted on one disk, of
+    radius ``aperture_radius`` in meters."""
 
+    aperture_radius: float
     j_values: tuple[int, ...]
     mean_abs: tuple[float, ...]
     std: tuple[float, ...]
@@ -549,12 +545,16 @@ def average_magnitudes(results: Sequence[WfsResult]) -> ModalAverage:
     Magnitudes are averaged (not signed coefficients), matching how randomly
     fluctuating aberrations are summarized; compensated summation keeps the
     result independent of frame order. Both the standard deviation and the
-    standard error of the mean are reported.
+    standard error of the mean are reported. Coefficients compare only over
+    one normalization radius, so results from different disks raise.
     """
     if not results:
         raise ValueError("average_magnitudes needs at least one result")
-    j_values = tuple(j for j, _ in results[0].spectrum.coefficients)
+    first = results[0].spectrum
+    j_values = tuple(j for j, _ in first.coefficients)
     for r in results[1:]:
+        if r.spectrum.aperture_radius != first.aperture_radius:
+            raise ValueError("results fitted over different disks")
         if tuple(j for j, _ in r.spectrum.coefficients) != j_values:
             raise ValueError("results do not share a common mode range")
     n = len(results)
@@ -567,5 +567,6 @@ def average_magnitudes(results: Sequence[WfsResult]) -> ModalAverage:
         mean_abs.append(m)
         std.append(math.sqrt(var))
     stderr = tuple(s / math.sqrt(n) for s in std)
-    return ModalAverage(j_values=j_values, mean_abs=tuple(mean_abs),
+    return ModalAverage(aperture_radius=first.aperture_radius,
+                        j_values=j_values, mean_abs=tuple(mean_abs),
                         std=tuple(std), stderr=stderr, n_frames=n)

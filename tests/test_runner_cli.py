@@ -10,9 +10,11 @@ from hydrolink.cli import _RUN_COMMANDS, build_parser, main
 from hydrolink.field import superpose
 from hydrolink.io import (fmt, screen_to_csv, sha256_of, write_csv,
                           write_pgm16)
+from hydrolink import runner
 from hydrolink.runner import _scaled_scenario, run_scenario, sweep
 from hydrolink.scenario import (bundled_scenarios, load_scenario,
                                 parse_scenario)
+from hydrolink.shack_hartmann import modal_fit
 
 from oracles import read_pgm16
 
@@ -240,6 +242,22 @@ analysis:
         run = run_scenario(load_scenario("wavefront-survey", frames=3),
                            tmp_path / "w")
         assert 5.0 < run.summary["slope_condition_max"] < 8.0
+
+    def test_every_frame_fits_one_disk(self, tmp_path, monkeypatch):
+        # At seed 1234 frame 4 lights a narrower box of lenslets than the
+        # other frames; it is still fitted over the array's half-width.
+        radii = []
+
+        def recording(*args, **kwargs):
+            fit = modal_fit(*args, **kwargs)
+            radii.append(fit.spectrum.aperture_radius)
+            return fit
+
+        monkeypatch.setattr(runner, "modal_fit", recording)
+        scenario = load_scenario("wavefront-survey", seed=1234)
+        run_scenario(scenario, tmp_path / "w")
+        assert len(radii) == scenario.frames == 30
+        assert set(radii) == {scenario.sensor.half_width}
 
     def test_qkd_pol_outputs(self, tmp_path):
         s = load_scenario("polarization-qkd")
@@ -614,12 +632,20 @@ analysis:
          "analysis.intensity_floor"),
         ("qkd oam-crosstalk --seed -1", "seed"),
         ("wfs wavefront-survey --set analysis.j_max=500 --frames 2",
-         "analysis.j_max")],
+         "analysis.j_max"),
+        ("simulate polarization-qkd "
+         "--set 'analysis.modes=[{kindd: x, waist: -3}]'", "analysis.modes"),
+        ("wfs wavefront-survey --set 'analysis.modes=[{kind: gaussian}]'",
+         "analysis.modes"),
+        ("simulate polarization-qkd --set time_average=true",
+         "time_average"),
+        ("wfs wavefront-survey --set time_average=true", "time_average")],
         ids=["unresolvable", "three-letter-superposition", "odd-n-samples",
              "empty-sigmas", "fit-aperture", "screen-aperture",
              "piston-sigma", "negative-sigma", "bool-index", "nan-sigma",
              "float-index", "intensity-floor-one", "negative-seed",
-             "j-max-over-lenslets"])
+             "j-max-over-lenslets", "modes-on-qkd-pol", "modes-on-wavefront",
+             "time-average-on-qkd-pol", "time-average-on-wavefront"])
     def test_oam_alphabet_checked_before_writing(self, tmp_path, capsys,
                                                  command, key):
         argv = [*shlex.split(command), "-o", str(tmp_path / "r")]

@@ -12,8 +12,7 @@ from hydrolink.shack_hartmann import (CENTROID_FLOOR, FIT_CONDITION_LIMIT,
                                       _gradient_basis, _invert_response,
                                       _lenslet_optics, _windowed_com,
                                       average_magnitudes,
-                                      capture, extract_slopes,
-                                      fit_aperture_radius, modal_fit,
+                                      capture, extract_slopes, modal_fit,
                                       reconstruct_wavefront)
 from hydrolink.zernike import (ZernikeSpectrum, gradient_unchecked,
                                draw_modal_spectrum, nm_from_index,
@@ -268,10 +267,23 @@ class TestModalFit:
         with pytest.raises(ValueError, match="constrain"):
             modal_fit(starved, j_max=15, aperture_radius=R_AP)
 
-    def test_default_aperture_is_valid_box(self):
-        slopes = extract_slopes(capture(uniform_field(), GEOMETRY))
-        assert fit_aperture_radius(slopes) == pytest.approx(
-            11.5 * GEOMETRY.pitch)
+    def test_default_aperture_is_array_half_width(self):
+        # Only a 15x15 box of lenslets is valid, yet the default disk is
+        # still the whole array's, so every frame of a run shares it.
+        rng = np.random.default_rng(3)
+        coeffs = {j: rng.uniform(-0.5, 0.5) for j in range(2, 16)}
+        slopes = extract_slopes(capture(uniform_field(screen_from(coeffs)),
+                                        GEOMETRY))
+        box = np.zeros((23, 23), bool)
+        box[4:19, 4:19] = True
+        starved = SlopeField(slope_x=np.where(box, slopes.slope_x, np.nan),
+                             slope_y=np.where(box, slopes.slope_y, np.nan),
+                             valid=slopes.valid & box, geometry=GEOMETRY)
+        fit = modal_fit(starved, j_max=15)
+        assert fit.spectrum.aperture_radius == 0.0017249999999999998 \
+            == GEOMETRY.half_width
+        assert fit == modal_fit(starved, j_max=15,
+                                aperture_radius=GEOMETRY.half_width)
 
     def test_collinear_pattern_rank_deficient(self):
         # a single row of lenslets cannot constrain the 2-d mode set
@@ -599,6 +611,7 @@ class TestAverageMagnitudes:
         avg = average_magnitudes([self._result({2: -0.4, 3: 0.1})])
         assert avg.mean_abs == (0.4, 0.1)
         assert avg.n_frames == 1
+        assert avg.aperture_radius == 1e-3
 
     def test_magnitudes_not_signed_mean(self):
         avg = average_magnitudes([self._result({3: 0.2}),
@@ -617,6 +630,13 @@ class TestAverageMagnitudes:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             average_magnitudes([])
+
+    def test_mixed_disks_rejected(self):
+        from hydrolink.shack_hartmann import WfsResult
+        wider = WfsResult(spectrum=ZernikeSpectrum.from_dict({2: 0.1}, 2e-3),
+                          residual_rms=0.0, n_valid_lenslets=1)
+        with pytest.raises(ValueError, match="disks"):
+            average_magnitudes([self._result({2: 0.1}), wider])
 
     def test_mismatched_ranges_rejected(self):
         with pytest.raises(ValueError):
