@@ -242,12 +242,12 @@ def _run_images(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
             cx, cy = centroid(res.output_field)
             return ((label, k, res.transmittance, cx, cy),
                     hio.write_pgm16(out / f"{label}_frame{k:03d}.pgm", inten),
-                    inten if scenario.time_average else None)
+                    inten if scenario.analysis.time_average else None)
 
         frames = realize(frame, scenario.frames)
         rows += [row for row, _, _ in frames]
         files += [path for _, path, _ in frames]
-        if scenario.time_average:
+        if scenario.analysis.time_average:
             files.append(hio.write_pgm16(
                 out / f"{label}_mean.pgm",
                 np.mean(np.stack([inten for *_, inten in frames]), axis=0)))

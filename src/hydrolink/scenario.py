@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 import difflib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -33,7 +33,6 @@ DEFAULT_SEED = 1234
 
 #: The analysis kinds that produce a BB84 detection matrix.
 QKD_KINDS = ("qkd-pol", "qkd-oam")
-ANALYSIS_KINDS = ("wavefront", *QKD_KINDS, "images")
 SOURCE_KINDS = ("gaussian", "lg", "petal")
 
 
@@ -133,26 +132,35 @@ _SENSOR = (
            "camera pixels per lenslet side", minimum=2),
 )
 
-_ANALYSIS = (
-    SchemaField("kind", str, None, "what to compute", choices=ANALYSIS_KINDS,
-           required=True),
-    SchemaField("j_max", int, 15, "wavefront: highest fitted mode", minimum=2),
-    SchemaField("fit_aperture_radius", float, None, "wavefront: analysis disk "
-           "radius in meters (default: the lenslet array's half-width)",
-           above=0.0),
-    SchemaField("intensity_floor", float, 0.01, "wavefront: lenslet validity "
-           "floor as fraction of the brightest lenslet, below 1", minimum=0.0),
-    SchemaField("theta", float, 0.0, "qkd-pol: channel rotation in radians"),
-    SchemaField("depolarization", float, 0.0802, "qkd-pol: depolarization "
-           "fraction (QBER = depolarization / 2 at theta = 0)",
-           minimum=0.0, maximum=1.0),
-    SchemaField("ell_values", list, [-4, 4], "qkd-oam: distinct mode indices"),
-    SchemaField("superposition_basis", bool, False,
-           "qkd-oam: add the two-mode superposition basis"),
-    SchemaField("trials", int, 100, "qkd-oam: Monte Carlo channel realizations",
-           minimum=1),
-    SchemaField("modes", list, None, "images: list of source sections"),
-)
+#: The analysis section's keys by the kind that reads them.
+_ANALYSIS = {
+    "wavefront": (
+        SchemaField("j_max", int, 15, "highest fitted mode", minimum=2),
+        SchemaField("fit_aperture_radius", float, None, "analysis disk "
+               "radius in meters (default: the lenslet array's half-width)",
+               above=0.0),
+        SchemaField("intensity_floor", float, 0.01, "lenslet validity "
+               "floor as fraction of the brightest lenslet, below 1",
+               minimum=0.0)),
+    "qkd-pol": (
+        SchemaField("theta", float, 0.0, "channel rotation in radians"),
+        SchemaField("depolarization", float, 0.0802, "depolarization "
+               "fraction (QBER = depolarization / 2 at theta = 0)",
+               minimum=0.0, maximum=1.0)),
+    "qkd-oam": (
+        SchemaField("ell_values", list, [-4, 4], "distinct mode indices"),
+        SchemaField("superposition_basis", bool, False,
+               "add the two-mode superposition basis"),
+        SchemaField("trials", int, 100, "Monte Carlo channel realizations",
+               minimum=1)),
+    "images": (
+        SchemaField("modes", list, None, "list of source sections"),
+        SchemaField("time_average", bool, False, "also write the per-mode "
+               "average over frames (long-exposure analogue)")),
+}
+ANALYSIS_KINDS = tuple(_ANALYSIS)
+_KIND = SchemaField("kind", str, None, "what to compute",
+                    choices=ANALYSIS_KINDS, required=True)
 
 _TOP = (
     SchemaField("name", str, None, "scenario name", required=True),
@@ -160,8 +168,6 @@ _TOP = (
            minimum=0),
     SchemaField("frames", int, 1, "number of frames / repeated realizations",
            minimum=1),
-    SchemaField("time_average", bool, False, "images: also write the per-mode "
-           "average over frames (long-exposure analogue)"),
 )
 
 _SECTIONS = {
@@ -171,7 +177,6 @@ _SECTIONS = {
     "channel.screens": _SCREENS,
     "channel.occlusion": _OCCLUSION,
     "sensor": _SENSOR,
-    "analysis": _ANALYSIS,
 }
 
 
@@ -196,16 +201,17 @@ class SourceSpec:
 
 @dataclass(frozen=True)
 class AnalysisSpec:
+    """The analysis to run; each kind's subclass in ``_SPECS`` adds the keys
+    that kind reads as its fields (``modes`` as SourceSpecs, ``ell_values``
+    as a tuple)."""
+
     kind: str
-    j_max: int
-    fit_aperture_radius: float | None
-    intensity_floor: float
-    theta: float
-    depolarization: float
-    ell_values: tuple[int, ...]
-    superposition_basis: bool
-    trials: int
-    modes: tuple[SourceSpec, ...]
+
+
+_SPECS = {kind: make_dataclass(f"{kind.title().replace('-', '')}Analysis",
+                               [f.name for f in fields],
+                               bases=(AnalysisSpec,), frozen=True)
+          for kind, fields in _ANALYSIS.items()}
 
 
 @dataclass(frozen=True)
@@ -215,7 +221,6 @@ class Scenario:
     name: str
     seed: int
     frames: int
-    time_average: bool
     grid: Grid
     source: SourceSpec
     channel: ChannelConfig
@@ -306,8 +311,24 @@ def _apply_schema(section: Mapping | None, schema: tuple[SchemaField, ...],
         elif field.required:
             raise ScenarioError("missing required key", path)
         else:
-            out[field.name] = field.default
+            out[field.name] = copy.deepcopy(field.default)
     return out
+
+
+def _apply_analysis(section: Mapping | None) -> dict:
+    """``kind`` first, so a misspelled one is reported there, then the keys
+    that kind reads; another kind's key is refused at its own path."""
+    if not isinstance(section, Mapping):
+        return _apply_schema(section, (_KIND,), "analysis")   # raises
+    if "kind" not in section:
+        raise ScenarioError("missing required key", "analysis.kind")
+    kind = _coerce(_KIND, section["kind"], "analysis.kind")
+    for other, fields in _ANALYSIS.items():
+        stray = [f.name for f in fields if other != kind and f.name in section]
+        if stray:
+            raise ScenarioError(f"only {other} analysis reads this key, not "
+                                f"{kind}", f"analysis.{stray[0]}")
+    return _apply_schema(section, (_KIND, *_ANALYSIS[kind]), "analysis")
 
 
 def modal_sigma_table(sigma: float, j_max: int) -> dict[int, float]:
@@ -386,7 +407,7 @@ def parse_document(doc: Mapping) -> Scenario:
     """Validate a raw scenario mapping; ``doc`` itself is not modified."""
     doc = copy.deepcopy(dict(doc))
     known_top = [f.name for f in _TOP] + list(
-        dict.fromkeys(k.split(".")[0] for k in _SECTIONS))
+        dict.fromkeys(k.split(".")[0] for k in (*_SECTIONS, "analysis")))
     for key in doc:
         if key not in known_top:
             raise ScenarioError(
@@ -395,7 +416,7 @@ def parse_document(doc: Mapping) -> Scenario:
     # Take every section out of its parent first: the top level and
     # "channel" are validated without the mappings nested in them.
     raw = {}
-    for where in _SECTIONS:
+    for where in (*_SECTIONS, "analysis"):
         parent, _, key = where.rpartition(".")
         holder = raw[parent] if parent else doc
         raw[where] = holder.pop(key, None) if isinstance(holder, dict) \
@@ -405,16 +426,19 @@ def parse_document(doc: Mapping) -> Scenario:
         parent, _, key = where.rpartition(".")
         (resolved[parent] if parent else resolved)[key] = _apply_schema(
             raw[where], schema, where)
+    ana = resolved["analysis"] = _apply_analysis(raw["analysis"])
 
     # The schema has already checked spacing > 0 and n_samples >= 16.
     grid = _checked("grid.n_samples", Grid, resolved["grid"]["n_samples"],
                     resolved["grid"]["spacing"])
     source = _build_source(resolved["source"], grid, "source")
     channel = _build_channel(resolved, resolved["seed"])
+    if channel.screen_aperture_radius is not None:
+        _checked("channel.screens.aperture_radius", check_aperture,
+                 channel.screen_aperture_radius, grid)
     sensor = _checked("sensor", LensletArray, **resolved["sensor"])
 
-    ana = resolved["analysis"]
-    modes: tuple[SourceSpec, ...] = ()
+    keys = dict(ana)
     if ana["kind"] == "images":
         if not ana["modes"]:
             raise ScenarioError("images analysis needs a non-empty modes "
@@ -430,35 +454,26 @@ def parse_document(doc: Mapping) -> Scenario:
                     "each mode's frames are named by its label", where)
             built.append(spec)
             ana["modes"][i] = sec
-        modes = tuple(built)
-    elif ana["modes"] is not None or resolved["time_average"]:
-        key = "analysis.modes" if ana["modes"] is not None else "time_average"
-        raise ScenarioError("applies only to images analysis", key)
+        keys["modes"] = tuple(built)
     if ana["kind"] == "qkd-oam":
         _checked("analysis", oam_alphabet, ana["ell_values"],
                  ana["superposition_basis"],
                  waist_or_default(source.waist, grid), grid)
+        keys["ell_values"] = tuple(ana["ell_values"])
     if ana["kind"] == "wavefront":
         _checked("", lenslet_tiling, sensor, grid)
-    _checked("analysis.intensity_floor", check_intensity_floor,
-             ana["intensity_floor"])
-    for where, radius in (
-            ("channel.screens.aperture_radius", channel.screen_aperture_radius),
-            ("analysis.fit_aperture_radius", ana["fit_aperture_radius"])):
-        if radius is not None:
-            _checked(where, check_aperture, radius, grid)
-    if ana["kind"] == "wavefront":
+        _checked("analysis.intensity_floor", check_intensity_floor,
+                 ana["intensity_floor"])
+        if ana["fit_aperture_radius"] is not None:
+            _checked("analysis.fit_aperture_radius", check_aperture,
+                     ana["fit_aperture_radius"], grid)
         _checked("analysis", check_fit_modes, sensor, ana["j_max"],
                  ana["fit_aperture_radius"])
-    # AnalysisSpec's fields are the analysis section's keys.
-    analysis = AnalysisSpec(**{**ana, "ell_values": tuple(ana["ell_values"]),
-                               "modes": modes})
 
     return Scenario(name=resolved["name"], seed=resolved["seed"],
-                    frames=resolved["frames"],
-                    time_average=resolved["time_average"], grid=grid,
-                    source=source, channel=channel, sensor=sensor,
-                    analysis=analysis, resolved=resolved)
+                    frames=resolved["frames"], grid=grid, source=source,
+                    channel=channel, sensor=sensor,
+                    analysis=_SPECS[ana["kind"]](**keys), resolved=resolved)
 
 
 def load_scenario(ref: str | Path, sets: Sequence[str] = (),
@@ -540,4 +555,7 @@ def schema_reference() -> str:
     emit("top level", _TOP)
     for section, schema in _SECTIONS.items():
         emit(section, schema)
+    emit("analysis", (_KIND,))
+    for kind, schema in _ANALYSIS.items():
+        emit(f"analysis, kind {kind}", schema)
     return "\n".join(lines)

@@ -18,7 +18,6 @@ from typing import Sequence
 import numpy as np
 
 from .field import ComplexField, ConfigError, Grid, frozen
-from .seeding import substream
 from .zernike import (PhaseScreen, ZernikeSpectrum, gradient_unchecked,
                       nm_from_index, phase_from_spectrum)
 
@@ -50,9 +49,10 @@ class LensletArray:
     pixels_per_lenslet: int = 30
 
     def __post_init__(self):
-        for name in ("count_x", "count_y", "pixels_per_lenslet"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name, least in (("count_x", 1), ("count_y", 1),
+                            ("pixels_per_lenslet", 2)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
         for name in ("pitch", "focal_length", "pixel_size"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -152,9 +152,7 @@ class WfsResult:
             raise ValueError("residual_rms must be >= 0")
 
 
-def capture(field: ComplexField, geometry: LensletArray,
-            read_noise: float = 0.0, shot_noise_photons: float = 0.0,
-            noise_seed: int = 0) -> SpotImage:
+def capture(field: ComplexField, geometry: LensletArray) -> SpotImage:
     """Image the field through the lenslet array onto the camera.
 
     Each sub-aperture is Fourier-transformed to the lenslet's focal plane
@@ -163,14 +161,8 @@ def capture(field: ComplexField, geometry: LensletArray,
     ~ f * g * lambda / (2 pi) as the geometric model predicts.
 
     The array must tile the field grid (see :func:`lenslet_tiling`).
-    Optional detector noise (additive Gaussian ``read_noise`` relative to
-    the peak, Poisson shot noise with ``shot_noise_photons`` photons in the
-    brightest sub-image) is off by default; both must be finite and >= 0.
+    Detector noise is not modelled.
     """
-    for name, value in (("read_noise", read_noise),
-                        ("shot_noise_photons", shot_noise_photons)):
-        if not 0.0 <= value < math.inf:
-            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
     samples, ix0, iy0 = lenslet_tiling(geometry, field.grid)
     # Block view (count_y, count_x, samples_y, samples_x); the array is
     # contiguous on the grid so one reshape suffices.
@@ -180,18 +172,6 @@ def capture(field: ComplexField, geometry: LensletArray,
                          geometry.count_x, samples).transpose(0, 2, 1, 3)
     _, _, kern, _ = _lenslet_optics(geometry, field.wavelength, samples)
     images = _focal_spots(kern, blocks)
-
-    if shot_noise_photons > 0.0 or read_noise > 0.0:
-        rng = substream(noise_seed)
-        peak_sub = images.sum(axis=(2, 3)).max()
-        if shot_noise_photons > 0.0 and peak_sub > 0.0:
-            gain = shot_noise_photons / peak_sub
-            images = rng.poisson(images * gain).astype(float) / gain
-        if read_noise > 0.0:
-            images = images + rng.normal(
-                0.0, read_noise * images.max(), size=images.shape)
-        images = np.clip(images, 0.0, None)
-
     images.flags.writeable = False
     return SpotImage(images=images, geometry=geometry,
                      wavelength=field.wavelength,

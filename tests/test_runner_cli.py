@@ -12,7 +12,7 @@ from hydrolink.io import (fmt, screen_to_csv, sha256_of, write_csv,
                           write_pgm16)
 from hydrolink import runner
 from hydrolink.runner import _scaled_scenario, run_scenario, sweep
-from hydrolink.scenario import (bundled_scenarios, load_scenario,
+from hydrolink.scenario import (_ANALYSIS, bundled_scenarios, load_scenario,
                                 parse_scenario)
 from hydrolink.shack_hartmann import modal_fit
 
@@ -43,7 +43,6 @@ FAST_GALLERY = """
 name: tiny-gallery
 seed: 3
 frames: 2
-time_average: true
 grid:
   n_samples: 128
   spacing: 8.0e-5
@@ -59,6 +58,7 @@ channel:
     opacity: 0.8
 analysis:
   kind: images
+  time_average: true
   modes:
     - kind: gaussian
     - kind: petal
@@ -448,7 +448,7 @@ class TestCli:
     @pytest.mark.parametrize("override, key", [
         ("frames: null", "frames"),
         ("grid: {n_samples: null}", "grid.n_samples"),
-        ("analysis: {kind: qkd-pol, ell_values: null}",
+        ("analysis: {kind: qkd-oam, ell_values: null}",
          "analysis.ell_values")], ids=["frames", "n_samples", "ell_values"])
     def test_null_for_defaulted_key_exit_code(self, tmp_path, capsys,
                                               override, key):
@@ -637,9 +637,10 @@ analysis:
          "--set 'analysis.modes=[{kindd: x, waist: -3}]'", "analysis.modes"),
         ("wfs wavefront-survey --set 'analysis.modes=[{kind: gaussian}]'",
          "analysis.modes"),
-        ("simulate polarization-qkd --set time_average=true",
-         "time_average"),
-        ("wfs wavefront-survey --set time_average=true", "time_average")],
+        ("simulate polarization-qkd --set analysis.time_average=true",
+         "analysis.time_average"),
+        ("wfs wavefront-survey --set analysis.time_average=true",
+         "analysis.time_average")],
         ids=["unresolvable", "three-letter-superposition", "odd-n-samples",
              "empty-sigmas", "fit-aperture", "screen-aperture",
              "piston-sigma", "negative-sigma", "bool-index", "nan-sigma",
@@ -651,6 +652,23 @@ analysis:
         argv = [*shlex.split(command), "-o", str(tmp_path / "r")]
         assert main(argv) == 1
         assert f"error: {key}:" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("scenario, key, reader", [
+        pytest.param(scenario, f.name, other, id=f"{f.name}-on-{kind}")
+        for scenario, kind in [("wavefront-survey", "wavefront"),
+                               ("polarization-qkd", "qkd-pol"),
+                               ("oam-crosstalk", "qkd-oam"),
+                               ("oam-gallery", "images")]
+        for other, fields in _ANALYSIS.items() if other != kind
+        for f in fields])
+    def test_another_kinds_key_refused_before_writing(self, tmp_path, capsys,
+                                                      scenario, key, reader):
+        code = main(["simulate", scenario, "--set", f"analysis.{key}=1",
+                     "-o", str(tmp_path / "r")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: analysis.{key}: only {reader} analysis reads this key")
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("override", [["--seed", "3"],

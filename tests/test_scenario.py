@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,14 @@ grid:
 analysis:
   kind: wavefront
 """
+
+#: The analysis keys each kind reads.
+ANALYSIS_KEYS = {
+    "wavefront": ["j_max", "fit_aperture_radius", "intensity_floor"],
+    "qkd-pol": ["theta", "depolarization"],
+    "qkd-oam": ["ell_values", "superposition_basis", "trials"],
+    "images": ["modes", "time_average"],
+}
 
 
 class TestParse:
@@ -104,6 +113,23 @@ class TestParse:
     def test_images_needs_modes(self):
         with pytest.raises(ScenarioError, match="modes"):
             parse_scenario("name: x\nanalysis:\n  kind: images\n")
+
+    def test_misspelled_kind_reported_at_kind(self):
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario("name: x\nanalysis:\n  kind: qkd-pl\n"
+                           "  theta: 0.1\n")
+        assert info.value.where == "analysis.kind"
+        assert "qkd-pol" in str(info.value)
+
+    def test_top_level_time_average_refused(self):
+        with pytest.raises(ScenarioError, match="unknown key 'time_average'"):
+            parse_scenario("name: x\ntime_average: true\nanalysis:\n"
+                           "  kind: images\n  modes: [{kind: gaussian}]\n")
+
+    def test_parse_does_not_share_schema_defaults(self):
+        doc = "name: x\nanalysis: {kind: qkd-oam}\n"
+        parse_scenario(doc).resolved["analysis"]["ell_values"].append(9)
+        assert parse_scenario(doc).analysis.ell_values == (-4, 4)
 
     def test_oam_ell_values_validated(self):
         with pytest.raises(ScenarioError, match="distinct"):
@@ -201,7 +227,8 @@ class TestKernelRules:
          "channel.screens.aperture_radius"),
         (lambda: extract_slopes(SpotImage(np.ones((23, 23, 30, 30)),
                                           LensletArray(), 532e-9), 1.0),
-         {"analysis": {"kind": "qkd-pol", "intensity_floor": 1.0}},
+         {"grid": {"n_samples": 384, "spacing": 12.5e-6},
+          "analysis": {"kind": "wavefront", "intensity_floor": 1.0}},
          "analysis.intensity_floor"),
         (lambda: modal_fit(SlopeField(*np.zeros((2, 23, 23)),
                                       np.ones((23, 23), bool),
@@ -268,6 +295,16 @@ class TestRoundTrip:
             (length, attenuation)
         assert parse_scenario(s.to_yaml()).to_yaml() == s.to_yaml()
 
+    @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
+    def test_bundled_echo_lists_only_its_kinds_keys(self, name):
+        s = load_scenario(name)
+        echo = yaml.safe_load(s.to_yaml())["analysis"]
+        assert sorted(echo) == sorted(["kind",
+                                       *ANALYSIS_KEYS[s.analysis.kind]])
+        again = parse_scenario(s.to_yaml())
+        assert again.resolved == s.resolved
+        assert again.analysis == s.analysis
+
     def test_load_rejects_malformed_set(self):
         with pytest.raises(ScenarioError, match="key.path=value"):
             load_scenario("polarization-qkd", ["seed"])
@@ -286,6 +323,16 @@ class TestHelpers:
         set_by_path(doc, "frames", "7")
         assert doc["channel"]["length"] == 3.0
         assert doc["frames"] == 7
+
+    def test_schema_lists_each_analysis_key_once_under_its_kind(self):
+        listed = []
+        for block in schema_reference().split("\n\n"):
+            title, *rows = block.splitlines()
+            listed += [(title, row.split()[0]) for row in rows
+                       if title.startswith("analysis") and row[2] != " "]
+        assert listed == [("analysis", "kind")] + [
+            (f"analysis, kind {kind}", key)
+            for kind, keys in ANALYSIS_KEYS.items() for key in keys]
 
     def test_schema_reference_mentions_every_section(self):
         text = schema_reference()
