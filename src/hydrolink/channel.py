@@ -20,7 +20,7 @@ import numpy.fft
 from .field import (ComplexField, ConfigError, Grid, GridMismatchError,
                     row_bands, total_power)
 from .seeding import TAG_OCCLUSION, TAG_SCREEN, child_seed, substream
-from .special import erf
+from .special import ERF_ONE, erf
 from .zernike import PhaseScreen, ZernikeSpectrum, draw_modal_spectrum, \
     kolmogorov_screen, phase_from_spectra, sigma_table
 
@@ -147,20 +147,21 @@ def angular_spectrum_propagate(field: ComplexField, dz: float,
         raise ValueError("refractive index must be >= 1")
     if dz == 0.0:
         return field
-    out = _propagate_stack(field.amplitude[None], field.grid,
-                           field.wavelength, refractive_index, dz,
-                           np.ones((1, 1)), None)
+    out, _ = _propagate_stack(field.amplitude[None], field.grid,
+                              field.wavelength, refractive_index, dz,
+                              np.ones((1, 1)), None)
     return field.with_amplitude(out[0])
 
 
 def _propagate_stack(stack: np.ndarray, grid: Grid, wavelength: float,
                      refractive_index: float, dz: float, states: np.ndarray,
-                     step: int | None) -> np.ndarray:
+                     step: int | None) -> tuple[np.ndarray, float]:
     """Propagate a (d, N, N) stack of amplitudes by dz > 0, after checking
     every state formed from it (each row of ``states``, a (k, d)
-    coefficient matrix) against the aliasing guard. A tripped guard names
-    the chain's split ``step`` and the row, and the keys that weaken it;
-    with ``step`` None (one field on its own) it names only the fraction.
+    coefficient matrix) against the aliasing guard; return the result and
+    the largest guard fraction compared. A tripped guard names the chain's
+    split ``step`` and the row, and the keys that weaken it; with ``step``
+    None (one field on its own) it names only the fraction.
 
     A writable ``stack`` is the caller's scratch buffer: both transforms
     run in it and it comes back as the result. A read-only one (a field's
@@ -172,8 +173,9 @@ def _propagate_stack(stack: np.ndarray, grid: Grid, wavelength: float,
     guard, h = _propagation_plan(grid, wavelength, refractive_index, dz)
     fractions = _guard_fractions(spec, guard, states)
     row = int(np.argmax(fractions))
-    if fractions[row] > ALIASING_ENERGY_FRACTION:
-        msg = (f"{fractions[row]:.2e} of field energy beyond "
+    worst = float(fractions[row])
+    if worst > ALIASING_ENERGY_FRACTION:
+        msg = (f"{worst:.2e} of field energy beyond "
                f"{NYQUIST_GUARD_FRACTION:.0%} of Nyquist (limit "
                f"{ALIASING_ENERGY_FRACTION:.0e})")
         if step is not None:
@@ -182,7 +184,7 @@ def _propagate_stack(stack: np.ndarray, grid: Grid, wavelength: float,
                    f"finer (grid.n_samples, grid.spacing)")
         raise AliasingError(msg)
     spec *= h
-    return np.fft.ifftn(spec, axes=(-2, -1), out=spec)
+    return np.fft.ifftn(spec, axes=(-2, -1), out=spec), worst
 
 
 def _guard_fractions(spec: np.ndarray, guard: np.ndarray,
@@ -244,23 +246,32 @@ def apply_occlusion(field: ComplexField,
     """
     if occluder.opacity == 0.0:
         return field
-    return field.with_amplitude(
-        field.amplitude * _occluder_transmission(occluder, field.grid))
+    rows, cols, factor = _occluder_box(occluder, field.grid)
+    amplitude = field.amplitude.copy()
+    amplitude[rows, cols] *= factor
+    amplitude.flags.writeable = False
+    return field.with_amplitude(amplitude)
 
 
-def _occluder_transmission(occluder: Occluder, grid: Grid) -> np.ndarray:
-    """Amplitude factor 1 - opacity * blocked-fraction over the grid."""
+def _occluder_box(occluder: Occluder, grid: Grid,
+                  ) -> tuple[slice, slice, np.ndarray]:
+    """The rows and columns of the occluder's footprint on the grid, and
+    the amplitude factor 1 - opacity * blocked-fraction over them.
+
+    ``erf`` is exactly 1 from ``ERF_ONE`` on, so beyond radius +
+    ``ERF_ONE`` * edge from the centre the factor is exactly 1. The box
+    covers that square plus one sample on each side, clipped to the grid.
+    """
     edge = occluder.edge_width
     if edge is None:
         edge = max(0.05 * occluder.radius, 3.0 * grid.spacing)
-    x, y = grid.mesh()
+    reach = occluder.radius + ERF_ONE * edge
+    c = grid.coords()
     x0, y0 = occluder.position
-    # Every step runs in place on the two fresh mesh arrays, so a call
-    # never holds more than two grids.
-    x -= x0
-    y -= y0
-    r = np.hypot(x, y, out=x)
-    del y
+    rows, cols = (slice(max(int(np.searchsorted(c, c0 - reach)) - 1, 0),
+                        int(np.searchsorted(c, c0 + reach, "right")) + 1)
+                  for c0 in (y0, x0))
+    r = np.hypot((c[cols] - x0)[None, :], (c[rows] - y0)[:, None])
     if edge > 0.0:
         # Gaussian-convolved rim: spectrally compact, area-preserving:
         # 0.5 * (1 - erf((r - radius) / edge)).
@@ -272,7 +283,7 @@ def _occluder_transmission(occluder: Occluder, grid: Grid) -> np.ndarray:
     else:
         blocked = (r <= occluder.radius).astype(float)
     blocked *= occluder.opacity
-    return np.subtract(1.0, blocked, out=blocked)
+    return rows, cols, np.subtract(1.0, blocked, out=blocked)
 
 
 @dataclass(frozen=True)
@@ -348,9 +359,14 @@ class ChannelConfig:
 
 @dataclass(frozen=True)
 class ChannelResult:
+    """One field's transit. ``guard_fraction_max`` is the largest energy
+    fraction the aliasing guard compared with its limit over the launch's
+    step and the realization's steps, for every state of the launch."""
+
     output_field: ComplexField
     transmittance: float
     ground_truth_spectra: tuple[ZernikeSpectrum, ...] | None = None
+    guard_fraction_max: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.transmittance <= 1.0 + 1e-12:
@@ -397,8 +413,9 @@ class Launch:
     before any screen and depends only on the sources and on the config's
     ``path``: (length, n_screens, refractive_index, attenuation_db_per_m).
     ``stack`` is the read-only (d, N, N) result, which the aliasing guard
-    checked once for every row of ``states``; ``powers`` are the sources'
-    input powers. :func:`run_channel` starts each realization from it.
+    checked once for every row of ``states``, finding at most
+    ``guard_fraction``; ``powers`` are the sources' input powers.
+    :func:`run_channel` starts each realization from it.
     """
 
     fields: tuple[ComplexField, ...]
@@ -406,6 +423,7 @@ class Launch:
     states: np.ndarray
     stack: np.ndarray
     path: tuple[float, int, float, float]
+    guard_fraction: float
 
 
 def _path(config: ChannelConfig) -> tuple[float, int, float, float]:
@@ -415,20 +433,22 @@ def _path(config: ChannelConfig) -> tuple[float, int, float, float]:
 
 def _diffract(stack: np.ndarray, fields: tuple[ComplexField, ...],
               config: ChannelConfig, states: np.ndarray, step: int,
-              occluders: Sequence[Occluder]) -> np.ndarray:
+              occluders: Sequence[Occluder]) -> tuple[np.ndarray, float]:
     """One diffraction substep of the chain: ``occluders`` (in place),
-    propagation over dz with the aliasing guard, then attenuation."""
+    propagation over dz with the aliasing guard, then attenuation; returns
+    the stack and the guard's largest fraction."""
     grid = fields[0].grid
     for occ in occluders:
         if occ.opacity != 0.0:
-            stack *= _occluder_transmission(occ, grid)
+            rows, cols, factor = _occluder_box(occ, grid)
+            stack[:, rows, cols] *= factor
     dz = config.length / (config.n_screens + 1)
-    stack = _propagate_stack(stack, grid, fields[0].wavelength,
-                             config.refractive_index, dz, states, step)
+    stack, worst = _propagate_stack(stack, grid, fields[0].wavelength,
+                                    config.refractive_index, dz, states, step)
     factor = _amplitude_factor(config.attenuation_db_per_m, dz)
     if factor != 1.0:
         stack *= factor
-    return stack
+    return stack, worst
 
 
 def launch(input_field: ComplexField | Sequence[ComplexField],
@@ -460,12 +480,13 @@ def launch(input_field: ComplexField | Sequence[ComplexField],
             f"states must be a (k, {len(fields)}) matrix of finite "
             f"coefficients with a nonzero entry in every row")
     coeffs.flags.writeable = False
-    stack = _diffract(np.stack([f.amplitude for f in fields]), fields,
-                      config, coeffs, 0, ())
+    stack, worst = _diffract(np.stack([f.amplitude for f in fields]), fields,
+                             config, coeffs, 0, ())
     stack.flags.writeable = False
     return Launch(fields=fields,
                   powers=tuple(total_power(f) for f in fields),
-                  states=coeffs, stack=stack, path=_path(config))
+                  states=coeffs, stack=stack, path=_path(config),
+                  guard_fraction=worst)
 
 
 def _draw_occluders(config: ChannelConfig, grid: Grid,
@@ -538,11 +559,13 @@ def run_channel(input_field: ComplexField | Sequence[ComplexField]
     # space the screens free when this call returns then lies above it,
     # where the next large arrays of a frame can reuse it.
     screens, spectra = realize_screens(config, grid)
+    worst = start.guard_fraction
     for step in range(first, config.n_screens + 1):
         if step:
             stack = _apply_screen(stack, screens[step - 1].phase, work)
-        stack = _diffract(stack, fields, config, start.states, step,
-                          occluders.get(step, ()))
+        stack, fraction = _diffract(stack, fields, config, start.states,
+                                    step, occluders.get(step, ()))
+        worst = max(worst, fraction)
 
     # The results keep read-only views of the stack rather than copies.
     stack.flags.writeable = False
@@ -552,6 +575,7 @@ def run_channel(input_field: ComplexField | Sequence[ComplexField]
         ratio = total_power(out) / p_in if p_in > 0 else 0.0
         results.append(ChannelResult(output_field=out,
                                      transmittance=min(ratio, 1.0),
-                                     ground_truth_spectra=spectra))
+                                     ground_truth_spectra=spectra,
+                                     guard_fraction_max=worst))
     return results[0] if isinstance(input_field, ComplexField) \
         else tuple(results)

@@ -243,6 +243,9 @@ def detection_matrix_oam(channel_config: ChannelConfig,
         # a direct projection of a computational output always has.
         blocks[trial] = [[abs(a) ** 2 for a in row]
                          for row in amplitudes.tolist()]
+        # The outputs are views of the trial's working stack: free it
+        # before the next trial allocates its own.
+        del transits
     mean = _renormalize(blocks, bases).sum(axis=0) / n_trials
     # Two passes (deviations from the mean), so identical trials give 0.
     stderr = blocks.std(axis=0, ddof=1) / math.sqrt(n_trials) \

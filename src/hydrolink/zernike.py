@@ -23,8 +23,10 @@ commercial wavefront sensors report, and :func:`radians_to_waves` /
 from __future__ import annotations
 
 import math
+import threading
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from numbers import Integral
 from typing import Iterable, Mapping
 
@@ -221,7 +223,46 @@ def _disk_geometry(grid: Grid, aperture_radius: float,
     return inside, rho_in, phi_in
 
 
-@lru_cache(maxsize=1)
+#: What a one-entry plan's ``cache_info()`` reports, as ``lru_cache``'s.
+_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
+
+
+def _one_entry(build):
+    """Keep ``build``'s value for its latest arguments only, like
+    ``lru_cache(maxsize=1)``, but free before build: on new arguments the
+    old value is dropped before ``build`` runs, so a plan never holds two
+    entries at once. One lock serializes lookups and builds, so threads
+    that need the same entry build it once. ``cache_info`` and
+    ``cache_clear`` behave as ``lru_cache``'s.
+    """
+    lock = threading.Lock()
+    entry = {}                       # at most one: arguments -> value
+    hits = misses = 0
+
+    @wraps(build)
+    def plan(*args):
+        nonlocal hits, misses
+        with lock:
+            if args in entry:
+                hits += 1
+                return entry[args]
+            misses += 1
+            entry.clear()
+            entry[args] = value = build(*args)
+            return value
+
+    def cache_clear():
+        nonlocal hits, misses
+        with lock:
+            entry.clear()
+            hits = misses = 0
+
+    plan.cache_info = lambda: _CacheInfo(hits, misses, 1, len(entry))
+    plan.cache_clear = cache_clear
+    return plan
+
+
+@_one_entry
 def _mode_maps(grid: Grid, aperture_radius: float, js: tuple[int, ...],
                ) -> np.ndarray:
     """Read-only (len(js), inside samples) values of Z_j over the aperture
@@ -231,7 +272,8 @@ def _mode_maps(grid: Grid, aperture_radius: float, js: tuple[int, ...],
     realizations; each row is ``zernike_eval``'s array bit for bit. Only one
     entry is kept: 14 modes take about 1.2, 4.7 and 10.5 MB at N = 128, 256
     and 384, and a render on another disk, such as a fitted wavefront's,
-    replaces them rather than holding both.
+    replaces them rather than holding both: the old entry is freed before
+    the new one is evaluated.
     """
     _, rho_in, phi_in = _disk_geometry(grid, aperture_radius)
     maps = np.empty((len(js), rho_in.size))
@@ -241,7 +283,7 @@ def _mode_maps(grid: Grid, aperture_radius: float, js: tuple[int, ...],
     return maps
 
 
-@lru_cache(maxsize=1)
+@_one_entry
 def _rim_taper(grid: Grid, aperture_radius: float, rim_taper: float,
                ) -> np.ndarray:
     """Read-only roll-off 0.5 * (1 - erf((rho - (1 - t/2)) / (t/5))) over

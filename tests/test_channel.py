@@ -20,6 +20,7 @@ from hydrolink.field import (ComplexField, ConfigError, Grid,
                              GridMismatchError, beam_width, centroid,
                              lg_mode, petal_mode, superpose, total_power)
 from hydrolink.seeding import TAG_SCREEN, child_seed
+from hydrolink.special import erf
 from hydrolink.zernike import (ZernikeSpectrum, _disk_geometry,
                                draw_modal_spectrum, phase_from_spectrum)
 from hydrolink.scenario import modal_sigma_table
@@ -127,8 +128,8 @@ class TestPropagation:
         field = lg_mode(3, 0, grid256.extent / 16, grid256, WAVELENGTH)
         stack = field.amplitude[None].copy()
         args = (grid256, WAVELENGTH, WATER_N, 0.5, np.ones((1, 1)), 0)
-        want = _propagate_stack(field.amplitude[None], *args)
-        got = _propagate_stack(stack, *args)
+        want, _ = _propagate_stack(field.amplitude[None], *args)
+        got, _ = _propagate_stack(stack, *args)
         assert got is stack
         assert np.array_equal(got.view(np.float64), want.view(np.float64))
 
@@ -291,6 +292,37 @@ class TestOcclusion:
     def test_invalid_opacity(self):
         with pytest.raises(ValueError):
             Occluder(radius=1e-3, opacity=1.5, position=(0.0, 0.0))
+
+    @pytest.mark.parametrize("position, edge_width", [
+        ((0.0, 0.0), None), ((3.1e-3, -1e-3), None), ((7e-3, -7e-3), None),
+        ((4e-4, -6e-4), 0.0)],
+        ids=["centre", "across-grid-edge", "outside-grid", "hard-rim"])
+    def test_footprint_product_equals_full_grid_product(self, position,
+                                                        edge_width):
+        grid = Grid(64, 1e-4)
+        rng = np.random.default_rng(7)
+        amp = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+        occ = Occluder(radius=8e-4, position=position, opacity=0.9,
+                       edge_width=edge_width)
+        got = apply_occlusion(ComplexField(grid, WAVELENGTH, amp), occ)
+        want = amp * _full_grid_transmission(occ, grid)
+        assert np.array_equal(got.amplitude.view(np.int64),
+                              want.view(np.int64))
+
+
+def _full_grid_transmission(occ, grid):
+    """The occluder's amplitude factor evaluated over the whole grid, as it
+    was before the product was confined to the footprint."""
+    edge = occ.edge_width
+    if edge is None:
+        edge = max(0.05 * occ.radius, 3.0 * grid.spacing)
+    x, y = grid.mesh()
+    r = np.hypot(x - occ.position[0], y - occ.position[1])
+    if edge > 0.0:
+        blocked = 0.5 * (1.0 - erf((r - occ.radius) / edge))
+    else:
+        blocked = (r <= occ.radius).astype(float)
+    return 1.0 - occ.opacity * blocked
 
 
 class TestChannelConfig:
@@ -616,6 +648,43 @@ class TestFormedStates:
             assert key in msg
         assert str(err.value.at("trial 7")).startswith(
             "trial 7: split step 0, row 1: ")
+
+    @pytest.mark.parametrize("planted", [(), (2e-7, 9e-7, 4e-7)],
+                             ids=["computed", "worst-mid-chain"])
+    def test_guard_fraction_max_is_the_largest_compared(self, monkeypatch,
+                                                        planted):
+        # The computed fractions grow along the chain; the planted ones,
+        # all below the limit, put the worst on a middle step.
+        import hydrolink.channel as chmod
+        compared = []
+
+        def recording(spec, guard, states):
+            fractions = _guard_fractions(spec, guard, states)
+            if planted:
+                fractions[:] = planted[len(compared) % len(planted)]
+            compared.append(float(fractions.max()))
+            return fractions
+
+        monkeypatch.setattr(chmod, "_guard_fractions", recording)
+        grid = Grid(128, 8e-5)
+        fields = tuple(lg_mode(ell, 0, grid.extent / 16, grid, WAVELENGTH)
+                       for ell in (-4, 4))
+        cfg = TestBatchedTransit()._config()
+        # Launched inside the call: step 0, then the realization's steps.
+        results = run_channel(fields, cfg)
+        assert len(compared) >= cfg.n_screens + 1
+        assert max(compared) > 0.0
+        assert all(r.guard_fraction_max == max(compared) for r in results)
+        # Launched once beforehand: its step counts for every realization.
+        s = 1.0 / math.sqrt(2.0)
+        compared.clear()
+        sent = launch(fields, cfg, [[1.0, 0.0], [0.0, 1.0], [s, s]])
+        assert compared == [sent.guard_fraction]
+        for seed in (5, 6):
+            results = run_channel(sent, cfg.with_seed(seed))
+            assert all(r.guard_fraction_max == max(compared)
+                       for r in results)
+            compared[1:] = []
 
     @pytest.mark.parametrize("states", [
         [[1.0]], [[1.0, 0.0, 0.0]], [[0.0, 0.0]], [[1.0, np.nan]],

@@ -254,6 +254,25 @@ def _turbulent_channel(scale, seed=0):
 
 
 class TestDetectionMatrixOam:
+    def test_trial_outputs_freed_before_the_next_trial(self):
+        # A trial's outputs are views of its (2, N, N) working stack; kept
+        # into the next trial, they would hold a second stack.
+        import tracemalloc
+        cfg = _turbulent_channel(0.3)
+
+        def peak(n_trials):
+            tracemalloc.start()
+            try:
+                detection_matrix_oam(cfg, [-4, 4], grid=OAM_GRID,
+                                     n_trials=n_trials)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)                                 # fill the plans
+        stack = 2 * OAM_GRID.n_samples ** 2 * 16
+        assert peak(3) - peak(1) < stack / 2
+
     def test_zero_turbulence_identity(self):
         m = detection_matrix_oam(_clean_channel(), [-4, 4], grid=OAM_GRID,
                                  n_trials=2)
