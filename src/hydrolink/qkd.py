@@ -19,11 +19,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import AliasingError, ChannelConfig, launch, run_channel
+from .channel import (AliasingError, ChannelConfig, launch,  # noqa: F401
+                      run_channel, transit)
 from .field import (ANTIDIAGONAL, DEFAULT_GRID, DEFAULT_WAVELENGTH,
                     DIAGONAL, HORIZONTAL, VERTICAL, ConfigError, Grid,
                     JonesVector, lg_mode, mode_overlap, waist_or_default)
-from .seeding import TAG_TRIAL, child_seed
+from .seeding import TAG_TRIAL, realize
 
 
 def mub_overlap(a: JonesVector, b: JonesVector) -> float:
@@ -205,15 +206,16 @@ def detection_matrix_oam(channel_config: ChannelConfig,
     The d computational modes are launched once (the channel's first
     step, which no seed changes); every trial then realizes one
     deterministic channel (seeded from the config seed and the trial
-    index) and sends the launched modes through the rest of it. The
-    aliasing guard checks every sent state; a tripped guard names the
+    index) and sends the launched modes through the rest of it, on every
+    CPU through :func:`seeding.realize`, as frames are. The aliasing guard
+    checks every sent state; a tripped guard names the lowest failing
     trial, or the sources if the launch trips it. The d outputs are
     projected onto the d computational modes, and every (sent, measured)
-    amplitude is formed from those d x d overlaps O as
-    ``states @ O @ states^H``, by linearity on both sides. The
-    probabilities are renormalized within each measurement basis (ideal
-    projective mode sorting, post-selected on detection). The ensemble
-    mean and its standard error are returned.
+    amplitude is formed from those d x d overlaps O as ``states @ O @
+    states^H``, by linearity on both sides. The probabilities are
+    renormalized within each measurement basis (ideal projective mode
+    sorting, post-selected on detection). The trials' blocks are stacked
+    in trial order; their mean and its standard error are returned.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -228,24 +230,19 @@ def detection_matrix_oam(channel_config: ChannelConfig,
     except AliasingError as exc:
         raise exc.at(f"sources {', '.join(labels)}") from exc
 
-    blocks = np.zeros((n_trials, len(labels), len(labels)))
-    for trial in range(n_trials):
-        cfg = channel_config.with_seed(
-            child_seed(channel_config.seed, TAG_TRIAL, trial))
-        try:
-            transits = run_channel(sent, cfg)
-        except AliasingError as exc:
-            raise exc.at(f"trial {trial}") from exc
+    def trial(k: int) -> np.ndarray:
+        transits = transit(sent, channel_config, f"trial {k}", TAG_TRIAL, k)
         overlaps = np.array([[mode_overlap(t.output_field, mode)
                               for mode in modes] for t in transits])
+        # The outputs view the working stack: free it before the next trial.
+        del transits
         amplitudes = sent.states @ overlaps @ sent.states.conj().T
         # abs() and ** 2 on Python complexes, not numpy's: they round as
         # a direct projection of a computational output always has.
-        blocks[trial] = [[abs(a) ** 2 for a in row]
-                         for row in amplitudes.tolist()]
-        # The outputs are views of the trial's working stack: free it
-        # before the next trial allocates its own.
-        del transits
+        return np.array([[abs(a) ** 2 for a in row]
+                         for row in amplitudes.tolist()])
+
+    blocks = np.array(realize(trial, n_trials))
     mean = _renormalize(blocks, bases).sum(axis=0) / n_trials
     # Two passes (deviations from the mean), so identical trials give 0.
     stderr = blocks.std(axis=0, ddof=1) / math.sqrt(n_trials) \

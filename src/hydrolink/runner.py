@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import io as hio
-from .channel import (AliasingError, ChannelResult, Launch, launch,
-                      run_channel, transmittance)
+from .channel import (AliasingError, Launch, launch, run_channel,  # noqa: F401
+                      transit, transmittance)
 from .field import (ComplexField, Grid, centroid, lg_mode, petal_mode,
                     waist_or_default)
 from .qkd import (DetectionMatrix, PolarizationChannel, QkdReport,
@@ -31,7 +31,7 @@ from .qkd import (DetectionMatrix, PolarizationChannel, QkdReport,
                   qber_threshold, report_from_matrix)
 from .scenario import (QKD_KINDS, Scenario, ScenarioError, SourceSpec,
                        parse_document)
-from .seeding import TAG_FRAME, child_seed, realize
+from .seeding import TAG_FRAME, realize
 from .shack_hartmann import (WfsResult, average_magnitudes, capture,
                              extract_slopes, modal_fit,
                              reconstruct_wavefront)
@@ -94,18 +94,6 @@ def _launch(scenario: Scenario, spec: SourceSpec) -> Launch:
         raise exc.at(f"source {spec.label}") from exc
 
 
-def _frame_transit(scenario: Scenario, source: Launch, where: str,
-                   *path: int) -> ChannelResult:
-    """``source`` through the realization seeded by ``path``; a tripped
-    aliasing guard names ``where``."""
-    cfg = scenario.channel.with_seed(
-        child_seed(scenario.seed, TAG_FRAME, *path))
-    try:
-        return run_channel(source, cfg)[0]
-    except AliasingError as exc:
-        raise exc.at(where) from exc
-
-
 def _sensed_frame(scenario: Scenario, source: Launch, k: int,
                   ) -> tuple[float, tuple[ZernikeSpectrum, ...] | None,
                              WfsResult]:
@@ -113,7 +101,7 @@ def _sensed_frame(scenario: Scenario, source: Launch, k: int,
     output field is dropped before centroiding and nothing of the frame
     outlives the call, so frames side by side hold as little as they can."""
     ana = scenario.analysis
-    res = _frame_transit(scenario, source, f"frame {k}", k)
+    (res,) = transit(source, scenario.channel, f"frame {k}", TAG_FRAME, k)
     spots = capture(res.output_field, scenario.sensor)
     tau, truth = res.transmittance, res.ground_truth_spectra
     del res
@@ -236,8 +224,8 @@ def _run_images(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
         source = _launch(scenario, mode)
 
         def frame(k: int) -> tuple[tuple, Path, np.ndarray | None]:
-            res = _frame_transit(scenario, source,
-                                 f"mode {label}, frame {k}", k, m_i)
+            (res,) = transit(source, scenario.channel,
+                             f"mode {label}, frame {k}", TAG_FRAME, k, m_i)
             inten = res.output_field.intensity()
             cx, cy = centroid(res.output_field)
             return ((label, k, res.transmittance, cx, cy),

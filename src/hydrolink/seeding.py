@@ -3,9 +3,9 @@
 Every stochastic operation in the package draws from a Philox counter-based
 generator keyed by an integer seed plus a path of integer tags. Streams for
 different paths are statistically independent and do not depend on the order
-in which they are created, so per-frame / per-screen / per-mode draws stay
-reproducible under any execution schedule, which lets :func:`realize`
-run independent frames on every CPU the process may use.
+in which they are created, so per-frame / per-trial / per-screen draws
+stay reproducible under any schedule, which lets :func:`realize` run
+independent frames and Monte Carlo trials on every CPU the process may use.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy.random
 
 T = TypeVar("T")
 
-#: Threads :func:`realize` runs frames on: one per CPU this process may use.
+#: Threads :func:`realize` runs frames and trials on: one per usable CPU.
 WORKERS = len(os.sched_getaffinity(0))
 
 # Stream tags. Keep values stable: changing them changes every seeded output.
@@ -51,11 +51,11 @@ def realize(fn: Callable[[int], T], count: int) -> list[T]:
     run's lazily built plans before any other index starts; then the
     calling thread and ``WORKERS - 1`` helpers take the remaining indices
     in increasing order from one shared iterator. numpy's FFTs, ufuncs and
-    matrix products release the GIL, so frames overlap, and each result is
-    the same bits whichever thread computed it. Once a call fails, no
-    further index is started, and the error of the lowest failing index is
-    raised when every started call has ended; every lower index has then
-    completed, as in a serial loop.
+    matrix products release the GIL, so frames (or trials) overlap, and
+    each result is the same bits whichever thread computed it. Once a
+    call fails, no further index is started, and the error of the lowest
+    failing index is raised when every started call has ended; every
+    lower index has then completed, as in a serial loop.
     """
     if count <= 0:
         return []
@@ -86,7 +86,7 @@ def realize(fn: Callable[[int], T], count: int) -> list[T]:
         drain()
     finally:
         # Also when the calling thread is interrupted: helpers finish the
-        # frame in hand and start no other.
+        # index in hand and start no other.
         stop.set()
         for thread in helpers:
             thread.join()

@@ -605,8 +605,38 @@ class TestFormedStates:
         states[3] = (0.0, 2.0, 0.0)
         got = _guard_fractions(spec, guard, states)
         energy = np.abs(np.einsum("ri,ixy->rxy", states, spec)) ** 2
-        want = energy[:, guard].sum(axis=1) / energy.sum(axis=(1, 2))
+        energy = energy.reshape(len(states), -1)
+        want = energy[:, guard].sum(axis=1) / energy.sum(axis=1)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n, d", [(32, 1), (128, 2), (96, 3)])
+    def test_guard_fractions_match_the_mask_and_sum_form(self, n, d):
+        # Each Gram entry summed as one product over the grid, then over
+        # the band's boolean mask, as the guard formed it before.
+        grid = Grid(n, 1e-4)
+        guard, _ = _propagation_plan(grid, WAVELENGTH, WATER_N, 1.0)
+        mask = np.zeros(n * n, dtype=bool)
+        mask[guard] = True
+        mask = mask.reshape(n, n)
+        rng = np.random.default_rng(n + d)
+        spec = rng.normal(size=(d, n, n)) + 1j * rng.normal(size=(d, n, n))
+        spec *= np.exp(-rng.uniform(0.0, 30.0, size=(d, 1, 1)) * np.hypot(
+            *np.meshgrid(np.fft.fftfreq(n), np.fft.fftfreq(n))))
+        states = rng.normal(size=(d + 2, d)) + 1j * rng.normal(
+            size=(d + 2, d))
+        g_all = np.zeros((d, d), dtype=complex)
+        g_band = np.zeros((d, d), dtype=complex)
+        for i in range(d):
+            for j in range(i, d):
+                prod = np.abs(spec[i]) ** 2 if i == j \
+                    else spec[i] * spec[j].conj()
+                g_all[i, j], g_band[i, j] = prod.sum(), prod[mask].sum()
+                g_all[j, i], g_band[j, i] = (np.conj(g_all[i, j]),
+                                             np.conj(g_band[i, j]))
+        total, band = (np.einsum("ri,ij,rj->r", states, g, states.conj())
+                       .real for g in (g_all, g_band))
+        np.testing.assert_allclose(_guard_fractions(spec, guard, states),
+                                   band / total, rtol=1e-12, atol=0.0)
 
     def test_guard_trips_on_a_formed_state_only(self):
         # a = smooth + eps*hf and b = -smooth + eps*hf each keep ~1e-7 of
@@ -874,13 +904,11 @@ class TestTransitMemory:
             modal_sigmas=tuple(modal_sigma_table(0.3, 15).items()))
         launched = launch(lg_mode(0, 0, 1.1e-3, grid, WAVELENGTH), cfg)
         run_channel(launched, cfg)              # fill the run's plans
-        guard, _ = _propagation_plan(grid, WAVELENGTH, cfg.refractive_index,
-                                     cfg.length / 4)
         grid_bytes = 8 * grid.n_samples ** 2
-        # Three screens, the complex stack, the guard's |spectrum|^2 and
-        # its band, and 256 KiB for row bands and small objects.
-        bound = 3 * grid_bytes + 2 * grid_bytes + grid_bytes \
-            + 8 * int(guard.sum()) + (256 << 10)
+        # Three screens, the complex stack, one real grid of transients,
+        # and 256 KiB for row bands, the guard's gathered band pieces and
+        # small objects.
+        bound = 3 * grid_bytes + 2 * grid_bytes + grid_bytes + (256 << 10)
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]

@@ -1,6 +1,7 @@
-"""Frames mapped over threads by ``seeding.realize``: results in index
-order, the first index alone on the calling thread, the serial loop's
-error, and outputs that do not depend on the number of threads."""
+"""Frames and OAM trials mapped over threads by ``seeding.realize``:
+results in index order, the first index alone on the calling thread, the
+serial loop's error, and outputs that do not depend on the number of
+threads."""
 
 import sys
 import threading
@@ -8,10 +9,12 @@ import time
 
 import pytest
 
-from hydrolink import seeding, zernike
-from hydrolink.runner import run_scenario
+from hydrolink import channel, seeding, zernike
+from hydrolink.channel import AliasingError
+from hydrolink.qkd import detection_matrix_oam
+from hydrolink.runner import run_scenario, sweep
 from hydrolink.scenario import load_scenario
-from hydrolink.seeding import realize
+from hydrolink.seeding import TAG_TRIAL, child_seed, realize
 
 
 def test_results_in_index_order(monkeypatch):
@@ -85,16 +88,53 @@ def test_lowest_failure_raised_after_every_lower_index(monkeypatch):
     assert len(started) <= 6               # no index started after a failure
 
 
-@pytest.mark.parametrize("name, frames", [("wavefront-survey", 4),
-                                          ("oam-gallery", None)])
+_KOLMOGOROV = ("channel.screens.kind=kolmogorov", "channel.screens.r0=0.2",
+               "analysis.trials=4")
+
+
+@pytest.mark.parametrize("name, sets, frames, r0_values, n_files", [
+    pytest.param("wavefront-survey", (), 4, None, 6, id="wavefront-survey-4"),
+    pytest.param("oam-gallery", (), None, None, 6, id="oam-gallery-None"),
+    pytest.param("oam-crosstalk", ("analysis.trials=7",), None, None, 3,
+                 id="oam-crosstalk"),
+    pytest.param("oam-crosstalk", _KOLMOGOROV, None, [0.2, 0.4], 7,
+                 id="sweep-kolmogorov")])
 def test_outputs_do_not_depend_on_the_thread_count(tmp_path, monkeypatch,
-                                                   name, frames):
+                                                   name, sets, frames,
+                                                   r0_values, n_files):
+    scenario = load_scenario(name, sets, seed=1, frames=frames)
     outputs = []
     for workers in (1, 2):
         monkeypatch.setattr(seeding, "WORKERS", workers)
         out = tmp_path / str(workers)
-        run_scenario(load_scenario(name, seed=1, frames=frames), out)
-        outputs.append({p.name: p.read_bytes() for p in out.iterdir()
+        if r0_values:
+            sweep(scenario, "r0", r0_values, out)
+        else:
+            run_scenario(scenario, out)
+        outputs.append({str(p.relative_to(out)): p.read_bytes()
+                        for p in out.rglob("*")
                         if p.suffix in (".csv", ".pgm")})
-    assert len(outputs[0]) >= 6
+    assert len(outputs[0]) >= n_files
     assert outputs[0] == outputs[1]
+
+
+def test_failing_trial_named_as_in_the_serial_loop(monkeypatch):
+    # Trials 5 and later trip the guard; with three threads, trials above
+    # 5 may fail first, but the error names trial 5.
+    monkeypatch.setattr(seeding, "WORKERS", 3)
+    scenario = load_scenario("oam-crosstalk", seed=1)
+    cfg = scenario.channel
+    tripping = {child_seed(cfg.seed, TAG_TRIAL, k): k for k in range(5, 40)}
+    run = channel.run_channel
+
+    def guarded(source, config):
+        k = tripping.get(config.seed)
+        if k is not None:
+            time.sleep(0.01 * (40 - k))        # later trials fail sooner
+            raise AliasingError(f"tripped at {k}")
+        return run(source, config)
+
+    monkeypatch.setattr(channel, "run_channel", guarded)
+    with pytest.raises(AliasingError, match="^trial 5: tripped at 5$"):
+        detection_matrix_oam(cfg, [-4, 4], waist=scenario.source.waist,
+                             grid=scenario.grid, n_trials=40)
