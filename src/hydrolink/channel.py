@@ -399,13 +399,12 @@ def realize_screens(config: ChannelConfig, grid: Grid,
         sigmas = dict(config.modal_sigmas)
         spectra = tuple(draw_modal_spectrum(sigmas, r_ap, seed_k)
                         for seed_k in seeds)
-        labels = tuple(f"modal[{k}]" for k in range(config.n_screens))
-        return phase_from_spectra(spectra, grid, labels,
+        return phase_from_spectra(spectra, grid,
                                   rim_taper=SCREEN_RIM_TAPER), spectra
     return tuple(kolmogorov_screen(
-        config.r0, grid, seed_k, label=f"kolmogorov[{k}]",
+        config.r0, grid, seed_k,
         subharmonic_levels=config.subharmonic_levels)
-        for k, seed_k in enumerate(seeds)), None
+        for seed_k in seeds), None
 
 
 @dataclass(frozen=True, eq=False)

@@ -108,13 +108,18 @@ def row_bands(n: int) -> list[slice]:
     return [slice(top, min(top + step, n)) for top in range(0, n, step)]
 
 
-def frozen(a: np.ndarray) -> bool:
-    """Whether ``a`` is read-only and owns its data, or is a read-only view
-    of such an array: then no one can change it without first making it
-    writable again, so a value object may keep it instead of a copy."""
+def frozen(a: np.ndarray) -> np.ndarray:
+    """The array a value object keeps for ``a``: ``a`` itself when it is
+    read-only and owns its data, or is a read-only view of such an array,
+    since no one can then change it without first making it writable
+    again; else a read-only copy of it."""
     owner = a if a.base is None else a.base
-    return (not a.flags.writeable and isinstance(owner, np.ndarray)
-            and owner.flags.owndata and not owner.flags.writeable)
+    if not a.flags.writeable and isinstance(owner, np.ndarray) \
+            and owner.flags.owndata and not owner.flags.writeable:
+        return a
+    kept = a.copy()
+    kept.flags.writeable = False
+    return kept
 
 
 @dataclass(frozen=True)
@@ -140,10 +145,7 @@ class ComplexField:
         parts = amp.view(np.float64)
         if not (math.isfinite(parts.min()) and math.isfinite(parts.max())):
             raise ValueError("amplitude contains non-finite samples")
-        if not frozen(amp):
-            amp = amp.copy()
-            amp.flags.writeable = False
-        object.__setattr__(self, "amplitude", amp)
+        object.__setattr__(self, "amplitude", frozen(amp))
 
     def intensity(self) -> np.ndarray:
         inten = np.abs(self.amplitude)

@@ -20,12 +20,8 @@ from .zernike import PhaseScreen
 
 def fmt(value) -> str:
     """Canonical text form for one CSV cell."""
-    if isinstance(value, float):
+    if isinstance(value, (float, np.floating)):
         return format(value, ".17g")
-    if isinstance(value, (np.floating,)):
-        return format(float(value), ".17g")
-    if isinstance(value, (np.integer,)):
-        return str(int(value))
     return str(value)
 
 

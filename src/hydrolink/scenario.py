@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import difflib
 import math
+import operator
 from dataclasses import dataclass, make_dataclass
 from importlib import resources
 from pathlib import Path
@@ -178,6 +179,17 @@ _SECTIONS = {
     "channel.occlusion": _OCCLUSION,
     "sensor": _SENSOR,
 }
+#: Every section's dotted path, each after the section it is nested in.
+_NESTED = (*_SECTIONS, "analysis")
+
+#: What a wrong-typed value was expected to be, by schema type.
+_NOUNS = {float: "a number", int: "an integer", bool: "true/false",
+          str: "a string", list: "a list", dict: "a mapping"}
+
+#: (SchemaField attribute, symbol, test a value passes) of each bound, in
+#: the order they are checked and listed.
+_BOUNDS = (("minimum", ">=", operator.ge), ("above", ">", operator.gt),
+           ("maximum", "<=", operator.le))
 
 
 @dataclass(frozen=True)
@@ -234,76 +246,56 @@ class Scenario:
                               default_flow_style=False)
 
 
-def _suggest(key: str, known: list[str]) -> str:
-    close = difflib.get_close_matches(key, known, n=1, cutoff=0.4)
-    return f"; did you mean {close[0]!r}?" if close else ""
-
-
 def _coerce(field: SchemaField, value, where: str):
     if value is None:
         if field.default is None and not field.required:
             return None
         raise ScenarioError("expected a value, got null", where)
+    if field.kind is float and isinstance(value, str):
+        try:
+            value = float(value)
+        except ValueError:
+            pass
+    # A bool is an int to Python, but only true/false fields take one.
+    accepts = (int, float) if field.kind is float else field.kind
+    if isinstance(value, bool) is not (field.kind is bool) \
+            or not isinstance(value, accepts):
+        raise ScenarioError(f"expected {_NOUNS[field.kind]}, got {value!r}",
+                            where)
     if field.kind is float:
-        if isinstance(value, bool):
-            raise ScenarioError(f"expected a number, got {value!r}", where)
-        if isinstance(value, str):
-            try:
-                value = float(value)
-            except ValueError:
-                raise ScenarioError(
-                    f"expected a number, got {value!r}", where) from None
-        if not isinstance(value, (int, float)):
-            raise ScenarioError(f"expected a number, got {value!r}", where)
         value = float(value)
         if not math.isfinite(value):
             raise ScenarioError(f"non-finite value {value}", where)
-    elif field.kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ScenarioError(f"expected an integer, got {value!r}", where)
-    elif field.kind is bool:
-        if not isinstance(value, bool):
-            raise ScenarioError(f"expected true/false, got {value!r}", where)
-    elif field.kind is str:
-        if not isinstance(value, str):
-            raise ScenarioError(f"expected a string, got {value!r}", where)
-    elif field.kind is list:
-        if not isinstance(value, list):
-            raise ScenarioError(f"expected a list, got {value!r}", where)
-    elif field.kind is dict:
-        if not isinstance(value, dict):
-            raise ScenarioError(f"expected a mapping, got {value!r}", where)
     if field.choices is not None and value not in field.choices:
         raise ScenarioError(
             f"must be one of {list(field.choices)}, got {value!r}", where)
-    if field.minimum is not None and isinstance(value, (int, float)) \
-            and value < field.minimum:
-        raise ScenarioError(
-            f"must be >= {field.minimum}, got {value}", where)
-    if field.above is not None and isinstance(value, (int, float)) \
-            and not value > field.above:
-        raise ScenarioError(f"must be > {field.above}, got {value}", where)
-    if field.maximum is not None and isinstance(value, (int, float)) \
-            and value > field.maximum:
-        raise ScenarioError(
-            f"must be <= {field.maximum}, got {value}", where)
+    for name, symbol, holds in _BOUNDS:
+        bound = getattr(field, name)
+        if bound is not None and not holds(value, bound):
+            raise ScenarioError(f"must be {symbol} {bound}, got {value}",
+                                where)
     return value
 
 
 def _apply_schema(section: Mapping | None, schema: tuple[SchemaField, ...],
                   where: str) -> dict:
+    """``schema``'s keys coerced or defaulted, once the caller has taken out
+    the sections nested at ``where``. Any other key is refused, with the
+    closest of the known keys and those sections' names."""
     if section is None:
         section = {}
     if not isinstance(section, Mapping):
         raise ScenarioError(f"expected a mapping section, got {section!r}",
                             where)
-    known = [f.name for f in schema]
+    known = [f.name for f in schema] + [
+        path.rpartition(".")[2] for path in _NESTED
+        if path.rpartition(".")[0] == where]
     out = {}
     for key in section:
         if key not in known:
-            raise ScenarioError(
-                f"unknown key {key!r}{_suggest(str(key), known)}",
-                where)
+            close = difflib.get_close_matches(str(key), known, n=1, cutoff=0.4)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise ScenarioError(f"unknown key {key!r}{hint}", where)
     for field in schema:
         path = f"{where}.{field.name}" if where else field.name
         if field.name in section:
@@ -406,17 +398,10 @@ def parse_scenario(text: str) -> Scenario:
 def parse_document(doc: Mapping) -> Scenario:
     """Validate a raw scenario mapping; ``doc`` itself is not modified."""
     doc = copy.deepcopy(dict(doc))
-    known_top = [f.name for f in _TOP] + list(
-        dict.fromkeys(k.split(".")[0] for k in (*_SECTIONS, "analysis")))
-    for key in doc:
-        if key not in known_top:
-            raise ScenarioError(
-                f"unknown key {key!r}{_suggest(str(key), known_top)}")
-
     # Take every section out of its parent first: the top level and
     # "channel" are validated without the mappings nested in them.
     raw = {}
-    for where in (*_SECTIONS, "analysis"):
+    for where in _NESTED:
         parent, _, key = where.rpartition(".")
         holder = raw[parent] if parent else doc
         raw[where] = holder.pop(key, None) if isinstance(holder, dict) \
@@ -538,15 +523,10 @@ def schema_reference() -> str:
         lines.append(title)
         for f in schema:
             default = "required *" if f.required else f"default {f.default!r}"
-            extras = []
-            if f.choices:
-                extras.append(f"one of {list(f.choices)}")
-            if f.minimum is not None:
-                extras.append(f">= {f.minimum}")
-            if f.above is not None:
-                extras.append(f"> {f.above}")
-            if f.maximum is not None:
-                extras.append(f"<= {f.maximum}")
+            extras = [f"one of {list(f.choices)}"] if f.choices else []
+            extras += [f"{symbol} {getattr(f, name)}"
+                       for name, symbol, _ in _BOUNDS
+                       if getattr(f, name) is not None]
             extra = f" ({', '.join(extras)})" if extras else ""
             lines.append(f"  {f.name:<22} {f.kind.__name__:<6} {default}"
                          f"{extra}")

@@ -106,12 +106,9 @@ class SpotImage:
             raise ValueError("spot intensities must be finite and >= 0")
         if self.field_samples_per_lenslet < 2:
             raise ValueError("field_samples_per_lenslet must be >= 2")
-        # capture's read-only array is kept; anything not frozen is copied
-        # so no caller can change it later.
-        if not frozen(img):
-            img = img.copy()
-            img.flags.writeable = False
-        object.__setattr__(self, "images", img)
+        # capture's read-only array is kept; anything else is copied so no
+        # caller can change it later.
+        object.__setattr__(self, "images", frozen(img))
 
 
 @dataclass(frozen=True)
@@ -133,9 +130,7 @@ class SlopeField:
             arr = np.asarray(getattr(self, name))
             if arr.shape != shape:
                 raise ValueError(f"{name} shape {arr.shape}, want {shape}")
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen(arr))
 
 
 @dataclass(frozen=True)
@@ -503,7 +498,7 @@ def modal_fit(slopes: SlopeField, j_max: int = 15,
 def reconstruct_wavefront(spectrum: ZernikeSpectrum,
                           grid: Grid) -> PhaseScreen:
     """Render a fitted spectrum back onto a grid (radians)."""
-    return phase_from_spectrum(spectrum, grid, label="reconstruction")
+    return phase_from_spectrum(spectrum, grid)
 
 
 @dataclass(frozen=True)

@@ -63,8 +63,6 @@ class ZernikeIndex:
 
 def index_from_nm(n: int, m: int) -> ZernikeIndex:
     """Build the scalar index from (n, m) via j = 1 + (n(n+2) + m)/2."""
-    if abs(m) > n or (n - abs(m)) % 2 != 0:
-        raise ValueError(f"invalid Zernike orders (n={n}, m={m})")
     return ZernikeIndex(n=n, m=m, j=1 + (n * (n + 2) + m) // 2)
 
 
@@ -180,7 +178,6 @@ class PhaseScreen:
 
     grid: Grid
     phase: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         ph = np.asarray(self.phase, dtype=float)
@@ -190,10 +187,7 @@ class PhaseScreen:
                 f"phase shape {ph.shape} does not match grid {n}x{n}")
         if not (math.isfinite(ph.min()) and math.isfinite(ph.max())):
             raise ValueError("phase contains non-finite samples")
-        if not frozen(ph):
-            ph = ph.copy()
-            ph.flags.writeable = False
-        object.__setattr__(self, "phase", ph)
+        object.__setattr__(self, "phase", frozen(ph))
 
 
 def check_aperture(radius: float, grid: Grid) -> None:
@@ -303,9 +297,9 @@ def _rim_taper(grid: Grid, aperture_radius: float, rim_taper: float,
 
 
 def phase_from_spectra(spectra: tuple[ZernikeSpectrum, ...], grid: Grid,
-                       labels: tuple[str, ...],
                        rim_taper: float = 0.0) -> tuple[PhaseScreen, ...]:
-    """Render truncated modal sums onto a grid; zero outside the aperture.
+    """Render truncated modal sums onto a grid, one screen per spectrum in
+    order; zero outside the aperture.
 
     The spectra must share one aperture radius, and the disk must fit inside
     the grid extent. Each mode's map comes from the disk's cached
@@ -337,7 +331,7 @@ def phase_from_spectra(spectra: tuple[ZernikeSpectrum, ...], grid: Grid,
     bands = [(rows, slice(offsets[rows.start], offsets[rows.stop]))
              for rows in row_bands(len(inside))]
     screens = []
-    for c, label in zip(coeffs, labels):
+    for c in coeffs:
         phase = np.zeros(inside.shape)
         for rows, band in bands:
             acc = np.zeros(band.stop - band.start)
@@ -348,14 +342,14 @@ def phase_from_spectra(spectra: tuple[ZernikeSpectrum, ...], grid: Grid,
                 acc *= taper[band]
             phase[rows][inside[rows]] = acc
         phase.flags.writeable = False
-        screens.append(PhaseScreen(grid, phase, label))
+        screens.append(PhaseScreen(grid, phase))
     return tuple(screens)
 
 
-def phase_from_spectrum(spec: ZernikeSpectrum, grid: Grid, label: str = "",
+def phase_from_spectrum(spec: ZernikeSpectrum, grid: Grid,
                         rim_taper: float = 0.0) -> PhaseScreen:
     """Render one spectrum: :func:`phase_from_spectra` with a batch of one."""
-    return phase_from_spectra((spec,), grid, (label,), rim_taper)[0]
+    return phase_from_spectra((spec,), grid, rim_taper)[0]
 
 
 def sigma_table(entries: Iterable[tuple], key: str = "",
@@ -484,7 +478,6 @@ def _kolmogorov_plan(r0: float, grid: Grid, subharmonic_levels: int):
 
 
 def kolmogorov_screen(r0: float, grid: Grid, seed: int,
-                      label: str = "kolmogorov",
                       subharmonic_levels: int = 0) -> PhaseScreen:
     """FFT-filtered Gaussian noise with Kolmogorov phase statistics.
 
@@ -524,7 +517,7 @@ def kolmogorov_screen(r0: float, grid: Grid, seed: int,
         gx, gy = tilt * g[-2:]
         phase = phase + gx * coords[None, :] + gy * coords[:, None]
     phase.flags.writeable = False
-    return PhaseScreen(grid, phase, label)
+    return PhaseScreen(grid, phase)
 
 
 def radians_to_waves(a_rad: float) -> float:

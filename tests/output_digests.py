@@ -1,0 +1,54 @@
+"""Write the SHA-256 of every CSV and PGM the benchmarked runs produce.
+
+Usage: ``python tests/output_digests.py OUT``. The four bundled scenarios
+and the Kolmogorov r0 sweep of oam-crosstalk (``channel.screens.kind=
+kolmogorov``, ``r0=0.2``, ``analysis.trials=25``, r0 = 0.2/0.4/0.8 m) run at
+seeds 1, 2 and 1234, each into a temporary directory. ``OUT`` gets one
+``<digest>  <seed>/<run>/<file>`` line per CSV and PGM, sorted by path. A
+change that claims byte-identical outputs diffs this file against the one
+its parent writes.
+"""
+
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src")]
+
+from hydrolink.io import sha256_of  # noqa: E402
+from hydrolink.runner import run_scenario, sweep  # noqa: E402
+from hydrolink.scenario import bundled_scenarios, load_scenario  # noqa: E402
+
+SEEDS = (1, 2, 1234)
+KOLMOGOROV = ("channel.screens.kind=kolmogorov", "channel.screens.r0=0.2",
+              "analysis.trials=25")
+R0_VALUES = [0.2, 0.4, 0.8]
+
+
+def digests(seed: int, base: Path) -> dict[str, str]:
+    """``{relative path: SHA-256}`` of every CSV and PGM of one seed."""
+    for name in bundled_scenarios():
+        run_scenario(load_scenario(name, seed=seed), base / name)
+    sweep(load_scenario("oam-crosstalk", KOLMOGOROV, seed=seed), "r0",
+          R0_VALUES, base / "sweep-kolmogorov")
+    return {f"{seed}/{path.relative_to(base).as_posix()}": sha256_of(path)
+            for path in base.rglob("*") if path.suffix in (".csv", ".pgm")}
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python tests/output_digests.py OUT", file=sys.stderr)
+        return 2
+    found = {}
+    for seed in SEEDS:
+        with tempfile.TemporaryDirectory() as tmp:
+            found.update(digests(seed, Path(tmp)))
+    lines = [f"{digest}  {path}\n" for path, digest in sorted(found.items())]
+    Path(argv[0]).write_text("".join(lines))
+    print(f"{len(found)} files")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -7,7 +7,8 @@ from hydrolink.channel import angular_spectrum_propagate, apply_phase_screen
 from hydrolink.field import (ComplexField, Grid, GridMismatchError,
                              JonesVector, centroid, lg_mode, mode_overlap,
                              petal_mode, superpose, total_power)
-from hydrolink.zernike import ZernikeSpectrum, phase_from_spectrum
+from hydrolink.shack_hartmann import LensletArray, SlopeField, SpotImage
+from hydrolink.zernike import PhaseScreen, ZernikeSpectrum, phase_from_spectrum
 
 from conftest import WATER_N, WAVELENGTH, rayleigh_range
 from oracles import Vortex, find_vortices, total_vortex_charge
@@ -62,23 +63,42 @@ class TestComplexField:
         with pytest.raises(ValueError):
             ComplexField(grid256, WAVELENGTH, amp)
 
-    def test_keeps_a_frozen_amplitude_and_copies_the_rest(self, grid256):
-        shape = (256, 256)
-        frozen = np.ones(shape, complex)
-        frozen.flags.writeable = False
-        assert ComplexField(grid256, WAVELENGTH, frozen).amplitude is frozen
-        stack = np.ones((2, *shape), complex)
-        stack.flags.writeable = False
-        row = ComplexField(grid256, WAVELENGTH, stack[1]).amplitude
-        assert row.base is stack
-        writable = np.ones(shape, complex)
-        kept = ComplexField(grid256, WAVELENGTH, writable).amplitude
-        assert kept is not writable and not kept.flags.writeable
-        base = np.ones((2, *shape), complex)
-        view = base[0]
-        view.flags.writeable = False
-        assert not np.shares_memory(
-            ComplexField(grid256, WAVELENGTH, view).amplitude, base)
+
+#: Each value object's kept array for a given input, with the input's
+#: shape and dtype.
+_SMALL = Grid(16, 1e-4)
+_LENSLETS = LensletArray(count_x=2, count_y=3, pixels_per_lenslet=4)
+_KEEPERS = [
+    pytest.param((16, 16), complex,
+                 lambda a: ComplexField(_SMALL, WAVELENGTH, a).amplitude,
+                 id="ComplexField"),
+    pytest.param((16, 16), float, lambda a: PhaseScreen(_SMALL, a).phase,
+                 id="PhaseScreen"),
+    pytest.param((3, 2, 4, 4), float,
+                 lambda a: SpotImage(a, _LENSLETS, WAVELENGTH).images,
+                 id="SpotImage"),
+    pytest.param((3, 2), float,
+                 lambda a: SlopeField(a, a, a > 0, _LENSLETS).slope_x,
+                 id="SlopeField"),
+]
+
+
+@pytest.mark.parametrize("shape, dtype, keep", _KEEPERS)
+def test_keeps_a_frozen_array_and_copies_the_rest(shape, dtype, keep):
+    frozen = np.ones(shape, dtype)
+    frozen.flags.writeable = False
+    assert keep(frozen) is frozen
+    stack = np.ones((2, *shape), dtype)
+    stack.flags.writeable = False
+    assert keep(stack[1]).base is stack
+    writable = np.ones(shape, dtype)
+    kept = keep(writable)
+    writable[...] = 2.0
+    assert not kept.flags.writeable and np.all(kept == 1.0)
+    base = np.ones((2, *shape), dtype)
+    view = base[0]
+    view.flags.writeable = False
+    assert not np.shares_memory(keep(view), base)
 
 
 class TestLgMode:

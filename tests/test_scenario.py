@@ -201,6 +201,55 @@ class TestParse:
         assert s.channel.modal_sigmas == ((2, 0.4), (5, 0.1))
 
 
+class TestMessages:
+    """The parser's exact texts: one wrong type per kind, one out-of-range
+    value per bound, and the schema page's line of a key per bound and of
+    a key with choices."""
+
+    @pytest.mark.parametrize("item, message", [
+        ("channel.length=true", "channel.length: expected a number, got True"),
+        ("frames=2.5", "frames: expected an integer, got 2.5"),
+        ("analysis.superposition_basis=1",
+         "analysis.superposition_basis: expected true/false, got 1"),
+        ("name=3", "name: expected a string, got 3"),
+        ("analysis.ell_values=4",
+         "analysis.ell_values: expected a list, got 4"),
+        ("channel.screens.sigmas=[1]",
+         "channel.screens.sigmas: expected a mapping, got [1]"),
+        ("grid.n_samples=8", "grid.n_samples: must be >= 16, got 8"),
+        ("channel.length=0", "channel.length: must be > 0.0, got 0.0"),
+        ("channel.occlusion.opacity=1.5",
+         "channel.occlusion.opacity: must be <= 1.0, got 1.5"),
+    ])
+    def test_parse_error_text(self, item, message):
+        with pytest.raises(ScenarioError) as info:
+            load_scenario("oam-crosstalk", [item])
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("line", [
+        "  n_samples              int    default 256 (>= 16)",
+        "  spacing                float  default 4e-05 (> 0.0)",
+        "  opacity                float  default 1.0 (>= 0.0, <= 1.0)",
+        "  kind                   str    default 'gaussian' "
+        "(one of ['gaussian', 'lg', 'petal'])",
+    ])
+    def test_schema_line(self, line):
+        assert line in schema_reference().splitlines()
+
+    @pytest.mark.parametrize("item, message", [
+        ("channel.screen.kind=modal",
+         "channel: unknown key 'screen'; did you mean 'screens'?"),
+        ("channel.occlusions.rate=1",
+         "channel: unknown key 'occlusions'; did you mean 'occlusion'?"),
+        ("chanel.length=1", "unknown key 'chanel'; did you mean 'channel'?"),
+        ("seeed=1", "unknown key 'seeed'; did you mean 'seed'?"),
+    ])
+    def test_misspelled_section_gets_suggestion(self, item, message):
+        with pytest.raises(ScenarioError) as info:
+            load_scenario("oam-crosstalk", [item])
+        assert str(info.value) == message
+
+
 class TestKernelRules:
     """The parser reports a kernel's own rule: its message, at the key."""
 

@@ -299,9 +299,7 @@ class TestBatchedRender:
         grid = Grid(64, 1e-4)
         spectra = tuple(ZernikeSpectrum.from_dict(t, 0.45 * grid.extent)
                         for t in tables)
-        labels = tuple(f"s{k}" for k in range(len(spectra)))
-        batch = phase_from_spectra(spectra, grid, labels, rim_taper)
-        assert [s.label for s in batch] == list(labels)
+        batch = phase_from_spectra(spectra, grid, rim_taper)
         for spec, screen in zip(spectra, batch):
             alone = phase_from_spectrum(spec, grid, rim_taper=rim_taper)
             assert np.array_equal(screen.phase, alone.phase)
@@ -313,14 +311,14 @@ class TestBatchedRender:
         spectra = (ZernikeSpectrum(((2, 0.1), (5, 0.0), (7, 0.2)), r_ap),
                    ZernikeSpectrum(((2, -0.3), (9, 0.4)), r_ap),
                    ZernikeSpectrum((), r_ap))
-        phase_from_spectra(spectra, grid256, ("a", "b", "c"))
+        phase_from_spectra(spectra, grid256)
         assert eval_calls == [2, 7, 9]
 
     def test_radii_must_match(self, grid256):
         spectra = (ZernikeSpectrum(((2, 0.1),), 1e-3),
                    ZernikeSpectrum(((2, 0.1),), 2e-3))
         with pytest.raises(ValueError, match="one aperture radius"):
-            phase_from_spectra(spectra, grid256, ("a", "b"))
+            phase_from_spectra(spectra, grid256)
 
 
 class TestRimTaperPlan:
@@ -609,15 +607,3 @@ class TestPhaseScreenType:
         ph[1, 1] = bad
         with pytest.raises(ValueError):
             PhaseScreen(grid256, ph)
-
-    def test_keeps_a_frozen_phase_and_copies_the_rest(self, grid256):
-        frozen = np.ones((256, 256))
-        frozen.flags.writeable = False
-        assert PhaseScreen(grid256, frozen).phase is frozen
-        writable = np.ones((256, 256))
-        kept = PhaseScreen(grid256, writable).phase
-        assert kept is not writable and not kept.flags.writeable
-        base = np.ones((2, 256, 256))
-        view = base[0]
-        view.flags.writeable = False
-        assert not np.shares_memory(PhaseScreen(grid256, view).phase, base)
