@@ -11,14 +11,13 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
 import numpy.fft
 
 from .field import (ComplexField, ConfigError, Grid, GridMismatchError,
-                    row_bands, total_power)
+                    plan, row_bands, total_power)
 from .seeding import TAG_OCCLUSION, TAG_SCREEN, child_seed, substream
 from .special import ERF_ONE, erf
 from .zernike import PhaseScreen, ZernikeSpectrum, draw_modal_spectrum, \
@@ -98,10 +97,10 @@ def _apply_screen(stack: np.ndarray, phase: np.ndarray,
     return out
 
 
-@lru_cache(maxsize=8)
+@plan
 def _propagation_plan(grid: Grid, wavelength: float, refractive_index: float,
                       dz: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only guard band (flat indices) and transfer function H for a step.
+    """Guard band (flat indices) and transfer function H for a step.
 
     Both depend only on the arguments, so a split-step chain builds them
     once per (grid, wavelength, medium, step length) instead of per call.
@@ -121,8 +120,6 @@ def _propagation_plan(grid: Grid, wavelength: float, refractive_index: float,
     h = np.where(kz2 >= 0.0,
                  np.exp(-1j * dz * kt2 / (kz + k_med)),
                  np.exp(-kz * dz))
-    guard.flags.writeable = False
-    h.flags.writeable = False
     return guard, h
 
 

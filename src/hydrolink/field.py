@@ -13,7 +13,10 @@ carry ``exp(+i * ell * phi)`` with ``phi = atan2(y, x)``.
 from __future__ import annotations
 
 import math
+import threading
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import wraps
 
 import numpy as np
 
@@ -120,6 +123,51 @@ def frozen(a: np.ndarray) -> np.ndarray:
     kept = a.copy()
     kept.flags.writeable = False
     return kept
+
+
+#: What a plan's ``cache_info()`` reports, as ``lru_cache``'s.
+_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
+
+
+def plan(build):
+    """Cache ``build``'s value for its latest arguments only, with every
+    array in it (the value itself, or the items of a tuple) made
+    read-only, since every later call with those arguments shares it.
+
+    On new arguments the old value is dropped before ``build`` runs, so a
+    plan never holds two entries at once. One lock serializes lookups and
+    builds, so threads that need the same entry build it once.
+    ``cache_info`` and ``cache_clear`` behave as ``lru_cache``'s.
+    """
+    lock = threading.Lock()
+    entry = {}                       # at most one: arguments -> value
+    hits = misses = 0
+
+    @wraps(build)
+    def cached(*args):
+        nonlocal hits, misses
+        with lock:
+            if args in entry:
+                hits += 1
+                return entry[args]
+            misses += 1
+            entry.clear()
+            value = build(*args)
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+            entry[args] = value
+            return value
+
+    def cache_clear():
+        nonlocal hits, misses
+        with lock:
+            entry.clear()
+            hits = misses = 0
+
+    cached.cache_info = lambda: _CacheInfo(hits, misses, 1, len(entry))
+    cached.cache_clear = cache_clear
+    return cached
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .field import (DEFAULT_GRID, DEFAULT_WAIST_DIVISOR, DEFAULT_WAVELENGTH,
 from .qkd import oam_alphabet
 from .shack_hartmann import (LensletArray, check_fit_modes,
                              check_intensity_floor, lenslet_tiling)
-from .zernike import check_aperture
+from .zernike import check_aperture, nm_from_index
 
 #: Fixed default seed so default runs reproduce bit-identically.
 DEFAULT_SEED = 1234
@@ -325,7 +325,6 @@ def _apply_analysis(section: Mapping | None) -> dict:
 
 def modal_sigma_table(sigma: float, j_max: int) -> dict[int, float]:
     """Synthetic per-mode deviations: tilt-dominated power-law decay."""
-    from .zernike import nm_from_index
     table = {}
     for j in range(2, j_max + 1):
         n = nm_from_index(j).n

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .field import ComplexField, ConfigError, Grid, frozen
+from .field import ComplexField, ConfigError, Grid, frozen, plan
 from .zernike import (PhaseScreen, ZernikeSpectrum, gradient_unchecked,
                       nm_from_index, phase_from_spectrum)
 
@@ -165,7 +164,7 @@ def capture(field: ComplexField, geometry: LensletArray) -> SpotImage:
                           ix0[0]:ix0[-1] + samples]
     blocks = amp.reshape(geometry.count_y, samples,
                          geometry.count_x, samples).transpose(0, 2, 1, 3)
-    _, _, kern, _ = _lenslet_optics(geometry, field.wavelength, samples)
+    kern = _lenslet_plan(geometry, field.wavelength, samples)[0]
     images = _focal_spots(kern, blocks)
     images.flags.writeable = False
     return SpotImage(images=images, geometry=geometry,
@@ -199,28 +198,6 @@ def lenslet_tiling(geometry: LensletArray, grid: Grid,
             f"array does not fit inside the {grid.extent:.6g} m grid",
             "grid.n_samples")
     return samples, ix0, iy0
-
-
-@lru_cache(maxsize=32)
-def _lenslet_optics(geometry: LensletArray, wavelength: float, samples: int
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Read-only optics of one lenslet: camera pixel centers, sub-aperture
-    coordinates, the DFT matrix K between them, and the centroid window
-    half-width (~2.5 diffraction lobes of one sub-aperture) in pixels.
-
-    Coordinates are centered on the lenslet; every lenslet tiles the grid
-    alike, so K serves both axes of every sub-aperture.
-    """
-    p = geometry.pixels_per_lenslet
-    pix = (np.arange(p) - (p - 1) / 2.0) * geometry.pixel_size
-    local = (np.arange(samples) - (samples - 1) / 2.0) \
-        * (geometry.pitch / samples)
-    lam_f = wavelength * geometry.focal_length
-    kern = np.exp(-2j * math.pi * np.outer(pix, local) / lam_f)
-    half = max(3, int(round(2.5 * lam_f / (geometry.pitch
-                                            * geometry.pixel_size))))
-    pix.flags.writeable = local.flags.writeable = kern.flags.writeable = False
-    return pix, local, kern, half
 
 
 def _focal_spots(kern: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -297,24 +274,38 @@ def _windowed_com(stack: np.ndarray, pix: np.ndarray, half: int,
     return com.reshape(2, *shape), ok.reshape(shape)
 
 
-@lru_cache(maxsize=32)
-def _centroid_response(geometry: LensletArray, wavelength: float,
-                       samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """Displacement response curve of the windowed center of mass.
+@plan
+def _lenslet_plan(geometry: LensletArray, wavelength: float, samples: int,
+                  ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray,
+                             np.ndarray]:
+    """One lenslet's optics and its centroid calibration: (the DFT matrix K
+    from sub-aperture samples to camera pixels, the pixel centers, the
+    centroid window half-width in pixels, measured, true).
+
+    Coordinates are centered on the lenslet; every lenslet tiles the grid
+    alike, so K serves both axes of every sub-aperture. The window spans
+    ~2.5 diffraction lobes of one sub-aperture.
 
     The diffraction tails a hard-edged sub-aperture throws across the finite
     centroiding window make the measured spot displacement a few percent
     smaller than f * tilt, with a pixel-quantization ripple on top. Calibrate
     the response the way a bench sensor is calibrated: push uniform
     sub-aperture fields with known tilts through the spot former and the
-    centroider of :func:`capture` and :func:`extract_slopes`. Returns
-    (measured, true) displacement tables for inverse interpolation; both
+    centroider of :func:`capture` and :func:`extract_slopes`. The
+    (measured, true) displacement tables serve inverse interpolation; both
     start at 0 and are strictly increasing.
     """
-    pix, local, kern, half = _lenslet_optics(geometry, wavelength, samples)
+    p = geometry.pixels_per_lenslet
+    pix = (np.arange(p) - (p - 1) / 2.0) * geometry.pixel_size
+    local = (np.arange(samples) - (samples - 1) / 2.0) \
+        * (geometry.pitch / samples)
+    lam_f = wavelength * geometry.focal_length
+    kern = np.exp(-2j * math.pi * np.outer(pix, local) / lam_f)
+    half = max(3, int(round(2.5 * lam_f / (geometry.pitch
+                                            * geometry.pixel_size))))
     true = np.arange(0.0, 3.001, 0.0625) * geometry.pixel_size
     # phase slopes giving each displacement, one tilted field per row
-    grad = true[1:] * 2.0 * math.pi / (wavelength * geometry.focal_length)
+    grad = true[1:] * 2.0 * math.pi / lam_f
     tilts = np.exp(1j * grad[:, None] * local)
     blocks = np.broadcast_to(tilts[:, None, :], (*tilts.shape, samples))
     com, ok = _windowed_com(_focal_spots(kern, blocks), pix, half)
@@ -325,8 +316,7 @@ def _centroid_response(geometry: LensletArray, wavelength: float,
     if np.any(np.diff(measured) <= 0):
         raise RuntimeError("centroid response is not monotone; "
                            "unusable sensor configuration")
-    measured.flags.writeable = true.flags.writeable = False
-    return measured, true
+    return kern, pix, half, measured, true
 
 
 def _invert_response(com: np.ndarray, measured: np.ndarray,
@@ -366,15 +356,14 @@ def extract_slopes(spots: SpotImage,
     if peak <= 0.0 or not valid.any():
         raise ValueError("all lenslets below the intensity floor")
 
-    optics = (geom, spots.wavelength, spots.field_samples_per_lenslet)
-    pix, _, _, half = _lenslet_optics(*optics)
+    _, pix, half, measured, true = _lenslet_plan(
+        geom, spots.wavelength, spots.field_samples_per_lenslet)
     com, found = _windowed_com(images, pix, half, valid)
     ok = np.zeros_like(valid)
     ok[valid] = found
     scale = 2.0 * math.pi / (spots.wavelength * geom.focal_length)
     slopes = np.full((2, geom.count_y, geom.count_x), np.nan)
-    slopes[:, ok] = _invert_response(
-        com[:, found], *_centroid_response(*optics)) * scale
+    slopes[:, ok] = _invert_response(com[:, found], measured, true) * scale
     return SlopeField(slope_x=slopes[0], slope_y=slopes[1], valid=ok,
                       geometry=geom)
 
@@ -406,10 +395,10 @@ def check_fit_modes(geometry: LensletArray, j_max: int,
     return radius
 
 
-@lru_cache(maxsize=8)
+@plan
 def _gradient_basis(geometry: LensletArray, radius: float, j_max: int,
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (in-disk mask, gradient basis) of every lenslet center.
+    """(In-disk mask, gradient basis) of every lenslet center.
 
     The basis, shape (2, count_y, count_x, j_max - 1), holds dZ_j/dx then
     dZ_j/dy for j = 2..j_max in radians per meter. Each entry is the
@@ -430,7 +419,6 @@ def _gradient_basis(geometry: LensletArray, radius: float, j_max: int,
                 basis[0, ..., col] += dzx
                 basis[1, ..., col] += dzy
     basis /= 4.0 * radius
-    in_disk.flags.writeable = basis.flags.writeable = False
     return in_disk, basis
 
 

@@ -23,17 +23,15 @@ commercial wavefront sensors report, and :func:`radians_to_waves` /
 from __future__ import annotations
 
 import math
-import threading
-from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 from numbers import Integral
 from typing import Iterable, Mapping
 
 import numpy as np
 import numpy.fft
 
-from .field import ConfigError, Grid, frozen, row_bands
+from .field import ConfigError, Grid, frozen, plan, row_bands
 from .seeding import TAG_COEFF, substream
 from .special import erf
 
@@ -197,14 +195,19 @@ def check_aperture(radius: float, grid: Grid) -> None:
             f"aperture radius {radius} exceeds half extent {grid.extent / 2}")
 
 
-@lru_cache(maxsize=8)
-def _disk_geometry(grid: Grid, aperture_radius: float,
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (inside mask, rho, phi) of the aperture disk on a grid.
+@plan
+def _disk_plan(grid: Grid, aperture_radius: float, js: tuple[int, ...],
+               rim_taper: float) -> tuple[np.ndarray, tuple, np.ndarray,
+                                          np.ndarray | None]:
+    """What every render on one aperture disk shares: (inside mask, row
+    bands, mode maps, rim taper).
 
-    ``rho`` (normalized radius) and ``phi`` hold only the inside samples, in
-    the mask's row-major order. The per-mode values over the disk live in
-    :func:`_mode_maps`, which keeps only one disk's.
+    Each row band pairs a slice of the grid's rows with the slice of the
+    inside samples, in the mask's row-major order, that those rows hold.
+    The maps, shape (len(js), inside samples), hold Z_j over the disk, one
+    row per j of ``js``, each ``zernike_eval``'s array bit for bit. The
+    taper, for ``rim_taper`` t > 0 (else None), is the roll-off
+    0.5 * (1 - erf((rho - (1 - t/2)) / (t/5))) over the inside samples.
     """
     x, y = grid.mesh()
     rho = np.hypot(x, y) / aperture_radius
@@ -212,88 +215,21 @@ def _disk_geometry(grid: Grid, aperture_radius: float,
     phi = np.arctan2(y, x)
     rho_in = rho[inside]
     phi_in = phi[inside]
-    for a in (inside, rho_in, phi_in):
-        a.flags.writeable = False
-    return inside, rho_in, phi_in
-
-
-#: What a one-entry plan's ``cache_info()`` reports, as ``lru_cache``'s.
-_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
-
-
-def _one_entry(build):
-    """Keep ``build``'s value for its latest arguments only, like
-    ``lru_cache(maxsize=1)``, but free before build: on new arguments the
-    old value is dropped before ``build`` runs, so a plan never holds two
-    entries at once. One lock serializes lookups and builds, so threads
-    that need the same entry build it once. ``cache_info`` and
-    ``cache_clear`` behave as ``lru_cache``'s.
-    """
-    lock = threading.Lock()
-    entry = {}                       # at most one: arguments -> value
-    hits = misses = 0
-
-    @wraps(build)
-    def plan(*args):
-        nonlocal hits, misses
-        with lock:
-            if args in entry:
-                hits += 1
-                return entry[args]
-            misses += 1
-            entry.clear()
-            entry[args] = value = build(*args)
-            return value
-
-    def cache_clear():
-        nonlocal hits, misses
-        with lock:
-            entry.clear()
-            hits = misses = 0
-
-    plan.cache_info = lambda: _CacheInfo(hits, misses, 1, len(entry))
-    plan.cache_clear = cache_clear
-    return plan
-
-
-@_one_entry
-def _mode_maps(grid: Grid, aperture_radius: float, js: tuple[int, ...],
-               ) -> np.ndarray:
-    """Read-only (len(js), inside samples) values of Z_j over the aperture
-    disk of :func:`_disk_geometry`, one row per j of ``js``.
-
-    A run renders every screen on one disk, so one entry serves all of its
-    realizations; each row is ``zernike_eval``'s array bit for bit. Only one
-    entry is kept: 14 modes take about 1.2, 4.7 and 10.5 MB at N = 128, 256
-    and 384, and a render on another disk, such as a fitted wavefront's,
-    replaces them rather than holding both: the old entry is freed before
-    the new one is evaluated.
-    """
-    _, rho_in, phi_in = _disk_geometry(grid, aperture_radius)
+    del x, y, rho, phi             # free the full grids before the maps
+    offsets = np.concatenate(([0], np.cumsum(inside.sum(axis=1))))
+    bands = tuple((rows, slice(offsets[rows.start], offsets[rows.stop]))
+                  for rows in row_bands(len(inside)))
     maps = np.empty((len(js), rho_in.size))
     for row, j in zip(maps, js):
         row[:] = zernike_eval(nm_from_index(j), rho_in, phi_in)
-    maps.flags.writeable = False
-    return maps
-
-
-@_one_entry
-def _rim_taper(grid: Grid, aperture_radius: float, rim_taper: float,
-               ) -> np.ndarray:
-    """Read-only roll-off 0.5 * (1 - erf((rho - (1 - t/2)) / (t/5))) over
-    the inside samples of :func:`_disk_geometry`, for ``rim_taper`` t > 0.
-
-    It depends only on the arguments, so a run computes it once, beside
-    its :func:`_mode_maps`, and every screen on the disk multiplies by it.
-    """
-    _, rho_in, _ = _disk_geometry(grid, aperture_radius)
-    taper = rho_in - (1.0 - rim_taper / 2.0)
-    taper /= rim_taper / 5.0
-    erf(taper, out=taper)
-    np.subtract(1.0, taper, out=taper)
-    taper *= 0.5
-    taper.flags.writeable = False
-    return taper
+    taper = None
+    if rim_taper > 0.0:
+        taper = rho_in - (1.0 - rim_taper / 2.0)
+        taper /= rim_taper / 5.0
+        erf(taper, out=taper)
+        np.subtract(1.0, taper, out=taper)
+        taper *= 0.5
+    return inside, bands, maps, taper
 
 
 def phase_from_spectra(spectra: tuple[ZernikeSpectrum, ...], grid: Grid,
@@ -302,9 +238,9 @@ def phase_from_spectra(spectra: tuple[ZernikeSpectrum, ...], grid: Grid,
     order; zero outside the aperture.
 
     The spectra must share one aperture radius, and the disk must fit inside
-    the grid extent. Each mode's map comes from the disk's cached
-    :func:`_mode_maps` plan, so a mode is evaluated once however many
-    screens are rendered on the disk, and is added, in ascending j, to every
+    the grid extent. Each mode's map comes from the disk's
+    :func:`_disk_plan`, so a mode is evaluated once however many screens
+    are rendered on the disk, and is added, in ascending j, to every
     screen with a nonzero coefficient for it: each screen is bit-identical
     to its own render. With the default ``rim_taper = 0`` the phase cuts
     off hard at the aperture edge. A positive ``rim_taper``
@@ -319,17 +255,11 @@ def phase_from_spectra(spectra: tuple[ZernikeSpectrum, ...], grid: Grid,
     check_aperture(r_ap, grid)
     if not 0.0 <= rim_taper < 1.0:
         raise ValueError("rim_taper must be in [0, 1)")
-    inside, rho_in, _ = _disk_geometry(grid, r_ap)
     coeffs = [spec.as_dict() for spec in spectra]
     js = tuple(sorted({j for c in coeffs for j, a in c.items() if a != 0.0}))
-    maps = _mode_maps(grid, r_ap, js)
-    taper = _rim_taper(grid, r_ap, rim_taper) if rim_taper > 0.0 else None
-    # Each screen is summed and scattered one row band at a time; a band's
-    # inside samples are one slice of the disk's row-major order, so a
+    inside, bands, maps, taper = _disk_plan(grid, r_ap, js, rim_taper)
+    # Each screen is summed and scattered one row band at a time, so a
     # render holds its screens and little more.
-    offsets = np.concatenate(([0], np.cumsum(inside.sum(axis=1))))
-    bands = [(rows, slice(offsets[rows.start], offsets[rows.stop]))
-             for rows in row_bands(len(inside))]
     screens = []
     for c in coeffs:
         phase = np.zeros(inside.shape)
@@ -432,9 +362,9 @@ def _hole_gradient_moment(scale: float, half: float) -> float:
     return disk + float(np.sum(w * fxs[corner] ** 2)) * cell_area
 
 
-@lru_cache(maxsize=8)
+@plan
 def _kolmogorov_plan(r0: float, grid: Grid, subharmonic_levels: int):
-    """Read-only parts of :func:`kolmogorov_screen` that depend only on the
+    """The parts of :func:`kolmogorov_screen` that depend only on the
     arguments: (sqrt(psd), df, mode amplitudes, the modes' exp(2 pi i f x)
     column and row factors, hole-tilt sigma, sample coordinates).
     """
@@ -471,10 +401,7 @@ def _kolmogorov_plan(r0: float, grid: Grid, subharmonic_levels: int):
     # diverges, but that is all piston).
     half = df / (2.0 * 3.0 ** subharmonic_levels)
     tilt = math.sqrt((2.0 * math.pi) ** 2 * _hole_gradient_moment(scale, half))
-    sqrt_psd = np.sqrt(psd)
-    for a in (sqrt_psd, amps, ex, ey, coords):
-        a.flags.writeable = False
-    return sqrt_psd, df, amps, ex, ey, tilt, coords
+    return np.sqrt(psd), df, amps, ex, ey, tilt, coords
 
 
 def kolmogorov_screen(r0: float, grid: Grid, seed: int,

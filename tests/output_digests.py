@@ -1,9 +1,11 @@
 """Write the SHA-256 of every CSV and PGM the benchmarked runs produce.
 
-Usage: ``python tests/output_digests.py OUT``. The four bundled scenarios
-and the Kolmogorov r0 sweep of oam-crosstalk (``channel.screens.kind=
-kolmogorov``, ``r0=0.2``, ``analysis.trials=25``, r0 = 0.2/0.4/0.8 m) run at
-seeds 1, 2 and 1234, each into a temporary directory. ``OUT`` gets one
+Usage: ``python tests/output_digests.py OUT``. The four bundled scenarios,
+the Kolmogorov r0 sweep of oam-crosstalk (``channel.screens.kind=
+kolmogorov``, ``r0=0.2``, ``analysis.trials=25``, r0 = 0.2/0.4/0.8 m) and a
+two-frame length sweep of wavefront-survey (1/3/5.5 m, so the cached plans
+change key within one process) run at seeds 1, 2 and 1234, each into a
+temporary directory. ``OUT`` gets one
 ``<digest>  <seed>/<run>/<file>`` line per CSV and PGM, sorted by path. A
 change that claims byte-identical outputs diffs this file against the one
 its parent writes.
@@ -24,6 +26,7 @@ SEEDS = (1, 2, 1234)
 KOLMOGOROV = ("channel.screens.kind=kolmogorov", "channel.screens.r0=0.2",
               "analysis.trials=25")
 R0_VALUES = [0.2, 0.4, 0.8]
+LENGTHS = [1.0, 3.0, 5.5]
 
 
 def digests(seed: int, base: Path) -> dict[str, str]:
@@ -32,6 +35,8 @@ def digests(seed: int, base: Path) -> dict[str, str]:
         run_scenario(load_scenario(name, seed=seed), base / name)
     sweep(load_scenario("oam-crosstalk", KOLMOGOROV, seed=seed), "r0",
           R0_VALUES, base / "sweep-kolmogorov")
+    sweep(load_scenario("wavefront-survey", seed=seed, frames=2), "length",
+          LENGTHS, base / "sweep-length")
     return {f"{seed}/{path.relative_to(base).as_posix()}": sha256_of(path)
             for path in base.rglob("*") if path.suffix in (".csv", ".pgm")}
 

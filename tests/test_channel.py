@@ -21,7 +21,7 @@ from hydrolink.field import (ComplexField, ConfigError, Grid,
                              lg_mode, petal_mode, superpose, total_power)
 from hydrolink.seeding import TAG_SCREEN, child_seed
 from hydrolink.special import erf
-from hydrolink.zernike import (ZernikeSpectrum, _disk_geometry,
+from hydrolink.zernike import (ZernikeSpectrum, _disk_plan,
                                draw_modal_spectrum, phase_from_spectrum)
 from hydrolink.scenario import modal_sigma_table
 
@@ -177,8 +177,9 @@ class TestPropagationPlan:
 
     def test_cached_arrays_read_only(self, grid256):
         guard, h = _propagation_plan(grid256, WAVELENGTH, WATER_N, 1.0)
-        inside, rho, phi = _disk_geometry(grid256, 0.4 * grid256.extent)
-        for a in (guard, h, inside, rho, phi):
+        inside, _, maps, taper = _disk_plan(grid256, 0.4 * grid256.extent,
+                                            (2, 5), 0.1)
+        for a in (guard, h, inside, maps, taper):
             assert not a.flags.writeable
         with pytest.raises(ValueError):
             h[0, 0] = 0.0

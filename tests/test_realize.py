@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from hydrolink import channel, seeding, zernike
+from hydrolink import channel, seeding, shack_hartmann, zernike
 from hydrolink.channel import AliasingError
 from hydrolink.qkd import detection_matrix_oam
 from hydrolink.runner import run_scenario, sweep
@@ -59,13 +59,69 @@ def test_first_index_runs_alone_on_the_caller(monkeypatch):
     assert threading.active_count() == idle
 
 
+_KOLMOGOROV = ("channel.screens.kind=kolmogorov", "channel.screens.r0=0.2",
+               "analysis.trials=4")
+_PLANS = {"propagation": channel._propagation_plan,
+          "disk": zernike._disk_plan,
+          "lenslet": shack_hartmann._lenslet_plan,
+          "gradient basis": shack_hartmann._gradient_basis,
+          "kolmogorov": zernike._kolmogorov_plan}
+
+
+def _run(name, sets=(), frames=None, sweep_of=None, out=None):
+    """One short run of a bundled scenario, or a sweep of it over
+    ``sweep_of`` = (parameter, values)."""
+    scenario = load_scenario(name, sets, seed=1, frames=frames)
+    if sweep_of:
+        sweep(scenario, *sweep_of, out)
+    else:
+        run_scenario(scenario, out)
+
+
+#: Each short run, (scenario, --set pairs, frames, (swept parameter,
+#: values) or None), with the builds of each plan it uses.
+_TRAFFIC = {
+    "wavefront-survey": (("wavefront-survey", (), 2, None),
+                         {"propagation": 1, "disk": 2, "lenslet": 1,
+                          "gradient basis": 1}),
+    "oam-crosstalk": (("oam-crosstalk", ("analysis.trials=3",), None, None),
+                      {"propagation": 1, "disk": 1}),
+    "oam-gallery": (("oam-gallery", (), 2, None),
+                    {"propagation": 1, "disk": 1}),
+    "sweep-kolmogorov": (("oam-crosstalk",
+                          _KOLMOGOROV[:2] + ("analysis.trials=3",), None,
+                          ("r0", [0.2, 0.4, 0.8])),
+                         {"propagation": 1, "kolmogorov": 3}),
+}
+
+
 def test_plans_built_once_per_run(tmp_path, monkeypatch):
-    # Frame 0 renders the first screens before any helper starts, so the
-    # run's one screen disk is evaluated once for all modes and frames.
+    # Each plan sees its keys in runs, so its one entry is built once per
+    # distinct key: the first frame or trial runs alone on the calling
+    # thread and builds the run's entries before any helper starts, and a
+    # wavefront run's screens and its fitted wavefront sit on two disks.
     monkeypatch.setattr(seeding, "WORKERS", 2)
-    zernike._mode_maps.cache_clear()
-    run_scenario(load_scenario("oam-gallery", frames=4), tmp_path / "g")
-    assert zernike._mode_maps.cache_info().misses == 1
+    got = {}
+    for workload, (run, _) in _TRAFFIC.items():
+        for plan in _PLANS.values():
+            plan.cache_clear()
+        _run(*run, tmp_path / workload)
+        got[workload] = {what: plan.cache_info().misses
+                         for what, plan in _PLANS.items()
+                         if plan.cache_info().misses}
+    assert got == {workload: builds
+                   for workload, (_, builds) in _TRAFFIC.items()}
+
+
+@pytest.mark.parametrize("name, sets, sweep_of, plan", [
+    pytest.param("wavefront-survey", (), ("length", [1.0, 3.0, 5.5]),
+                 channel._propagation_plan, id="length"),
+    pytest.param("oam-crosstalk", _KOLMOGOROV, ("r0", [0.2, 0.4, 0.8]),
+                 zernike._kolmogorov_plan, id="r0")])
+def test_a_sweep_keeps_one_plan_entry(tmp_path, name, sets, sweep_of, plan):
+    # Each value's plan has its own key; a plan keeps only the last one.
+    _run(name, sets, 2, sweep_of, tmp_path / "out")
+    assert plan.cache_info().currsize == 1
 
 
 def test_lowest_failure_raised_after_every_lower_index(monkeypatch):
@@ -86,10 +142,6 @@ def test_lowest_failure_raised_after_every_lower_index(monkeypatch):
     assert sorted(done) == [0, 1, 2]       # 2 ended after both failures
     assert sorted(started) == list(range(len(started)))
     assert len(started) <= 6               # no index started after a failure
-
-
-_KOLMOGOROV = ("channel.screens.kind=kolmogorov", "channel.screens.r0=0.2",
-               "analysis.trials=4")
 
 
 @pytest.mark.parametrize("name, sets, frames, r0_values, n_files", [

@@ -8,9 +8,9 @@ from hydrolink.field import ComplexField, Grid, lg_mode
 import hydrolink.shack_hartmann as shm
 from hydrolink.shack_hartmann import (CENTROID_FLOOR, FIT_CONDITION_LIMIT,
                                       LensletArray, SlopeField, SpotImage,
-                                      _centroid_response, _focal_spots,
-                                      _gradient_basis, _invert_response,
-                                      _lenslet_optics, _windowed_com,
+                                      _focal_spots, _gradient_basis,
+                                      _invert_response, _lenslet_plan,
+                                      _windowed_com,
                                       average_magnitudes,
                                       capture, extract_slopes, modal_fit,
                                       reconstruct_wavefront)
@@ -383,7 +383,7 @@ class TestFitCaches:
             full[0, 0, 0] = 0.0
 
     def test_array_inversion_equals_scalar_loop(self):
-        meas, true = _centroid_response(GEOMETRY, WAVELENGTH, 12)
+        *_, meas, true = _lenslet_plan(GEOMETRY, WAVELENGTH, 12)
         top = meas[-1]
         com = np.concatenate([
             np.random.default_rng(4).uniform(-1.5 * top, 1.5 * top, 200),
@@ -426,7 +426,7 @@ def _windowed_com_scalar(img, pix, half):
 
 
 def _assert_stack_matches_scalar(stack):
-    pix, _, _, half = _lenslet_optics(GEOMETRY, WAVELENGTH, 12)
+    _, pix, half, _, _ = _lenslet_plan(GEOMETRY, WAVELENGTH, 12)
     com, ok = _windowed_com(stack, pix, half)
     assert com.shape == (2, *stack.shape[:-2]) and ok.shape == com.shape[1:]
     assert np.all(np.isfinite(com))
@@ -460,8 +460,8 @@ class TestStackCentroider:
         assert np.count_nonzero(ok) == 7
 
     def test_calibration_equals_per_tilt_reference_loop(self):
-        pix, _, _, half = _lenslet_optics(GEOMETRY, WAVELENGTH, 12)
-        measured, true = _centroid_response(GEOMETRY, WAVELENGTH, 12)
+        _, pix, half, measured, true = _lenslet_plan(GEOMETRY, WAVELENGTH,
+                                                     12)
         local = (np.arange(12) - 5.5) * (GEOMETRY.pitch / 12)
         lam_f = WAVELENGTH * GEOMETRY.focal_length
         kern = np.exp(-2j * math.pi * np.outer(pix, local) / lam_f)
@@ -474,11 +474,11 @@ class TestStackCentroider:
         assert np.abs(measured - ref).max() < 1e-12 * GEOMETRY.pixel_size
 
     def test_plan_is_shared_and_read_only(self):
-        plan = _lenslet_optics(GEOMETRY, WAVELENGTH, 12)
-        assert plan is _lenslet_optics(GEOMETRY, WAVELENGTH, 12)
-        pix, local, kern, half = plan
+        plan = _lenslet_plan(GEOMETRY, WAVELENGTH, 12)
+        assert plan is _lenslet_plan(GEOMETRY, WAVELENGTH, 12)
+        kern, pix, half, measured, true = plan
         assert half == 9 and kern.shape == (30, 12)
-        for arr in (pix, local, kern):
+        for arr in (kern, pix, measured, true):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
@@ -504,7 +504,7 @@ class TestMemoryDiet:
 
     def test_row_by_row_spots_equal_the_whole_batch(self):
         field = _turbulent_vortex()
-        _, _, kern, _ = _lenslet_optics(GEOMETRY, WAVELENGTH, 12)
+        kern = _lenslet_plan(GEOMETRY, WAVELENGTH, 12)[0]
         blocks = field.amplitude[:23 * 12, :23 * 12].reshape(
             23, 12, 23, 12).transpose(0, 2, 1, 3)
         assert _same_bits(_focal_spots(kern, blocks),
@@ -543,7 +543,7 @@ class TestMemoryDiet:
         energy = images.sum(axis=(2, 3))
         valid = energy >= 0.01 * energy.max()
         assert 0 < np.count_nonzero(valid) < valid.size
-        pix, _, _, half = _lenslet_optics(GEOMETRY, WAVELENGTH, 12)
+        _, pix, half, _, _ = _lenslet_plan(GEOMETRY, WAVELENGTH, 12)
         monkeypatch.setattr(shm, "CENTROID_CHUNK", valid.size)
         want = _windowed_com(images[valid], pix, half)
         monkeypatch.setattr(shm, "CENTROID_CHUNK", 7)

@@ -12,10 +12,9 @@ from hydrolink.shack_hartmann import LensletArray, capture, extract_slopes, \
     modal_fit
 from hydrolink.field import ComplexField
 from hydrolink.zernike import (PhaseScreen, ZernikeIndex, ZernikeSpectrum,
-                               _disk_geometry, _hole_gradient_moment,
-                               _kolmogorov_plan, _mode_maps, _radial_coeffs,
-                               _rim_taper, draw_modal_spectrum,
-                               gradient_unchecked,
+                               _disk_plan, _hole_gradient_moment,
+                               _kolmogorov_plan, _radial_coeffs,
+                               draw_modal_spectrum, gradient_unchecked,
                                index_from_nm, kolmogorov_screen,
                                nm_from_index, phase_from_spectra,
                                phase_from_spectrum, radians_to_um,
@@ -222,16 +221,20 @@ class TestPhaseFromSpectrum:
         assert got[6] == pytest.approx(0.5, rel=0.02)
 
 
+def _disk_samples(grid, radius):
+    """(inside mask, normalized radius, azimuth) of the disk's inside
+    samples, in the mask's row-major order."""
+    x, y = grid.mesh()
+    rho = np.hypot(x, y) / radius
+    inside = rho <= 1.0
+    return inside, rho[inside], np.arctan2(y, x)[inside]
+
+
 def _reference_phase(spec, grid, rim_taper):
     """The modal screen as rendered before its disk geometry was cached."""
     from scipy.special import erf
-    x, y = grid.mesh()
-    rho = np.hypot(x, y) / spec.aperture_radius
-    inside = rho <= 1.0
-    phi = np.arctan2(y, x)
-    phase = np.zeros_like(rho)
-    rho_in = rho[inside]
-    phi_in = phi[inside]
+    inside, rho_in, phi_in = _disk_samples(grid, spec.aperture_radius)
+    phase = np.zeros(inside.shape)
     for j, a in spec.coefficients:
         if a == 0.0:
             continue
@@ -256,7 +259,7 @@ class TestPhaseFromSpectrumCache:
 def _per_mode_phase(spec, grid, rim_taper):
     """One screen as rendered before screens shared each mode's values."""
     from scipy.special import erf
-    inside, rho_in, phi_in = _disk_geometry(grid, spec.aperture_radius)
+    inside, rho_in, phi_in = _disk_samples(grid, spec.aperture_radius)
     acc = np.zeros(rho_in.shape)
     for j, a in spec.coefficients:
         if a == 0.0:
@@ -272,10 +275,10 @@ def _per_mode_phase(spec, grid, rim_taper):
 
 @pytest.fixture
 def eval_calls(monkeypatch):
-    """The j of every later ``zernike_eval`` call, from an empty mode-map
+    """The j of every later ``zernike_eval`` call, from an empty disk
     plan."""
     import hydrolink.zernike as zmod
-    _mode_maps.cache_clear()
+    _disk_plan.cache_clear()
     calls = []
 
     def counting(idx, rho, phi):
@@ -329,20 +332,20 @@ class TestRimTaperPlan:
         from scipy.special import erf
         grid = Grid(n, spacing)
         r_ap = 0.45 * grid.extent
-        _, rho_in, _ = _disk_geometry(grid, r_ap)
-        taper = _rim_taper(grid, r_ap, t)
+        _, rho_in, _ = _disk_samples(grid, r_ap)
+        taper = _disk_plan(grid, r_ap, (), t)[3]
         want = 0.5 * (1.0 - erf((rho_in - (1.0 - t / 2.0)) / (t / 5.0)))
         assert np.array_equal(taper.view(np.int64), want.view(np.int64))
         assert not taper.flags.writeable
 
     def test_computed_once_per_run(self, grid256):
-        _rim_taper.cache_clear()
+        _disk_plan.cache_clear()
         sigmas = ((2, 0.3), (5, 0.2))
         for seed in (1, 2, 3):
             realize_screens(ChannelConfig(
                 n_screens=2, screen_source="modal", modal_sigmas=sigmas,
                 seed=seed), grid256)
-        assert _rim_taper.cache_info().misses == 1
+        assert _disk_plan.cache_info().misses == 1
 
     @pytest.mark.parametrize("n", [130, 384])
     def test_row_bands_render_any_grid(self, n):
@@ -359,8 +362,8 @@ class TestModeMapPlan:
     def test_rows_equal_fresh_evaluations(self, grid256):
         r_ap = 0.45 * grid256.extent
         js = (2, 3, 5, 9, 14)
-        _, rho_in, phi_in = _disk_geometry(grid256, r_ap)
-        maps = _mode_maps(grid256, r_ap, js)
+        _, rho_in, phi_in = _disk_samples(grid256, r_ap)
+        maps = _disk_plan(grid256, r_ap, js, 0.0)[2]
         assert maps.shape == (len(js), rho_in.size)
         for j, row in zip(js, maps):
             assert np.array_equal(
@@ -381,7 +384,7 @@ class TestModeMapPlan:
                          for f in (0.45, 0.3))
         for spec in (first, first, second):
             phase_from_spectrum(spec, grid256)
-        assert _mode_maps.cache_info().currsize == 1
+        assert _disk_plan.cache_info().currsize == 1
         assert eval_calls == [2, 5, 2, 5]
         again = phase_from_spectrum(first, grid256)
         assert eval_calls == [2, 5, 2, 5, 2, 5]
