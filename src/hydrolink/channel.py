@@ -21,7 +21,7 @@ from .field import (ComplexField, ConfigError, Grid, GridMismatchError,
 from .seeding import TAG_OCCLUSION, TAG_SCREEN, child_seed, substream
 from .special import ERF_ONE, erf
 from .zernike import PhaseScreen, ZernikeSpectrum, draw_modal_spectrum, \
-    kolmogorov_screen, phase_from_spectra, sigma_table
+    kolmogorov_screen, phase_from_spectrum, sigma_table
 
 #: Refractive index of water at the green design wavelength.
 WATER_REFRACTIVE_INDEX = 1.33
@@ -378,30 +378,35 @@ class ChannelResult:
 def realize_screens(config: ChannelConfig, grid: Grid,
                     ) -> tuple[tuple[PhaseScreen, ...],
                                tuple[ZernikeSpectrum, ...] | None]:
-    """Generate the channel's phase screens without running it.
+    """The channel's phase screens and modal spectra (None for Kolmogorov
+    screens), for inspecting or storing a realization without running it.
+    Each screen is the one :func:`run_channel` renders at its step."""
+    draws, spectra = _screen_draws(config, grid)
+    return tuple(_render_screen(config, grid, d) for d in draws), spectra
 
-    Modal spectra are all drawn first, then rendered in one pass over the
-    disk's cached Zernike mode maps, which every realization shares. Useful for
-    inspecting or storing a realization. To send several fields through one
-    realization, pass them to :func:`run_channel` as a tuple, which realizes
-    the screens once for the whole batch.
-    """
-    if config.n_screens == 0:
-        return (), None
-    seeds = [child_seed(config.seed, TAG_SCREEN, k)
-             for k in range(config.n_screens)]
+
+def _screen_draws(config: ChannelConfig, grid: Grid,
+                  ) -> tuple[tuple, tuple[ZernikeSpectrum, ...] | None]:
+    """Each screen's draw, made up front (its modal spectrum or its
+    Kolmogorov seed), and the modal spectra (else None)."""
+    seeds = tuple(child_seed(config.seed, TAG_SCREEN, k)
+                  for k in range(config.n_screens))
+    if config.screen_source != "modal" or not seeds:
+        return seeds, None
+    r_ap = config.screen_aperture_radius or 0.45 * grid.extent
+    sigmas = dict(config.modal_sigmas)
+    spectra = tuple(draw_modal_spectrum(sigmas, r_ap, seed_k)
+                    for seed_k in seeds)
+    return spectra, spectra
+
+
+def _render_screen(config: ChannelConfig, grid: Grid,
+                   draw: ZernikeSpectrum | int) -> PhaseScreen:
+    """The screen of one of :func:`_screen_draws`' draws."""
     if config.screen_source == "modal":
-        r_ap = 0.45 * grid.extent if config.screen_aperture_radius is None \
-            else config.screen_aperture_radius
-        sigmas = dict(config.modal_sigmas)
-        spectra = tuple(draw_modal_spectrum(sigmas, r_ap, seed_k)
-                        for seed_k in seeds)
-        return phase_from_spectra(spectra, grid,
-                                  rim_taper=SCREEN_RIM_TAPER), spectra
-    return tuple(kolmogorov_screen(
-        config.r0, grid, seed_k,
-        subharmonic_levels=config.subharmonic_levels)
-        for seed_k in seeds), None
+        return phase_from_spectrum(draw, grid, rim_taper=SCREEN_RIM_TAPER)
+    return kolmogorov_screen(config.r0, grid, draw,
+                             subharmonic_levels=config.subharmonic_levels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -535,9 +540,10 @@ def run_channel(input_field: ComplexField | Sequence[ComplexField]
 
     ``input_field`` is a :class:`Launch`, made once per run by
     :func:`launch`, or the fields :func:`launch` takes, which are launched
-    here first. The d launched fields cross the same realization (screens
-    and occluders are drawn once) as one (d, N, N) stack: one FFT pair, one
-    screen product and one occluder mask per step for all of them. One
+    here first. The d launched fields cross the same realization as one
+    (d, N, N) stack: one FFT pair, one screen product and one occluder mask
+    per step for all of them. The random draws are made up front, but
+    screen k is rendered only when step k + 1 takes its product. One
     result per field comes back, each what a single call would return: a
     tuple, unless ``input_field`` is one field. Every channel operation is
     linear, so a combination of the fields leaves as the same combination
@@ -566,14 +572,15 @@ def run_channel(input_field: ComplexField | Sequence[ComplexField]
     else:
         first, stack = 1, start.stack
         work = np.empty_like(stack)
-    # The working stack is allocated before the screens are rendered: the
-    # space the screens free when this call returns then lies above it,
-    # where the next large arrays of a frame can reuse it.
-    screens, spectra = realize_screens(config, grid)
+    # Each screen is dropped once its product is taken, so a transit holds
+    # its working stack and at most one screen.
+    draws, spectra = _screen_draws(config, grid)
     worst = start.guard_fraction
     for step in range(first, config.n_screens + 1):
         if step:
-            stack = _apply_screen(stack, screens[step - 1].phase, work)
+            stack = _apply_screen(
+                stack, _render_screen(config, grid, draws[step - 1]).phase,
+                work)
         stack, fraction = _diffract(stack, fields, config, start.states,
                                     step, occluders.get(step, ()))
         worst = max(worst, fraction)

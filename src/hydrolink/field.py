@@ -215,7 +215,8 @@ def _check_same_grid(a: ComplexField, b: ComplexField) -> None:
 
 def total_power(field: ComplexField) -> float:
     """Total power sum(|amp|^2) * spacing^2."""
-    return float(np.sum(np.abs(field.amplitude) ** 2)) * field.grid.spacing**2
+    power = np.abs(field.amplitude)
+    return float(np.sum(np.square(power, out=power))) * field.grid.spacing**2
 
 
 def lg_mode(ell: int, p: int, waist: float, grid: Grid,

@@ -62,14 +62,17 @@ def write_pgm16(path: Path | str, intensity: np.ndarray) -> Path:
 
 
 def screen_to_csv(screen: PhaseScreen, path: Path | str) -> Path:
-    """Rows as :func:`write_csv` writes them, sent one grid row at a time."""
+    """Rows as :func:`write_csv` writes them, sent one grid row at a time;
+    a +0.0 cell (no bit set) is written "0" without formatting."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write("x_index,y_index,phase_radians\n")
         for iy, row in enumerate(screen.phase):
-            fh.write("".join(f"{ix},{iy},{v:.17g}\n"
-                             for ix, v in enumerate(row.tolist())))
+            fh.write("".join(
+                f"{ix},{iy},{v:.17g}\n" if bits else f"{ix},{iy},0\n"
+                for ix, v, bits in zip(range(len(row)), row.tolist(),
+                                       row.view(np.int64).tolist())))
     return path
 
 

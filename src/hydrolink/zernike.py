@@ -232,54 +232,39 @@ def _disk_plan(grid: Grid, aperture_radius: float, js: tuple[int, ...],
     return inside, bands, maps, taper
 
 
-def phase_from_spectra(spectra: tuple[ZernikeSpectrum, ...], grid: Grid,
-                       rim_taper: float = 0.0) -> tuple[PhaseScreen, ...]:
-    """Render truncated modal sums onto a grid, one screen per spectrum in
-    order; zero outside the aperture.
-
-    The spectra must share one aperture radius, and the disk must fit inside
-    the grid extent. Each mode's map comes from the disk's
-    :func:`_disk_plan`, so a mode is evaluated once however many screens
-    are rendered on the disk, and is added, in ascending j, to every
-    screen with a nonzero coefficient for it: each screen is bit-identical
-    to its own render. With the default ``rim_taper = 0`` the phase cuts
-    off hard at the aperture edge. A positive ``rim_taper``
-    (fraction of the radius) instead rolls the phase smoothly to zero across
-    the outer rim; split-step propagation uses this so the screen's complex
-    exponential stays band-limited, at the cost of attenuating the modes in
-    the rim band.
-    """
-    r_ap = spectra[0].aperture_radius
-    if any(spec.aperture_radius != r_ap for spec in spectra):
-        raise ValueError("spectra must share one aperture radius")
-    check_aperture(r_ap, grid)
-    if not 0.0 <= rim_taper < 1.0:
-        raise ValueError("rim_taper must be in [0, 1)")
-    coeffs = [spec.as_dict() for spec in spectra]
-    js = tuple(sorted({j for c in coeffs for j, a in c.items() if a != 0.0}))
-    inside, bands, maps, taper = _disk_plan(grid, r_ap, js, rim_taper)
-    # Each screen is summed and scattered one row band at a time, so a
-    # render holds its screens and little more.
-    screens = []
-    for c in coeffs:
-        phase = np.zeros(inside.shape)
-        for rows, band in bands:
-            acc = np.zeros(band.stop - band.start)
-            for j, z in zip(js, maps):
-                if c.get(j, 0.0) != 0.0:
-                    acc += c[j] * z[band]
-            if taper is not None:
-                acc *= taper[band]
-            phase[rows][inside[rows]] = acc
-        phase.flags.writeable = False
-        screens.append(PhaseScreen(grid, phase))
-    return tuple(screens)
-
-
 def phase_from_spectrum(spec: ZernikeSpectrum, grid: Grid,
                         rim_taper: float = 0.0) -> PhaseScreen:
-    """Render one spectrum: :func:`phase_from_spectra` with a batch of one."""
-    return phase_from_spectra((spec,), grid, rim_taper)[0]
+    """Render a truncated modal sum onto a grid; zero outside the aperture.
+
+    The disk must fit inside the grid extent. The mode maps come from the
+    disk's :func:`_disk_plan`, so a mode is evaluated once however many
+    screens with the same modes are rendered on the disk; the modes with a
+    nonzero coefficient are added in ascending j. With the default
+    ``rim_taper = 0`` the phase cuts off hard at the aperture edge. A
+    positive ``rim_taper`` (fraction of the radius) instead rolls the phase
+    smoothly to zero across the outer rim; split-step propagation uses this
+    so the screen's complex exponential stays band-limited, at the cost of
+    attenuating the modes in the rim band.
+    """
+    check_aperture(spec.aperture_radius, grid)
+    if not 0.0 <= rim_taper < 1.0:
+        raise ValueError("rim_taper must be in [0, 1)")
+    coeffs = [a for _, a in spec.coefficients if a != 0.0]
+    js = tuple(j for j, a in spec.coefficients if a != 0.0)
+    inside, bands, maps, taper = _disk_plan(grid, spec.aperture_radius, js,
+                                            rim_taper)
+    # Summed and scattered one row band at a time, so a render holds its
+    # screen and little more.
+    phase = np.zeros(inside.shape)
+    for rows, band in bands:
+        acc = np.zeros(band.stop - band.start)
+        for a, z in zip(coeffs, maps):
+            acc += a * z[band]
+        if taper is not None:
+            acc *= taper[band]
+        phase[rows][inside[rows]] = acc
+    phase.flags.writeable = False
+    return PhaseScreen(grid, phase)
 
 
 def sigma_table(entries: Iterable[tuple], key: str = "",

@@ -481,8 +481,8 @@ class TestRunChannel:
 class TestRealizeScreens:
     @pytest.mark.parametrize("n_screens", [1, 3])
     def test_one_pass_equals_screen_by_screen(self, grid256, n_screens):
-        # Reference: each screen drawn and rendered on its own, as the
-        # channel did before a realization's screens shared one pass.
+        # Reference: each screen drawn and rendered on its own from the
+        # public calls.
         sigmas = dict(modal_sigma_table(0.3, 15))
         sigmas[9] = 0.0
         cfg = ChannelConfig(n_screens=n_screens, screen_source="modal",
@@ -494,6 +494,30 @@ class TestRealizeScreens:
             ref = phase_from_spectrum(ref_spec, grid256, rim_taper=0.1)
             assert spec == ref_spec
             assert np.array_equal(screen.phase, ref.phase)
+
+
+    @pytest.mark.parametrize("screens", [
+        dict(screen_source="modal",
+             modal_sigmas=tuple(modal_sigma_table(0.3, 15).items())),
+        dict(screen_source="kolmogorov", r0=1.0, subharmonic_levels=1)],
+        ids=["modal", "kolmogorov"])
+    def test_transit_applies_the_realized_screens(self, monkeypatch,
+                                                  screens):
+        import hydrolink.channel as chmod
+        applied = []
+
+        def recording(stack, phase, out):
+            applied.append(phase.copy())
+            return _apply_screen(stack, phase, out)
+
+        monkeypatch.setattr(chmod, "_apply_screen", recording)
+        grid = Grid(128, 8e-5)
+        cfg = ChannelConfig(n_screens=3, seed=17, **screens)
+        run_channel(lg_mode(1, 0, grid.extent / 16, grid, WAVELENGTH), cfg)
+        want = realize_screens(cfg, grid)[0]
+        assert len(applied) == len(want) == 3
+        for got, screen in zip(applied, want):
+            assert np.array_equal(got, screen.phase)
 
 
 class TestBatchedTransit:
@@ -867,8 +891,8 @@ class TestLaunch:
 
 
 class TestTransitMemory:
-    """A transit holds its screens, one working stack and the guard's
-    temporaries, and hands its results views of that stack."""
+    """A transit holds one screen at a time, one working stack and the
+    guard's temporaries, and hands its results views of that stack."""
 
     @pytest.mark.parametrize("n", [130, 384])
     def test_banded_rotor_bit_identical(self, n):
@@ -894,8 +918,9 @@ class TestTransitMemory:
         assert a.base is b.base is not None
         assert not (a.flags.writeable or a.base.flags.writeable)
 
-    def test_peak_is_screens_stack_and_guard(self):
-        # The wavefront-survey transit: 384^2, three modal screens.
+    def test_peak_is_one_screen_stack_and_guard(self):
+        # The wavefront-survey transit: 384^2, three modal screens, each
+        # rendered at its step and dropped after it.
         import tracemalloc
         grid = Grid(384, 12.5e-6)
         cfg = ChannelConfig(
@@ -904,10 +929,10 @@ class TestTransitMemory:
         launched = launch(lg_mode(0, 0, 1.1e-3, grid, WAVELENGTH), cfg)
         run_channel(launched, cfg)              # fill the run's plans
         grid_bytes = 8 * grid.n_samples ** 2
-        # Three screens, the complex stack, one real grid of transients,
-        # and 256 KiB for row bands, the guard's gathered band pieces and
-        # small objects.
-        bound = 3 * grid_bytes + 2 * grid_bytes + grid_bytes + (256 << 10)
+        # One screen, the complex stack, one real grid of transients, and
+        # 256 KiB for row bands, the guard's gathered band pieces and small
+        # objects.
+        bound = grid_bytes + 2 * grid_bytes + grid_bytes + (256 << 10)
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]

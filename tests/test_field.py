@@ -356,6 +356,19 @@ class TestParseval:
         assert abs(p_pos - p_freq) < 1e-10
 
 
+class TestTotalPower:
+    @pytest.mark.parametrize("n", [64, 384])
+    def test_equals_abs_squared_sum_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        grid = Grid(n, 1e-4)
+        for scale in (1e-160, 1.0, 1e150):
+            amp = scale * (rng.normal(size=(n, n))
+                           + 1j * rng.normal(size=(n, n)))
+            field = ComplexField(grid, 532e-9, amp)
+            oracle = float(np.sum(np.abs(amp) ** 2)) * grid.spacing**2
+            assert total_power(field) == oracle
+
+
 class TestJonesVector:
     def test_normalization(self):
         v = JonesVector((3.0, 4.0))

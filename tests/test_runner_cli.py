@@ -111,8 +111,10 @@ class TestIo:
         from hydrolink.field import Grid
         from hydrolink.zernike import PhaseScreen
         phase = np.random.default_rng(2).normal(0.0, 3.0, (16, 16))
-        phase[0, :8] = [-0.0, 5e-324, -2.5e-310, 1e300, -1e300, 3.0, -7.0,
-                        0.1]
+        phase[0, :10] = [-0.0, 5e-324, -2.5e-310, 1e300, -1e300, 3.0, -7.0,
+                         0.1, 1e17, -1e17]
+        phase[4:12, 2:] = 0.0           # +0.0 cells, as outside a disk
+        phase[7, 5] = -0.0
         screen = PhaseScreen(Grid(16, 1e-4), phase)
 
         def rows():     # the cell-by-cell rows the writer used to send
