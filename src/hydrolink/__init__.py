@@ -8,18 +8,16 @@ polarization and spatial-mode encodings.
 """
 
 from .channel import (AliasingError, ChannelConfig, ChannelResult, Launch,
-                      Occluder, angular_spectrum_propagate,
-                      apply_attenuation, apply_occlusion, apply_phase_screen,
-                      launch, run_channel, transmittance)
+                      Occluder, angular_spectrum_propagate, apply_occlusion,
+                      apply_phase_screen, launch, run_channel, transmittance)
 from .field import (ANTIDIAGONAL, DEFAULT_WAVELENGTH, DIAGONAL, HORIZONTAL,
                     VERTICAL, ComplexField, Grid, GridMismatchError,
-                    JonesVector, beam_width, centroid, lg_mode, mode_overlap,
-                    petal_mode, superpose, total_power)
+                    JonesVector, centroid, lg_mode, mode_overlap, petal_mode,
+                    superpose, total_power)
 from .qkd import (DetectionMatrix, PolarizationBasis, PolarizationChannel,
-                  QkdReport, bb84_key_rate, binary_entropy, channel_for_qber,
+                  QkdReport, bb84_key_rate, binary_entropy,
                   detection_matrix_oam, detection_matrix_polarization,
-                  mub_overlap, qber_from_matrix, qber_threshold,
-                  report_from_matrix)
+                  mub_overlap, qber_threshold, report_from_matrix)
 from .scenario import (Scenario, ScenarioError, bundled_scenarios,
                        load_scenario, parse_scenario, schema_reference)
 from .runner import RunResult, run_scenario, sweep
@@ -29,8 +27,6 @@ from .shack_hartmann import (LensletArray, ModalAverage, SlopeField,
                              reconstruct_wavefront)
 from .zernike import (PhaseScreen, ZernikeIndex, ZernikeSpectrum,
                       draw_modal_spectrum, index_from_nm, kolmogorov_screen,
-                      nm_from_index, phase_from_spectrum, radians_to_um,
-                      radians_to_waves, um_to_radians, waves_to_radians,
-                      zernike_eval)
+                      nm_from_index, phase_from_spectrum, zernike_eval)
 
 __version__ = "0.1.0"

@@ -56,21 +56,6 @@ def transmittance(alpha_db_per_m: float, length: float) -> float:
     return 10.0 ** (-alpha_db_per_m * length / 10.0)
 
 
-def apply_attenuation(field: ComplexField, alpha_db_per_m: float,
-                      dz: float) -> ComplexField:
-    """Scale amplitude by 10^(-alpha*dz/20); power drops by 10^(-alpha*dz/10)."""
-    if alpha_db_per_m < 0 or dz < 0:
-        raise ValueError("attenuation and distance must be >= 0")
-    factor = _amplitude_factor(alpha_db_per_m, dz)
-    if factor == 1.0:
-        return field
-    return field.with_amplitude(field.amplitude * factor)
-
-
-def _amplitude_factor(alpha_db_per_m: float, dz: float) -> float:
-    return 10.0 ** (-alpha_db_per_m * dz / 20.0)
-
-
 def apply_phase_screen(field: ComplexField,
                        screen: PhaseScreen) -> ComplexField:
     """Multiply by exp(i * phase). Conserves power exactly.
@@ -218,23 +203,20 @@ class Occluder:
     """A floating object crossing the beam: an opaque (or gray) disk.
 
     ``position`` is the disk center (x, y) in meters. The rim is softened
-    over ``edge_width`` (default: the larger of 5% of the radius and three
-    grid spacings) so the blocked field stays band-limited, as a physical
-    floating object rather than a knife edge would.
+    over the larger of 5% of the radius and three grid spacings so the
+    blocked field stays band-limited, as a physical floating object rather
+    than a knife edge would.
     """
 
     radius: float
     position: tuple[float, float]
     opacity: float = 1.0
-    edge_width: float | None = None
 
     def __post_init__(self):
         if not self.radius > 0:
             raise ValueError("occluder radius must be > 0")
         if not 0.0 <= self.opacity <= 1.0:
             raise ValueError("opacity must be in [0, 1]")
-        if self.edge_width is not None and self.edge_width < 0:
-            raise ValueError("edge_width must be >= 0")
 
 
 def apply_occlusion(field: ComplexField,
@@ -263,9 +245,7 @@ def _occluder_box(occluder: Occluder, grid: Grid,
     ``ERF_ONE`` * edge from the centre the factor is exactly 1. The box
     covers that square plus one sample on each side, clipped to the grid.
     """
-    edge = occluder.edge_width
-    if edge is None:
-        edge = max(0.05 * occluder.radius, 3.0 * grid.spacing)
+    edge = max(0.05 * occluder.radius, 3.0 * grid.spacing)
     reach = occluder.radius + ERF_ONE * edge
     c = grid.coords()
     x0, y0 = occluder.position
@@ -273,16 +253,13 @@ def _occluder_box(occluder: Occluder, grid: Grid,
                         int(np.searchsorted(c, c0 + reach, "right")) + 1)
                   for c0 in (y0, x0))
     r = np.hypot((c[cols] - x0)[None, :], (c[rows] - y0)[:, None])
-    if edge > 0.0:
-        # Gaussian-convolved rim: spectrally compact, area-preserving:
-        # 0.5 * (1 - erf((r - radius) / edge)).
-        r -= occluder.radius
-        r /= edge
-        blocked = erf(r, out=r)
-        np.subtract(1.0, blocked, out=blocked)
-        blocked *= 0.5
-    else:
-        blocked = (r <= occluder.radius).astype(float)
+    # Gaussian-convolved rim: spectrally compact, area-preserving:
+    # 0.5 * (1 - erf((r - radius) / edge)).
+    r -= occluder.radius
+    r /= edge
+    blocked = erf(r, out=r)
+    np.subtract(1.0, blocked, out=blocked)
+    blocked *= 0.5
     blocked *= occluder.opacity
     return rows, cols, np.subtract(1.0, blocked, out=blocked)
 
@@ -450,7 +427,7 @@ def _diffract(stack: np.ndarray, fields: tuple[ComplexField, ...],
     dz = config.length / (config.n_screens + 1)
     stack, worst = _propagate_stack(stack, grid, fields[0].wavelength,
                                     config.refractive_index, dz, states, step)
-    factor = _amplitude_factor(config.attenuation_db_per_m, dz)
+    factor = 10.0 ** (-config.attenuation_db_per_m * dz / 20.0)
     if factor != 1.0:
         stack *= factor
     return stack, worst

@@ -1,9 +1,8 @@
 """Sampled complex optical fields on square grids.
 
-Provides Laguerre-Gauss mode synthesis, superpositions, overlap integrals,
-intensity centroids and beam widths. All values are immutable after
-construction and all functions are pure, so they are safe to share across
-parallel workers.
+Provides Laguerre-Gauss mode synthesis, superpositions, overlap integrals
+and intensity centroids. All values are immutable after construction and
+all functions are pure, so they are safe to share across parallel workers.
 
 Conventions: amplitude arrays are indexed ``[iy, ix]``; the sample at index
 ``n // 2`` sits at physical coordinate 0 (FFT-aligned grid). Azimuthal modes
@@ -282,16 +281,15 @@ def superpose(fields: list[ComplexField],
 
 
 def petal_mode(ell: int, waist: float, grid: Grid,
-               wavelength: float = DEFAULT_WAVELENGTH,
-               relative_sign: int = 1) -> ComplexField:
-    """Equal superposition (LG_{ell,0} + sign * LG_{-ell,0})/sqrt(2).
+               wavelength: float = DEFAULT_WAVELENGTH) -> ComplexField:
+    """Equal superposition (LG_{ell,0} + LG_{-ell,0})/sqrt(2).
 
     Produces a 2|ell|-lobed petal intensity pattern.
     """
     plus = lg_mode(ell, 0, waist, grid, wavelength)
     minus = lg_mode(-ell, 0, waist, grid, wavelength)
     s = 1.0 / math.sqrt(2.0)
-    return superpose([plus, minus], [s, relative_sign * s])
+    return superpose([plus, minus], [s, s])
 
 
 def mode_overlap(a: ComplexField, b: ComplexField) -> complex:
@@ -316,18 +314,6 @@ def centroid(field: ComplexField) -> tuple[float, float]:
     x *= inten
     y *= inten
     return float(x.sum() / p), float(y.sum() / p)
-
-
-def beam_width(field: ComplexField) -> float:
-    """1/e^2 intensity radius from second moments: w = 2 * rms(x - <x>)."""
-    inten = field.intensity()
-    p = float(inten.sum())
-    if p <= 0.0:
-        raise ValueError("beam width undefined for zero-power field")
-    cx, cy = centroid(field)
-    x, y = field.grid.mesh()
-    var = float((inten * ((x - cx) ** 2 + (y - cy) ** 2)).sum() / p)
-    return 2.0 * math.sqrt(var / 2.0)
 
 
 @dataclass(frozen=True)

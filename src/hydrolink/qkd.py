@@ -81,13 +81,6 @@ class PolarizationChannel:
         return (1.0 - q) * coherent + q * 0.5
 
 
-def channel_for_qber(qber: float) -> PolarizationChannel:
-    """Depolarization-only channel calibrated to a target sifted error rate."""
-    if not 0.0 <= qber <= 0.5:
-        raise ValueError("qber must be in [0, 0.5]")
-    return PolarizationChannel(theta=0.0, depolarization=2.0 * qber)
-
-
 @dataclass(frozen=True)
 class DetectionMatrix:
     """P(measured | sent) with rows conditioned on the receiver's basis.
@@ -284,11 +277,6 @@ def _error_stats(matrix: DetectionMatrix
     n, n_wrong = len(matrix.sent_labels), max(len(vals), 1)
     return (math.fsum(rates) / n, math.sqrt(qber_var) / n,
             sum(vals) / n_wrong, math.sqrt(sum(e * e for e in ses)) / n_wrong)
-
-
-def qber_from_matrix(matrix: DetectionMatrix) -> float:
-    """Sifted error rate: mean wrong-outcome probability, matched bases only."""
-    return _error_stats(matrix)[0]
 
 
 def binary_entropy(p: float) -> float:

@@ -470,7 +470,7 @@ def load_scenario(ref: str | Path, sets: Sequence[str] = (),
     """
     path = Path(ref)
     if path.is_file():
-        text = path.read_text()
+        text = _checked(str(path), path.read_text, encoding="utf-8")
     else:
         bundled = bundled_scenarios()
         if str(ref) not in bundled:
@@ -510,8 +510,12 @@ def set_by_path(doc: dict, dotted: str, raw_value: str) -> None:
         if not isinstance(nxt, dict):
             raise ScenarioError(f"cannot descend into {part!r}", dotted)
         cursor = nxt
-    value = yaml.safe_load(raw_value)
-    cursor[parts[-1]] = value
+    try:
+        cursor[parts[-1]] = yaml.safe_load(raw_value)
+    except yaml.YAMLError as exc:
+        problem = getattr(exc, "problem", exc)
+        raise ScenarioError(f"cannot parse value {raw_value!r}: {problem}",
+                            dotted) from None
 
 
 def schema_reference() -> str:

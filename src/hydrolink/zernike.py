@@ -13,11 +13,6 @@ labeled a "Noll index". The README carries a conversion table.
 Polynomials are RMS-normalized over the unit disk (Noll normalization), so a
 coefficient's magnitude in radians is directly the RMS phase it contributes.
 Negative m pairs with sin(|m| phi), non-negative m with cos(|m| phi).
-
-Coefficients are carried in radians of phase; :func:`radians_to_um` /
-:func:`um_to_radians` convert to the micrometers of optical path that
-commercial wavefront sensors report, and :func:`radians_to_waves` /
-:func:`waves_to_radians` convert to waves.
 """
 
 from __future__ import annotations
@@ -165,9 +160,6 @@ class ZernikeSpectrum:
     def from_dict(cls, coeffs: Mapping[int, float],
                   aperture_radius: float) -> "ZernikeSpectrum":
         return cls(tuple(coeffs.items()), aperture_radius)
-
-    def as_dict(self) -> dict[int, float]:
-        return dict(self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -431,19 +423,3 @@ def kolmogorov_screen(r0: float, grid: Grid, seed: int,
     phase.flags.writeable = False
     return PhaseScreen(grid, phase)
 
-
-def radians_to_waves(a_rad: float) -> float:
-    return a_rad / (2.0 * math.pi)
-
-
-def waves_to_radians(a_waves: float) -> float:
-    return a_waves * 2.0 * math.pi
-
-
-def radians_to_um(a_rad: float, wavelength: float) -> float:
-    """Phase in radians -> optical path in micrometers."""
-    return a_rad * wavelength / (2.0 * math.pi) * 1e6
-
-
-def um_to_radians(a_um: float, wavelength: float) -> float:
-    return a_um * 1e-6 * 2.0 * math.pi / wavelength

@@ -2,22 +2,53 @@
 
 The package writes 16-bit PGMs but never reads them, fits Zernike modes
 from averaged lenslet gradients but never asks for a gradient at a point,
-and does not look for phase singularities. The tests need all three to
-check it: reading back an image, the exact gradient of Z_j on the unit
-disk, and the vortex count and total charge a beam carries through the
-channel.
+attenuates whole stacks of fields inside the split-step chain but never one
+field on its own, never measures a beam's width, and does not look for
+phase singularities. The tests need all of these to check it: reading back
+an image, the exact gradient of Z_j on the unit disk, the one-field
+attenuation step of the chain (``apply_attenuation``), the second-moment
+beam radius (``beam_width``), and the vortex count and total charge a beam
+carries through the channel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from hydrolink.field import ComplexField
+from hydrolink.field import ComplexField, centroid
 from hydrolink.zernike import ZernikeIndex, gradient_unchecked
+
+
+def apply_attenuation(field: ComplexField, alpha_db_per_m: float,
+                      dz: float) -> ComplexField:
+    """Scale amplitude by 10^(-alpha*dz/20); power drops by 10^(-alpha*dz/10).
+
+    The amplitude factor is the chain's own expression, so a step composed
+    from this matches ``hydrolink.channel.run_channel`` bit for bit.
+    """
+    if alpha_db_per_m < 0 or dz < 0:
+        raise ValueError("attenuation and distance must be >= 0")
+    factor = 10.0 ** (-alpha_db_per_m * dz / 20.0)
+    if factor == 1.0:
+        return field
+    return field.with_amplitude(field.amplitude * factor)
+
+
+def beam_width(field: ComplexField) -> float:
+    """1/e^2 intensity radius from second moments: w = 2 * rms(x - <x>)."""
+    inten = field.intensity()
+    p = float(inten.sum())
+    if p <= 0.0:
+        raise ValueError("beam width undefined for zero-power field")
+    cx, cy = centroid(field)
+    x, y = field.grid.mesh()
+    var = float((inten * ((x - cx) ** 2 + (y - cy) ** 2)).sum() / p)
+    return 2.0 * math.sqrt(var / 2.0)
 
 
 def read_pgm16(path: Path | str) -> np.ndarray:

@@ -13,12 +13,11 @@ import pytest
 from hydrolink.channel import (ChannelConfig, angular_spectrum_propagate,
                                apply_phase_screen, transmittance)
 from hydrolink.field import (ComplexField, DIAGONAL, Grid, HORIZONTAL,
-                             beam_width, lg_mode, total_power)
-from hydrolink.qkd import (bb84_key_rate, channel_for_qber,
-                           detection_matrix_oam,
+                             lg_mode, total_power)
+from hydrolink.qkd import (bb84_key_rate, detection_matrix_oam,
                            detection_matrix_polarization, mub_overlap,
-                           PolarizationChannel, qber_from_matrix,
-                           qber_threshold, report_from_matrix)
+                           PolarizationChannel, qber_threshold,
+                           report_from_matrix)
 from hydrolink.runner import run_scenario
 from hydrolink.scenario import modal_sigma_table, parse_scenario
 from hydrolink.shack_hartmann import (LensletArray, capture, extract_slopes,
@@ -27,7 +26,8 @@ from hydrolink.zernike import (ZernikeSpectrum, index_from_nm, nm_from_index,
                                draw_modal_spectrum, phase_from_spectrum,
                                zernike_eval)
 
-from oracles import find_vortices, total_vortex_charge, zernike_gradient
+from oracles import (beam_width, find_vortices, total_vortex_charge,
+                     zernike_gradient)
 
 WAVELENGTH = 532e-9
 WATER_N = 1.33
@@ -74,7 +74,8 @@ def test_criterion_04_sensor_round_trip_at_sensor_geometry():
         field = ComplexField(grid, WAVELENGTH, np.exp(1j * screen.phase))
         fit = modal_fit(extract_slopes(capture(field, geometry)),
                         j_max=15, aperture_radius=r_ap)
-        got = np.array([fit.spectrum.as_dict()[j] for j in range(2, 16)])
+        fitted = dict(fit.spectrum.coefficients)
+        got = np.array([fitted[j] for j in range(2, 16)])
         want = np.array([coeffs[j] for j in range(2, 16)])
         errors.append(float(np.linalg.norm(got - want)
                             / np.linalg.norm(want)))
@@ -190,10 +191,11 @@ def test_criterion_08_mub_and_identity_channel_qkd():
     assert identity.qber == pytest.approx(0.0, abs=1e-12)
     assert identity.key_rate == pytest.approx(1.0, abs=1e-12)
 
-    matrix = detection_matrix_polarization(channel_for_qber(0.0401))
+    matrix = detection_matrix_polarization(
+        PolarizationChannel(depolarization=2 * 0.0401))
     for s in "HVAD":
         assert matrix.probability(s, s) == pytest.approx(0.9599, abs=1e-9)
-    qber = qber_from_matrix(matrix)
+    qber = report_from_matrix(matrix).qber
     assert qber == pytest.approx(0.0401, abs=1e-9)
     _report(8, "|<H|D>|^2 = 1/2 to 1e-12; identity channel QBER 0 / rate 1; "
                f"calibrated diagonal 0.9599, QBER {qber:.6f}")
@@ -213,7 +215,7 @@ def test_criterion_09_turbulence_error_monotonicity():
         matrix = detection_matrix_oam(cfg, [-4, 4],
                                       include_superposition_basis=True,
                                       grid=grid, n_trials=200)
-        qbers.append(qber_from_matrix(matrix))
+        qbers.append(report_from_matrix(matrix).qber)
         se = matrix.standard_errors
         per_sent = []
         for i, s in enumerate(matrix.sent_labels):

@@ -12,11 +12,10 @@ from hydrolink.field import (ANTIDIAGONAL, DIAGONAL, HORIZONTAL, VERTICAL,
                              Grid, lg_mode, mode_overlap, superpose)
 from hydrolink.qkd import (DetectionMatrix, PolarizationBasis,
                            PolarizationChannel, QkdReport,
-                           bb84_key_rate, binary_entropy, channel_for_qber,
+                           bb84_key_rate, binary_entropy,
                            detection_matrix_oam,
                            detection_matrix_polarization, mub_overlap,
-                           qber_from_matrix, qber_threshold,
-                           report_from_matrix)
+                           qber_threshold, report_from_matrix)
 from hydrolink.runner import build_source_field
 from hydrolink.scenario import (load_scenario, modal_sigma_table,
                                 parse_scenario)
@@ -27,6 +26,9 @@ from hydrolink.seeding import TAG_TRIAL, child_seed
 #   1 - 2 h(0.0401)  = 0.51449900473719531...
 H_0401 = 0.24275049763140234
 RATE_0401 = 0.51449900473719531
+
+#: Depolarization q = 2 * QBER reproduces the measured 4.01% error rate.
+CALIBRATED = PolarizationChannel(depolarization=2 * 0.0401)
 
 
 class TestMubOverlap:
@@ -54,11 +56,9 @@ class TestPolarizationChannel:
         assert ch.outcome_probability(HORIZONTAL, VERTICAL) == 0.0
 
     def test_calibrated_depolarization(self):
-        # q = 2 * QBER reproduces the measured 4.01% error rate
-        ch = channel_for_qber(0.0401)
-        assert ch.depolarization == pytest.approx(0.0802)
-        matrix = detection_matrix_polarization(ch)
-        assert qber_from_matrix(matrix) == pytest.approx(0.0401, abs=1e-9)
+        matrix = detection_matrix_polarization(CALIBRATED)
+        assert report_from_matrix(matrix).qber == pytest.approx(0.0401,
+                                                                abs=1e-9)
 
     def test_quarter_rotation_randomizes_rectilinear(self):
         ch = PolarizationChannel(theta=math.pi / 4, depolarization=0.0)
@@ -81,7 +81,7 @@ class TestDetectionMatrixPolarization:
                                                                abs=1e-12)
 
     def test_calibrated_diagonal(self):
-        m = detection_matrix_polarization(channel_for_qber(0.0401))
+        m = detection_matrix_polarization(CALIBRATED)
         for s in "HVAD":
             assert m.probability(s, s) == pytest.approx(0.9599, abs=1e-9)
         assert m.probability("H", "V") == pytest.approx(0.0401, abs=1e-9)
@@ -105,7 +105,7 @@ class TestDetectionMatrixPolarization:
 class TestQberFromMatrix:
     def test_identity_gives_zero(self):
         m = detection_matrix_polarization(PolarizationChannel())
-        assert qber_from_matrix(m) == pytest.approx(0.0, abs=1e-15)
+        assert report_from_matrix(m).qber == pytest.approx(0.0, abs=1e-15)
 
     def test_uniform_gives_half(self):
         probs = np.full((4, 4), 0.5)
@@ -113,19 +113,20 @@ class TestQberFromMatrix:
                             measured_labels=("H", "V", "A", "D"),
                             probabilities=probs,
                             bases=(("H", "V"), ("A", "D")))
-        assert qber_from_matrix(m) == pytest.approx(0.5)
+        assert report_from_matrix(m).qber == pytest.approx(0.5)
 
     def test_relabeling_invariance(self):
         ch = PolarizationChannel(theta=0.2, depolarization=0.1)
         m = detection_matrix_polarization(ch)
-        q = qber_from_matrix(m)
+        q = report_from_matrix(m).qber
         perm = [1, 0, 3, 2]      # swap within each basis, sender+receiver
         relabeled = DetectionMatrix(
             sent_labels=m.sent_labels,
             measured_labels=m.measured_labels,
             probabilities=m.probabilities[np.ix_(perm, perm)],
             bases=m.bases)
-        assert qber_from_matrix(relabeled) == pytest.approx(q, abs=1e-12)
+        assert report_from_matrix(relabeled).qber == pytest.approx(
+            q, abs=1e-12)
 
 
 class TestBinaryEntropy:
@@ -201,8 +202,7 @@ class TestReport:
         assert report.feasible()
 
     def test_calibrated_report(self):
-        report = report_from_matrix(
-            detection_matrix_polarization(channel_for_qber(0.0401)))
+        report = report_from_matrix(detection_matrix_polarization(CALIBRATED))
         assert report.qber == pytest.approx(0.0401, abs=1e-9)
         assert report.key_rate == pytest.approx(RATE_0401, abs=1e-9)
         assert report.threshold_margin == pytest.approx(
@@ -229,7 +229,7 @@ class TestReport:
         assert report.crosstalk_stderr == pytest.approx(root / 6)
 
     def test_analytic_matrix_has_zero_errors(self):
-        m = detection_matrix_polarization(channel_for_qber(0.0401))
+        m = detection_matrix_polarization(CALIBRATED)
         assert np.array_equal(m.standard_errors, np.zeros((4, 4)))
         report = report_from_matrix(m)
         # Cross-basis entries (1/2) are not crosstalk.
@@ -303,7 +303,7 @@ class TestDetectionMatrixOam:
         m = detection_matrix_oam(_clean_channel(), [-4, 4], grid=OAM_GRID,
                                  n_trials=2)
         np.testing.assert_allclose(m.probabilities, np.eye(2), atol=1e-6)
-        assert qber_from_matrix(m) < 1e-6
+        assert report_from_matrix(m).qber < 1e-6
 
     def test_superposition_basis_identity_and_mub(self):
         m = detection_matrix_oam(_clean_channel(), [-4, 4],
@@ -328,7 +328,7 @@ class TestDetectionMatrixOam:
             m = detection_matrix_oam(_turbulent_channel(scale), [-4, 4],
                                      include_superposition_basis=True,
                                      grid=OAM_GRID, n_trials=60)
-            offdiag.append(qber_from_matrix(m))
+            offdiag.append(report_from_matrix(m).qber)
         assert offdiag[0] < offdiag[1] < offdiag[2]
 
     def test_symmetric_crosstalk_under_isotropic_turbulence(self):

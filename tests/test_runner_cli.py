@@ -466,6 +466,20 @@ class TestCli:
     def test_missing_scenario_exit_code(self, capsys):
         assert main(["simulate", "does-not-exist"]) == 1
 
+    def test_malformed_set_value_exit_code(self, tmp_path, capsys):
+        assert main(["simulate", "polarization-qkd", "--set",
+                     "channel.length=[", "-o", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: channel.length: cannot parse value")
+        assert not (tmp_path / "r").exists()
+
+    def test_non_utf8_scenario_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(b"name: x\n# \xff\nanalysis: {kind: qkd-pol}\n")
+        assert main(["simulate", str(path), "-o", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode")
+
     def test_runtime_exit_code(self, tmp_path, capsys):
         # waist too large for propagation grid trips the aliasing guard
         path = tmp_path / "alias.yaml"

@@ -145,7 +145,7 @@ class TestModalFit:
         spots = capture(uniform_field(screen_from({5: 0.4})), GEOMETRY)
         fit = modal_fit(extract_slopes(spots), j_max=15,
                         aperture_radius=R_AP)
-        got = fit.spectrum.as_dict()
+        got = dict(fit.spectrum.coefficients)
         assert got[5] == pytest.approx(0.4, rel=0.02)
         assert max(abs(v) for j, v in got.items() if j != 5) < 0.02
 
@@ -160,7 +160,8 @@ class TestModalFit:
         spots = capture(uniform_field(screen_from(coeffs)), GEOMETRY)
         fit = modal_fit(extract_slopes(spots), j_max=15,
                         aperture_radius=R_AP)
-        got = np.array([fit.spectrum.as_dict()[j] for j in range(2, 16)])
+        fitted = dict(fit.spectrum.coefficients)
+        got = np.array([fitted[j] for j in range(2, 16)])
         want = np.array([coeffs[j] for j in range(2, 16)])
         err = np.linalg.norm(got - want) / np.linalg.norm(want)
         assert err < 0.02
@@ -174,7 +175,7 @@ class TestModalFit:
             fit = modal_fit(extract_slopes(spots), j_max=15,
                             aperture_radius=R_AP)
             results[alpha] = np.array(
-                [fit.spectrum.as_dict()[j] for j in (3, 7, 12)])
+                [dict(fit.spectrum.coefficients)[j] for j in (3, 7, 12)])
         base = results[1.0]
         for alpha in (0.1, 2.0):
             np.testing.assert_allclose(results[alpha], alpha * base,
@@ -237,9 +238,9 @@ class TestModalFit:
                             slope_y=np.where(mask, slopes.slope_y, np.nan),
                             valid=slopes.valid & mask, geometry=GEOMETRY)
         part = modal_fit(masked, j_max=15, aperture_radius=R_AP)
-        a_full = np.array([full.spectrum.as_dict()[j]
+        a_full = np.array([dict(full.spectrum.coefficients)[j]
                            for j in range(2, 11)])
-        a_part = np.array([part.spectrum.as_dict()[j]
+        a_part = np.array([dict(part.spectrum.coefficients)[j]
                            for j in range(2, 11)])
         rel = np.linalg.norm(a_part - a_full) / np.linalg.norm(a_full)
         assert rel < 0.05
