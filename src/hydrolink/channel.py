@@ -12,16 +12,18 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 import numpy.fft
 
 from .field import (ComplexField, ConfigError, Grid, GridMismatchError,
                     plan, row_bands, total_power)
-from .seeding import TAG_OCCLUSION, TAG_SCREEN, child_seed, substream
+from .seeding import TAG_COEFF, TAG_OCCLUSION, TAG_SCREEN, child_seed, \
+    normals, substream
 from .special import ERF_ONE, erf
-from .zernike import PhaseScreen, ZernikeSpectrum, draw_modal_spectrum, \
-    kolmogorov_screen, phase_from_spectrum, sigma_table
+from .zernike import PhaseScreen, ZernikeSpectrum, kolmogorov_screen, \
+    phase_from_spectrum, sigma_table
 
 #: Refractive index of water at the green design wavelength.
 WATER_REFRACTIVE_INDEX = 1.33
@@ -358,22 +360,22 @@ def realize_screens(config: ChannelConfig, grid: Grid,
     """The channel's phase screens and modal spectra (None for Kolmogorov
     screens), for inspecting or storing a realization without running it.
     Each screen is the one :func:`run_channel` renders at its step."""
-    draws, spectra = _screen_draws(config, grid)
+    screens = draw_realization(config, grid).screens
+    draws, spectra = _screen_draws(config, grid, screens)
     return tuple(_render_screen(config, grid, d) for d in draws), spectra
 
 
 def _screen_draws(config: ChannelConfig, grid: Grid,
+                  screens: np.ndarray | tuple[int, ...],
                   ) -> tuple[tuple, tuple[ZernikeSpectrum, ...] | None]:
-    """Each screen's draw, made up front (its modal spectrum or its
-    Kolmogorov seed), and the modal spectra (else None)."""
-    seeds = tuple(child_seed(config.seed, TAG_SCREEN, k)
-                  for k in range(config.n_screens))
-    if config.screen_source != "modal" or not seeds:
-        return seeds, None
+    """What :func:`_render_screen` takes for each of a :class:`Draws`'
+    ``screens``, and their modal spectra (else None)."""
+    if config.screen_source != "modal" or not len(screens):
+        return screens, None
     r_ap = config.screen_aperture_radius or 0.45 * grid.extent
-    sigmas = dict(config.modal_sigmas)
-    spectra = tuple(draw_modal_spectrum(sigmas, r_ap, seed_k)
-                    for seed_k in seeds)
+    js = [j for j, _ in config.modal_sigmas]
+    spectra = tuple(ZernikeSpectrum(tuple(zip(js, row.tolist())), r_ap)
+                    for row in screens)
     return spectra, spectra
 
 
@@ -471,40 +473,52 @@ def launch(input_field: ComplexField | Sequence[ComplexField],
                   guard_fraction=worst)
 
 
-def _draw_occluders(config: ChannelConfig, grid: Grid,
-                    ) -> dict[int, list[Occluder]]:
-    """The realization's occluders by split step, Poisson-counted from the
-    occlusion rate at seeded positions."""
+class Draws(NamedTuple):
+    """One realization's scalar draws: each screen's modal coefficients (a
+    row) or Kolmogorov seed, and the occluders by split step."""
+
+    screens: np.ndarray | tuple[int, ...]
+    occluders: dict[int, list[Occluder]]
+
+
+def draw_realization(config: ChannelConfig, grid: Grid,
+                     *path: int) -> Draws:
+    """The draws of the realization seeded by (``config.seed``, *path), as
+    frames and trials are; with no ``path``, of ``config``'s own seed.
+    Occluders are Poisson-counted from the occlusion rate."""
+    seed = child_seed(config.seed, *path) if path else config.seed
+    screens = tuple(child_seed(seed, TAG_SCREEN, k)
+                    for k in range(config.n_screens))
+    if config.screen_source == "modal" and screens:
+        # zernike.draw_modal_spectrum's coefficients, on a checked table.
+        screens = normals(screens, TAG_COEFF, config.modal_sigmas)
     occluders: dict[int, list[Occluder]] = {}
     if config.occlusion_rate > 0.0:
-        rng = substream(config.seed, TAG_OCCLUSION)
+        rng = substream(seed, TAG_OCCLUSION)
         count = int(rng.poisson(config.occlusion_rate))
-        radius = grid.extent / 10.0 if config.occluder_radius is None \
-            else config.occluder_radius
+        radius = config.occluder_radius or grid.extent / 10.0
         half = grid.extent / 4.0
-        for i in range(count):
+        for _ in range(count):
             step = int(rng.integers(0, config.n_screens + 1))
             pos = (float(rng.uniform(-half, half)),
                    float(rng.uniform(-half, half)))
             occluders.setdefault(step, []).append(
                 Occluder(radius=radius, opacity=config.occluder_opacity,
                          position=pos))
-    return occluders
+    return Draws(screens, occluders)
 
 
-def transit(source: Launch, config: ChannelConfig, where: str,
-            *path: int) -> tuple[ChannelResult, ...]:
-    """``source`` through ``config``'s realization seeded by (``config.seed``,
-    *path), as every frame and trial is; a tripped guard names ``where``."""
+def transit(source: Launch, config: ChannelConfig, draws: Draws,
+            where: str) -> tuple[ChannelResult, ...]:
+    """``source`` through ``draws``' realization, naming ``where``."""
     try:
-        return run_channel(source, config.with_seed(
-            child_seed(config.seed, *path)))
+        return run_channel(source, config, draws)
     except AliasingError as exc:
         raise exc.at(where) from exc
 
 
 def run_channel(input_field: ComplexField | Sequence[ComplexField]
-                | Launch, config: ChannelConfig,
+                | Launch, config: ChannelConfig, draws: Draws | None = None,
                 ) -> ChannelResult | tuple[ChannelResult, ...]:
     """Run the full split-step chain and report the power ratio.
 
@@ -519,13 +533,16 @@ def run_channel(input_field: ComplexField | Sequence[ComplexField]
     :func:`launch`, or the fields :func:`launch` takes, which are launched
     here first. The d launched fields cross the same realization as one
     (d, N, N) stack: one FFT pair, one screen product and one occluder mask
-    per step for all of them. The random draws are made up front, but
-    screen k is rendered only when step k + 1 takes its product. One
-    result per field comes back, each what a single call would return: a
-    tuple, unless ``input_field`` is one field. Every channel operation is
-    linear, so a combination of the fields leaves as the same combination
-    of their outputs; the launch's ``states`` are checked by the aliasing
-    guard at every step.
+    per step for all of them. A transit has two phases: every scalar draw
+    (``draws``, from :func:`draw_realization`, here from ``config.seed`` if
+    None), then the numpy run, which renders screen k only when step k + 1
+    takes its product. Runs draw on the calling thread, as scalar draws
+    hold the GIL; Kolmogorov noise fields are drawn at render, as numpy's
+    fills release it. One result per field comes back, each what a single
+    call would return: a tuple, unless ``input_field`` is one field. Every
+    channel operation is linear, so a combination of the fields leaves as
+    the same combination of their outputs; the launch's ``states`` are
+    checked by the aliasing guard at every step.
 
     Step 0 does not depend on the seed, so each realization starts at step
     1 from the launched stack. A realization with an occluder on step 0
@@ -542,7 +559,7 @@ def run_channel(input_field: ComplexField | Sequence[ComplexField]
             f"launch's {start.path}")
     fields = start.fields
     grid = fields[0].grid
-    occluders = _draw_occluders(config, grid)
+    screens, occluders = draws or draw_realization(config, grid)
     if 0 in occluders:
         first, stack = 0, np.stack([f.amplitude for f in fields])
         work = stack
@@ -551,12 +568,12 @@ def run_channel(input_field: ComplexField | Sequence[ComplexField]
         work = np.empty_like(stack)
     # Each screen is dropped once its product is taken, so a transit holds
     # its working stack and at most one screen.
-    draws, spectra = _screen_draws(config, grid)
+    screens, spectra = _screen_draws(config, grid, screens)
     worst = start.guard_fraction
     for step in range(first, config.n_screens + 1):
         if step:
             stack = _apply_screen(
-                stack, _render_screen(config, grid, draws[step - 1]).phase,
+                stack, _render_screen(config, grid, screens[step - 1]).phase,
                 work)
         stack, fraction = _diffract(stack, fields, config, start.states,
                                     step, occluders.get(step, ()))

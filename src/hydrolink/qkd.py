@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import (AliasingError, ChannelConfig, launch,  # noqa: F401
-                      run_channel, transit)
+from .channel import (AliasingError, ChannelConfig,  # noqa: F401
+                      draw_realization, launch, run_channel, transit)
 from .field import (ANTIDIAGONAL, DEFAULT_GRID, DEFAULT_WAVELENGTH,
                     DIAGONAL, HORIZONTAL, VERTICAL, ConfigError, Grid,
                     JonesVector, lg_mode, mode_overlap, waist_or_default)
@@ -197,11 +197,11 @@ def detection_matrix_oam(channel_config: ChannelConfig,
     """Monte Carlo crosstalk matrix for orbital-angular-momentum encoding.
 
     The d computational modes are launched once (the channel's first
-    step, which no seed changes); every trial then realizes one
-    deterministic channel (seeded from the config seed and the trial
-    index) and sends the launched modes through the rest of it, on every
-    CPU through :func:`seeding.realize`, as frames are. The aliasing guard
-    checks every sent state; a tripped guard names the lowest failing
+    step, which no seed changes), and every trial's channel (seeded from
+    the config seed and the trial index) is drawn. Each trial then sends
+    the launched modes through the rest of it, on every CPU through
+    :func:`seeding.realize`, as frames are. The aliasing guard checks
+    every sent state; a tripped guard names the lowest failing
     trial, or the sources if the launch trips it. The d outputs are
     projected onto the d computational modes, and every (sent, measured)
     amplitude is formed from those d x d overlaps O as ``states @ O @
@@ -222,9 +222,11 @@ def detection_matrix_oam(channel_config: ChannelConfig,
         sent = launch(modes, channel_config, rows)
     except AliasingError as exc:
         raise exc.at(f"sources {', '.join(labels)}") from exc
+    draws = [draw_realization(channel_config, grid, TAG_TRIAL, k)
+             for k in range(n_trials)]
 
     def trial(k: int) -> np.ndarray:
-        transits = transit(sent, channel_config, f"trial {k}", TAG_TRIAL, k)
+        transits = transit(sent, channel_config, draws[k], f"trial {k}")
         overlaps = np.array([[mode_overlap(t.output_field, mode)
                               for mode in modes] for t in transits])
         # The outputs view the working stack: free it before the next trial.

@@ -22,8 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import io as hio
-from .channel import (AliasingError, Launch, launch, run_channel,  # noqa: F401
-                      transit, transmittance)
+from .channel import (AliasingError, Draws, Launch,  # noqa: F401
+                      draw_realization, launch, run_channel, transit,
+                      transmittance)
 from .field import (ComplexField, Grid, centroid, lg_mode, petal_mode,
                     waist_or_default)
 from .qkd import (DetectionMatrix, PolarizationChannel, QkdReport,
@@ -94,14 +95,14 @@ def _launch(scenario: Scenario, spec: SourceSpec) -> Launch:
         raise exc.at(f"source {spec.label}") from exc
 
 
-def _sensed_frame(scenario: Scenario, source: Launch, k: int,
+def _sensed_frame(scenario: Scenario, source: Launch, draws: Draws, k: int,
                   ) -> tuple[float, tuple[ZernikeSpectrum, ...] | None,
                              WfsResult]:
     """Frame ``k``'s transmittance, ground-truth spectra and modal fit. Its
     output field is dropped before centroiding and nothing of the frame
     outlives the call, so frames side by side hold as little as they can."""
     ana = scenario.analysis
-    (res,) = transit(source, scenario.channel, f"frame {k}", TAG_FRAME, k)
+    (res,) = transit(source, scenario.channel, draws, f"frame {k}")
     spots = capture(res.output_field, scenario.sensor)
     tau, truth = res.transmittance, res.ground_truth_spectra
     del res
@@ -117,7 +118,9 @@ def _run_wavefront(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
     coeff_rows = []
     truth_rows = []
     source = _launch(scenario, scenario.source)
-    frames = realize(lambda k: _sensed_frame(scenario, source, k),
+    draws = [draw_realization(scenario.channel, scenario.grid, TAG_FRAME, k)
+             for k in range(scenario.frames)]
+    frames = realize(lambda k: _sensed_frame(scenario, source, draws[k], k),
                      scenario.frames)
     for k, (tau, truth, fit) in enumerate(frames):
         results.append(fit)
@@ -222,10 +225,13 @@ def _run_images(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
     for m_i, mode in enumerate(scenario.analysis.modes):
         label = mode.label
         source = _launch(scenario, mode)
+        draws = [draw_realization(scenario.channel, scenario.grid,
+                                  TAG_FRAME, k, m_i)
+                 for k in range(scenario.frames)]
 
         def frame(k: int) -> tuple[tuple, Path, np.ndarray | None]:
-            (res,) = transit(source, scenario.channel,
-                             f"mode {label}, frame {k}", TAG_FRAME, k, m_i)
+            (res,) = transit(source, scenario.channel, draws[k],
+                             f"mode {label}, frame {k}")
             inten = res.output_field.intensity()
             cx, cy = centroid(res.output_field)
             return ((label, k, res.transmittance, cx, cy),
@@ -240,7 +246,7 @@ def _run_images(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
                 out / f"{label}_mean.pgm",
                 np.mean(np.stack([inten for *_, inten in frames]), axis=0)))
         # The next mode launches without this mode's source or frames.
-        del source, frames
+        del source, draws, frames
     files.append(hio.write_csv(
         out / "frames_summary.csv",
         ("mode", "frame_id", "transmittance", "centroid_x_m",

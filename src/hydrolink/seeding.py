@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from typing import TypeVar
 
 import numpy as np
@@ -43,6 +43,34 @@ def child_seed(seed: int, *path: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def normals(seeds: Sequence[int], tag: int,
+            scales: Sequence[tuple[int, float]]) -> np.ndarray:
+    """``substream(seed, tag, j).normal(0.0, s)`` (0.0 where s is 0) for
+    each seed (rows) and (j, s) of ``scales`` (columns), bit for bit, from
+    one Philox whose public state is set before each draw to substream's
+    start: the key of ``SeedSequence((seed, tag, j))``, counter zero."""
+    rng = np.random.Generator(np.random.Philox(key=0))
+    start = rng.bit_generator.state
+    out = np.zeros((len(seeds), len(scales)))
+    for row, seed in zip(out, seeds):
+        prefix = _words(seed) + _words(tag)
+        for i, (j, sigma) in enumerate(scales):
+            if sigma > 0:
+                start["state"]["key"] = np.random.SeedSequence(np.array(
+                    prefix + _words(j), np.uint32)).generate_state(
+                        2, np.uint64)
+                rng.bit_generator.state = start
+                row[i] = rng.normal(0.0, sigma)
+    return out
+
+
+def _words(n: int) -> list[int]:
+    """The 32-bit words SeedSequence splits an int >= 0 into, low first."""
+    if (n := int(n)) < 0:
+        raise ValueError(f"seeds and stream tags must be >= 0, got {n}")
+    return [n >> s & 0xFFFFFFFF for s in range(0, n.bit_length() or 1, 32)]
+
+
 def realize(fn: Callable[[int], T], count: int) -> list[T]:
     """``[fn(0), ..., fn(count - 1)]``, computed on up to :data:`WORKERS`
     threads.
@@ -52,10 +80,12 @@ def realize(fn: Callable[[int], T], count: int) -> list[T]:
     calling thread and ``WORKERS - 1`` helpers take the remaining indices
     in increasing order from one shared iterator. numpy's FFTs, ufuncs and
     matrix products release the GIL, so frames (or trials) overlap, and
-    each result is the same bits whichever thread computed it. Once a
-    call fails, no further index is started, and the error of the lowest
-    failing index is raised when every started call has ended; every
-    lower index has then completed, as in a serial loop.
+    each result is the same bits whichever thread computed it. So runs
+    make every index's scalar draws (``channel.draw_realization``, Python
+    that holds the GIL) first, and ``fn`` runs only the numpy transit.
+    Once a call fails, no further index is started, and the error of the
+    lowest failing index is raised when every started call has ended;
+    every lower index has then completed, as in a serial loop.
     """
     if count <= 0:
         return []

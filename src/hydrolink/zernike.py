@@ -27,7 +27,7 @@ import numpy as np
 import numpy.fft
 
 from .field import ConfigError, Grid, frozen, plan, row_bands
-from .seeding import TAG_COEFF, substream
+from .seeding import TAG_COEFF, normals, substream
 from .special import erf
 
 
@@ -156,11 +156,6 @@ class ZernikeSpectrum:
             raise ValueError("duplicate scalar index in spectrum")
         object.__setattr__(self, "coefficients", coeffs)
 
-    @classmethod
-    def from_dict(cls, coeffs: Mapping[int, float],
-                  aperture_radius: float) -> "ZernikeSpectrum":
-        return cls(tuple(coeffs.items()), aperture_radius)
-
 
 @dataclass(frozen=True)
 class PhaseScreen:
@@ -286,15 +281,14 @@ def draw_modal_spectrum(stats: Mapping[int, float], aperture_radius: float,
     """Draw random modal coefficients from per-mode deviations.
 
     Each a_j is an independent zero-mean Gaussian with the given standard
-    deviation (radians), drawn from its own (seed, j)-keyed stream so the
-    result does not depend on dict ordering. ``stats`` must keep the rules
-    of :func:`sigma_table`.
+    deviation (radians), drawn from its own (seed, ``TAG_COEFF``, j)-keyed
+    stream so the result does not depend on dict ordering. ``stats`` must
+    keep the rules of :func:`sigma_table`.
     """
-    coeffs = {}
-    for j, sigma in sigma_table(stats.items()):
-        rng = substream(seed, TAG_COEFF, j)
-        coeffs[j] = rng.normal(0.0, sigma) if sigma > 0 else 0.0
-    return ZernikeSpectrum.from_dict(coeffs, aperture_radius)
+    table = sigma_table(stats.items())
+    coeffs = normals([seed], TAG_COEFF, table)[0].tolist()
+    return ZernikeSpectrum(tuple((j, a) for (j, _), a in zip(table, coeffs)),
+                           aperture_radius)
 
 
 def _cell_moments(kx: int, ky: int, df: float) -> tuple[float, float, float]:

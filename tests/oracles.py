@@ -8,7 +8,9 @@ phase singularities. The tests need all of these to check it: reading back
 an image, the exact gradient of Z_j on the unit disk, the one-field
 attenuation step of the chain (``apply_attenuation``), the second-moment
 beam radius (``beam_width``), and the vortex count and total charge a beam
-carries through the channel.
+carries through the channel. ``kolmogorov_coherence`` is a closed form the
+channel's statistics must meet: the coherence a plane wave keeps through
+Kolmogorov screens.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from hydrolink.field import ComplexField, centroid
-from hydrolink.zernike import ZernikeIndex, gradient_unchecked
+from hydrolink.field import ComplexField, Grid, centroid
+from hydrolink.zernike import ZernikeIndex, _kolmogorov_plan, \
+    gradient_unchecked
 
 
 def apply_attenuation(field: ComplexField, alpha_db_per_m: float,
@@ -49,6 +52,30 @@ def beam_width(field: ComplexField) -> float:
     x, y = field.grid.mesh()
     var = float((inten * ((x - cx) ** 2 + (y - cy) ** 2)).sum() / p)
     return 2.0 * math.sqrt(var / 2.0)
+
+
+def kolmogorov_coherence(r0: float, grid: Grid, n_screens: int,
+                         lags) -> np.ndarray:
+    """The mutual coherence Gamma(d) = <u(r) u*(r + d)> / <|u|^2> a unit
+    plane wave keeps after ``n_screens`` independent Kolmogorov screens
+    (``subharmonic_levels`` 0) at ``r0`` and any free propagation between
+    them, at lags d of ``lags`` samples along one axis.
+
+    A screen is the real part of sum_f c_f (a_f + i b_f) exp(2 pi i f.r),
+    c_f = sqrt(PSD) df, with a_f, b_f independent standard normals: a
+    homogeneous Gaussian field with structure function
+    D(d) = 2 sum_f c_f^2 (1 - cos 2 pi f.d), read here from the
+    generator's own ``_kolmogorov_plan``. So a screen multiplies a
+    homogeneous field's coherence by exp(-D/2), and on the periodic grid
+    propagation keeps it (|H| = 1, nothing evanescent): Gamma =
+    prod_i exp(-D_i / 2) exactly, whatever the diffraction between screens.
+    """
+    sqrt_psd, df = _kolmogorov_plan(r0, grid, 0)[:2]
+    power = ((sqrt_psd * df) ** 2).sum(axis=0)     # per fx, over fy
+    fx = np.fft.fftfreq(grid.n_samples, d=grid.spacing)
+    d = np.asarray(lags, dtype=float)[:, None] * grid.spacing
+    structure = 2.0 * (power * (1.0 - np.cos(2.0 * np.pi * fx * d))).sum(1)
+    return np.exp(-0.5 * n_screens * structure)
 
 
 def read_pgm16(path: Path | str) -> np.ndarray:

@@ -1,16 +1,20 @@
 """Write the SHA-256 of every CSV and PGM the benchmarked runs produce.
 
-Usage: ``python tests/output_digests.py OUT``. The four bundled scenarios,
+Usage: ``python tests/output_digests.py OUT [--against PARENT_FILE]``.
+The four bundled scenarios,
 the Kolmogorov r0 sweep of oam-crosstalk (``channel.screens.kind=
 kolmogorov``, ``r0=0.2``, ``analysis.trials=25``, r0 = 0.2/0.4/0.8 m) and a
 two-frame length sweep of wavefront-survey (1/3/5.5 m, so the cached plans
 change key within one process) run at seeds 1, 2 and 1234, each into a
 temporary directory. ``OUT`` gets one
 ``<digest>  <seed>/<run>/<file>`` line per CSV and PGM, sorted by path. A
-change that claims byte-identical outputs diffs this file against the one
-its parent writes.
+change that claims byte-identical outputs checks this file against the one
+its parent writes: with ``--against PARENT_FILE``, every path whose digest
+differs, or that only one of the two files lists, is printed, and the exit
+status is 1 if there is any.
 """
 
+import argparse
 import sys
 import tempfile
 from pathlib import Path
@@ -41,18 +45,42 @@ def digests(seed: int, base: Path) -> dict[str, str]:
             for path in base.rglob("*") if path.suffix in (".csv", ".pgm")}
 
 
+def read_digests(path: Path) -> dict[str, str]:
+    """``{relative path: digest}`` of a file this script wrote."""
+    return {name: digest for digest, name in
+            (line.split("  ", 1) for line in path.read_text().splitlines())}
+
+
+def differences(found: dict[str, str], parent: dict[str, str]) -> list[str]:
+    """Every path whose digest differs, or that only one side lists."""
+    return sorted(path for path in found.keys() | parent.keys()
+                  if found.get(path) != parent.get(path))
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python tests/output_digests.py OUT", file=sys.stderr)
-        return 2
+    parser = argparse.ArgumentParser(
+        prog="python tests/output_digests.py",
+        description="Write the SHA-256 of every benchmarked output.")
+    parser.add_argument("out", type=Path, help="digest file to write")
+    parser.add_argument("--against", type=Path, metavar="PARENT_FILE",
+                        help="digest file of the parent to compare with")
+    args = parser.parse_args(argv)
+    parent = read_digests(args.against) if args.against else None
     found = {}
     for seed in SEEDS:
         with tempfile.TemporaryDirectory() as tmp:
             found.update(digests(seed, Path(tmp)))
     lines = [f"{digest}  {path}\n" for path, digest in sorted(found.items())]
-    Path(argv[0]).write_text("".join(lines))
+    args.out.write_text("".join(lines))
     print(f"{len(found)} files")
-    return 0
+    if parent is None:
+        return 0
+    moved = differences(found, parent)
+    for path in moved:
+        print(f"differs: {path}")
+    print(f"{len(moved)} of {len(found.keys() | parent.keys())} paths "
+          f"differ from {args.against}")
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":

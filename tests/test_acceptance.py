@@ -70,7 +70,7 @@ def test_criterion_04_sensor_round_trip_at_sensor_geometry():
     for _ in range(50):
         coeffs = {j: float(rng.uniform(-1.0, 1.0)) for j in range(2, 16)}
         screen = phase_from_spectrum(
-            ZernikeSpectrum.from_dict(coeffs, r_ap), grid)
+            ZernikeSpectrum(tuple(coeffs.items()), r_ap), grid)
         field = ComplexField(grid, WAVELENGTH, np.exp(1j * screen.phase))
         fit = modal_fit(extract_slopes(capture(field, geometry)),
                         j_max=15, aperture_radius=r_ap)

@@ -9,16 +9,16 @@ from hypothesis import strategies as st
 
 from hydrolink.channel import (NYQUIST_GUARD_FRACTION, AliasingError,
                                ChannelConfig, ChannelResult, Launch,
-                               Occluder, _apply_screen, _draw_occluders,
-                               _guard_fractions,
+                               Occluder, _apply_screen, _guard_fractions,
                                _propagate_stack, _propagation_plan,
                                angular_spectrum_propagate, apply_occlusion,
-                               apply_phase_screen, launch, realize_screens,
-                               run_channel, transmittance)
+                               apply_phase_screen, draw_realization, launch,
+                               realize_screens, run_channel, transit,
+                               transmittance)
 from hydrolink.field import (ComplexField, ConfigError, Grid,
                              GridMismatchError, centroid, lg_mode,
                              superpose, total_power)
-from hydrolink.seeding import TAG_SCREEN, child_seed
+from hydrolink.seeding import TAG_SCREEN, TAG_TRIAL, child_seed
 from hydrolink.special import erf
 from hydrolink.zernike import (ZernikeSpectrum, _disk_plan,
                                draw_modal_spectrum, phase_from_spectrum)
@@ -26,7 +26,7 @@ from hydrolink.scenario import modal_sigma_table
 
 from conftest import WATER_N, WAVELENGTH, rayleigh_range
 from oracles import (apply_attenuation, beam_width, find_vortices,
-                     total_vortex_charge)
+                     kolmogorov_coherence, total_vortex_charge)
 
 
 class TestTransmittance:
@@ -223,7 +223,7 @@ class TestPhaseScreenApplication:
         grid = Grid(64, 1e-4)
         f = lg_mode(ell, 0, grid.extent / 8, grid, WAVELENGTH)
         screen = phase_from_spectrum(
-            ZernikeSpectrum.from_dict(coeffs, 0.45 * grid.extent), grid,
+            ZernikeSpectrum(tuple(coeffs.items()), 0.45 * grid.extent), grid,
             rim_taper=rim_taper)
         out = apply_phase_screen(f, screen)
         assert total_power(out) == pytest.approx(total_power(f), rel=1e-12)
@@ -546,7 +546,7 @@ class TestBatchedTransit:
         # temporary threshold.
         cfg = self._config()
         grid = Grid(n, spacing)
-        assert _draw_occluders(cfg, grid)
+        assert draw_realization(cfg, grid).occluders
         f = lg_mode(2, 0, grid.extent / 16, grid, WAVELENGTH)
         assert np.array_equal(run_channel(f, cfg).output_field.amplitude,
                               _chain(f, cfg).amplitude)
@@ -750,7 +750,7 @@ def _chain(field, cfg):
     from the public per-step functions (occluders, propagation,
     attenuation, then the screen)."""
     screens, _ = realize_screens(cfg, field.grid)
-    occluders = _draw_occluders(cfg, field.grid)
+    occluders = draw_realization(cfg, field.grid).occluders
     dz = cfg.length / (cfg.n_screens + 1)
     out = field
     for step in range(cfg.n_screens + 1):
@@ -816,7 +816,7 @@ class TestLaunch:
             modal_sigmas=tuple(modal_sigma_table(0.3, 15).items()))
 
         def drawn(seed):
-            return _draw_occluders(cfg.with_seed(seed), self.GRID)
+            return draw_realization(cfg.with_seed(seed), self.GRID).occluders
 
         def on_axis(occs):
             return any(math.hypot(*o.position) < 1.5e-3 for o in occs)
@@ -884,6 +884,96 @@ class TestLaunch:
         source = lg_mode(9, 0, 1.5e-4, grid, WAVELENGTH)
         with pytest.raises(AliasingError, match="^split step 0, row 0: "):
             launch(source, ChannelConfig(attenuation_db_per_m=0.0))
+
+
+class TestDrawnRealization:
+    """A realization drawn ahead, as runs draw every frame and trial before
+    their workers start, runs as the one ``run_channel`` draws itself."""
+
+    GRID = TestLaunch.GRID
+    MODAL = dict(screen_source="modal",
+                 modal_sigmas=tuple(modal_sigma_table(0.3, 15).items()))
+
+    def _check(self, cfg, draws, k):
+        launched = launch(TestLaunch()._fields(), cfg)
+        got = transit(launched, cfg, draws, f"trial {k}")
+        want = run_channel(launched, cfg.with_seed(
+            child_seed(cfg.seed, TAG_TRIAL, k)))
+        assert len(got) == len(want) == 2
+        for g, w in zip(got, want):
+            assert np.array_equal(g.output_field.amplitude.view(np.float64),
+                                  w.output_field.amplitude.view(np.float64))
+            assert g.transmittance == w.transmittance
+            assert g.ground_truth_spectra == w.ground_truth_spectra
+            assert g.guard_fraction_max == w.guard_fraction_max
+
+    @pytest.mark.parametrize("screens", [
+        MODAL, dict(screen_source="kolmogorov", r0=0.2, subharmonic_levels=2)],
+        ids=["modal", "kolmogorov-subharmonics"])
+    def test_drawn_ahead_equals_drawn_in_the_transit(self, screens):
+        cfg = ChannelConfig(n_screens=2, seed=3, **screens)
+        for k in range(3):
+            self._check(cfg, draw_realization(cfg, self.GRID, TAG_TRIAL, k),
+                        k)
+
+    @pytest.mark.parametrize("on_step_zero", [True, False],
+                             ids=["step-0", "later-step"])
+    def test_drawn_occluders_act_on_their_steps(self, on_step_zero):
+        cfg = ChannelConfig(n_screens=2, occlusion_rate=2.0, seed=8,
+                            **self.MODAL)
+        drawn = (draw_realization(cfg, self.GRID, TAG_TRIAL, k)
+                 for k in range(100))
+        k, draws = next((k, d) for k, d in enumerate(drawn) if d.occluders
+                        and (0 in d.occluders) == on_step_zero)
+        self._check(cfg, draws, k)
+
+
+class TestKolmogorovCoherence:
+    """A unit plane wave through two Kolmogorov screens over 5.5 m keeps
+    the coherence ``oracles.kolmogorov_coherence`` gives in closed form.
+
+    Each trial's coherence is averaged over the grid and over both axes;
+    the mean of 50 trials must lie within 3 of its standard errors of the
+    closed form at every lag (the t quantile for 49 degrees of freedom at
+    3 is 0.4% two-sided). A PSD scaled by 0.95 or 1.05, which is r0
+    scaled by 0.95^(-3/5) or 1.05^(-3/5) since the PSD goes as
+    r0^(-5/3), must miss it by more at some lag.
+    """
+
+    GRID = Grid(256, 40e-6)
+    LAGS = (1, 2, 4, 8, 16, 32, 64, 128)
+    TRIALS = 50
+    BOUND = 3.0
+    R0 = 0.1
+
+    def _z_scores(self, r0):
+        cfg = ChannelConfig(length=5.5, attenuation_db_per_m=0.0,
+                            n_screens=2, screen_source="kolmogorov", r0=r0,
+                            seed=1)
+        n = self.GRID.n_samples
+        sent = launch(ComplexField(self.GRID, WAVELENGTH, np.ones((n, n))),
+                      cfg)
+        gammas = []
+        for k in range(self.TRIALS):
+            (res,) = run_channel(sent, cfg, draw_realization(
+                cfg, self.GRID, TAG_TRIAL, k))
+            u = res.output_field.amplitude
+            power = np.mean(np.abs(u) ** 2)
+            gammas.append([np.mean([np.vdot(np.roll(u, -lag, axis), u).real
+                                    for axis in (0, 1)]) / (n * n * power)
+                           for lag in self.LAGS])
+        gammas = np.array(gammas)
+        want = kolmogorov_coherence(self.R0, self.GRID, 2, self.LAGS)
+        se = gammas.std(axis=0, ddof=1) / math.sqrt(self.TRIALS)
+        return (gammas.mean(axis=0) - want) / se
+
+    def test_matches_the_closed_form(self):
+        assert np.all(np.abs(self._z_scores(self.R0)) < self.BOUND)
+
+    @pytest.mark.parametrize("psd_scale", [0.95, 1.05])
+    def test_a_scaled_psd_fails(self, psd_scale):
+        z = self._z_scores(self.R0 * psd_scale ** (-3.0 / 5.0))
+        assert np.max(np.abs(z)) > self.BOUND
 
 
 class TestTransitMemory:

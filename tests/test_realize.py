@@ -3,9 +3,11 @@ results in index order, the first index alone on the calling thread, the
 serial loop's error, and outputs that do not depend on the number of
 threads."""
 
+import functools
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -14,7 +16,7 @@ from hydrolink.channel import AliasingError
 from hydrolink.qkd import detection_matrix_oam
 from hydrolink.runner import run_scenario, sweep
 from hydrolink.scenario import load_scenario
-from hydrolink.seeding import TAG_TRIAL, child_seed, realize
+from hydrolink.seeding import TAG_TRIAL, realize
 
 
 def test_results_in_index_order(monkeypatch):
@@ -173,20 +175,75 @@ def test_outputs_do_not_depend_on_the_thread_count(tmp_path, monkeypatch,
 def test_failing_trial_named_as_in_the_serial_loop(monkeypatch):
     # Trials 5 and later trip the guard; with three threads, trials above
     # 5 may fail first, but the error names trial 5.
+    # A transit's trial is known by its drawn screens.
     monkeypatch.setattr(seeding, "WORKERS", 3)
     scenario = load_scenario("oam-crosstalk", seed=1)
     cfg = scenario.channel
-    tripping = {child_seed(cfg.seed, TAG_TRIAL, k): k for k in range(5, 40)}
+    tripping = {channel.draw_realization(cfg, scenario.grid, TAG_TRIAL,
+                                         k).screens.tobytes(): k
+                for k in range(5, 40)}
     run = channel.run_channel
 
-    def guarded(source, config):
-        k = tripping.get(config.seed)
+    def guarded(source, config, draws):
+        k = tripping.get(draws.screens.tobytes())
         if k is not None:
             time.sleep(0.01 * (40 - k))        # later trials fail sooner
             raise AliasingError(f"tripped at {k}")
-        return run(source, config)
+        return run(source, config, draws)
 
     monkeypatch.setattr(channel, "run_channel", guarded)
     with pytest.raises(AliasingError, match="^trial 5: tripped at 5$"):
         detection_matrix_oam(cfg, [-4, 4], waist=scenario.source.waist,
                              grid=scenario.grid, n_trials=40)
+
+
+def test_every_draw_runs_on_the_calling_thread(tmp_path, monkeypatch):
+    # Runs make each frame's and trial's scalar draws before the workers
+    # start, so every seed derivation, modal coefficient and occluder
+    # draw (oam-gallery's, through substream) runs on the calling thread.
+    monkeypatch.setattr(seeding, "WORKERS", 2)
+    threads = {}
+
+    def recording(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            threads.setdefault(fn.__name__, set()).add(
+                threading.current_thread())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for fn in (seeding.child_seed, seeding.normals, seeding.substream,
+               zernike.draw_modal_spectrum, channel.run_channel):
+        wrapper = recording(fn)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "hydrolink":
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, wrapper)
+    _run("oam-crosstalk", ("analysis.trials=7",), out=tmp_path / "oam")
+    _run("wavefront-survey", frames=4, out=tmp_path / "wfs")
+    _run("oam-gallery", frames=2, out=tmp_path / "gallery")
+    transits = threads.pop("run_channel")
+    assert {"child_seed", "normals", "substream"} <= set(threads)
+    assert all(seen == {threading.current_thread()}
+               for seen in threads.values())
+    assert len(transits) > 1               # helpers ran transits too
+
+
+def test_drawn_realizations_are_compact():
+    # A run holds every frame's or trial's draws at once: 2,000
+    # oam-crosstalk realizations (two screens of 14 coefficients each)
+    # take well under 1 KB apiece.
+    scenario = load_scenario("oam-crosstalk", seed=1)
+    cfg, grid = scenario.channel, scenario.grid
+    channel.draw_realization(cfg, grid, TAG_TRIAL, 0)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        drawn = [channel.draw_realization(cfg, grid, TAG_TRIAL, k)
+                 for k in range(2000)]
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert drawn[1999].screens.shape == (2, 14)
+    assert peak < 2 << 20

@@ -34,7 +34,8 @@ def uniform_field(screen=None, grid=GRID):
 
 
 def screen_from(coeffs, grid=GRID, r_ap=R_AP):
-    return phase_from_spectrum(ZernikeSpectrum.from_dict(coeffs, r_ap), grid)
+    return phase_from_spectrum(ZernikeSpectrum(tuple(coeffs.items()), r_ap),
+                               grid)
 
 
 class TestGeometry:
@@ -587,7 +588,7 @@ class TestReconstruct:
 class TestAverageMagnitudes:
     def _result(self, coeffs):
         from hydrolink.shack_hartmann import WfsResult
-        return WfsResult(spectrum=ZernikeSpectrum.from_dict(coeffs, 1e-3),
+        return WfsResult(spectrum=ZernikeSpectrum(tuple(coeffs.items()), 1e-3),
                          residual_rms=0.0, n_valid_lenslets=1)
 
     def test_single_result(self):
@@ -616,7 +617,7 @@ class TestAverageMagnitudes:
 
     def test_mixed_disks_rejected(self):
         from hydrolink.shack_hartmann import WfsResult
-        wider = WfsResult(spectrum=ZernikeSpectrum.from_dict({2: 0.1}, 2e-3),
+        wider = WfsResult(spectrum=ZernikeSpectrum(((2, 0.1),), 2e-3),
                           residual_rms=0.0, n_valid_lenslets=1)
         with pytest.raises(ValueError, match="disks"):
             average_magnitudes([self._result({2: 0.1}), wider])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hydrolink.channel import ChannelConfig, realize_screens
 from hydrolink.field import Grid
-from hydrolink.seeding import TAG_COEFF, substream
+from hydrolink.seeding import TAG_COEFF, normals, substream
 from hydrolink.shack_hartmann import LensletArray, capture, extract_slopes, \
     modal_fit
 from hydrolink.field import ComplexField
@@ -297,7 +297,7 @@ class TestSingleRender:
            rim_taper=st.sampled_from([0.0, 0.1]))
     def test_render_equals_per_mode_sum_bitwise(self, table, rim_taper):
         grid = Grid(64, 1e-4)
-        spec = ZernikeSpectrum.from_dict(table, 0.45 * grid.extent)
+        spec = ZernikeSpectrum(tuple(table.items()), 0.45 * grid.extent)
         for _ in range(2):      # a fresh disk plan, then the cached one
             screen = phase_from_spectrum(spec, grid, rim_taper=rim_taper)
             assert np.array_equal(screen.phase,
@@ -439,6 +439,28 @@ class TestModalScreen:
     def test_piston_rejected(self):
         with pytest.raises(ValueError):
             draw_modal_spectrum({1: 0.1, 2: 0.1}, 1e-3, 0)
+
+    def test_rekeyed_draws_equal_fresh_streams(self):
+        # One re-keyed generator draws what a fresh (seed, TAG_COEFF, j)
+        # stream draws first, for seeds of one, two and three 32-bit words
+        # (the CLI takes seeds of 2**64 and up) and a two-word j.
+        rng = np.random.default_rng(27)
+        seeds = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5] + [
+            int(s) for s in rng.integers(0, 2**63, 95)]
+        scales = [(j, float(s)) for j, s in zip(
+            [*range(2, 11), 2**32 + 3], rng.uniform(0.01, 3.0, 10))]
+        scales.insert(4, (40, 0.0))
+        got = normals(seeds, TAG_COEFF, scales)
+        want = np.array([[substream(seed, TAG_COEFF, j).normal(0.0, sigma)
+                          if sigma > 0 else 0.0 for j, sigma in scales]
+                         for seed in seeds])
+        assert got.shape == (100, 11)       # 1,000 drawn pairs
+        assert got.tobytes() == want.tobytes()
+        assert not got[:, 4].any()
+        spectrum = draw_modal_spectrum(dict(scales[:5]), 1e-3, 2**64 + 5)
+        assert [a for _, a in spectrum.coefficients] == got[4, :5].tolist()
+        with pytest.raises(ValueError):
+            normals([-1], TAG_COEFF, scales)
 
 
 def _kolmogorov_screen_reference(r0, grid, seed, subharmonic_levels=0):
