@@ -7,6 +7,9 @@ modal fit, and evaluates BB84 quantum-key-distribution feasibility for
 polarization and spatial-mode encodings.
 """
 
+# Bound before the submodule imports: runner imports it from here.
+__version__ = "0.1.0"
+
 from .channel import (AliasingError, ChannelConfig, ChannelResult, Launch,
                       Occluder, angular_spectrum_propagate, apply_occlusion,
                       apply_phase_screen, launch, run_channel, transmittance)
@@ -26,7 +29,5 @@ from .shack_hartmann import (LensletArray, ModalAverage, SlopeField,
                              capture, extract_slopes, modal_fit,
                              reconstruct_wavefront)
 from .zernike import (PhaseScreen, ZernikeIndex, ZernikeSpectrum,
-                      draw_modal_spectrum, index_from_nm, kolmogorov_screen,
-                      nm_from_index, phase_from_spectrum, zernike_eval)
-
-__version__ = "0.1.0"
+                      index_from_nm, kolmogorov_screen, nm_from_index,
+                      phase_from_spectrum, zernike_eval)

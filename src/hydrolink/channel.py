@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from numbers import Integral
 from typing import NamedTuple
 
@@ -333,9 +333,6 @@ class ChannelConfig:
                 raise ConfigError("kolmogorov screens require r0",
                                   "screens.r0")
 
-    def with_seed(self, seed: int) -> "ChannelConfig":
-        return replace(self, seed=seed)
-
 
 @dataclass(frozen=True)
 class ChannelResult:
@@ -483,14 +480,15 @@ class Draws(NamedTuple):
 
 def draw_realization(config: ChannelConfig, grid: Grid,
                      *path: int) -> Draws:
-    """The draws of the realization seeded by (``config.seed``, *path), as
-    frames and trials are; with no ``path``, of ``config``'s own seed.
-    Occluders are Poisson-counted from the occlusion rate."""
+    """The draws of the realization seeded by (``config.seed``, *path), the
+    one way to choose one: frame k is path (``TAG_FRAME``, k[, mode]), trial
+    k is (``TAG_TRIAL``, k), and no path gives ``config.seed``'s own. Modal
+    coefficients are :func:`seeding.normals` over ``config``'s checked
+    sigma table; occluders are Poisson-counted from the occlusion rate."""
     seed = child_seed(config.seed, *path) if path else config.seed
     screens = tuple(child_seed(seed, TAG_SCREEN, k)
                     for k in range(config.n_screens))
     if config.screen_source == "modal" and screens:
-        # zernike.draw_modal_spectrum's coefficients, on a checked table.
         screens = normals(screens, TAG_COEFF, config.modal_sigmas)
     occluders: dict[int, list[Occluder]] = {}
     if config.occlusion_rate > 0.0:

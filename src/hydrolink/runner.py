@@ -13,18 +13,18 @@ import math
 import shutil
 import tempfile
 import time
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
-from importlib import metadata
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import io as hio
-from .channel import (AliasingError, Draws, Launch,  # noqa: F401
-                      draw_realization, launch, run_channel, transit,
-                      transmittance)
+from .channel import (AliasingError, draw_realization, launch,  # noqa: F401
+                      run_channel, transit, transmittance)
 from .field import (ComplexField, Grid, centroid, lg_mode, petal_mode,
                     waist_or_default)
 from .qkd import (DetectionMatrix, PolarizationChannel, QkdReport,
@@ -65,7 +65,7 @@ def _write_manifest(out: Path, scenario: Scenario, files: list[Path],
     lines = ["hydrolink run manifest",
              f"scenario: {scenario.name}",
              f"seed: {scenario.seed}",
-             f"package: hydrolink {_version()}",
+             f"package: hydrolink {__version__}",
              f"numpy: {np.__version__}",
              f"wall_time_s: {wall:.3f}",
              "outputs:"]
@@ -78,37 +78,22 @@ def _write_manifest(out: Path, scenario: Scenario, files: list[Path],
     return manifest
 
 
-def _version() -> str:
+def _frames(scenario: Scenario, spec: SourceSpec, where: str,
+            frame: Callable, *path: int) -> list:
+    """``frame(k, run)`` for every frame k on :func:`realize`'s threads:
+    ``spec``'s source is launched once (a tripped guard names it) and frame
+    k drawn first at (``TAG_FRAME``, k, *path); ``run()`` is its transit,
+    named ``where`` + ``frame k``, so only ``frame`` holds its output."""
     try:
-        return metadata.version("hydrolink")
-    except metadata.PackageNotFoundError:
-        return "unknown"
-
-
-def _launch(scenario: Scenario, spec: SourceSpec) -> Launch:
-    """The source of ``spec`` after the channel's first step, once per run
-    (or per mode); a tripped aliasing guard names the source."""
-    try:
-        return launch(build_source_field(spec, scenario.grid),
-                      scenario.channel)
+        source = launch(build_source_field(spec, scenario.grid),
+                        scenario.channel)
     except AliasingError as exc:
         raise exc.at(f"source {spec.label}") from exc
-
-
-def _sensed_frame(scenario: Scenario, source: Launch, draws: Draws, k: int,
-                  ) -> tuple[float, tuple[ZernikeSpectrum, ...] | None,
-                             WfsResult]:
-    """Frame ``k``'s transmittance, ground-truth spectra and modal fit. Its
-    output field is dropped before centroiding and nothing of the frame
-    outlives the call, so frames side by side hold as little as they can."""
-    ana = scenario.analysis
-    (res,) = transit(source, scenario.channel, draws, f"frame {k}")
-    spots = capture(res.output_field, scenario.sensor)
-    tau, truth = res.transmittance, res.ground_truth_spectra
-    del res
-    slopes = extract_slopes(spots, intensity_floor=ana.intensity_floor)
-    return tau, truth, modal_fit(slopes, j_max=ana.j_max,
-                                 aperture_radius=ana.fit_aperture_radius)
+    draws = [draw_realization(scenario.channel, scenario.grid, TAG_FRAME, k,
+                              *path) for k in range(scenario.frames)]
+    return realize(lambda k: frame(k, partial(
+        transit, source, scenario.channel, draws[k], f"{where}frame {k}")),
+        scenario.frames)
 
 
 def _run_wavefront(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
@@ -117,11 +102,21 @@ def _run_wavefront(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
     frame_rows = []
     coeff_rows = []
     truth_rows = []
-    source = _launch(scenario, scenario.source)
-    draws = [draw_realization(scenario.channel, scenario.grid, TAG_FRAME, k)
-             for k in range(scenario.frames)]
-    frames = realize(lambda k: _sensed_frame(scenario, source, draws[k], k),
-                     scenario.frames)
+    ana = scenario.analysis
+
+    def frame(_: int, run: Callable) -> tuple:
+        # A frame's transmittance, ground-truth spectra and modal fit. The
+        # output field is dropped before centroiding and nothing of the
+        # frame outlives the call, so frames side by side hold little.
+        (res,) = run()
+        spots = capture(res.output_field, scenario.sensor)
+        tau, truth = res.transmittance, res.ground_truth_spectra
+        del res
+        slopes = extract_slopes(spots, intensity_floor=ana.intensity_floor)
+        return tau, truth, modal_fit(slopes, j_max=ana.j_max,
+                                     aperture_radius=ana.fit_aperture_radius)
+
+    frames = _frames(scenario, scenario.source, "", frame)
     for k, (tau, truth, fit) in enumerate(frames):
         results.append(fit)
         frame_rows.append((k, tau, fit.n_valid_lenslets, fit.residual_rms))
@@ -224,29 +219,24 @@ def _run_images(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
     rows = []
     for m_i, mode in enumerate(scenario.analysis.modes):
         label = mode.label
-        source = _launch(scenario, mode)
-        draws = [draw_realization(scenario.channel, scenario.grid,
-                                  TAG_FRAME, k, m_i)
-                 for k in range(scenario.frames)]
 
-        def frame(k: int) -> tuple[tuple, Path, np.ndarray | None]:
-            (res,) = transit(source, scenario.channel, draws[k],
-                             f"mode {label}, frame {k}")
+        def frame(k: int, run: Callable) -> tuple:
+            (res,) = run()
             inten = res.output_field.intensity()
             cx, cy = centroid(res.output_field)
             return ((label, k, res.transmittance, cx, cy),
                     hio.write_pgm16(out / f"{label}_frame{k:03d}.pgm", inten),
                     inten if scenario.analysis.time_average else None)
 
-        frames = realize(frame, scenario.frames)
+        frames = _frames(scenario, mode, f"mode {label}, ", frame, m_i)
         rows += [row for row, _, _ in frames]
         files += [path for _, path, _ in frames]
         if scenario.analysis.time_average:
             files.append(hio.write_pgm16(
                 out / f"{label}_mean.pgm",
                 np.mean(np.stack([inten for *_, inten in frames]), axis=0)))
-        # The next mode launches without this mode's source or frames.
-        del source, draws, frames
+        # The next mode launches without this mode's frames.
+        del frames
     files.append(hio.write_csv(
         out / "frames_summary.csv",
         ("mode", "frame_id", "transmittance", "centroid_x_m",

@@ -1,11 +1,11 @@
 """Deterministic, splittable random streams.
 
 Every stochastic operation in the package draws from a Philox counter-based
-generator keyed by an integer seed plus a path of integer tags. Streams for
-different paths are statistically independent and do not depend on the order
-in which they are created, so per-frame / per-trial / per-screen draws
-stay reproducible under any schedule, which lets :func:`realize` run
-independent frames and Monte Carlo trials on every CPU the process may use.
+generator keyed by (seed, *path), integers >= 0, through one rule
+(:func:`_sequence`). Streams for different paths are independent and do not
+depend on the order in which they are created, so a realization is chosen
+only by its path (``channel.draw_realization``) and is the same under any
+schedule of :func:`realize`'s threads.
 """
 
 from __future__ import annotations
@@ -33,14 +33,13 @@ TAG_TRIAL = 5
 
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Return an independent generator for (seed, *path)."""
-    ss = np.random.SeedSequence((int(seed),) + tuple(int(p) for p in path))
+    ss = _sequence(_words(seed, *path))
     return np.random.Generator(np.random.Philox(ss))
 
 
 def child_seed(seed: int, *path: int) -> int:
     """Derive an integer seed for a nested component from (seed, *path)."""
-    ss = np.random.SeedSequence((int(seed),) + tuple(int(p) for p in path))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    return int(_sequence(_words(seed, *path)).generate_state(1, np.uint64)[0])
 
 
 def normals(seeds: Sequence[int], tag: int,
@@ -53,22 +52,27 @@ def normals(seeds: Sequence[int], tag: int,
     start = rng.bit_generator.state
     out = np.zeros((len(seeds), len(scales)))
     for row, seed in zip(out, seeds):
-        prefix = _words(seed) + _words(tag)
+        prefix = _words(seed, tag)
         for i, (j, sigma) in enumerate(scales):
             if sigma > 0:
-                start["state"]["key"] = np.random.SeedSequence(np.array(
-                    prefix + _words(j), np.uint32)).generate_state(
-                        2, np.uint64)
+                start["state"]["key"] = _sequence(
+                    prefix + _words(j)).generate_state(2, np.uint64)
                 rng.bit_generator.state = start
                 row[i] = rng.normal(0.0, sigma)
     return out
 
 
-def _words(n: int) -> list[int]:
-    """The 32-bit words SeedSequence splits an int >= 0 into, low first."""
-    if (n := int(n)) < 0:
-        raise ValueError(f"seeds and stream tags must be >= 0, got {n}")
-    return [n >> s & 0xFFFFFFFF for s in range(0, n.bit_length() or 1, 32)]
+def _words(*ints: int) -> list[int]:
+    """The 32-bit words ``SeedSequence(ints)`` splits ints >= 0 into."""
+    if (low := min(map(int, ints))) < 0:
+        raise ValueError(f"seeds and stream tags must be >= 0, got {low}")
+    return [n >> s & 0xFFFFFFFF for n in map(int, ints)
+            for s in range(0, n.bit_length() or 1, 32)]
+
+
+def _sequence(words: list[int]) -> np.random.SeedSequence:
+    """``SeedSequence((seed, *path))`` from ``_words(seed, *path)``."""
+    return np.random.SeedSequence(np.array(words, np.uint32))
 
 
 def realize(fn: Callable[[int], T], count: int) -> list[T]:
@@ -79,10 +83,10 @@ def realize(fn: Callable[[int], T], count: int) -> list[T]:
     run's lazily built plans before any other index starts; then the
     calling thread and ``WORKERS - 1`` helpers take the remaining indices
     in increasing order from one shared iterator. numpy's FFTs, ufuncs and
-    matrix products release the GIL, so frames (or trials) overlap, and
-    each result is the same bits whichever thread computed it. So runs
-    make every index's scalar draws (``channel.draw_realization``, Python
-    that holds the GIL) first, and ``fn`` runs only the numpy transit.
+    matrix products release the GIL, so frames (or trials) overlap. Runs
+    draw every index's realization first, by its path alone
+    (``channel.draw_realization``, scalar Python that holds the GIL), so
+    ``fn`` runs only the numpy transit, the same bits on any thread.
     Once a call fails, no further index is started, and the error of the
     lowest failing index is raised when every started call has ended;
     every lower index has then completed, as in a serial loop.

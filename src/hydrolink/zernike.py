@@ -21,13 +21,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 import numpy.fft
 
 from .field import ConfigError, Grid, frozen, plan, row_bands
-from .seeding import TAG_COEFF, normals, substream
+from .seeding import TAG_COEFF, substream
 from .special import erf
 
 
@@ -274,21 +274,6 @@ def sigma_table(entries: Iterable[tuple], key: str = "",
                               f">= 0, got {sigma!r}", key)
         table[int(j)] = value
     return tuple(sorted(table.items()))
-
-
-def draw_modal_spectrum(stats: Mapping[int, float], aperture_radius: float,
-                        seed: int) -> ZernikeSpectrum:
-    """Draw random modal coefficients from per-mode deviations.
-
-    Each a_j is an independent zero-mean Gaussian with the given standard
-    deviation (radians), drawn from its own (seed, ``TAG_COEFF``, j)-keyed
-    stream so the result does not depend on dict ordering. ``stats`` must
-    keep the rules of :func:`sigma_table`.
-    """
-    table = sigma_table(stats.items())
-    coeffs = normals([seed], TAG_COEFF, table)[0].tolist()
-    return ZernikeSpectrum(tuple((j, a) for (j, _), a in zip(table, coeffs)),
-                           aperture_radius)
 
 
 def _cell_moments(kx: int, ky: int, df: float) -> tuple[float, float, float]:

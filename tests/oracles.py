@@ -10,12 +10,14 @@ attenuation step of the chain (``apply_attenuation``), the second-moment
 beam radius (``beam_width``), and the vortex count and total charge a beam
 carries through the channel. ``kolmogorov_coherence`` is a closed form the
 channel's statistics must meet: the coherence a plane wave keeps through
-Kolmogorov screens.
+Kolmogorov screens. ``modal_spectrum`` draws one modal screen's spectrum
+from a seed, as the channel draws each screen of a realization.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,8 +25,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from hydrolink.field import ComplexField, Grid, centroid
-from hydrolink.zernike import ZernikeIndex, _kolmogorov_plan, \
-    gradient_unchecked
+from hydrolink.seeding import TAG_COEFF, normals
+from hydrolink.zernike import ZernikeIndex, ZernikeSpectrum, \
+    _kolmogorov_plan, gradient_unchecked, sigma_table
 
 
 def apply_attenuation(field: ComplexField, alpha_db_per_m: float,
@@ -76,6 +79,22 @@ def kolmogorov_coherence(r0: float, grid: Grid, n_screens: int,
     d = np.asarray(lags, dtype=float)[:, None] * grid.spacing
     structure = 2.0 * (power * (1.0 - np.cos(2.0 * np.pi * fx * d))).sum(1)
     return np.exp(-0.5 * n_screens * structure)
+
+
+def modal_spectrum(stats: Mapping[int, float], aperture_radius: float,
+                   seed: int) -> ZernikeSpectrum:
+    """Random modal coefficients from per-mode deviations.
+
+    Each a_j is an independent zero-mean Gaussian with the given standard
+    deviation (radians), drawn from its own (seed, ``TAG_COEFF``, j)-keyed
+    stream, so the result does not depend on dict ordering; ``stats`` must
+    keep the rules of ``zernike.sigma_table``. A screen of a realization
+    whose screen seed is ``seed`` has these coefficients.
+    """
+    table = sigma_table(stats.items())
+    coeffs = normals([seed], TAG_COEFF, table)[0].tolist()
+    return ZernikeSpectrum(tuple((j, a) for (j, _), a in zip(table, coeffs)),
+                           aperture_radius)
 
 
 def read_pgm16(path: Path | str) -> np.ndarray:

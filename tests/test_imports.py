@@ -1,7 +1,9 @@
 """What importing and running the package loads, in a fresh interpreter.
 
 scipy is a test dependency only, and numpy's lazily loaded submodules are
-imported with the package, so a run's time holds no import.
+imported with the package, so a run's time holds no import. The package
+reads its version from ``hydrolink.__version__``, so importing it loads no
+``importlib.metadata``.
 """
 
 import json
@@ -16,7 +18,9 @@ SRC = Path(hydrolink.__file__).resolve().parents[1]
 
 PROGRAM = """
 import json, sys, tempfile
+metadata_before = "importlib.metadata" in sys.modules
 import hydrolink
+metadata = "importlib.metadata" in sys.modules and not metadata_before
 from hydrolink.runner import run_scenario
 from hydrolink.scenario import load_scenario
 
@@ -29,7 +33,8 @@ loaded = set(sys.modules)
 with tempfile.TemporaryDirectory() as tmp:
     for k, scenario in enumerate(scenarios[1:]):
         run_scenario(scenario, f"{tmp}/{k}")
-print(json.dumps({"scipy": sorted(m for m in loaded
+print(json.dumps({"metadata": metadata,
+                  "scipy": sorted(m for m in loaded
                                   if m.split(".")[0] == "scipy"),
                   "numpy_in_run": sorted(m for m in set(sys.modules) - loaded
                                          if m.split(".")[0] == "numpy")}))
@@ -43,4 +48,4 @@ def test_no_scipy_and_no_numpy_import_during_runs():
                           capture_output=True, text=True, timeout=300,
                           check=True)
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen == {"scipy": [], "numpy_in_run": []}
+    assert seen == {"metadata": False, "scipy": [], "numpy_in_run": []}

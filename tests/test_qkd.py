@@ -375,7 +375,8 @@ class TestDetectionMatrixOam:
         labels = m.sent_labels
         acc = np.zeros((4, 4))
         for trial in range(3):
-            trial_cfg = cfg.with_seed(child_seed(cfg.seed, TAG_TRIAL, trial))
+            trial_cfg = replace(cfg, seed=child_seed(cfg.seed, TAG_TRIAL,
+                                                     trial))
             for i, s in enumerate(labels):
                 out = run_channel(modes[s], trial_cfg).output_field
                 for basis in bases:

@@ -213,7 +213,7 @@ def test_every_draw_runs_on_the_calling_thread(tmp_path, monkeypatch):
         return wrapper
 
     for fn in (seeding.child_seed, seeding.normals, seeding.substream,
-               zernike.draw_modal_spectrum, channel.run_channel):
+               channel.run_channel):
         wrapper = recording(fn)
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "hydrolink":

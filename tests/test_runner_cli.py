@@ -1,5 +1,6 @@
 import csv
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,21 @@ class TestRunScenario:
             assert path.name in manifest
             assert sha256_of(path) in manifest
 
+    def test_manifest_names_the_package_version(self, tmp_path):
+        import hydrolink
+        run_scenario(load_scenario("polarization-qkd"), tmp_path / "out")
+        lines = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+        assert f"package: hydrolink {hydrolink.__version__}" in lines
+
+    def test_package_version_is_the_project_version(self):
+        import tomllib
+
+        import hydrolink
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with pyproject.open("rb") as f:
+            project = tomllib.load(f)["project"]
+        assert hydrolink.__version__ == project["version"]
+
     def test_gallery_writes_frames_and_averages(self, tmp_path):
         s = parse_scenario(FAST_GALLERY)
         result = run_scenario(s, tmp_path / "out")
@@ -174,9 +190,9 @@ class TestRunScenario:
         for m_i, (mode, label) in enumerate(zip(s.analysis.modes,
                                                 ("gaussian", "petal4"))):
             source = build_source_field(mode, s.grid)
-            frames = [run_channel(source, s.channel.with_seed(
-                child_seed(s.seed, TAG_FRAME, k, m_i))).output_field
-                .intensity() for k in range(s.frames)]
+            frames = [run_channel(source, replace(
+                s.channel, seed=child_seed(s.seed, TAG_FRAME, k, m_i)))
+                .output_field.intensity() for k in range(s.frames)]
             want = write_pgm16(tmp_path / f"{label}_want.pgm",
                                np.mean(np.stack(frames), axis=0))
             got = tmp_path / "out" / f"{label}_mean.pgm"
@@ -217,6 +233,45 @@ class TestRunScenario:
         calls.clear()
         run_scenario(parse_scenario(FAST_GALLERY), tmp_path / "g")
         assert len(calls) == 2                      # 2 modes x 2 frames
+
+    def test_frames_free_what_they_no_longer_need(self, tmp_path,
+                                                  monkeypatch):
+        # A wavefront frame drops its output field before centroiding, and
+        # the next images mode launches once the last mode's frames are
+        # freed.
+        import threading
+        import weakref
+        from hydrolink.shack_hartmann import capture, extract_slopes
+        held, freed = threading.local(), []
+
+        def capturing(field, geometry):
+            held.field = weakref.ref(field)
+            return capture(field, geometry)
+
+        def centroiding(*args, **kwargs):
+            freed.append(held.field() is None)
+            return extract_slopes(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "capture", capturing)
+        monkeypatch.setattr(runner, "extract_slopes", centroiding)
+        run_scenario(parse_scenario(FAST_WAVEFRONT), tmp_path / "w")
+        assert freed == [True] * 3
+
+        images, alive = [], []
+
+        def writing(path, image):
+            if "_frame" in path.name:
+                images.append(weakref.ref(image))
+            return write_pgm16(path, image)
+
+        def launching(*args):
+            alive.append(sum(ref() is not None for ref in images))
+            return launch(*args)
+
+        monkeypatch.setattr(runner.hio, "write_pgm16", writing)
+        monkeypatch.setattr(runner, "launch", launching)
+        run_scenario(parse_scenario(FAST_GALLERY), tmp_path / "g")
+        assert len(images) == 4 and alive == [0, 0]
 
     def test_launch_error_names_the_source(self, tmp_path):
         s = parse_scenario("""
@@ -506,6 +561,19 @@ analysis:
         for key in ("channel.screens.sigma", "grid.n_samples",
                     "grid.spacing"):
             assert key in err
+
+    def test_wavefront_error_names_the_frame(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        out.mkdir()
+        (out / "kept.txt").write_text("from an earlier run")
+        code = main(["wfs", "wavefront-survey", "--set",
+                     "channel.screens.sigma=3", "--frames", "3", "--seed",
+                     "1", "-o", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "runtime error: frame 0: split step 2, row 0: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["r"]
+        assert [p.name for p in out.iterdir()] == ["kept.txt"]
 
     def test_failed_run_leaves_no_output(self, tmp_path, capsys):
         # The guard trips at frame 4 of the first mode, after four frames

@@ -15,8 +15,8 @@ from hydrolink.scenario import (ScenarioError, bundled_scenarios,
 from hydrolink.shack_hartmann import (LensletArray, SlopeField, SpotImage,
                                       extract_slopes, lenslet_tiling,
                                       modal_fit)
-from hydrolink.zernike import (ZernikeSpectrum, draw_modal_spectrum,
-                               phase_from_spectrum)
+from hydrolink.zernike import (ZernikeSpectrum, phase_from_spectrum,
+                               sigma_table)
 
 MINIMAL_WAVEFRONT = """
 name: minimal
@@ -266,7 +266,7 @@ class TestKernelRules:
         (lambda: lenslet_tiling(LensletArray(), Grid(256, 12.5e-6)),
          {"grid": {"n_samples": 256, "spacing": 12.5e-6},
           "analysis": {"kind": "wavefront"}}, "grid.n_samples"),
-        (lambda: draw_modal_spectrum({2: math.nan}, 1e-3, 0),
+        (lambda: sigma_table({2: math.nan}.items()),
          {"channel": {"n_screens": 1, "screens": {
              "kind": "modal", "sigmas": {2: math.nan}}}},
          "channel.screens.sigmas"),

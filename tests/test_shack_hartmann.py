@@ -15,8 +15,9 @@ from hydrolink.shack_hartmann import (CENTROID_FLOOR, FIT_CONDITION_LIMIT,
                                       capture, extract_slopes, modal_fit,
                                       reconstruct_wavefront)
 from hydrolink.zernike import (ZernikeSpectrum, gradient_unchecked,
-                               draw_modal_spectrum, nm_from_index,
-                               phase_from_spectrum)
+                               nm_from_index, phase_from_spectrum)
+
+from oracles import modal_spectrum
 
 WAVELENGTH = 532e-9
 
@@ -443,7 +444,7 @@ def _assert_stack_matches_scalar(stack):
 
 class TestStackCentroider:
     def test_turbulent_frame_matches_per_lenslet_reference(self):
-        spectrum = draw_modal_spectrum(
+        spectrum = modal_spectrum(
             {j: 0.8 for j in range(2, 16)}, R_AP, seed=11)
         field = lg_mode(3, 0, 1.2e-3, GRID, WAVELENGTH)
         field = ComplexField(GRID, WAVELENGTH, field.amplitude * np.exp(
@@ -488,7 +489,7 @@ class TestStackCentroider:
 def _turbulent_vortex():
     """A vortex beam under strong modal turbulence on the sensor grid: a
     dark core of invalid lenslets and displaced spots elsewhere."""
-    spectrum = draw_modal_spectrum(
+    spectrum = modal_spectrum(
         {j: 0.8 for j in range(2, 16)}, R_AP, seed=11)
     field = lg_mode(3, 0, 1.2e-3, GRID, WAVELENGTH)
     return ComplexField(GRID, WAVELENGTH, field.amplitude * np.exp(
@@ -634,7 +635,7 @@ class TestAverageMagnitudes:
         results = []
         for frame in range(30):
             screen = phase_from_spectrum(
-                draw_modal_spectrum(stats, R_AP, seed=frame), GRID)
+                modal_spectrum(stats, R_AP, seed=frame), GRID)
             spots = capture(uniform_field(screen), GEOMETRY)
             results.append(modal_fit(extract_slopes(spots), j_max=15,
                                      aperture_radius=R_AP))

