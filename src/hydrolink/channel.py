@@ -9,8 +9,9 @@ deterministic given the configured seed.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import partial
 from numbers import Integral
 from typing import NamedTuple
 
@@ -20,7 +21,7 @@ import numpy.fft
 from .field import (ComplexField, ConfigError, Grid, GridMismatchError,
                     plan, row_bands, total_power)
 from .seeding import TAG_COEFF, TAG_OCCLUSION, TAG_SCREEN, child_seed, \
-    normals, substream
+    normals, realize, substream
 from .special import ERF_ONE, erf
 from .zernike import PhaseScreen, ZernikeSpectrum, kolmogorov_screen, \
     phase_from_spectrum, sigma_table
@@ -506,15 +507,6 @@ def draw_realization(config: ChannelConfig, grid: Grid,
     return Draws(screens, occluders)
 
 
-def transit(source: Launch, config: ChannelConfig, draws: Draws,
-            where: str) -> tuple[ChannelResult, ...]:
-    """``source`` through ``draws``' realization, naming ``where``."""
-    try:
-        return run_channel(source, config, draws)
-    except AliasingError as exc:
-        raise exc.at(where) from exc
-
-
 def run_channel(input_field: ComplexField | Sequence[ComplexField]
                 | Launch, config: ChannelConfig, draws: Draws | None = None,
                 ) -> ChannelResult | tuple[ChannelResult, ...]:
@@ -533,14 +525,14 @@ def run_channel(input_field: ComplexField | Sequence[ComplexField]
     (d, N, N) stack: one FFT pair, one screen product and one occluder mask
     per step for all of them. A transit has two phases: every scalar draw
     (``draws``, from :func:`draw_realization`, here from ``config.seed`` if
-    None), then the numpy run, which renders screen k only when step k + 1
-    takes its product. Runs draw on the calling thread, as scalar draws
-    hold the GIL; Kolmogorov noise fields are drawn at render, as numpy's
-    fills release it. One result per field comes back, each what a single
-    call would return: a tuple, unless ``input_field`` is one field. Every
-    channel operation is linear, so a combination of the fields leaves as
-    the same combination of their outputs; the launch's ``states`` are
-    checked by the aliasing guard at every step.
+    None; :func:`realizations` draws on the calling thread), then the numpy
+    run, which renders screen k only when step k + 1 takes its product.
+    Kolmogorov noise fields are drawn at render, as numpy's fills release
+    it. One result per field comes back, each what a single call would
+    return: a tuple, unless ``input_field`` is one field. Every channel
+    operation is linear, so a combination of the fields leaves as the same
+    combination of their outputs; the launch's ``states`` are checked by
+    the aliasing guard at every step.
 
     Step 0 does not depend on the seed, so each realization starts at step
     1 from the launched stack. A realization with an occluder on step 0
@@ -589,3 +581,34 @@ def run_channel(input_field: ComplexField | Sequence[ComplexField]
                                      guard_fraction_max=worst))
     return results[0] if isinstance(input_field, ComplexField) \
         else tuple(results)
+
+
+def realizations(fields: ComplexField | Sequence[ComplexField],
+                 config: ChannelConfig, each: Callable, count: int, tag: int,
+                 *path: int, states: np.ndarray | None = None, sources: str,
+                 name: str) -> list:
+    """``[each(k, run) for k in range(count)]`` on :func:`seeding.realize`'s
+    threads, the one loop of a run's frames and trials.
+
+    ``fields`` are launched once with ``states`` (step 0 depends on no
+    seed); a tripped guard names ``sources``. Realization k is drawn at
+    (``tag``, k, *path), every one on the calling thread first, as scalar
+    draws hold the GIL, so the threads run only numpy, the same bits on
+    any thread. ``run()`` is realization k's transit from the launch, and
+    a tripped guard names it ``name`` k: the lowest failing k, as in a
+    serial loop. Only ``each`` holds a transit's output.
+    """
+    try:
+        source = launch(fields, config, states)
+    except AliasingError as exc:
+        raise exc.at(sources) from exc
+    draws = [draw_realization(config, source.fields[0].grid, tag, k, *path)
+             for k in range(count)]
+
+    def transit(k: int) -> tuple[ChannelResult, ...]:
+        try:
+            return run_channel(source, config, draws[k])
+        except AliasingError as exc:
+            raise exc.at(f"{name} {k}") from exc
+
+    return realize(lambda k: each(k, partial(transit, k)), count)

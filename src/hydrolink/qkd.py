@@ -15,16 +15,16 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .channel import (AliasingError, ChannelConfig,  # noqa: F401
-                      draw_realization, launch, run_channel, transit)
+# Only test_perfbench.py:72-81 binds run_channel here; ROADMAP item 1 drops it.
+from .channel import ChannelConfig, realizations, run_channel  # noqa: F401
 from .field import (ANTIDIAGONAL, DEFAULT_GRID, DEFAULT_WAVELENGTH,
                     DIAGONAL, HORIZONTAL, VERTICAL, ConfigError, Grid,
                     JonesVector, lg_mode, mode_overlap, waist_or_default)
-from .seeding import TAG_TRIAL, realize
+from .seeding import TAG_TRIAL
 
 
 def mub_overlap(a: JonesVector, b: JonesVector) -> float:
@@ -196,19 +196,15 @@ def detection_matrix_oam(channel_config: ChannelConfig,
                          n_trials: int = 100) -> DetectionMatrix:
     """Monte Carlo crosstalk matrix for orbital-angular-momentum encoding.
 
-    The d computational modes are launched once (the channel's first
-    step, which no seed changes), and every trial's channel (seeded from
-    the config seed and the trial index) is drawn. Each trial then sends
-    the launched modes through the rest of it, on every CPU through
-    :func:`seeding.realize`, as frames are. The aliasing guard checks
-    every sent state; a tripped guard names the lowest failing
-    trial, or the sources if the launch trips it. The d outputs are
-    projected onto the d computational modes, and every (sent, measured)
-    amplitude is formed from those d x d overlaps O as ``states @ O @
-    states^H``, by linearity on both sides. The probabilities are
-    renormalized within each measurement basis (ideal projective mode
-    sorting, post-selected on detection). The trials' blocks are stacked
-    in trial order; their mean and its standard error are returned.
+    Trial k sends the d computational modes through the channel's
+    realization at (``TAG_TRIAL``, k) by :func:`channel.realizations`, whose
+    guard checks every sent state. The d outputs are projected onto the d
+    computational modes, and every (sent, measured) amplitude is formed
+    from those d x d overlaps O as ``states @ O @ states^H``, by linearity
+    on both sides. The probabilities are renormalized within each
+    measurement basis (ideal projective mode sorting, post-selected on
+    detection). The trials' blocks are stacked in trial order; their mean
+    and its standard error are returned.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -218,26 +214,22 @@ def detection_matrix_oam(channel_config: ChannelConfig,
     bases, rows = _oam_bases(ells, include_superposition_basis)
     labels = tuple(lbl for b in bases for lbl in b)
     modes = tuple(lg_mode(ell, 0, waist, grid, wavelength) for ell in ells)
-    try:
-        sent = launch(modes, channel_config, rows)
-    except AliasingError as exc:
-        raise exc.at(f"sources {', '.join(labels)}") from exc
-    draws = [draw_realization(channel_config, grid, TAG_TRIAL, k)
-             for k in range(n_trials)]
 
-    def trial(k: int) -> np.ndarray:
-        transits = transit(sent, channel_config, draws[k], f"trial {k}")
+    def trial(_: int, run: Callable) -> np.ndarray:
+        transits = run()
         overlaps = np.array([[mode_overlap(t.output_field, mode)
                               for mode in modes] for t in transits])
         # The outputs view the working stack: free it before the next trial.
         del transits
-        amplitudes = sent.states @ overlaps @ sent.states.conj().T
+        amplitudes = rows @ overlaps @ rows.conj().T
         # abs() and ** 2 on Python complexes, not numpy's: they round as
         # a direct projection of a computational output always has.
         return np.array([[abs(a) ** 2 for a in row]
                          for row in amplitudes.tolist()])
 
-    blocks = np.array(realize(trial, n_trials))
+    blocks = np.array(realizations(
+        modes, channel_config, trial, n_trials, TAG_TRIAL, states=rows,
+        sources=f"sources {', '.join(labels)}", name="trial"))
     mean = _renormalize(blocks, bases).sum(axis=0) / n_trials
     # Two passes (deviations from the mean), so identical trials give 0.
     stderr = blocks.std(axis=0, ddof=1) / math.sqrt(n_trials) \

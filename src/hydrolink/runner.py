@@ -16,15 +16,14 @@ import time
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from . import io as hio
-from .channel import (AliasingError, draw_realization, launch,  # noqa: F401
-                      run_channel, transit, transmittance)
+# Only test_perfbench.py:72-81 binds run_channel here; ROADMAP item 1 drops it.
+from .channel import realizations, run_channel, transmittance  # noqa: F401
 from .field import (ComplexField, Grid, centroid, lg_mode, petal_mode,
                     waist_or_default)
 from .qkd import (DetectionMatrix, PolarizationChannel, QkdReport,
@@ -32,10 +31,9 @@ from .qkd import (DetectionMatrix, PolarizationChannel, QkdReport,
                   qber_threshold, report_from_matrix)
 from .scenario import (QKD_KINDS, Scenario, ScenarioError, SourceSpec,
                        parse_document)
-from .seeding import TAG_FRAME, realize
-from .shack_hartmann import (WfsResult, average_magnitudes, capture,
-                             extract_slopes, modal_fit,
-                             reconstruct_wavefront)
+from .seeding import TAG_FRAME
+from .shack_hartmann import (average_magnitudes, capture, extract_slopes,
+                             modal_fit, reconstruct_wavefront)
 from .zernike import ZernikeSpectrum, nm_from_index
 
 SWEEPABLE_PARAMETERS = ("attenuation_db_per_m", "length", "r0",
@@ -78,27 +76,8 @@ def _write_manifest(out: Path, scenario: Scenario, files: list[Path],
     return manifest
 
 
-def _frames(scenario: Scenario, spec: SourceSpec, where: str,
-            frame: Callable, *path: int) -> list:
-    """``frame(k, run)`` for every frame k on :func:`realize`'s threads:
-    ``spec``'s source is launched once (a tripped guard names it) and frame
-    k drawn first at (``TAG_FRAME``, k, *path); ``run()`` is its transit,
-    named ``where`` + ``frame k``, so only ``frame`` holds its output."""
-    try:
-        source = launch(build_source_field(spec, scenario.grid),
-                        scenario.channel)
-    except AliasingError as exc:
-        raise exc.at(f"source {spec.label}") from exc
-    draws = [draw_realization(scenario.channel, scenario.grid, TAG_FRAME, k,
-                              *path) for k in range(scenario.frames)]
-    return realize(lambda k: frame(k, partial(
-        transit, source, scenario.channel, draws[k], f"{where}frame {k}")),
-        scenario.frames)
-
-
 def _run_wavefront(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
     files = []
-    results: list[WfsResult] = []
     frame_rows = []
     coeff_rows = []
     truth_rows = []
@@ -116,18 +95,20 @@ def _run_wavefront(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
         return tau, truth, modal_fit(slopes, j_max=ana.j_max,
                                      aperture_radius=ana.fit_aperture_radius)
 
-    frames = _frames(scenario, scenario.source, "", frame)
+    frames = realizations(
+        build_source_field(scenario.source, scenario.grid), scenario.channel,
+        frame, scenario.frames, TAG_FRAME,
+        sources=f"source {scenario.source.label}", name="frame")
+    results = [fit for *_, fit in frames]
     for k, (tau, truth, fit) in enumerate(frames):
-        results.append(fit)
         frame_rows.append((k, tau, fit.n_valid_lenslets, fit.residual_rms))
         for j, a in fit.spectrum.coefficients:
             idx = nm_from_index(j)
             coeff_rows.append((k, j, idx.n, idx.m, a))
-        if truth:
-            for s_i, spec in enumerate(truth):
-                for j, a in spec.coefficients:
-                    idx = nm_from_index(j)
-                    truth_rows.append((k, s_i, j, idx.n, idx.m, a))
+        for s_i, spec in enumerate(truth or ()):
+            for j, a in spec.coefficients:
+                idx = nm_from_index(j)
+                truth_rows.append((k, s_i, j, idx.n, idx.m, a))
 
     files.append(hio.write_csv(out / "coefficients_frames.csv",
                                ("frame_id", "j", "n", "m", "a_j_radians"),
@@ -228,7 +209,10 @@ def _run_images(scenario: Scenario, out: Path) -> tuple[list[Path], dict]:
                     hio.write_pgm16(out / f"{label}_frame{k:03d}.pgm", inten),
                     inten if scenario.analysis.time_average else None)
 
-        frames = _frames(scenario, mode, f"mode {label}, ", frame, m_i)
+        frames = realizations(
+            build_source_field(mode, scenario.grid), scenario.channel, frame,
+            scenario.frames, TAG_FRAME, m_i, sources=f"source {label}",
+            name=f"mode {label}, frame")
         rows += [row for row, _, _ in frames]
         files += [path for _, path, _ in frames]
         if scenario.analysis.time_average:

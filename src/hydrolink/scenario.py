@@ -167,8 +167,8 @@ _TOP = (
     SchemaField("name", str, None, "scenario name", required=True),
     SchemaField("seed", int, DEFAULT_SEED, "master seed for every random draw",
            minimum=0),
-    SchemaField("frames", int, 1, "number of frames / repeated realizations",
-           minimum=1),
+    SchemaField("frames", int, 1, "frames per source (wavefront and images "
+           "kinds); QKD kinds take 1", minimum=1),
 )
 
 _SECTIONS = {
@@ -411,6 +411,10 @@ def parse_document(doc: Mapping) -> Scenario:
         (resolved[parent] if parent else resolved)[key] = _apply_schema(
             raw[where], schema, where)
     ana = resolved["analysis"] = _apply_analysis(raw["analysis"])
+    if ana["kind"] in QKD_KINDS and resolved["frames"] != 1:
+        raise ScenarioError(f"a {ana['kind']} analysis reads no frames; must "
+                            f"be 1, got {resolved['frames']} (set qkd-oam "
+                            f"realizations with analysis.trials)", "frames")
 
     # The schema has already checked spacing > 0 and n_samples >= 16.
     grid = _checked("grid.n_samples", Grid, resolved["grid"]["n_samples"],

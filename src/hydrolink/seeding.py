@@ -83,10 +83,7 @@ def realize(fn: Callable[[int], T], count: int) -> list[T]:
     run's lazily built plans before any other index starts; then the
     calling thread and ``WORKERS - 1`` helpers take the remaining indices
     in increasing order from one shared iterator. numpy's FFTs, ufuncs and
-    matrix products release the GIL, so frames (or trials) overlap. Runs
-    draw every index's realization first, by its path alone
-    (``channel.draw_realization``, scalar Python that holds the GIL), so
-    ``fn`` runs only the numpy transit, the same bits on any thread.
+    matrix products release the GIL, so frames (or trials) overlap.
     Once a call fails, no further index is started, and the error of the
     lowest failing index is raised when every started call has ended;
     every lower index has then completed, as in a serial loop.

@@ -13,8 +13,7 @@ from hydrolink.channel import (NYQUIST_GUARD_FRACTION, AliasingError,
                                _propagate_stack, _propagation_plan,
                                angular_spectrum_propagate, apply_occlusion,
                                apply_phase_screen, draw_realization, launch,
-                               realize_screens, run_channel, transit,
-                               transmittance)
+                               realize_screens, run_channel, transmittance)
 from hydrolink.field import (ComplexField, ConfigError, Grid,
                              GridMismatchError, centroid, lg_mode,
                              superpose, total_power)
@@ -898,7 +897,7 @@ class TestDrawnRealization:
 
     def _check(self, cfg, draws, k):
         launched = launch(TestLaunch()._fields(), cfg)
-        got = transit(launched, cfg, draws, f"trial {k}")
+        got = run_channel(launched, cfg, draws)
         want = run_channel(launched, replace(
             cfg, seed=child_seed(cfg.seed, TAG_TRIAL, k)))
         assert len(got) == len(want) == 2

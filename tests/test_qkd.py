@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hydrolink import qkd, seeding
+from hydrolink import channel, seeding
 from hydrolink.channel import AliasingError, ChannelConfig, run_channel
 from hydrolink.field import (ANTIDIAGONAL, DIAGONAL, HORIZONTAL, VERTICAL,
                              Grid, lg_mode, mode_overlap, superpose)
@@ -282,7 +282,7 @@ class TestDetectionMatrixOam:
 
             return realize(taken_in_turn, count)
 
-        monkeypatch.setattr(qkd, "realize", in_turn)
+        monkeypatch.setattr(channel, "realize", in_turn)
         cfg = _turbulent_channel(0.3)
 
         def peak(n_trials):
@@ -426,6 +426,16 @@ class TestDetectionMatrixOam:
                              s.grid, s.source.wavelength, ana.trials)
         assert (ana.trials, s.channel.n_screens) == (100, 2)
         assert len(calls) == 201
+
+    def test_launch_error_names_the_sources(self):
+        # l = +-9 on 64 samples of 10 um already aliases over the first
+        # step; the error names every sent state.
+        with pytest.raises(AliasingError) as err:
+            detection_matrix_oam(ChannelConfig(attenuation_db_per_m=0.0),
+                                 [-9, 9], True, waist=1.5e-4,
+                                 grid=Grid(64, 1e-5), n_trials=2)
+        assert str(err.value).startswith(
+            "sources l-9, l+9, s+, s-: split step 0, row 2: ")
 
     def test_bad_trial_count_builds_no_mode(self, monkeypatch):
         import hydrolink.qkd as qmod

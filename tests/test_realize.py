@@ -16,7 +16,7 @@ from hydrolink.channel import AliasingError
 from hydrolink.qkd import detection_matrix_oam
 from hydrolink.runner import run_scenario, sweep
 from hydrolink.scenario import load_scenario
-from hydrolink.seeding import TAG_TRIAL, realize
+from hydrolink.seeding import TAG_FRAME, TAG_TRIAL, realize
 
 
 def test_results_in_index_order(monkeypatch):
@@ -115,14 +115,15 @@ def test_plans_built_once_per_run(tmp_path, monkeypatch):
                    for workload, (_, builds) in _TRAFFIC.items()}
 
 
-@pytest.mark.parametrize("name, sets, sweep_of, plan", [
-    pytest.param("wavefront-survey", (), ("length", [1.0, 3.0, 5.5]),
+@pytest.mark.parametrize("name, sets, frames, sweep_of, plan", [
+    pytest.param("wavefront-survey", (), 2, ("length", [1.0, 3.0, 5.5]),
                  channel._propagation_plan, id="length"),
-    pytest.param("oam-crosstalk", _KOLMOGOROV, ("r0", [0.2, 0.4, 0.8]),
+    pytest.param("oam-crosstalk", _KOLMOGOROV, None, ("r0", [0.2, 0.4, 0.8]),
                  zernike._kolmogorov_plan, id="r0")])
-def test_a_sweep_keeps_one_plan_entry(tmp_path, name, sets, sweep_of, plan):
+def test_a_sweep_keeps_one_plan_entry(tmp_path, name, sets, frames, sweep_of,
+                                      plan):
     # Each value's plan has its own key; a plan keeps only the last one.
-    _run(name, sets, 2, sweep_of, tmp_path / "out")
+    _run(name, sets, frames, sweep_of, tmp_path / "out")
     assert plan.cache_info().currsize == 1
 
 
@@ -172,29 +173,52 @@ def test_outputs_do_not_depend_on_the_thread_count(tmp_path, monkeypatch,
     assert outputs[0] == outputs[1]
 
 
-def test_failing_trial_named_as_in_the_serial_loop(monkeypatch):
-    # Trials 5 and later trip the guard; with three threads, trials above
-    # 5 may fail first, but the error names trial 5.
-    # A transit's trial is known by its drawn screens.
+def _oam_trials(scenario, out):
+    detection_matrix_oam(scenario.channel, [-4, 4],
+                         waist=scenario.source.waist, grid=scenario.grid,
+                         n_trials=40)
+
+
+#: Each caller of the one realization loop: (scenario, frames, the tag
+#: and the path after the index that its realizations are drawn at, how
+#: it runs, how its error names realization k).
+_LOOPS = {
+    "wavefront-frame": ("wavefront-survey", 40, TAG_FRAME, (), run_scenario,
+                        "frame {}"),
+    "images-frame": ("oam-gallery", 40, TAG_FRAME, (0,), run_scenario,
+                     "mode gaussian, frame {}"),
+    "oam-trial": ("oam-crosstalk", None, TAG_TRIAL, (), _oam_trials,
+                  "trial {}"),
+}
+
+
+@pytest.mark.parametrize("loop", sorted(_LOOPS))
+def test_failing_trial_named_as_in_the_serial_loop(tmp_path, monkeypatch,
+                                                   loop):
+    # Realizations 5 and later trip the guard; with three threads, later
+    # ones may fail first, but the error names realization 5, for frames
+    # and trials alike. A transit's index is known by its drawn screens
+    # (an images frame's, of the first mode).
     monkeypatch.setattr(seeding, "WORKERS", 3)
-    scenario = load_scenario("oam-crosstalk", seed=1)
+    name, frames, tag, path, runs, named = _LOOPS[loop]
+    scenario = load_scenario(name, seed=1, frames=frames)
     cfg = scenario.channel
-    tripping = {channel.draw_realization(cfg, scenario.grid, TAG_TRIAL,
-                                         k).screens.tobytes(): k
+    tripping = {channel.draw_realization(cfg, scenario.grid, tag, k,
+                                         *path).screens.tobytes(): k
                 for k in range(5, 40)}
     run = channel.run_channel
 
     def guarded(source, config, draws):
         k = tripping.get(draws.screens.tobytes())
         if k is not None:
-            time.sleep(0.01 * (40 - k))        # later trials fail sooner
+            time.sleep(0.01 * (40 - k))        # later ones fail sooner
             raise AliasingError(f"tripped at {k}")
         return run(source, config, draws)
 
     monkeypatch.setattr(channel, "run_channel", guarded)
-    with pytest.raises(AliasingError, match="^trial 5: tripped at 5$"):
-        detection_matrix_oam(cfg, [-4, 4], waist=scenario.source.waist,
-                             grid=scenario.grid, n_trials=40)
+    with pytest.raises(AliasingError) as err:
+        runs(scenario, tmp_path / "out")
+    assert str(err.value) == f"{named.format(5)}: tripped at 5"
 
 
 def test_every_draw_runs_on_the_calling_thread(tmp_path, monkeypatch):

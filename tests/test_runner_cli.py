@@ -11,7 +11,7 @@ from hydrolink.cli import _RUN_COMMANDS, build_parser, main
 from hydrolink.field import superpose
 from hydrolink.io import (fmt, screen_to_csv, sha256_of, write_csv,
                           write_pgm16)
-from hydrolink import runner
+from hydrolink import channel, runner
 from hydrolink.runner import _scaled_scenario, run_scenario, sweep
 from hydrolink.scenario import (_ANALYSIS, bundled_scenarios, load_scenario,
                                 parse_scenario)
@@ -224,9 +224,8 @@ class TestRunScenario:
 
     def test_sources_launched_once_per_run_and_mode(self, tmp_path,
                                                     monkeypatch):
-        import hydrolink.runner as rmod
         calls = []
-        monkeypatch.setattr(rmod, "launch", lambda *a: calls.append(1)
+        monkeypatch.setattr(channel, "launch", lambda *a: calls.append(1)
                             or launch(*a))
         run_scenario(parse_scenario(FAST_WAVEFRONT), tmp_path / "w")
         assert len(calls) == 1                      # 3 frames
@@ -269,7 +268,7 @@ class TestRunScenario:
             return launch(*args)
 
         monkeypatch.setattr(runner.hio, "write_pgm16", writing)
-        monkeypatch.setattr(runner, "launch", launching)
+        monkeypatch.setattr(channel, "launch", launching)
         run_scenario(parse_scenario(FAST_GALLERY), tmp_path / "g")
         assert len(images) == 4 and alive == [0, 0]
 
@@ -501,6 +500,21 @@ class TestCli:
         path = tmp_path / "bad.yaml"
         path.write_text("name: x\nframes: 0\nanalysis:\n  kind: qkd-pol\n")
         assert main(["simulate", str(path)]) == 1
+
+    @pytest.mark.parametrize("name, frames, kind", [
+        ("oam-crosstalk", "7", "qkd-oam"),
+        ("polarization-qkd", "2", "qkd-pol")])
+    def test_qkd_kinds_refuse_frames(self, tmp_path, capsys, name, frames,
+                                     kind):
+        # A QKD run reads no frames (a qkd-oam run's realizations are
+        # analysis.trials), so a frame count other than 1 fails at parse.
+        assert main(["qkd", name, "--frames", frames,
+                     "-o", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: frames: a {kind} analysis reads no "
+                              f"frames; must be 1, got {frames} ")
+        assert "analysis.trials" in err
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("override, key", [
         ("frames: null", "frames"),
