@@ -21,7 +21,7 @@ import numpy.fft
 from .field import (ComplexField, ConfigError, Grid, GridMismatchError,
                     plan, row_bands, total_power)
 from .seeding import TAG_COEFF, TAG_OCCLUSION, TAG_SCREEN, child_seed, \
-    normals, realize, substream
+    normals, realize, stream_key
 from .special import ERF_ONE, erf
 from .zernike import PhaseScreen, ZernikeSpectrum, kolmogorov_screen, \
     phase_from_spectrum, sigma_table
@@ -363,8 +363,7 @@ def realize_screens(config: ChannelConfig, grid: Grid,
     return tuple(_render_screen(config, grid, d) for d in draws), spectra
 
 
-def _screen_draws(config: ChannelConfig, grid: Grid,
-                  screens: np.ndarray | tuple[int, ...],
+def _screen_draws(config: ChannelConfig, grid: Grid, screens: np.ndarray,
                   ) -> tuple[tuple, tuple[ZernikeSpectrum, ...] | None]:
     """What :func:`_render_screen` takes for each of a :class:`Draws`'
     ``screens``, and their modal spectra (else None)."""
@@ -378,11 +377,12 @@ def _screen_draws(config: ChannelConfig, grid: Grid,
 
 
 def _render_screen(config: ChannelConfig, grid: Grid,
-                   draw: ZernikeSpectrum | int) -> PhaseScreen:
+                   draw: ZernikeSpectrum | np.ndarray) -> PhaseScreen:
     """The screen of one of :func:`_screen_draws`' draws."""
     if config.screen_source == "modal":
         return phase_from_spectrum(draw, grid, rim_taper=SCREEN_RIM_TAPER)
-    return kolmogorov_screen(config.r0, grid, draw,
+    noise = np.random.Generator(np.random.Philox(key=draw))
+    return kolmogorov_screen(config.r0, grid, noise,
                              subharmonic_levels=config.subharmonic_levels)
 
 
@@ -473,38 +473,66 @@ def launch(input_field: ComplexField | Sequence[ComplexField],
 
 class Draws(NamedTuple):
     """One realization's scalar draws: each screen's modal coefficients (a
-    row) or Kolmogorov seed, and the occluders by split step."""
+    row) or the Philox key of its Kolmogorov noise stream, (screen seed,
+    ``TAG_COEFF``), and the occluders by split step."""
 
-    screens: np.ndarray | tuple[int, ...]
+    screens: np.ndarray
     occluders: dict[int, list[Occluder]]
+
+
+def draw_realizations(config: ChannelConfig, grid: Grid,
+                      *path: int | np.ndarray) -> list[Draws]:
+    """The draws of the realizations seeded by (``config.seed``, *path),
+    the one way to choose them: the path entries are ints or 1-d arrays of
+    ints, broadcast together, one realization per element. Frame k is path
+    (``TAG_FRAME``, k[, mode]), trial k is (``TAG_TRIAL``, k), and no path
+    gives ``config.seed``'s own.
+
+    Realization seeds, screen seeds, and modal coefficients or Kolmogorov
+    noise keys each come from one :mod:`seeding` pass over the batch; the
+    coefficients are :func:`seeding.normals` over ``config``'s checked
+    sigma table. The noise itself is drawn when the screen is rendered.
+    Occluders are Poisson-counted from the occlusion rate, each
+    realization's from its own ``substream(seed, TAG_OCCLUSION)``."""
+    seeds = np.atleast_1d(child_seed(config.seed, *path) if path
+                          else np.asarray(config.seed))
+    screens = child_seed(seeds[:, None], TAG_SCREEN,
+                         np.arange(config.n_screens))
+    if config.screen_source == "modal" and config.n_screens:
+        screens = normals(screens.ravel(), TAG_COEFF, config.modal_sigmas
+                          ).reshape(len(seeds), config.n_screens, -1)
+    else:
+        screens = stream_key(screens, TAG_COEFF)
+    if config.occlusion_rate > 0.0:
+        occluders = [_occluders(config, grid, np.random.Generator(
+            np.random.Philox(key=key)))
+            for key in stream_key(seeds, TAG_OCCLUSION)]
+    else:
+        occluders = [{} for _ in seeds]
+    return [Draws(*draws) for draws in zip(screens, occluders)]
 
 
 def draw_realization(config: ChannelConfig, grid: Grid,
                      *path: int) -> Draws:
-    """The draws of the realization seeded by (``config.seed``, *path), the
-    one way to choose one: frame k is path (``TAG_FRAME``, k[, mode]), trial
-    k is (``TAG_TRIAL``, k), and no path gives ``config.seed``'s own. Modal
-    coefficients are :func:`seeding.normals` over ``config``'s checked
-    sigma table; occluders are Poisson-counted from the occlusion rate."""
-    seed = child_seed(config.seed, *path) if path else config.seed
-    screens = tuple(child_seed(seed, TAG_SCREEN, k)
-                    for k in range(config.n_screens))
-    if config.screen_source == "modal" and screens:
-        screens = normals(screens, TAG_COEFF, config.modal_sigmas)
+    """:func:`draw_realizations` of the one path (``config.seed``, *path)."""
+    return draw_realizations(config, grid, *path)[0]
+
+
+def _occluders(config: ChannelConfig, grid: Grid,
+               rng: np.random.Generator) -> dict[int, list[Occluder]]:
+    """One realization's occluders by split step, drawn from ``rng``."""
     occluders: dict[int, list[Occluder]] = {}
-    if config.occlusion_rate > 0.0:
-        rng = substream(seed, TAG_OCCLUSION)
-        count = int(rng.poisson(config.occlusion_rate))
-        radius = config.occluder_radius or grid.extent / 10.0
-        half = grid.extent / 4.0
-        for _ in range(count):
-            step = int(rng.integers(0, config.n_screens + 1))
-            pos = (float(rng.uniform(-half, half)),
-                   float(rng.uniform(-half, half)))
-            occluders.setdefault(step, []).append(
-                Occluder(radius=radius, opacity=config.occluder_opacity,
-                         position=pos))
-    return Draws(screens, occluders)
+    count = int(rng.poisson(config.occlusion_rate))
+    radius = config.occluder_radius or grid.extent / 10.0
+    half = grid.extent / 4.0
+    for _ in range(count):
+        step = int(rng.integers(0, config.n_screens + 1))
+        pos = (float(rng.uniform(-half, half)),
+               float(rng.uniform(-half, half)))
+        occluders.setdefault(step, []).append(
+            Occluder(radius=radius, opacity=config.occluder_opacity,
+                     position=pos))
+    return occluders
 
 
 def run_channel(input_field: ComplexField | Sequence[ComplexField]
@@ -592,18 +620,19 @@ def realizations(fields: ComplexField | Sequence[ComplexField],
 
     ``fields`` are launched once with ``states`` (step 0 depends on no
     seed); a tripped guard names ``sources``. Realization k is drawn at
-    (``tag``, k, *path), every one on the calling thread first, as scalar
-    draws hold the GIL, so the threads run only numpy, the same bits on
-    any thread. ``run()`` is realization k's transit from the launch, and
-    a tripped guard names it ``name`` k: the lowest failing k, as in a
-    serial loop. Only ``each`` holds a transit's output.
+    (``tag``, k, *path), all in one :func:`draw_realizations` batch on
+    the calling thread first, as scalar draws hold the GIL, so the
+    threads run only numpy, the same bits on any thread. ``run()`` is
+    realization k's transit from the launch, and a tripped guard names it
+    ``name`` k: the lowest failing k, as in a serial loop. Only ``each``
+    holds a transit's output.
     """
     try:
         source = launch(fields, config, states)
     except AliasingError as exc:
         raise exc.at(sources) from exc
-    draws = [draw_realization(config, source.fields[0].grid, tag, k, *path)
-             for k in range(count)]
+    draws = draw_realizations(config, source.fields[0].grid, tag,
+                              np.arange(count), *path)
 
     def transit(k: int) -> tuple[ChannelResult, ...]:
         try:

@@ -300,8 +300,12 @@ def mode_overlap(a: ComplexField, b: ComplexField) -> complex:
     matrices.
     """
     _check_same_grid(a, b)
-    return complex(np.sum(a.amplitude * np.conj(b.amplitude))
-                   * a.grid.spacing**2)
+    # conj(b) * a into conj(b), spelled out: numpy elides the temporary of
+    # a * conj(b) into this on large arrays only, and the two orders round
+    # the imaginary part differently.
+    product = np.conj(b.amplitude)
+    np.multiply(product, a.amplitude, out=product)
+    return complex(np.sum(product) * a.grid.spacing**2)
 
 
 def centroid(field: ComplexField) -> tuple[float, float]:

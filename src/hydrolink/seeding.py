@@ -1,15 +1,20 @@
 """Deterministic, splittable random streams.
 
 Every stochastic operation in the package draws from a Philox counter-based
-generator keyed by (seed, *path), integers >= 0, through one rule
-(:func:`_sequence`). Streams for different paths are independent and do not
-depend on the order in which they are created, so a realization is chosen
-only by its path (``channel.draw_realization``) and is the same under any
-schedule of :func:`realize`'s threads.
+generator keyed by (seed, *path), integers >= 0, through one rule: the key
+``np.random.SeedSequence((seed, *path))`` would give, computed by
+:func:`_hash`, numpy's SeedSequence hash in uint32 array arithmetic over a
+matrix of the keys' 32-bit words (one column per key). :func:`child_seed`,
+:func:`stream_key` and :func:`normals` broadcast over arrays of seeds and
+path entries, so a run hashes every key of a stage in one pass. Streams for different paths
+are independent and do not depend on the order in which they are created,
+so a realization is chosen only by its path (``channel.draw_realizations``)
+and is the same under any schedule of :func:`realize`'s threads.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from collections.abc import Callable, Sequence
@@ -30,49 +35,175 @@ TAG_FRAME = 3
 TAG_COEFF = 4
 TAG_TRIAL = 5
 
+# numpy's SeedSequence constants: pool size, the entropy hash (A), the
+# state hash (B) and the pool mix.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MASK = 0xFFFFFFFF
+
+#: Seeds per :func:`stream_key` pass in :func:`normals`.
+_BLOCK = 256
+
+
+def child_seed(seed, *path):
+    """Derive an integer seed for a nested component from (seed, *path).
+
+    ``seed`` and the path entries are ints >= 0 or arrays of them,
+    broadcast together; arrays give a uint64 array of that shape."""
+    seeds = stream_key(seed, *path, words=2)[..., 0]
+    return seeds if seeds.ndim else int(seeds)
+
+
+def stream_key(seed, *path, words: int = 4) -> np.ndarray:
+    """``SeedSequence((seed, *path)).generate_state(words)`` as
+    little-endian uint64 pairs, shape (*broadcast, words / 2), for every
+    (seed, *path) of the broadcast arrays; the default is the Philox key
+    of :func:`substream`'s stream."""
+    shape = np.broadcast(*map(np.asarray, (seed, *path))).shape
+    state = _hash(*_key_words((seed, *path), shape), words).astype(np.uint64)
+    pairs = state[0::2] | state[1::2] << 32
+    return pairs.T.reshape(*shape, words // 2)
+
 
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Return an independent generator for (seed, *path)."""
-    ss = _sequence(_words(seed, *path))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(key=stream_key(seed, *path)))
 
 
-def child_seed(seed: int, *path: int) -> int:
-    """Derive an integer seed for a nested component from (seed, *path)."""
-    return int(_sequence(_words(seed, *path)).generate_state(1, np.uint64)[0])
-
-
-def normals(seeds: Sequence[int], tag: int,
+def normals(seeds, tag: int,
             scales: Sequence[tuple[int, float]]) -> np.ndarray:
     """``substream(seed, tag, j).normal(0.0, s)`` (0.0 where s is 0) for
-    each seed (rows) and (j, s) of ``scales`` (columns), bit for bit, from
-    one Philox whose public state is set before each draw to substream's
-    start: the key of ``SeedSequence((seed, tag, j))``, counter zero."""
+    each seed (rows) and (j, s) of ``scales`` (columns), bit for bit.
+
+    The streams' keys come from :func:`stream_key`, one pass per block of
+    :data:`_BLOCK` seeds, which bounds the pass's scratch arrays; then one
+    Philox draws them all, its public state set before each draw to the
+    stream's start: its key, counter zero."""
+    seeds = np.asarray(seeds)
+    live = [i for i, (_, sigma) in enumerate(scales) if sigma > 0]
+    js = np.array([scales[i][0] for i in live], dtype=object)
     rng = np.random.Generator(np.random.Philox(key=0))
     start = rng.bit_generator.state
     out = np.zeros((len(seeds), len(scales)))
-    for row, seed in zip(out, seeds):
-        prefix = _words(seed, tag)
-        for i, (j, sigma) in enumerate(scales):
-            if sigma > 0:
-                start["state"]["key"] = _sequence(
-                    prefix + _words(j)).generate_state(2, np.uint64)
+    for at in range(0, len(seeds), _BLOCK):
+        keys = stream_key(seeds[at:at + _BLOCK, None], tag, js)
+        for row, row_keys in zip(out[at:at + _BLOCK], keys):
+            for i, key in zip(live, row_keys):
+                start["state"]["key"] = key
                 rng.bit_generator.state = start
-                row[i] = rng.normal(0.0, sigma)
+                row[i] = rng.normal(0.0, scales[i][1])
     return out
 
 
-def _words(*ints: int) -> list[int]:
-    """The 32-bit words ``SeedSequence(ints)`` splits ints >= 0 into."""
-    if (low := min(map(int, ints))) < 0:
-        raise ValueError(f"seeds and stream tags must be >= 0, got {low}")
-    return [n >> s & 0xFFFFFFFF for n in map(int, ints)
-            for s in range(0, n.bit_length() or 1, 32)]
+def _key_words(columns: Sequence, shape: tuple[int, ...],
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """(words, lengths): column i of the uint32 matrix holds the 32-bit
+    words ``SeedSequence`` splits key i's ints into, in order, zero-padded
+    past ``lengths[i]`` to at least the pool size. Key i takes element i
+    of every column broadcast to ``shape`` and flattened; a column is an
+    int or an array of ints, each >= 0."""
+    blocks = []
+    for c in map(np.asarray, columns):
+        if not c.ndim:
+            c = low = top = int(c)
+        elif c.dtype == object:
+            low, top = min(c.flat, default=0), max(c.flat, default=0)
+        else:
+            low, top = (int(c.min()), int(c.max())) if c.size else (0, 0)
+            c = c.astype(np.uint64)
+        if low < 0:
+            raise ValueError(f"seeds and stream tags must be >= 0, got {low}")
+        if isinstance(c, np.ndarray):
+            c = np.broadcast_to(c, shape).ravel()
+        blocks.append([(c >> s) & _MASK
+                       for s in range(0, top.bit_length() or 1, 32)])
+    keys = math.prod(shape)
+    words = np.zeros((max(_POOL, sum(map(len, blocks))), keys), np.uint32)
+    lengths = np.zeros(keys, np.intp)
+    at = np.arange(keys)
+    for block in blocks:
+        # An int's words end at its highest nonzero one; a zero word past
+        # that is overwritten by the next int's words, or left as padding.
+        size = 1
+        for i, word in enumerate(block):
+            words[lengths + i, at] = word
+            if i:
+                size = np.where(word != 0, i + 1, size)
+        lengths += size
+    return words, lengths
 
 
-def _sequence(words: list[int]) -> np.random.SeedSequence:
-    """``SeedSequence((seed, *path))`` from ``_words(seed, *path)``."""
-    return np.random.SeedSequence(np.array(words, np.uint32))
+def _constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**t mod 2**32 for t in range(count + 1), as a uint32
+    column."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK)
+    return np.array(out, np.uint32)[:, None]
+
+
+def _scramble(value: np.ndarray, xor: np.ndarray,
+              mult: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix, one call per row of ``xor`` and ``mult``."""
+    value = value ^ xor
+    value *= mult
+    value ^= value >> 16
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    x = x * _MIX_L
+    x -= y * _MIX_R
+    x ^= x >> 16
+    return x
+
+
+def _pool_mix_constants() -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiplier of each entropy hash call in SeedSequence's
+    pool mix, indexed [src, dst]: calls 4, 5, ... hash pool word src into
+    every other pool word dst, in that loop order. The [src, src] entries
+    are zero; their results are discarded."""
+    a = _constants(_INIT_A, _MULT_A, _POOL * _POOL + 1)
+    xor, mult = np.zeros((2, _POOL, _POOL, 1), np.uint32)
+    t = _POOL
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if dst != src:
+                xor[src, dst], mult[src, dst] = a[t], a[t + 1]
+                t += 1
+    return xor, mult
+
+
+_MIX_XOR, _MIX_MULT = _pool_mix_constants()
+
+
+def _hash(words: np.ndarray, lengths: np.ndarray, n: int) -> np.ndarray:
+    """``SeedSequence(words[:lengths[i], i]).generate_state(n)`` for every
+    column i, shape (n, keys): numpy's mix_entropy and generate_state, one
+    array operation per step for all keys. The constants of the t-th
+    entropy hash call depend on t alone, so every key takes the same."""
+    width = len(words)
+    a = _constants(_INIT_A, _MULT_A, _POOL * width)
+    # Entropy words up to the pool size; a short key hashes its zeros.
+    pool = _scramble(words[:_POOL], a[:_POOL], a[1:_POOL + 1])
+    # Each pool word into every other one, all four at once; the word
+    # itself keeps its value.
+    for src in range(_POOL):
+        mixed = _mix(pool, _scramble(pool[src], _MIX_XOR[src],
+                                     _MIX_MULT[src]))
+        mixed[src] = pool[src]
+        pool = mixed
+    # Entropy words past the pool size, each into every pool word, for
+    # the keys that have them.
+    for src in range(_POOL, width):
+        t = _POOL * src
+        mixed = _mix(pool, _scramble(words[src], a[t:t + _POOL],
+                                     a[t + 1:t + _POOL + 1]))
+        pool = np.where(lengths > src, mixed, pool)
+    b = _constants(_INIT_B, _MULT_B, n)
+    return _scramble(pool[np.arange(n) % _POOL], b[:-1], b[1:])
 
 
 def realize(fn: Callable[[int], T], count: int) -> list[T]:

@@ -226,7 +226,12 @@ def phase_from_spectrum(spec: ZernikeSpectrum, grid: Grid,
     The disk must fit inside the grid extent. The mode maps come from the
     disk's :func:`_disk_plan`, so a mode is evaluated once however many
     screens with the same modes are rendered on the disk; the modes with a
-    nonzero coefficient are added in ascending j. With the default
+    nonzero coefficient are added in ascending j, from zero, the bits of
+    ``acc += a_j * Z_j``. Each row band is one ``einsum`` call rather than
+    that loop's 2J ufunc calls, since every ufunc call on a band releases
+    and retakes the GIL, which stalls renders on the other threads. Its
+    default ``optimize=False`` keeps numpy's own loop: a BLAS product
+    would sum in another order and start OpenBLAS threads. With the default
     ``rim_taper = 0`` the phase cuts off hard at the aperture edge. A
     positive ``rim_taper`` (fraction of the radius) instead rolls the phase
     smoothly to zero across the outer rim; split-step propagation uses this
@@ -244,9 +249,7 @@ def phase_from_spectrum(spec: ZernikeSpectrum, grid: Grid,
     # screen and little more.
     phase = np.zeros(inside.shape)
     for rows, band in bands:
-        acc = np.zeros(band.stop - band.start)
-        for a, z in zip(coeffs, maps):
-            acc += a * z[band]
+        acc = np.einsum("j,jn->n", coeffs, maps[:, band])
         if taper is not None:
             acc *= taper[band]
         phase[rows][inside[rows]] = acc
@@ -360,9 +363,12 @@ def _kolmogorov_plan(r0: float, grid: Grid, subharmonic_levels: int):
     return np.sqrt(psd), df, amps, ex, ey, tilt, coords
 
 
-def kolmogorov_screen(r0: float, grid: Grid, seed: int,
+def kolmogorov_screen(r0: float, grid: Grid,
+                      seed: int | np.random.Generator,
                       subharmonic_levels: int = 0) -> PhaseScreen:
-    """FFT-filtered Gaussian noise with Kolmogorov phase statistics.
+    """FFT-filtered Gaussian noise with Kolmogorov phase statistics, drawn
+    from ``substream(seed, TAG_COEFF)``, or from ``seed`` if it is a
+    generator.
 
     The spectral density is 0.023 * r0^(-5/3) * f^(-11/3) (f in cycles/m),
     the pairing that yields the structure function 6.88 * (r/r0)^(5/3). The
@@ -387,7 +393,8 @@ def kolmogorov_screen(r0: float, grid: Grid, seed: int,
     sqrt_psd, df, amps, ex, ey, tilt, coords = _kolmogorov_plan(
         r0, grid, subharmonic_levels)
     n = grid.n_samples
-    rng = substream(seed, TAG_COEFF)
+    rng = seed if isinstance(seed, np.random.Generator) \
+        else substream(seed, TAG_COEFF)
     noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     spectrum = noise * sqrt_psd * df
     phase = np.real(np.fft.ifftn(spectrum, axes=(-2, -1), out=spectrum)) \

@@ -8,16 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hydrolink.channel import (NYQUIST_GUARD_FRACTION, AliasingError,
-                               ChannelConfig, ChannelResult, Launch,
+                               ChannelConfig, ChannelResult, Draws, Launch,
                                Occluder, _apply_screen, _guard_fractions,
                                _propagate_stack, _propagation_plan,
                                angular_spectrum_propagate, apply_occlusion,
-                               apply_phase_screen, draw_realization, launch,
-                               realize_screens, run_channel, transmittance)
+                               apply_phase_screen, draw_realization,
+                               draw_realizations, launch, realize_screens,
+                               run_channel, transmittance)
 from hydrolink.field import (ComplexField, ConfigError, Grid,
                              GridMismatchError, centroid, lg_mode,
                              superpose, total_power)
-from hydrolink.seeding import TAG_SCREEN, TAG_TRIAL, child_seed
+from hydrolink.seeding import TAG_COEFF, TAG_FRAME, TAG_OCCLUSION, \
+    TAG_SCREEN, TAG_TRIAL, child_seed
 from hydrolink.special import erf
 from hydrolink.zernike import (ZernikeSpectrum, _disk_plan,
                                phase_from_spectrum)
@@ -887,6 +889,41 @@ class TestLaunch:
             launch(source, ChannelConfig(attenuation_db_per_m=0.0))
 
 
+def _reference_draws(cfg, grid, *path):
+    """One realization's draws, every stream from numpy's own
+    ``SeedSequence((seed, *path))``, one key at a time."""
+    def stream(*key):
+        return np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(tuple(int(k) for k in key))))
+
+    def child(*key):
+        return int(np.random.SeedSequence(tuple(int(k) for k in key))
+                   .generate_state(1, np.uint64)[0])
+
+    seed = child(cfg.seed, *path) if path else cfg.seed
+    screens = [child(seed, TAG_SCREEN, k) for k in range(cfg.n_screens)]
+    if cfg.screen_source == "modal":
+        screens = np.array([[stream(s, TAG_COEFF, j).normal(0.0, sigma)
+                             if sigma > 0 else 0.0
+                             for j, sigma in cfg.modal_sigmas]
+                            for s in screens])
+    else:
+        screens = np.array([stream(s, TAG_COEFF).bit_generator.state[
+            "state"]["key"] for s in screens], np.uint64)
+    occluders = {}
+    if cfg.occlusion_rate > 0.0:
+        rng = stream(seed, TAG_OCCLUSION)
+        half = grid.extent / 4.0
+        for _ in range(int(rng.poisson(cfg.occlusion_rate))):
+            step = int(rng.integers(0, cfg.n_screens + 1))
+            pos = (float(rng.uniform(-half, half)),
+                   float(rng.uniform(-half, half)))
+            occluders.setdefault(step, []).append(Occluder(
+                radius=cfg.occluder_radius or grid.extent / 10.0,
+                opacity=cfg.occluder_opacity, position=pos))
+    return Draws(screens, occluders)
+
+
 class TestDrawnRealization:
     """A realization drawn ahead, as runs draw every frame and trial before
     their workers start, runs as the one ``run_channel`` draws itself."""
@@ -927,6 +964,28 @@ class TestDrawnRealization:
         k, draws = next((k, d) for k, d in enumerate(drawn) if d.occluders
                         and (0 in d.occluders) == on_step_zero)
         self._check(cfg, draws, k)
+
+
+    @pytest.mark.parametrize("screens", [
+        MODAL, dict(screen_source="kolmogorov", r0=0.2),
+        dict(occlusion_rate=2.0, **MODAL)],
+        ids=["modal", "kolmogorov", "occluded"])
+    @pytest.mark.parametrize("seed", [3, 2**64 + 5])
+    def test_a_batch_equals_one_path_at_a_time(self, screens, seed):
+        cfg = ChannelConfig(n_screens=2, seed=seed, **screens)
+        batches = {(TAG_TRIAL, k): d for k, d in enumerate(draw_realizations(
+            cfg, self.GRID, TAG_TRIAL, np.arange(40)))}
+        batches.update({(TAG_FRAME, k, 3): d for k, d in enumerate(
+            draw_realizations(cfg, self.GRID, TAG_FRAME, np.arange(5), 3))})
+        batches[()], = draw_realizations(cfg, self.GRID)
+        for path, got in batches.items():
+            for want in (draw_realization(cfg, self.GRID, *path),
+                         _reference_draws(cfg, self.GRID, *path)):
+                assert np.asarray(got.screens).tobytes() == \
+                    np.asarray(want.screens).tobytes()
+                assert got.occluders == want.occluders
+        if cfg.occlusion_rate:
+            assert sum(bool(d.occluders) for d in batches.values()) > 30
 
 
 class TestKolmogorovCoherence:

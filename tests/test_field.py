@@ -225,6 +225,22 @@ class TestModeOverlap:
         got = abs(mode_overlap(shifted, f)) ** 2
         assert got == pytest.approx(expect, abs=1e-6)
 
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_bits_do_not_depend_on_the_grid_size(self, n):
+        # numpy evaluates a * conj(b) as conj(b) * a into the temporary
+        # only from 256 KiB up (n >= 128), and the two orders round the
+        # imaginary part differently; the overlap takes the second at
+        # every size.
+        grid = Grid(n, 1e-5)
+        rng = np.random.default_rng(n)
+        a, b = (ComplexField(grid, WAVELENGTH, rng.normal(size=(n, n))
+                             + 1j * rng.normal(size=(n, n)))
+                for _ in range(2))
+        product = np.conj(b.amplitude)
+        np.multiply(product, a.amplitude, out=product)
+        want = complex(np.sum(product) * grid.spacing**2)
+        assert mode_overlap(a, b) == want
+
     def test_cauchy_schwarz(self, grid256):
         rng = np.random.default_rng(7)
         for _ in range(5):

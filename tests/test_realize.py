@@ -9,6 +9,7 @@ import threading
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from hydrolink import channel, seeding, shack_hartmann, zernike
@@ -222,9 +223,10 @@ def test_failing_trial_named_as_in_the_serial_loop(tmp_path, monkeypatch,
 
 
 def test_every_draw_runs_on_the_calling_thread(tmp_path, monkeypatch):
-    # Runs make each frame's and trial's scalar draws before the workers
-    # start, so every seed derivation, modal coefficient and occluder
-    # draw (oam-gallery's, through substream) runs on the calling thread.
+    # Runs make every frame's and trial's scalar draws in one batch before
+    # the workers start, so every seed hash, modal coefficient and
+    # occluder draw (oam-gallery's, keyed through stream_key) runs on the
+    # calling thread.
     monkeypatch.setattr(seeding, "WORKERS", 2)
     threads = {}
 
@@ -236,8 +238,8 @@ def test_every_draw_runs_on_the_calling_thread(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for fn in (seeding.child_seed, seeding.normals, seeding.substream,
-               channel.run_channel):
+    for fn in (seeding.child_seed, seeding.normals, seeding.stream_key,
+               channel.draw_realizations, channel.run_channel):
         wrapper = recording(fn)
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "hydrolink":
@@ -248,7 +250,8 @@ def test_every_draw_runs_on_the_calling_thread(tmp_path, monkeypatch):
     _run("wavefront-survey", frames=4, out=tmp_path / "wfs")
     _run("oam-gallery", frames=2, out=tmp_path / "gallery")
     transits = threads.pop("run_channel")
-    assert {"child_seed", "normals", "substream"} <= set(threads)
+    assert {"child_seed", "normals", "stream_key",
+            "draw_realizations"} <= set(threads)
     assert all(seen == {threading.current_thread()}
                for seen in threads.values())
     assert len(transits) > 1               # helpers ran transits too
@@ -256,18 +259,21 @@ def test_every_draw_runs_on_the_calling_thread(tmp_path, monkeypatch):
 
 def test_drawn_realizations_are_compact():
     # A run holds every frame's or trial's draws at once: 2,000
-    # oam-crosstalk realizations (two screens of 14 coefficients each)
-    # take well under 1 KB apiece.
+    # oam-crosstalk realizations (two screens of 14 coefficients each),
+    # drawn one by one or in one batch, take well under 1 KB apiece.
     scenario = load_scenario("oam-crosstalk", seed=1)
     cfg, grid = scenario.channel, scenario.grid
     channel.draw_realization(cfg, grid, TAG_TRIAL, 0)
-    tracemalloc.start()
-    try:
-        entry = tracemalloc.get_traced_memory()[0]
-        drawn = [channel.draw_realization(cfg, grid, TAG_TRIAL, k)
-                 for k in range(2000)]
-        peak = tracemalloc.get_traced_memory()[1] - entry
-    finally:
-        tracemalloc.stop()
-    assert drawn[1999].screens.shape == (2, 14)
-    assert peak < 2 << 20
+    for draw in (lambda: [channel.draw_realization(cfg, grid, TAG_TRIAL, k)
+                          for k in range(2000)],
+                 lambda: channel.draw_realizations(cfg, grid, TAG_TRIAL,
+                                                   np.arange(2000))):
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            drawn = draw()
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert drawn[1999].screens.shape == (2, 14)
+        assert peak < 2 << 20

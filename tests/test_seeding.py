@@ -1,16 +1,19 @@
 """The one (seed, *path) -> SeedSequence rule of ``hydrolink.seeding``.
 
-``substream``, ``child_seed`` and ``normals`` key their streams through the
-32-bit words of (seed, *path). Those are the words ``SeedSequence`` splits a
-tuple of ints into, so the streams are the ones the int-tuple formula
-``SeedSequence((seed, *path))`` gives, for seeds of one, two and three
-words, and every tag is refused below zero.
+``substream``, ``child_seed``, ``stream_key`` and ``normals`` key their
+streams through the 32-bit words of (seed, *path), hashed for a whole batch
+of keys at once by ``seeding._hash``. The streams are the ones numpy's
+``SeedSequence((seed, *path))`` gives, the reference here, for seeds of
+one, two and three words, one key at a time or in batches that mix word
+counts, and every tag is refused below zero.
 """
 
 import numpy as np
 import pytest
 
-from hydrolink.seeding import TAG_COEFF, child_seed, normals, substream
+from hydrolink import seeding
+from hydrolink.seeding import TAG_COEFF, child_seed, normals, stream_key, \
+    substream
 
 
 def _int_tuple_sequence(seed, *path):
@@ -68,3 +71,48 @@ def test_normals_equal_the_int_tuple_formula():
 def test_negative_seed_or_tag_refused(call):
     with pytest.raises(ValueError, match="must be >= 0"):
         call()
+
+
+def _mixed_lengths():
+    """Ints of 1 to 7 words, the word-boundary seeds among them: 0,
+    2**32 - 1, 2**32, 2**64 - 1 and 2**64 + 5, and ints with zero words
+    inside, each word count five times."""
+    rng = np.random.default_rng(31)
+    ints = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5, 2**96, 2**192 + 1]
+    for words in range(1, 8):
+        ints += [int(rng.integers(1, 2**32)) << 32 * (words - 1)
+                 | int(rng.integers(0, 2**31)) for _ in range(5)]
+    return ints
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 5, 8])
+def test_one_batch_hash_equals_seed_sequence(n):
+    ints = _mixed_lengths()
+    column = np.array(ints, dtype=object)
+    words, lengths = seeding._key_words([column], column.shape)
+    assert sorted(set(lengths.tolist())) == list(range(1, 8))
+    got = seeding._hash(words, lengths, n)
+    want = np.array([np.random.SeedSequence(i).generate_state(n)
+                     for i in ints]).T
+    assert got.dtype == np.uint32
+    assert got.tobytes() == want.tobytes()
+
+
+def test_broadcast_keys_equal_one_key_at_a_time():
+    # seeds of one to three words against paths of one and two words, as
+    # one (seeds, tags, indices) batch
+    seeds = np.array([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5],
+                     dtype=object)
+    tags = np.array([0, 3, 2**32 + 7])
+    index = np.arange(4)
+    keys = stream_key(seeds[:, None, None], tags[:, None], index)
+    children = child_seed(seeds[:, None, None], tags[:, None], index)
+    assert keys.shape == (5, 3, 4, 2) and children.shape == (5, 3, 4)
+    assert children.dtype == np.uint64
+    for a, b, c in np.ndindex(children.shape):
+        ss = _int_tuple_sequence(seeds[a], tags[b], index[c])
+        assert keys[a, b, c].tolist() == \
+            ss.generate_state(2, np.uint64).tolist()
+        assert int(children[a, b, c]) == child_seed(
+            seeds[a], tags[b], index[c]) == \
+            int(ss.generate_state(1, np.uint64)[0])

@@ -270,6 +270,38 @@ def _per_mode_phase(spec, grid, rim_taper):
     return phase
 
 
+def _sequential_phase(spec, grid, rim_taper):
+    """The render as a loop of ``acc += a_j * Z_j`` over the disk plan's
+    maps, nonzero modes in ascending j, from zero: the sum before each row
+    band became one einsum."""
+    js = tuple(j for j, a in spec.coefficients if a != 0.0)
+    inside, _, maps, taper = _disk_plan(grid, spec.aperture_radius, js,
+                                        rim_taper)
+    acc = np.zeros(maps.shape[1])
+    for a, z in zip((a for _, a in spec.coefficients if a != 0.0), maps):
+        acc += a * z
+    if taper is not None:
+        acc *= taper
+    phase = np.zeros(inside.shape)
+    phase[inside] = acc
+    return phase
+
+
+class TestEinsumRender:
+    @pytest.mark.parametrize("rim_taper", [0.0, 0.1])
+    @pytest.mark.parametrize("n", [64, 128, 256, 384])
+    def test_equals_the_sequential_sum_bitwise(self, n, rim_taper):
+        grid = Grid(n, 1e-2 / n)
+        rng = np.random.default_rng(n)
+        coeffs = rng.normal(0.0, 1.0, 20)
+        coeffs[[0, 7, 19]] = 0.0          # zero coefficients are dropped
+        spec = ZernikeSpectrum(tuple(zip(range(2, 22), coeffs.tolist())),
+                               0.45 * grid.extent)
+        got = phase_from_spectrum(spec, grid, rim_taper=rim_taper).phase
+        assert got.tobytes() == _sequential_phase(spec, grid,
+                                                  rim_taper).tobytes()
+
+
 @pytest.fixture
 def eval_calls(monkeypatch):
     """The j of every later ``zernike_eval`` call, from an empty disk
@@ -527,6 +559,17 @@ class TestKolmogorovPlan:
         got = kolmogorov_screen(r0, grid, seed).phase
         assert np.array_equal(got, _kolmogorov_screen_reference(r0, grid,
                                                                 seed))
+
+    @pytest.mark.parametrize("levels", [0, 2])
+    @pytest.mark.parametrize("r0, grid, seed", CASES)
+    def test_a_generator_seed_is_the_int_seeds_stream(self, r0, grid, seed,
+                                                      levels):
+        # a transit renders from the noise key drawn ahead, through a
+        # generator: the screen the int seed gives
+        want = kolmogorov_screen(r0, grid, seed, levels).phase
+        got = kolmogorov_screen(r0, grid, substream(seed, TAG_COEFF),
+                                levels).phase
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("levels", [1, 2, 3])
     @pytest.mark.parametrize("r0, grid, seed", CASES)
