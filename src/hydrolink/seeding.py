@@ -2,14 +2,17 @@
 
 Every stochastic operation in the package draws from a Philox counter-based
 generator keyed by (seed, *path), integers >= 0, through one rule: the key
-``np.random.SeedSequence((seed, *path))`` would give, computed by
-:func:`_hash`, numpy's SeedSequence hash in uint32 array arithmetic over a
-matrix of the keys' 32-bit words (one column per key). :func:`child_seed`,
-:func:`stream_key` and :func:`normals` broadcast over arrays of seeds and
-path entries, so a run hashes every key of a stage in one pass. Streams for different paths
-are independent and do not depend on the order in which they are created,
-so a realization is chosen only by its path (``channel.draw_realizations``)
-and is the same under any schedule of :func:`realize`'s threads.
+``np.random.SeedSequence((seed, *path))`` would give. :func:`_hash` runs
+numpy's SeedSequence loops in numpy's order, in uint32 array arithmetic
+over a matrix of the keys' 32-bit words (one column per key): the hash
+constant of call t is INIT * MULT**t mod 2**32 for every key, so one
+running sequence serves them all. :func:`child_seed`, :func:`stream_key`
+and :func:`normals` broadcast over arrays of seeds and path entries, so a
+run hashes every key of a stage in one pass; a seed or tag that is not an
+int raises TypeError. Streams for different paths are independent and do
+not depend on the order in which they are created, so a realization is
+chosen only by its path (``channel.draw_realizations``) and is the same
+under any schedule of :func:`realize`'s threads.
 """
 
 from __future__ import annotations
@@ -25,8 +28,10 @@ import numpy.random
 
 T = TypeVar("T")
 
-#: Threads :func:`realize` runs frames and trials on: one per usable CPU.
-WORKERS = len(os.sched_getaffinity(0))
+#: Threads :func:`realize` runs frames and trials on: one per usable CPU
+#: (per CPU where the OS reports no affinity, as on macOS and Windows).
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
 
 # Stream tags. Keep values stable: changing them changes every seeded output.
 TAG_SCREEN = 1
@@ -36,11 +41,15 @@ TAG_COEFF = 4
 TAG_TRIAL = 5
 
 # numpy's SeedSequence constants: pool size, the entropy hash (A), the
-# state hash (B) and the pool mix.
+# state hash (B), the pool mix and the shift, the last three as uint32 0-d
+# arrays (ufuncs take them faster than scalars); and the pool words each
+# pool word mixes into.
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MIX_L, _MIX_R, _XSHIFT = (np.array(v, np.uint32)
+                           for v in (0xCA01F9DD, 0x4973F715, 16))
+_OTHERS = [np.flatnonzero(np.arange(_POOL) != src) for src in range(_POOL)]
 _MASK = 0xFFFFFFFF
 
 #: Seeds per :func:`stream_key` pass in :func:`normals`.
@@ -62,9 +71,10 @@ def stream_key(seed, *path, words: int = 4) -> np.ndarray:
     (seed, *path) of the broadcast arrays; the default is the Philox key
     of :func:`substream`'s stream."""
     shape = np.broadcast(*map(np.asarray, (seed, *path))).shape
-    state = _hash(*_key_words((seed, *path), shape), words).astype(np.uint64)
-    pairs = state[0::2] | state[1::2] << 32
-    return pairs.T.reshape(*shape, words // 2)
+    state = _hash(*_key_words((seed, *path), shape), words).T
+    # numpy's uint64 view of the uint32 state: little-endian pairs.
+    pairs = state.astype("<u4", order="C").view("<u8")
+    return pairs.astype(np.uint64, copy=False).reshape(*shape, words // 2)
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -103,9 +113,14 @@ def _key_words(columns: Sequence, shape: tuple[int, ...],
     words ``SeedSequence`` splits key i's ints into, in order, zero-padded
     past ``lengths[i]`` to at least the pool size. Key i takes element i
     of every column broadcast to ``shape`` and flattened; a column is an
-    int or an array of ints, each >= 0."""
+    int, an integer array or an object array of ints, each >= 0."""
     blocks = []
-    for c in map(np.asarray, columns):
+    for column in columns:
+        c = np.asarray(column)
+        if c.dtype.kind not in "iuO" or c.dtype.kind == "O" and not all(
+                isinstance(v, (int, np.integer)) for v in c.flat):
+            raise TypeError(
+                f"seeds and stream tags must be ints, got {column!r}")
         if not c.ndim:
             c = low = top = int(c)
         elif c.dtype == object:
@@ -135,75 +150,49 @@ def _key_words(columns: Sequence, shape: tuple[int, ...],
     return words, lengths
 
 
-def _constants(init: int, mult: int, count: int) -> np.ndarray:
-    """init * mult**t mod 2**32 for t in range(count + 1), as a uint32
-    column."""
-    out = [init]
-    for _ in range(count):
-        out.append(out[-1] * mult & _MASK)
-    return np.array(out, np.uint32)[:, None]
-
-
-def _scramble(value: np.ndarray, xor: np.ndarray,
-              mult: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix, one call per row of ``xor`` and ``mult``."""
-    value = value ^ xor
-    value *= mult
-    value ^= value >> 16
-    return value
-
-
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     x = x * _MIX_L
     x -= y * _MIX_R
-    x ^= x >> 16
+    x ^= x >> _XSHIFT
     return x
 
 
-def _pool_mix_constants() -> tuple[np.ndarray, np.ndarray]:
-    """The xor and multiplier of each entropy hash call in SeedSequence's
-    pool mix, indexed [src, dst]: calls 4, 5, ... hash pool word src into
-    every other pool word dst, in that loop order. The [src, src] entries
-    are zero; their results are discarded."""
-    a = _constants(_INIT_A, _MULT_A, _POOL * _POOL + 1)
-    xor, mult = np.zeros((2, _POOL, _POOL, 1), np.uint32)
-    t = _POOL
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if dst != src:
-                xor[src, dst], mult[src, dst] = a[t], a[t + 1]
-                t += 1
-    return xor, mult
+def _hashmix(value: np.ndarray, const: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix, row t of ``value`` with ``const[t:t + 2]``."""
+    value = value ^ const[:-1]
+    value *= const[1:]
+    value ^= value >> _XSHIFT
+    return value
 
 
-_MIX_XOR, _MIX_MULT = _pool_mix_constants()
+def _running(init: int, mult: int, calls: int) -> np.ndarray:
+    """The hash constant before each of ``calls`` hashmix calls and after
+    the last, init * mult**t mod 2**32, as a uint32 column."""
+    t = np.arange(calls + 1, dtype=np.uint32)[:, None]
+    return init * np.uint32(mult) ** t
 
 
 def _hash(words: np.ndarray, lengths: np.ndarray, n: int) -> np.ndarray:
     """``SeedSequence(words[:lengths[i], i]).generate_state(n)`` for every
-    column i, shape (n, keys): numpy's mix_entropy and generate_state, one
-    array operation per step for all keys. The constants of the t-th
-    entropy hash call depend on t alone, so every key takes the same."""
-    width = len(words)
-    a = _constants(_INIT_A, _MULT_A, _POOL * width)
+    column i, shape (n, keys): numpy's mix_entropy and generate_state in
+    numpy's loop order, one array operation per step for all keys. Every
+    key makes the same hashmix calls, so all take the same constants."""
+    a = _running(_INIT_A, _MULT_A, _POOL * len(words))
     # Entropy words up to the pool size; a short key hashes its zeros.
-    pool = _scramble(words[:_POOL], a[:_POOL], a[1:_POOL + 1])
-    # Each pool word into every other one, all four at once; the word
-    # itself keeps its value.
-    for src in range(_POOL):
-        mixed = _mix(pool, _scramble(pool[src], _MIX_XOR[src],
-                                     _MIX_MULT[src]))
-        mixed[src] = pool[src]
-        pool = mixed
-    # Entropy words past the pool size, each into every pool word, for
-    # the keys that have them.
-    for src in range(_POOL, width):
+    pool = _hashmix(words[:_POOL], a[:_POOL + 1])
+    # Each pool word into the other three: numpy's dst loop never changes
+    # the source word, so its three hashes are one operation.
+    for src, dst in enumerate(_OTHERS):
+        t = _POOL + (_POOL - 1) * src
+        pool[dst] = _mix(pool.take(dst, 0),
+                         _hashmix(pool[src], a[t:t + _POOL]))
+    # Entropy words past the pool, each into every pool word, where present.
+    for src in range(_POOL, len(words)):
         t = _POOL * src
-        mixed = _mix(pool, _scramble(words[src], a[t:t + _POOL],
-                                     a[t + 1:t + _POOL + 1]))
+        mixed = _mix(pool, _hashmix(words[src], a[t:t + _POOL + 1]))
         pool = np.where(lengths > src, mixed, pool)
-    b = _constants(_INIT_B, _MULT_B, n)
-    return _scramble(pool[np.arange(n) % _POOL], b[:-1], b[1:])
+    return _hashmix(pool.take(np.arange(n), 0, mode="wrap"),
+                    _running(_INIT_B, _MULT_B, n))
 
 
 def realize(fn: Callable[[int], T], count: int) -> list[T]:

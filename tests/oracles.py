@@ -12,6 +12,7 @@ carries through the channel. ``kolmogorov_coherence`` is a closed form the
 channel's statistics must meet: the coherence a plane wave keeps through
 Kolmogorov screens. ``modal_spectrum`` draws one modal screen's spectrum
 from a seed, as the channel draws each screen of a realization.
+``centroid_law`` predicts where a realization moves a beam's centroid.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from hydrolink.channel import ChannelConfig, angular_spectrum_propagate, \
+    apply_phase_screen, realize_screens
 from hydrolink.field import ComplexField, Grid, centroid
 from hydrolink.seeding import TAG_COEFF, normals
 from hydrolink.zernike import ZernikeIndex, ZernikeSpectrum, \
@@ -55,6 +58,39 @@ def beam_width(field: ComplexField) -> float:
     x, y = field.grid.mesh()
     var = float((inten * ((x - cx) ** 2 + (y - cy) ** 2)).sum() / p)
     return 2.0 * math.sqrt(var / 2.0)
+
+
+def centroid_law(field: ComplexField, config: ChannelConfig,
+                 ) -> tuple[float, float]:
+    """The centroid (x, y) ``run_channel(field, config)`` must leave, from
+    the chain rebuilt step by step: ``realize_screens``' screens, each
+    applied by ``apply_phase_screen`` before its step, and
+    ``angular_spectrum_propagate`` over each of the n_screens + 1 steps of
+    dz. No occluders, so every operation but propagation leaves the
+    intensity's shape alone: a phase screen keeps it, attenuation scales
+    it. Propagation keeps |A(f)|^2 (nothing evanescent) and moves the
+    centroid by dz * sum |A|^2 (k_x, k_y) / k_z / sum |A|^2, with
+    k_z = sqrt(k^2 - k_x^2 - k_y^2) and k = 2 pi n / lambda.
+    """
+    if config.occlusion_rate > 0:
+        raise ValueError("the centroid law holds without occluders")
+    screens, _ = realize_screens(config, field.grid)
+    dz = config.length / (config.n_screens + 1)
+    k = 2.0 * math.pi * config.refractive_index / field.wavelength
+    f = 2.0 * math.pi * np.fft.fftfreq(field.grid.n_samples,
+                                       d=field.grid.spacing)
+    kx, ky = np.meshgrid(f, f, indexing="xy")
+    kz = np.sqrt(k * k - kx * kx - ky * ky)
+    cx, cy = centroid(field)
+    for step in range(config.n_screens + 1):
+        if step:
+            field = apply_phase_screen(field, screens[step - 1])
+        power = np.abs(np.fft.fft2(field.amplitude)) ** 2
+        cx += dz * float((power * kx / kz).sum() / power.sum())
+        cy += dz * float((power * ky / kz).sum() / power.sum())
+        field = angular_spectrum_propagate(field, dz,
+                                           config.refractive_index)
+    return cx, cy
 
 
 def kolmogorov_coherence(r0: float, grid: Grid, n_screens: int,

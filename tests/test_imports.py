@@ -49,3 +49,15 @@ def test_no_scipy_and_no_numpy_import_during_runs():
                           check=True)
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen == {"metadata": False, "scipy": [], "numpy_in_run": []}
+
+
+def test_import_without_sched_getaffinity():
+    # macOS and Windows have no os.sched_getaffinity: the worker count
+    # falls back to os.cpu_count()
+    program = ("import os\ndel os.sched_getaffinity\nimport hydrolink\n"
+               "from hydrolink.seeding import WORKERS\n"
+               "assert WORKERS == (os.cpu_count() or 1), WORKERS\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", program], env=env, timeout=300,
+                   check=True)

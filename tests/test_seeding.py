@@ -4,14 +4,18 @@
 streams through the 32-bit words of (seed, *path), hashed for a whole batch
 of keys at once by ``seeding._hash``. The streams are the ones numpy's
 ``SeedSequence((seed, *path))`` gives, the reference here, for seeds of
-one, two and three words, one key at a time or in batches that mix word
-counts, and every tag is refused below zero.
+one, two and three words and for numpy's small and unsigned integer
+types, one key at a time or in batches that mix word counts. Every tag is
+refused below zero, and every seed or tag that is not an int (a float,
+even 2.0, or a string) is refused.
 """
 
 import numpy as np
 import pytest
 
 from hydrolink import seeding
+from hydrolink.channel import ChannelConfig, draw_realization
+from hydrolink.field import Grid
 from hydrolink.seeding import TAG_COEFF, child_seed, normals, stream_key, \
     substream
 
@@ -116,3 +120,37 @@ def test_broadcast_keys_equal_one_key_at_a_time():
         assert int(children[a, b, c]) == child_seed(
             seeds[a], tags[b], index[c]) == \
             int(ss.generate_state(1, np.uint64)[0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: child_seed(5.9, 1), lambda: child_seed(2.0, 1),
+    lambda: child_seed("5", 1), lambda: child_seed(5, 1.0),
+    lambda: child_seed(np.array([-0.5]), 1),
+    lambda: stream_key(np.array([1.0, 2.0]), TAG_COEFF),
+    lambda: child_seed(np.array([1, "2"], dtype=object), 1),
+    lambda: normals([1.5], TAG_COEFF, [(2, 0.1)])],
+    ids=["float-seed", "integral-float-seed", "str-seed", "float-tag",
+         "float-array", "float-array-key", "object-str", "normals-float"])
+def test_non_integer_seed_or_tag_refused(call):
+    # numpy's SeedSequence refuses floats (2.0 too); a string it would
+    # parse as a number, which here is refused as well
+    with pytest.raises(TypeError, match="must be ints, got"):
+        call()
+
+
+def test_channel_seed_must_be_an_int():
+    config = ChannelConfig(n_screens=1, screen_source="modal",
+                           modal_sigmas=((4, 0.1),), seed=5.9)
+    with pytest.raises(TypeError, match="5.9"):
+        draw_realization(config, Grid(n_samples=16, spacing=1e-4))
+
+
+def test_small_and_unsigned_integer_types_keep_numpy_bits():
+    small = np.array([0, 3, 127], dtype=np.int8)
+    assert child_seed(small, TAG_COEFF).tolist() == [
+        int(_int_tuple_sequence(s, TAG_COEFF).generate_state(1, np.uint64)[0])
+        for s in small]
+    for seed in (np.uint64(2**64 - 1), np.uint64(7), np.int16(9)):
+        ss = _int_tuple_sequence(seed, TAG_COEFF, np.uint8(3))
+        assert stream_key(seed, TAG_COEFF, np.uint8(3)).tolist() == \
+            ss.generate_state(2, np.uint64).tolist()
