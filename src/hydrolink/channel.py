@@ -12,14 +12,13 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import partial
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 import numpy.fft
 
 from .field import (ComplexField, ConfigError, Grid, GridMismatchError,
-                    plan, row_bands, total_power)
+                    check_count, plan, row_bands, total_power)
 from .seeding import TAG_COEFF, TAG_OCCLUSION, TAG_SCREEN, child_seed, \
     normals, realize, stream_key
 from .special import ERF_ONE, erf
@@ -300,13 +299,9 @@ class ChannelConfig:
             raise ValueError("refractive index must be >= 1")
         if not self.attenuation_db_per_m >= 0:
             raise ValueError("attenuation must be >= 0")
-        for name, key in (("n_screens", "n_screens"), (
-                "subharmonic_levels", "screens.subharmonic_levels")):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) \
-                    or value < 0:
-                raise ConfigError(f"{name} must be an integer >= 0, got "
-                                  f"{value!r}", key)
+        for name, key in (("n_screens", "n_screens"), ("subharmonic_levels",
+                          "screens.subharmonic_levels"), ("seed", "")):
+            check_count(name, getattr(self, name), 0, key)
         if not self.occlusion_rate >= 0:
             raise ValueError("occlusion_rate must be >= 0")
         for name, key in (

@@ -16,6 +16,7 @@ import threading
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import wraps
+from numbers import Integral
 
 import numpy as np
 
@@ -39,6 +40,16 @@ class ConfigError(ValueError):
         self.key = key
 
 
+def check_count(name: str, value, least: int, key: str = "") -> None:
+    """Raise ConfigError at ``key`` unless ``value`` is an integer, numpy's
+    included, of at least ``least``; a bool is not, though Python counts it
+    an int."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}", key)
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value!r}", key)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform square sampling of the transverse plane.
@@ -56,7 +67,8 @@ class Grid:
     spacing: float
 
     def __post_init__(self):
-        if self.n_samples < 16 or self.n_samples % 2 != 0:
+        check_count("n_samples", self.n_samples, 16)
+        if self.n_samples % 2 != 0:
             raise ValueError(
                 f"n_samples must be even and >= 16, got {self.n_samples}")
         if not self.spacing > 0:

@@ -14,6 +14,7 @@ import copy
 import difflib
 import math
 import operator
+from collections.abc import Hashable
 from dataclasses import dataclass, make_dataclass
 from importlib import resources
 from pathlib import Path
@@ -171,16 +172,17 @@ _TOP = (
            "kinds); QKD kinds take 1", minimum=1),
 )
 
+#: Every section by dotted path, in the order they are checked, each after
+#: the section it is nested in: (its keys, its keys by the kind reading them).
 _SECTIONS = {
-    "grid": _GRID,
-    "source": _SOURCE,
-    "channel": _CHANNEL,
-    "channel.screens": _SCREENS,
-    "channel.occlusion": _OCCLUSION,
-    "sensor": _SENSOR,
+    "grid": (_GRID, {}),
+    "source": (_SOURCE, {}),
+    "channel": (_CHANNEL, {}),
+    "channel.screens": (_SCREENS, {}),
+    "channel.occlusion": (_OCCLUSION, {}),
+    "sensor": (_SENSOR, {}),
+    "analysis": ((_KIND,), _ANALYSIS),
 }
-#: Every section's dotted path, each after the section it is nested in.
-_NESTED = (*_SECTIONS, "analysis")
 
 #: What a wrong-typed value was expected to be, by schema type.
 _NOUNS = {float: "a number", int: "an integer", bool: "true/false",
@@ -278,18 +280,21 @@ def _coerce(field: SchemaField, value, where: str):
 
 
 def _apply_schema(section: Mapping | None, schema: tuple[SchemaField, ...],
-                  where: str) -> dict:
-    """``schema``'s keys coerced or defaulted, once the caller has taken out
-    the sections nested at ``where``. Any other key is refused, with the
-    closest of the known keys and those sections' names."""
+                  where: str, by_kind: Mapping | None = None) -> dict:
+    """``schema``'s keys, and with ``by_kind`` those of the kind named,
+    coerced or defaulted, then each section nested at ``where`` by its row
+    of ``_SECTIONS``. Any other key is refused, with the closest of the
+    known keys and those sections' names."""
     if section is None:
         section = {}
     if not isinstance(section, Mapping):
         raise ScenarioError(f"expected a mapping section, got {section!r}",
                             where)
-    known = [f.name for f in schema] + [
-        path.rpartition(".")[2] for path in _NESTED
-        if path.rpartition(".")[0] == where]
+    if by_kind:
+        schema = (*schema, *_kind_fields(section, by_kind, where))
+    nested = {path.rpartition(".")[2]: path for path in _SECTIONS
+              if path.rpartition(".")[0] == where}
+    known = [f.name for f in schema] + list(nested)
     out = {}
     for key in section:
         if key not in known:
@@ -304,23 +309,26 @@ def _apply_schema(section: Mapping | None, schema: tuple[SchemaField, ...],
             raise ScenarioError("missing required key", path)
         else:
             out[field.name] = copy.deepcopy(field.default)
+    for key, path in nested.items():
+        fields, kinds = _SECTIONS[path]
+        out[key] = _apply_schema(section.get(key), fields, path, kinds)
     return out
 
 
-def _apply_analysis(section: Mapping | None) -> dict:
-    """``kind`` first, so a misspelled one is reported there, then the keys
-    that kind reads; another kind's key is refused at its own path."""
-    if not isinstance(section, Mapping):
-        return _apply_schema(section, (_KIND,), "analysis")   # raises
+def _kind_fields(section: Mapping, by_kind: Mapping,
+                 where: str) -> tuple[SchemaField, ...]:
+    """The keys of the kind ``section`` names, its ``kind`` read first so a
+    misspelled one is reported there; another kind's key is refused at its
+    own path."""
     if "kind" not in section:
-        raise ScenarioError("missing required key", "analysis.kind")
-    kind = _coerce(_KIND, section["kind"], "analysis.kind")
-    for other, fields in _ANALYSIS.items():
+        raise ScenarioError("missing required key", f"{where}.kind")
+    kind = _coerce(_KIND, section["kind"], f"{where}.kind")
+    for other, fields in by_kind.items():
         stray = [f.name for f in fields if other != kind and f.name in section]
         if stray:
-            raise ScenarioError(f"only {other} analysis reads this key, not "
-                                f"{kind}", f"analysis.{stray[0]}")
-    return _apply_schema(section, (_KIND, *_ANALYSIS[kind]), "analysis")
+            raise ScenarioError(f"only {other} {where} reads this key, not "
+                                f"{kind}", f"{where}.{stray[0]}")
+    return by_kind[kind]
 
 
 def modal_sigma_table(sigma: float, j_max: int) -> dict[int, float]:
@@ -371,10 +379,30 @@ def _build_source(sec: dict, grid: Grid, where: str) -> SourceSpec:
     return SourceSpec(**sec)
 
 
+class _StrictLoader(yaml.SafeLoader):
+    """yaml's safe loader, refusing a key repeated within one mapping; a
+    ``<<`` merge is not checked, so an explicit key may override it."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if not isinstance(key, Hashable):
+                continue                # the base loader refuses it
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"found duplicate key {key!r}",
+                    key_node.start_mark)
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def read_document(text: str) -> dict:
     """Read YAML text into the raw scenario mapping, not yet validated."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_StrictLoader)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         where = f"line {mark.line + 1}, column {mark.column + 1}" \
@@ -396,21 +424,8 @@ def parse_scenario(text: str) -> Scenario:
 
 def parse_document(doc: Mapping) -> Scenario:
     """Validate a raw scenario mapping; ``doc`` itself is not modified."""
-    doc = copy.deepcopy(dict(doc))
-    # Take every section out of its parent first: the top level and
-    # "channel" are validated without the mappings nested in them.
-    raw = {}
-    for where in _NESTED:
-        parent, _, key = where.rpartition(".")
-        holder = raw[parent] if parent else doc
-        raw[where] = holder.pop(key, None) if isinstance(holder, dict) \
-            else None
-    resolved = _apply_schema(doc, _TOP, "")
-    for where, schema in _SECTIONS.items():
-        parent, _, key = where.rpartition(".")
-        (resolved[parent] if parent else resolved)[key] = _apply_schema(
-            raw[where], schema, where)
-    ana = resolved["analysis"] = _apply_analysis(raw["analysis"])
+    resolved = _apply_schema(copy.deepcopy(dict(doc)), _TOP, "")
+    ana = resolved["analysis"]
     if ana["kind"] in QKD_KINDS and resolved["frames"] != 1:
         raise ScenarioError(f"a {ana['kind']} analysis reads no frames; must "
                             f"be 1, got {resolved['frames']} (set qkd-oam "
@@ -515,7 +530,7 @@ def set_by_path(doc: dict, dotted: str, raw_value: str) -> None:
             raise ScenarioError(f"cannot descend into {part!r}", dotted)
         cursor = nxt
     try:
-        cursor[parts[-1]] = yaml.safe_load(raw_value)
+        cursor[parts[-1]] = yaml.load(raw_value, Loader=_StrictLoader)
     except yaml.YAMLError as exc:
         problem = getattr(exc, "problem", exc)
         raise ScenarioError(f"cannot parse value {raw_value!r}: {problem}",
@@ -540,9 +555,8 @@ def schema_reference() -> str:
             lines.append(f"  {'':<22} {f.doc}")
         lines.append("")
     emit("top level", _TOP)
-    for section, schema in _SECTIONS.items():
+    for section, (schema, by_kind) in _SECTIONS.items():
         emit(section, schema)
-    emit("analysis", (_KIND,))
-    for kind, schema in _ANALYSIS.items():
-        emit(f"analysis, kind {kind}", schema)
+        for kind, fields in by_kind.items():
+            emit(f"{section}, kind {kind}", fields)
     return "\n".join(lines)

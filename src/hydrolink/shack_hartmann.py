@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .field import ComplexField, ConfigError, Grid, frozen, plan
+from .field import (ComplexField, ConfigError, Grid, check_count, frozen,
+                    plan)
 from .zernike import (PhaseScreen, ZernikeSpectrum, gradient_unchecked,
                       nm_from_index, phase_from_spectrum)
 
@@ -50,8 +51,7 @@ class LensletArray:
     def __post_init__(self):
         for name, least in (("count_x", 1), ("count_y", 1),
                             ("pixels_per_lenslet", 2)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}")
+            check_count(name, getattr(self, name), least)
         for name in ("pitch", "focal_length", "pixel_size"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")

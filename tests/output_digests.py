@@ -1,4 +1,5 @@
-"""Write the SHA-256 of every CSV and PGM the benchmarked runs produce.
+"""Write the SHA-256 of every file the benchmarked runs write, except each
+``manifest.txt`` (it holds the wall time).
 
 Usage: ``python tests/output_digests.py OUT [--against PARENT_FILE]``.
 The four bundled scenarios,
@@ -7,7 +8,8 @@ kolmogorov``, ``r0=0.2``, ``analysis.trials=25``, r0 = 0.2/0.4/0.8 m) and a
 two-frame length sweep of wavefront-survey (1/3/5.5 m, so the cached plans
 change key within one process) run at seeds 1, 2 and 1234, each into a
 temporary directory. ``OUT`` gets one
-``<digest>  <seed>/<run>/<file>`` line per CSV and PGM, sorted by path. A
+``<digest>  <seed>/<run>/<file>`` line per file, sorted by path: the CSVs
+and PGMs, each ``scenario-echo.yaml`` and each ``qkd_report.txt``. A
 change that claims byte-identical outputs checks this file against the one
 its parent writes: with ``--against PARENT_FILE``, every path whose digest
 differs, or that only one of the two files lists, is printed, and the exit
@@ -34,7 +36,8 @@ LENGTHS = [1.0, 3.0, 5.5]
 
 
 def digests(seed: int, base: Path) -> dict[str, str]:
-    """``{relative path: SHA-256}`` of every CSV and PGM of one seed."""
+    """``{relative path: SHA-256}`` of every file of one seed but the
+    manifests."""
     for name in bundled_scenarios():
         run_scenario(load_scenario(name, seed=seed), base / name)
     sweep(load_scenario("oam-crosstalk", KOLMOGOROV, seed=seed), "r0",
@@ -42,7 +45,8 @@ def digests(seed: int, base: Path) -> dict[str, str]:
     sweep(load_scenario("wavefront-survey", seed=seed, frames=2), "length",
           LENGTHS, base / "sweep-length")
     return {f"{seed}/{path.relative_to(base).as_posix()}": sha256_of(path)
-            for path in base.rglob("*") if path.suffix in (".csv", ".pgm")}
+            for path in base.rglob("*")
+            if path.is_file() and path.name != "manifest.txt"}
 
 
 def read_digests(path: Path) -> dict[str, str]:
@@ -60,7 +64,8 @@ def differences(found: dict[str, str], parent: dict[str, str]) -> list[str]:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python tests/output_digests.py",
-        description="Write the SHA-256 of every benchmarked output.")
+        description="Write the SHA-256 of every benchmarked output but "
+                    "the manifests.")
     parser.add_argument("out", type=Path, help="digest file to write")
     parser.add_argument("--against", type=Path, metavar="PARENT_FILE",
                         help="digest file of the parent to compare with")

@@ -351,6 +351,8 @@ class TestChannelConfig:
         dict(refractive_index=math.nan),
         dict(attenuation_db_per_m=math.nan),
         dict(occlusion_rate=math.nan),
+        # Each seed below used to build and fail only at the first draw.
+        dict(seed=5.9), dict(seed=-1), dict(seed="5"), dict(seed=True),
     ])
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValueError):
@@ -390,6 +392,12 @@ class TestChannelConfig:
         with pytest.raises(ConfigError) as err:
             ChannelConfig(**kwargs)
         assert err.value.key == key
+
+    def test_numpy_integers_accepted(self):
+        cfg = ChannelConfig(n_screens=np.int64(2), screen_source="kolmogorov",
+                            r0=0.1, subharmonic_levels=np.int32(1),
+                            seed=np.uint32(7))
+        assert (cfg.n_screens, cfg.subharmonic_levels, cfg.seed) == (2, 1, 7)
 
     def test_transmittance_bounds(self, gaussian512):
         with pytest.raises(ValueError):

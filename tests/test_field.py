@@ -34,10 +34,14 @@ class TestGrid:
         assert g.extent == pytest.approx(6.4e-3)
 
     @pytest.mark.parametrize("n,spacing", [(8, 1e-4), (65, 1e-4), (64, 0.0),
-                                           (64, -1e-6)])
+                                           (64, -1e-6), (32.0, 1e-4),
+                                           ("32", 1e-4)])
     def test_invalid(self, n, spacing):
         with pytest.raises(ValueError):
             Grid(n, spacing)
+
+    def test_numpy_integer_sample_count_accepted(self):
+        assert Grid(np.int64(32), 1e-4) == Grid(32, 1e-4)
 
 
 class TestComplexField:

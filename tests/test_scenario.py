@@ -250,6 +250,82 @@ class TestMessages:
         assert str(info.value) == message
 
 
+class TestWalkOrder:
+    """The parser checks the top level, then each section in the order
+    grid, source, channel, channel.screens, channel.occlusion, sensor,
+    analysis; a document with two faults reports the first one met."""
+
+    QKD = {"kind": "qkd-pol"}
+
+    @pytest.mark.parametrize("doc, where, message", [
+        ({"bogus": 1, "channel": {"lenght": 1}, "analysis": QKD},
+         "", "unknown key 'bogus'"),
+        ({"channel": {"lenght": 1, "screens": {"kind": "wavy"}},
+          "analysis": QKD},
+         "channel", "unknown key 'lenght'; did you mean 'length'?"),
+        ({"channel": {"screens": {"kind": "wavy"}}, "sensor": {"pitch": -1},
+          "analysis": QKD}, "channel.screens.kind",
+         "must be one of ['none', 'modal', 'kolmogorov'], got 'wavy'"),
+        ({"sensor": {"pitch": -1}, "analysis": {"kind": "wavy"}},
+         "sensor.pitch", "must be > 0.0, got -1.0"),
+        ({"grid": {"n_samples": 15}, "source": {"kind": "wavy"},
+          "analysis": QKD}, "grid.n_samples", "must be >= 16, got 15"),
+        ({"analysis": 3}, "analysis", "expected a mapping section, got 3"),
+        ({"analysis": None}, "analysis.kind", "missing required key"),
+        ({}, "analysis.kind", "missing required key"),
+        ({"channel": "abc", "analysis": QKD},
+         "channel", "expected a mapping section, got 'abc'"),
+    ], ids=["top-before-channel", "channel-before-screens",
+            "screens-before-sensor", "sensor-before-analysis",
+            "grid-before-source", "analysis-not-a-mapping", "analysis-null",
+            "analysis-absent", "channel-not-a-mapping"])
+    def test_first_fault_in_walk_order(self, doc, where, message):
+        with pytest.raises(ScenarioError) as info:
+            parse_document({"name": "x", **doc})
+        assert info.value.where == where
+        assert str(info.value) == (f"{where}: {message}" if where
+                                   else message)
+
+
+class TestDuplicateKeys:
+    """A key repeated within one mapping is a syntax error, not a silent
+    last-one-wins; a ``<<`` merge may still be overridden."""
+
+    def test_top_level_repeat_refused(self):
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario("name: dup\nname: dup2\nanalysis: {kind: qkd-pol}\n")
+        assert str(info.value) == \
+            "line 2, column 1: syntax error: found duplicate key 'name'"
+
+    def test_nested_repeat_refused(self):
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario("name: dup\nchannel:\n  length: 5.5\n"
+                           "  length: 1.0\nanalysis: {kind: qkd-pol}\n")
+        assert str(info.value) == \
+            "line 4, column 3: syntax error: found duplicate key 'length'"
+
+    def test_set_value_repeat_refused(self):
+        with pytest.raises(ScenarioError) as info:
+            load_scenario("polarization-qkd",
+                          ["channel={length: 2.0, length: 3.0}"])
+        assert info.value.where == "channel"
+        assert "found duplicate key 'length'" in str(info.value)
+
+    def test_merge_key_may_be_overridden(self):
+        s = parse_scenario(
+            "name: merged\nchannel:\n"
+            "  <<: {length: 5.5, attenuation_db_per_m: 1.3}\n"
+            "  length: 2.0\nanalysis: {kind: qkd-pol}\n")
+        assert (s.channel.length, s.channel.attenuation_db_per_m) == \
+            (2.0, 1.3)
+
+    def test_merged_anchor_may_be_overridden(self):
+        s = parse_scenario(
+            "name: x\nsource: &beam {kind: lg, ell: 1}\nanalysis:\n"
+            "  kind: images\n  modes: [{<<: *beam, ell: 2}, *beam]\n")
+        assert [m.label for m in s.analysis.modes] == ["lg+2", "lg+1"]
+
+
 class TestKernelRules:
     """The parser reports a kernel's own rule: its message, at the key."""
 

@@ -15,7 +15,7 @@ import pytest
 
 from hydrolink import seeding
 from hydrolink.channel import ChannelConfig, draw_realization
-from hydrolink.field import Grid
+from hydrolink.field import ConfigError, Grid
 from hydrolink.seeding import TAG_COEFF, child_seed, normals, stream_key, \
     substream
 
@@ -139,8 +139,13 @@ def test_non_integer_seed_or_tag_refused(call):
 
 
 def test_channel_seed_must_be_an_int():
-    config = ChannelConfig(n_screens=1, screen_source="modal",
-                           modal_sigmas=((4, 0.1),), seed=5.9)
+    # The config refuses a fractional seed when built, and the draw refuses
+    # one on its own.
+    modal = dict(n_screens=1, screen_source="modal", modal_sigmas=((4, 0.1),))
+    with pytest.raises(ConfigError, match="5.9"):
+        ChannelConfig(**modal, seed=5.9)
+    config = ChannelConfig(**modal, seed=5)
+    object.__setattr__(config, "seed", 5.9)
     with pytest.raises(TypeError, match="5.9"):
         draw_realization(config, Grid(n_samples=16, spacing=1e-4))
 

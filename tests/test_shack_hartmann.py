@@ -61,6 +61,23 @@ class TestGeometry:
             LensletArray(pixels_per_lenslet=pixels)
 
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(count_x=2.5), dict(count_x=True), dict(count_y=23.0),
+        dict(pixels_per_lenslet=30.0)],
+        ids=["fractional-count", "bool-count", "float-count",
+             "float-pixels"])
+    def test_non_integer_counts_refused(self, kwargs):
+        # count_x=2.5 used to build 3 centers and fail in capture; True
+        # built a 1-lenslet array.
+        with pytest.raises(ValueError, match="must be an integer"):
+            LensletArray(**kwargs)
+
+    def test_numpy_integer_counts_accepted(self):
+        g = LensletArray(count_x=np.int64(4), count_y=np.int32(4),
+                         pixels_per_lenslet=np.int16(30))
+        assert g.centers()[0].shape == (4,)
+
+
 class TestCapture:
     def test_flat_wavefront_centered_spots(self):
         spots = capture(uniform_field(), GEOMETRY)
