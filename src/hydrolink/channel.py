@@ -140,13 +140,16 @@ def angular_spectrum_propagate(field: ComplexField, dz: float,
 
 def _propagate_stack(stack: np.ndarray, grid: Grid, wavelength: float,
                      refractive_index: float, dz: float, states: np.ndarray,
-                     step: int | None) -> tuple[np.ndarray, float]:
+                     step: int | None, finish: bool = True,
+                     ) -> tuple[np.ndarray, float]:
     """Propagate a (d, N, N) stack of amplitudes by dz > 0, after checking
     every state formed from it (each row of ``states``, a (k, d)
     coefficient matrix) against the aliasing guard; return the result and
     the largest guard fraction compared. A tripped guard names the chain's
     split ``step`` and the row, and the keys that weaken it; with ``step``
-    None (one field on its own) it names only the fraction.
+    None (one field on its own) it names only the fraction. Without
+    ``finish`` the step stops right after its guard and returns the
+    guarded spectrum, the stack's ``fft2`` before H.
 
     A writable ``stack`` is the caller's scratch buffer: both transforms
     run in it and it comes back as the result. A read-only one (a field's
@@ -168,6 +171,8 @@ def _propagate_stack(stack: np.ndarray, grid: Grid, wavelength: float,
                    f"(channel.screens.sigma or channel.screens.r0) or sample "
                    f"finer (grid.n_samples, grid.spacing)")
         raise AliasingError(msg)
+    if not finish:
+        return spec, worst
     spec *= h
     return np.fft.ifftn(spec, axes=(-2, -1), out=spec), worst
 
@@ -190,14 +195,16 @@ def _guard_fractions(spec: np.ndarray, guard: np.ndarray,
     return np.divide(band, total, out=np.zeros_like(total), where=total > 0)
 
 
-#: Band samples per dot product: OpenBLAS threads longer ones, and its
-#: threads spin beside ours (16,384 took 185 us, not 6 us, on 2 vCPUs).
+#: Samples per dot product of the guard band and of :func:`_project`:
+#: OpenBLAS threads longer ones, and its threads spin beside ours (16,384
+#: took 185 us, not 6 us, on 2 vCPUs).
 _DOT_CHUNK = 8192
 
 
-def _gram(c: np.ndarray) -> np.ndarray:
-    """G_ij = sum c_i c_j* along the last axis of a (d, ..., n) array c."""
-    return np.vecdot(c[None], c[:, None])
+def _gram(c: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """G_ij = sum c_i t_j* along the last axis of (d, ..., n) arrays c and
+    t (by default c itself)."""
+    return np.vecdot((c if t is None else t)[None], c[:, None])
 
 
 @dataclass(frozen=True)
@@ -392,7 +399,10 @@ class Launch:
     ``stack`` is the read-only (d, N, N) result, which the aliasing guard
     checked once for every row of ``states``, finding at most
     ``guard_fraction``; ``powers`` are the sources' input powers.
-    :func:`run_channel` starts each realization from it.
+    :func:`run_channel` starts each realization from it. ``targets``, if
+    not None, are the (m, N, N) spectra that realizations are projected
+    onto (see :func:`launch`); with no screens, step 0 is then every
+    realization's last step, and ``stack`` its guarded spectrum.
     """
 
     fields: tuple[ComplexField, ...]
@@ -401,6 +411,7 @@ class Launch:
     stack: np.ndarray
     path: tuple[float, int, float, float]
     guard_fraction: float
+    targets: np.ndarray | None = None
 
 
 def _path(config: ChannelConfig) -> tuple[float, int, float, float]:
@@ -408,47 +419,89 @@ def _path(config: ChannelConfig) -> tuple[float, int, float, float]:
             config.attenuation_db_per_m)
 
 
+def _substep(config: ChannelConfig) -> tuple[float, float]:
+    """The length dz of each of the chain's n_screens + 1 diffraction
+    substeps, and the amplitude factor of its share of the attenuation."""
+    dz = config.length / (config.n_screens + 1)
+    return dz, 10.0 ** (-config.attenuation_db_per_m * dz / 20.0)
+
+
 def _diffract(stack: np.ndarray, fields: tuple[ComplexField, ...],
               config: ChannelConfig, states: np.ndarray, step: int,
-              occluders: Sequence[Occluder]) -> tuple[np.ndarray, float]:
+              occluders: Sequence[Occluder], finish: bool = True,
+              ) -> tuple[np.ndarray, float]:
     """One diffraction substep of the chain: ``occluders`` (in place),
     propagation over dz with the aliasing guard, then attenuation; returns
-    the stack and the guard's largest fraction."""
+    the stack and the guard's largest fraction. Without ``finish`` it
+    stops after the guard and returns the guarded spectrum, for
+    :func:`_project`."""
     grid = fields[0].grid
     for occ in occluders:
         if occ.opacity != 0.0:
             rows, cols, factor = _occluder_box(occ, grid)
             stack[:, rows, cols] *= factor
-    dz = config.length / (config.n_screens + 1)
+    dz, factor = _substep(config)
     stack, worst = _propagate_stack(stack, grid, fields[0].wavelength,
-                                    config.refractive_index, dz, states, step)
-    factor = 10.0 ** (-config.attenuation_db_per_m * dz / 20.0)
-    if factor != 1.0:
+                                    config.refractive_index, dz, states, step,
+                                    finish)
+    if finish and factor != 1.0:
         stack *= factor
     return stack, worst
 
 
+def _targets(modes: tuple[ComplexField, ...],
+             config: ChannelConfig) -> np.ndarray:
+    """T_b = conj(H) FFT(mode_b) f dx^2 / N^2 for each of ``modes``: with
+    H and f the last substep's transfer function and attenuation factor,
+    a guarded spectrum S_a of that step overlaps mode b, after H, the
+    inverse FFT and f, by sum_k S_a(k) T_b(k)* (Parseval)."""
+    grid = modes[0].grid
+    dz, factor = _substep(config)
+    _, h = _propagation_plan(grid, modes[0].wavelength,
+                             config.refractive_index, dz)
+    stack = np.stack([m.amplitude for m in modes])
+    targets = np.fft.fft2(stack, out=stack)
+    targets *= h.conj()
+    targets *= factor * grid.spacing ** 2 / grid.n_samples ** 2
+    targets.flags.writeable = False
+    return targets
+
+
+def _project(spec: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The (d, m) overlaps sum_k spec_a(k) targets_b(k)* of a guarded
+    spectrum with :func:`_targets`, ``_DOT_CHUNK`` samples per dot."""
+    s, t = (a.reshape(len(a), -1) for a in (spec, targets))
+    return sum(_gram(s[:, k:k + _DOT_CHUNK], t[:, k:k + _DOT_CHUNK])
+               for k in range(0, s.shape[1], _DOT_CHUNK))
+
+
 def launch(input_field: ComplexField | Sequence[ComplexField],
            config: ChannelConfig, states: np.ndarray | None = None,
-           ) -> Launch:
+           modes: Sequence[ComplexField] | None = None) -> Launch:
     """Run step 0 of the chain once, for every realization of ``config``.
 
     ``input_field`` is one field or a sequence of d fields on one grid and
     wavelength. ``states``, a (k, d) coefficient matrix (default: the
     identity), names the combinations of the fields the caller will form
     from their outputs; the aliasing guard checks each of them exactly at
-    every step. The seed is irrelevant here. Raises :class:`AliasingError`
+    every step. With m ``modes`` on the same grid, :func:`run_channel`
+    returns each realization's (d, m) overlaps of the outputs with them
+    (as :func:`field.mode_overlap`) instead of the outputs: its last step
+    stops at the guard, and the overlaps are taken from the guarded
+    spectrum. The seed is irrelevant here. Raises :class:`AliasingError`
     if a source (or a row of ``states``) already aliases over the first dz.
     """
     fields = (input_field,) if isinstance(input_field, ComplexField) \
         else tuple(input_field)
     if not fields:
         raise ValueError("launch needs at least one field")
+    modes = None if modes is None else tuple(modes)
     grid, wavelength = fields[0].grid, fields[0].wavelength
-    for f in fields[1:]:
+    for f in fields[1:] + (modes or ()):
         if f.grid != grid or f.wavelength != wavelength:
             raise GridMismatchError(
-                "batched fields must share one grid and wavelength")
+                "batched fields and modes must share one grid and "
+                "wavelength")
     coeffs = np.eye(len(fields)) if states is None else np.array(states)
     if coeffs.ndim != 2 or coeffs.shape[1] != len(fields) \
             or not np.all(np.isfinite(coeffs)) \
@@ -458,12 +511,14 @@ def launch(input_field: ComplexField | Sequence[ComplexField],
             f"coefficients with a nonzero entry in every row")
     coeffs.flags.writeable = False
     stack, worst = _diffract(np.stack([f.amplitude for f in fields]), fields,
-                             config, coeffs, 0, ())
+                             config, coeffs, 0, (),
+                             modes is None or config.n_screens > 0)
     stack.flags.writeable = False
     return Launch(fields=fields,
                   powers=tuple(total_power(f) for f in fields),
                   states=coeffs, stack=stack, path=_path(config),
-                  guard_fraction=worst)
+                  guard_fraction=worst,
+                  targets=None if modes is None else _targets(modes, config))
 
 
 class Draws(NamedTuple):
@@ -532,7 +587,7 @@ def _occluders(config: ChannelConfig, grid: Grid,
 
 def run_channel(input_field: ComplexField | Sequence[ComplexField]
                 | Launch, config: ChannelConfig, draws: Draws | None = None,
-                ) -> ChannelResult | tuple[ChannelResult, ...]:
+                ) -> ChannelResult | tuple[ChannelResult, ...] | np.ndarray:
     """Run the full split-step chain and report the power ratio.
 
     ``n_screens`` phase screens are spaced evenly along the path, giving
@@ -555,7 +610,9 @@ def run_channel(input_field: ComplexField | Sequence[ComplexField]
     return: a tuple, unless ``input_field`` is one field. Every channel
     operation is linear, so a combination of the fields leaves as the same
     combination of their outputs; the launch's ``states`` are checked by
-    the aliasing guard at every step.
+    the aliasing guard at every step. A launch made with ``modes`` returns
+    the (d, m) overlaps of the outputs with them instead: the last step
+    stops at its guard and :func:`_project` takes them from its spectrum.
 
     Step 0 does not depend on the seed, so each realization starts at step
     1 from the launched stack. A realization with an occluder on step 0
@@ -583,14 +640,18 @@ def run_channel(input_field: ComplexField | Sequence[ComplexField]
     # its working stack and at most one screen.
     screens, spectra = _screen_draws(config, grid, screens)
     worst = start.guard_fraction
-    for step in range(first, config.n_screens + 1):
+    last = config.n_screens
+    for step in range(first, last + 1):
         if step:
             stack = _apply_screen(
                 stack, _render_screen(config, grid, screens[step - 1]).phase,
                 work)
-        stack, fraction = _diffract(stack, fields, config, start.states,
-                                    step, occluders.get(step, ()))
+        stack, fraction = _diffract(
+            stack, fields, config, start.states, step,
+            occluders.get(step, ()), start.targets is None or step < last)
         worst = max(worst, fraction)
+    if start.targets is not None:
+        return _project(stack, start.targets)
 
     # The results keep read-only views of the stack rather than copies.
     stack.flags.writeable = False
@@ -608,28 +669,29 @@ def run_channel(input_field: ComplexField | Sequence[ComplexField]
 
 def realizations(fields: ComplexField | Sequence[ComplexField],
                  config: ChannelConfig, each: Callable, count: int, tag: int,
-                 *path: int, states: np.ndarray | None = None, sources: str,
+                 *path: int, states: np.ndarray | None = None,
+                 modes: Sequence[ComplexField] | None = None, sources: str,
                  name: str) -> list:
     """``[each(k, run) for k in range(count)]`` on :func:`seeding.realize`'s
     threads, the one loop of a run's frames and trials.
 
-    ``fields`` are launched once with ``states`` (step 0 depends on no
-    seed); a tripped guard names ``sources``. Realization k is drawn at
-    (``tag``, k, *path), all in one :func:`draw_realizations` batch on
-    the calling thread first, as scalar draws hold the GIL, so the
+    ``fields`` are launched once with ``states`` and ``modes`` (step 0
+    depends on no seed); a tripped guard names ``sources``. Realization k
+    is drawn at (``tag``, k, *path), all in one :func:`draw_realizations`
+    batch on the calling thread first, as scalar draws hold the GIL, so the
     threads run only numpy, the same bits on any thread. ``run()`` is
-    realization k's transit from the launch, and a tripped guard names it
-    ``name`` k: the lowest failing k, as in a serial loop. Only ``each``
-    holds a transit's output.
+    realization k's transit from the launch (its overlaps with ``modes``,
+    if given), and a tripped guard names it ``name`` k: the lowest failing
+    k, as in a serial loop. Only ``each`` holds a transit's output.
     """
     try:
-        source = launch(fields, config, states)
+        source = launch(fields, config, states, modes)
     except AliasingError as exc:
         raise exc.at(sources) from exc
     draws = draw_realizations(config, source.fields[0].grid, tag,
                               np.arange(count), *path)
 
-    def transit(k: int) -> tuple[ChannelResult, ...]:
+    def transit(k: int) -> tuple[ChannelResult, ...] | np.ndarray:
         try:
             return run_channel(source, config, draws[k])
         except AliasingError as exc:

@@ -40,7 +40,7 @@ class ConfigError(ValueError):
         self.key = key
 
 
-def check_count(name: str, value, least: int, key: str = "") -> None:
+def check_count(name: str, value, least: float, key: str = "") -> None:
     """Raise ConfigError at ``key`` unless ``value`` is an integer, numpy's
     included, of at least ``least``; a bool is not, though Python counts it
     an int."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from .channel import ChannelConfig, realizations, run_channel  # noqa: F401
 from .field import (ANTIDIAGONAL, DEFAULT_GRID, DEFAULT_WAVELENGTH,
                     DIAGONAL, HORIZONTAL, VERTICAL, ConfigError, Grid,
-                    JonesVector, lg_mode, mode_overlap, waist_or_default)
+                    JonesVector, check_count, lg_mode, waist_or_default)
 from .seeding import TAG_TRIAL
 
 
@@ -155,10 +154,9 @@ def oam_alphabet(ell_values: Sequence[int], superposition_basis: bool,
     """The sorted alphabet if it keeps every rule, else ConfigError: at
     least two distinct integers, exactly two with the superposition basis,
     every |l| resolvable on the grid for a beam of this waist."""
-    if not all(isinstance(e, Integral) and not isinstance(e, bool)
-               for e in ell_values):
-        raise ConfigError("ell_values must be integers", "ell_values")
-    ells = sorted(set(ell_values))
+    for ell in ell_values:
+        check_count("ell value", ell, -math.inf, "ell_values")
+    ells = sorted({int(ell) for ell in ell_values})
     if len(ells) != len(ell_values) or len(ells) < 2:
         raise ConfigError("ell_values must be at least two distinct values",
                           "ell_values")
@@ -199,12 +197,14 @@ def detection_matrix_oam(channel_config: ChannelConfig,
     Trial k sends the d computational modes through the channel's
     realization at (``TAG_TRIAL``, k) by :func:`channel.realizations`, whose
     guard checks every sent state. The d outputs are projected onto the d
-    computational modes, and every (sent, measured) amplitude is formed
-    from those d x d overlaps O as ``states @ O @ states^H``, by linearity
-    on both sides. The probabilities are renormalized within each
-    measurement basis (ideal projective mode sorting, post-selected on
-    detection). The trials' blocks are stacked in trial order; their mean
-    and its standard error are returned.
+    computational modes in the spectral domain, from the last split step's
+    guarded spectrum (see :func:`channel.launch`), and every (sent,
+    measured) amplitude is formed from those d x d overlaps O as
+    ``states @ O @ states^H``, by linearity on both sides. The
+    probabilities are renormalized within each measurement basis (ideal
+    projective mode sorting, post-selected on detection). The trials'
+    blocks are stacked in trial order; their mean and its standard error
+    are returned.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -216,12 +216,7 @@ def detection_matrix_oam(channel_config: ChannelConfig,
     modes = tuple(lg_mode(ell, 0, waist, grid, wavelength) for ell in ells)
 
     def trial(_: int, run: Callable) -> np.ndarray:
-        transits = run()
-        overlaps = np.array([[mode_overlap(t.output_field, mode)
-                              for mode in modes] for t in transits])
-        # The outputs view the working stack: free it before the next trial.
-        del transits
-        amplitudes = rows @ overlaps @ rows.conj().T
+        amplitudes = rows @ run() @ rows.conj().T
         # abs() and ** 2 on Python complexes, not numpy's: they round as
         # a direct projection of a computational output always has.
         return np.array([[abs(a) ** 2 for a in row]
@@ -229,7 +224,7 @@ def detection_matrix_oam(channel_config: ChannelConfig,
 
     blocks = np.array(realizations(
         modes, channel_config, trial, n_trials, TAG_TRIAL, states=rows,
-        sources=f"sources {', '.join(labels)}", name="trial"))
+        modes=modes, sources=f"sources {', '.join(labels)}", name="trial"))
     mean = _renormalize(blocks, bases).sum(axis=0) / n_trials
     # Two passes (deviations from the mean), so identical trials give 0.
     stderr = blocks.std(axis=0, ddof=1) / math.sqrt(n_trials) \

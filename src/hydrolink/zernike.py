@@ -20,13 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral
 from typing import Iterable
 
 import numpy as np
 import numpy.fft
 
-from .field import ConfigError, Grid, frozen, plan, row_bands
+from .field import ConfigError, Grid, check_count, frozen, plan, row_bands
 from .seeding import TAG_COEFF, substream
 from .special import erf
 
@@ -264,10 +263,10 @@ def sigma_table(entries: Iterable[tuple], key: str = "",
     every sigma a finite number >= 0; else a ConfigError at ``key``."""
     table = {}
     for j, sigma in entries:
-        if isinstance(j, bool) or not isinstance(j, Integral) or j < 2 \
-                or j in table:
-            raise ConfigError(f"mode index {j!r} must be a distinct integer "
-                              ">= 2 (piston j=1 is unobservable)", key)
+        check_count("mode index", j, 2, key)
+        j = int(j)
+        if j in table:
+            raise ConfigError(f"mode index {j} is listed twice", key)
         try:
             value = math.nan if isinstance(sigma, bool) else float(sigma)
         except (TypeError, ValueError):
@@ -275,7 +274,7 @@ def sigma_table(entries: Iterable[tuple], key: str = "",
         if not 0.0 <= value < math.inf:
             raise ConfigError(f"sigma for j={j} must be a finite number "
                               f">= 0, got {sigma!r}", key)
-        table[int(j)] = value
+        table[j] = value
     return tuple(sorted(table.items()))
 
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hydrolink.channel import ChannelConfig
-from hydrolink.field import DEFAULT_WAVELENGTH, Grid, lg_mode
+from hydrolink.field import ConfigError, DEFAULT_WAVELENGTH, Grid, lg_mode
+from hydrolink.qkd import oam_alphabet
 from hydrolink.scenario import (QKD_KINDS, ScenarioError, bundled_scenarios,
                                 load_scenario, modal_sigma_table,
                                 parse_document, parse_scenario,
@@ -369,6 +370,50 @@ class TestKernelRules:
         with pytest.raises(ScenarioError) as parsed:
             parse_document({**self.BASE, **sections})
         assert str(parsed.value) == f"{key}: {direct.value}"
+
+
+class TestIntegerRule:
+    """Mode indices and ell values keep ``field.check_count``'s rule: a
+    bool or a float is refused, a numpy integer passes as its int."""
+
+    @pytest.mark.parametrize("j, message", [
+        (True, "mode index must be an integer, got True"),
+        (2.0, "mode index must be an integer, got 2.0"),
+        (1, "mode index must be >= 2, got 1")])
+    def test_sigma_table_refuses(self, j, message):
+        with pytest.raises(ConfigError) as err:
+            sigma_table([(j, 0.1)], "screens.sigmas")
+        assert (str(err.value), err.value.key) == (message,
+                                                   "screens.sigmas")
+
+    def test_sigma_table_keeps_indices_distinct(self):
+        with pytest.raises(ConfigError, match="^mode index 4 is listed "
+                                              "twice$"):
+            sigma_table([(4, 0.1), (np.int64(4), 0.2)])
+
+    def test_sigma_table_takes_numpy_integers(self):
+        table = sigma_table([(np.int64(4), 0.1), (2, 0.3)])
+        assert table == ((2, 0.3), (4, 0.1))
+        assert all(type(j) is int for j, _ in table)
+
+    @pytest.mark.parametrize("ell", [True, 2.0],
+                             ids=["bool", "float"])
+    def test_ell_values_refused(self, ell):
+        with pytest.raises(ConfigError) as err:
+            oam_alphabet([-4, ell], False, 8e-4, Grid(128, 8e-5))
+        assert (str(err.value), err.value.key) == (
+            f"ell value must be an integer, got {ell!r}", "ell_values")
+
+    def test_ell_values_take_numpy_integers(self):
+        ells = oam_alphabet([np.int64(4), -4], True, 8e-4, Grid(128, 8e-5))
+        assert ells == (-4, 4) and all(type(e) is int for e in ells)
+
+    def test_ell_value_message_at_parse_time(self):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario("name: x\nanalysis: {kind: qkd-oam, "
+                           "ell_values: [-4, true]}\n")
+        assert str(err.value) == ("analysis.ell_values: ell value must be "
+                                  "an integer, got True")
 
 
 class TestRoundTrip:
