@@ -124,7 +124,8 @@ def angular_spectrum_propagate(field: ComplexField, dz: float,
     ``ALIASING_ENERGY_FRACTION`` of the energy sits beyond
     ``NYQUIST_GUARD_FRACTION`` of the Nyquist frequency, since such content
     would wrap around the periodic grid. This is the one-field call of the
-    step :func:`run_channel` takes for a whole stack of fields.
+    substep :func:`_diffract`, which :func:`run_channel` takes for a whole
+    stack of fields, here over one lossless substep of length dz.
     """
     if dz < 0:
         raise ValueError(f"propagation distance must be >= 0, got {dz}")
@@ -132,49 +133,11 @@ def angular_spectrum_propagate(field: ComplexField, dz: float,
         raise ValueError("refractive index must be >= 1")
     if dz == 0.0:
         return field
-    out, _ = _propagate_stack(field.amplitude[None], field.grid,
-                              field.wavelength, refractive_index, dz,
-                              np.ones((1, 1)), None)
+    one = ChannelConfig(length=dz, refractive_index=refractive_index,
+                        attenuation_db_per_m=0.0)
+    out, _ = _diffract(field.amplitude[None], (field,), one, np.ones((1, 1)),
+                       None)
     return field.with_amplitude(out[0])
-
-
-def _propagate_stack(stack: np.ndarray, grid: Grid, wavelength: float,
-                     refractive_index: float, dz: float, states: np.ndarray,
-                     step: int | None, finish: bool = True,
-                     ) -> tuple[np.ndarray, float]:
-    """Propagate a (d, N, N) stack of amplitudes by dz > 0, after checking
-    every state formed from it (each row of ``states``, a (k, d)
-    coefficient matrix) against the aliasing guard; return the result and
-    the largest guard fraction compared. A tripped guard names the chain's
-    split ``step`` and the row, and the keys that weaken it; with ``step``
-    None (one field on its own) it names only the fraction. Without
-    ``finish`` the step stops right after its guard and returns the
-    guarded spectrum, the stack's ``fft2`` before H.
-
-    A writable ``stack`` is the caller's scratch buffer: both transforms
-    run in it and it comes back as the result. A read-only one (a field's
-    amplitude, a launched stack) is left untouched. The inverse transform
-    is ``ifftn`` over the last two axes, which is ``ifft2`` but honours
-    ``out=`` (numpy 2.4's ``ifft2`` drops it and allocates).
-    """
-    spec = np.fft.fft2(stack, out=stack if stack.flags.writeable else None)
-    guard, h = _propagation_plan(grid, wavelength, refractive_index, dz)
-    fractions = _guard_fractions(spec, guard, states)
-    row = int(np.argmax(fractions))
-    worst = float(fractions[row])
-    if worst > ALIASING_ENERGY_FRACTION:
-        msg = (f"{worst:.2e} of field energy beyond "
-               f"{NYQUIST_GUARD_FRACTION:.0%} of Nyquist (limit "
-               f"{ALIASING_ENERGY_FRACTION:.0e})")
-        if step is not None:
-            msg = (f"split step {step}, row {row}: {msg}; weaken the screens "
-                   f"(channel.screens.sigma or channel.screens.r0) or sample "
-                   f"finer (grid.n_samples, grid.spacing)")
-        raise AliasingError(msg)
-    if not finish:
-        return spec, worst
-    spec *= h
-    return np.fft.ifftn(spec, axes=(-2, -1), out=spec), worst
 
 
 def _guard_fractions(spec: np.ndarray, guard: np.ndarray,
@@ -400,7 +363,7 @@ class Launch:
     checked once for every row of ``states``, finding at most
     ``guard_fraction``; ``powers`` are the sources' input powers.
     :func:`run_channel` starts each realization from it. ``targets``, if
-    not None, are the (m, N, N) spectra that realizations are projected
+    not None, are the (d, N, N) spectra that realizations are projected
     onto (see :func:`launch`); with no screens, step 0 is then every
     realization's last step, and ``stack`` its guarded spectrum.
     """
@@ -427,39 +390,68 @@ def _substep(config: ChannelConfig) -> tuple[float, float]:
 
 
 def _diffract(stack: np.ndarray, fields: tuple[ComplexField, ...],
-              config: ChannelConfig, states: np.ndarray, step: int,
-              occluders: Sequence[Occluder], finish: bool = True,
+              config: ChannelConfig, states: np.ndarray, step: int | None,
+              occluders: Sequence[Occluder] = (), finish: bool = True,
               ) -> tuple[np.ndarray, float]:
-    """One diffraction substep of the chain: ``occluders`` (in place),
-    propagation over dz with the aliasing guard, then attenuation; returns
-    the stack and the guard's largest fraction. Without ``finish`` it
-    stops after the guard and returns the guarded spectrum, for
-    :func:`_project`."""
+    """One diffraction substep of the chain on a (d, N, N) stack of the
+    ``fields``' amplitudes: ``occluders`` (in place), propagation over dz
+    after checking every state formed from the stack (each row of
+    ``states``, a (k, d) coefficient matrix) against the aliasing guard,
+    then the substep's attenuation; returns the stack and the largest guard
+    fraction compared. A tripped guard names the chain's split ``step`` and
+    the row, and the keys that weaken it; with ``step`` None (one field on
+    its own) it names only the fraction. Without ``finish`` the step stops
+    right after its guard and returns the guarded spectrum, the stack's
+    ``fft2`` before H, for :func:`_project`.
+
+    A writable ``stack`` is the caller's scratch buffer: both transforms
+    run in it and it comes back as the result. A read-only one (a field's
+    amplitude, a launched stack) is left untouched. The inverse transform
+    is ``ifftn`` over the last two axes, which is ``ifft2`` but honours
+    ``out=`` (numpy 2.4's ``ifft2`` drops it and allocates).
+    """
     grid = fields[0].grid
     for occ in occluders:
         if occ.opacity != 0.0:
             rows, cols, factor = _occluder_box(occ, grid)
             stack[:, rows, cols] *= factor
     dz, factor = _substep(config)
-    stack, worst = _propagate_stack(stack, grid, fields[0].wavelength,
-                                    config.refractive_index, dz, states, step,
-                                    finish)
-    if finish and factor != 1.0:
+    spec = np.fft.fft2(stack, out=stack if stack.flags.writeable else None)
+    guard, h = _propagation_plan(grid, fields[0].wavelength,
+                                 config.refractive_index, dz)
+    fractions = _guard_fractions(spec, guard, states)
+    row = int(np.argmax(fractions))
+    worst = float(fractions[row])
+    if worst > ALIASING_ENERGY_FRACTION:
+        msg = (f"{worst:.2e} of field energy beyond "
+               f"{NYQUIST_GUARD_FRACTION:.0%} of Nyquist (limit "
+               f"{ALIASING_ENERGY_FRACTION:.0e})")
+        if step is not None:
+            msg = (f"split step {step}, row {row}: {msg}; weaken the screens "
+                   f"(channel.screens.sigma or channel.screens.r0) or sample "
+                   f"finer (grid.n_samples, grid.spacing)")
+        raise AliasingError(msg)
+    if not finish:
+        return spec, worst
+    spec *= h
+    stack = np.fft.ifftn(spec, axes=(-2, -1), out=spec)
+    if factor != 1.0:
         stack *= factor
     return stack, worst
 
 
-def _targets(modes: tuple[ComplexField, ...],
+def _targets(fields: tuple[ComplexField, ...],
              config: ChannelConfig) -> np.ndarray:
-    """T_b = conj(H) FFT(mode_b) f dx^2 / N^2 for each of ``modes``: with
-    H and f the last substep's transfer function and attenuation factor,
-    a guarded spectrum S_a of that step overlaps mode b, after H, the
-    inverse FFT and f, by sum_k S_a(k) T_b(k)* (Parseval)."""
-    grid = modes[0].grid
+    """T_b = conj(H) FFT(field_b) f dx^2 / N^2 for each of the launched
+    ``fields``: with H and f the last substep's transfer function and
+    attenuation factor, a guarded spectrum S_a of that step overlaps field
+    b, after H, the inverse FFT and f, by sum_k S_a(k) T_b(k)*
+    (Parseval)."""
+    grid = fields[0].grid
     dz, factor = _substep(config)
-    _, h = _propagation_plan(grid, modes[0].wavelength,
+    _, h = _propagation_plan(grid, fields[0].wavelength,
                              config.refractive_index, dz)
-    stack = np.stack([m.amplitude for m in modes])
+    stack = np.stack([f.amplitude for f in fields])
     targets = np.fft.fft2(stack, out=stack)
     targets *= h.conj()
     targets *= factor * grid.spacing ** 2 / grid.n_samples ** 2
@@ -468,7 +460,7 @@ def _targets(modes: tuple[ComplexField, ...],
 
 
 def _project(spec: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """The (d, m) overlaps sum_k spec_a(k) targets_b(k)* of a guarded
+    """The (d, d) overlaps sum_k spec_a(k) targets_b(k)* of a guarded
     spectrum with :func:`_targets`, ``_DOT_CHUNK`` samples per dot."""
     s, t = (a.reshape(len(a), -1) for a in (spec, targets))
     return sum(_gram(s[:, k:k + _DOT_CHUNK], t[:, k:k + _DOT_CHUNK])
@@ -477,16 +469,16 @@ def _project(spec: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 def launch(input_field: ComplexField | Sequence[ComplexField],
            config: ChannelConfig, states: np.ndarray | None = None,
-           modes: Sequence[ComplexField] | None = None) -> Launch:
+           project: bool = False) -> Launch:
     """Run step 0 of the chain once, for every realization of ``config``.
 
     ``input_field`` is one field or a sequence of d fields on one grid and
     wavelength. ``states``, a (k, d) coefficient matrix (default: the
     identity), names the combinations of the fields the caller will form
     from their outputs; the aliasing guard checks each of them exactly at
-    every step. With m ``modes`` on the same grid, :func:`run_channel`
-    returns each realization's (d, m) overlaps of the outputs with them
-    (as :func:`field.mode_overlap`) instead of the outputs: its last step
+    every step. With ``project``, :func:`run_channel` returns each
+    realization's (d, d) overlaps of the outputs with the sent fields (as
+    :func:`field.mode_overlap`) instead of the outputs: its last step
     stops at the guard, and the overlaps are taken from the guarded
     spectrum. The seed is irrelevant here. Raises :class:`AliasingError`
     if a source (or a row of ``states``) already aliases over the first dz.
@@ -495,13 +487,11 @@ def launch(input_field: ComplexField | Sequence[ComplexField],
         else tuple(input_field)
     if not fields:
         raise ValueError("launch needs at least one field")
-    modes = None if modes is None else tuple(modes)
     grid, wavelength = fields[0].grid, fields[0].wavelength
-    for f in fields[1:] + (modes or ()):
+    for f in fields[1:]:
         if f.grid != grid or f.wavelength != wavelength:
             raise GridMismatchError(
-                "batched fields and modes must share one grid and "
-                "wavelength")
+                "batched fields must share one grid and wavelength")
     coeffs = np.eye(len(fields)) if states is None else np.array(states)
     if coeffs.ndim != 2 or coeffs.shape[1] != len(fields) \
             or not np.all(np.isfinite(coeffs)) \
@@ -511,14 +501,14 @@ def launch(input_field: ComplexField | Sequence[ComplexField],
             f"coefficients with a nonzero entry in every row")
     coeffs.flags.writeable = False
     stack, worst = _diffract(np.stack([f.amplitude for f in fields]), fields,
-                             config, coeffs, 0, (),
-                             modes is None or config.n_screens > 0)
+                             config, coeffs, 0,
+                             finish=not project or config.n_screens > 0)
     stack.flags.writeable = False
     return Launch(fields=fields,
                   powers=tuple(total_power(f) for f in fields),
                   states=coeffs, stack=stack, path=_path(config),
                   guard_fraction=worst,
-                  targets=None if modes is None else _targets(modes, config))
+                  targets=_targets(fields, config) if project else None)
 
 
 class Draws(NamedTuple):
@@ -610,9 +600,10 @@ def run_channel(input_field: ComplexField | Sequence[ComplexField]
     return: a tuple, unless ``input_field`` is one field. Every channel
     operation is linear, so a combination of the fields leaves as the same
     combination of their outputs; the launch's ``states`` are checked by
-    the aliasing guard at every step. A launch made with ``modes`` returns
-    the (d, m) overlaps of the outputs with them instead: the last step
-    stops at its guard and :func:`_project` takes them from its spectrum.
+    the aliasing guard at every step. A launch made with ``project``
+    returns the (d, d) overlaps of the outputs with the sent fields
+    instead: the last step stops at its guard and :func:`_project` takes
+    them from its spectrum.
 
     Step 0 does not depend on the seed, so each realization starts at step
     1 from the launched stack. A realization with an occluder on step 0
@@ -635,9 +626,10 @@ def run_channel(input_field: ComplexField | Sequence[ComplexField]
         work = stack
     else:
         first, stack = 1, start.stack
-        work = np.empty_like(stack)
+        work = np.empty_like(stack) if config.n_screens else None
     # Each screen is dropped once its product is taken, so a transit holds
-    # its working stack and at most one screen.
+    # its working stack (none if no screen step follows) and at most
+    # one screen.
     screens, spectra = _screen_draws(config, grid, screens)
     worst = start.guard_fraction
     last = config.n_screens
@@ -670,22 +662,21 @@ def run_channel(input_field: ComplexField | Sequence[ComplexField]
 def realizations(fields: ComplexField | Sequence[ComplexField],
                  config: ChannelConfig, each: Callable, count: int, tag: int,
                  *path: int, states: np.ndarray | None = None,
-                 modes: Sequence[ComplexField] | None = None, sources: str,
-                 name: str) -> list:
+                 project: bool = False, sources: str, name: str) -> list:
     """``[each(k, run) for k in range(count)]`` on :func:`seeding.realize`'s
     threads, the one loop of a run's frames and trials.
 
-    ``fields`` are launched once with ``states`` and ``modes`` (step 0
+    ``fields`` are launched once with ``states`` and ``project`` (step 0
     depends on no seed); a tripped guard names ``sources``. Realization k
     is drawn at (``tag``, k, *path), all in one :func:`draw_realizations`
     batch on the calling thread first, as scalar draws hold the GIL, so the
     threads run only numpy, the same bits on any thread. ``run()`` is
-    realization k's transit from the launch (its overlaps with ``modes``,
-    if given), and a tripped guard names it ``name`` k: the lowest failing
-    k, as in a serial loop. Only ``each`` holds a transit's output.
+    realization k's transit from the launch (its overlaps with ``fields``
+    if ``project``), and a tripped guard names it ``name`` k: the lowest
+    failing k, as in a serial loop. Only ``each`` holds a transit's output.
     """
     try:
-        source = launch(fields, config, states, modes)
+        source = launch(fields, config, states, project)
     except AliasingError as exc:
         raise exc.at(sources) from exc
     draws = draw_realizations(config, source.fields[0].grid, tag,

@@ -253,8 +253,8 @@ def lg_mode(ell: int, p: int, waist: float, grid: Grid,
     wavelength : float
         Vacuum wavelength in meters.
     """
-    if p < 0:
-        raise ValueError(f"radial index p must be >= 0, got {p}")
+    check_count("azimuthal index ell", ell, -math.inf, "ell")
+    check_count("radial index p", p, 0, "p")
     check_waist(waist, grid)
     x, y = grid.mesh()
     r2 = x * x + y * y

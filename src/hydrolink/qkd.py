@@ -206,8 +206,7 @@ def detection_matrix_oam(channel_config: ChannelConfig,
     blocks are stacked in trial order; their mean and its standard error
     are returned.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
+    check_count("n_trials", n_trials, 1, "trials")
     waist = waist_or_default(waist, grid)
     ells = oam_alphabet(ell_values, include_superposition_basis, waist,
                         grid)
@@ -224,7 +223,7 @@ def detection_matrix_oam(channel_config: ChannelConfig,
 
     blocks = np.array(realizations(
         modes, channel_config, trial, n_trials, TAG_TRIAL, states=rows,
-        modes=modes, sources=f"sources {', '.join(labels)}", name="trial"))
+        project=True, sources=f"sources {', '.join(labels)}", name="trial"))
     mean = _renormalize(blocks, bases).sum(axis=0) / n_trials
     # Two passes (deviations from the mean), so identical trials give 0.
     stderr = blocks.std(axis=0, ddof=1) / math.sqrt(n_trials) \

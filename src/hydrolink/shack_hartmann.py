@@ -379,14 +379,14 @@ def _in_disk(geometry: LensletArray, radius: float) -> np.ndarray:
 def check_fit_modes(geometry: LensletArray, j_max: int,
                     aperture_radius: float | None = None) -> float:
     """The fit disk radius: ``aperture_radius``, else the array's
-    half-width. Raise ValueError unless it is > 0, j_max >= 2 and the disk
-    holds a lenslet center per fitted mode (ConfigError at j_max)."""
+    half-width. Raise ValueError unless it is > 0, j_max is an integer >= 2
+    and the disk holds a lenslet center per fitted mode (ConfigError at
+    j_max for both)."""
     radius = geometry.half_width if aperture_radius is None \
         else float(aperture_radius)
     if not radius > 0:
         raise ValueError("aperture_radius must be > 0")
-    if j_max < 2:
-        raise ValueError("j_max must be >= 2")
+    check_count("j_max", j_max, 2, "j_max")
     inside = int(np.count_nonzero(_in_disk(geometry, radius)))
     if j_max - 1 > inside:
         raise ConfigError(

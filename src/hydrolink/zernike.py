@@ -387,8 +387,7 @@ def kolmogorov_screen(r0: float, grid: Grid,
     """
     if not r0 > 0:
         raise ValueError(f"Fried parameter must be > 0, got {r0}")
-    if subharmonic_levels < 0:
-        raise ValueError("subharmonic_levels must be >= 0")
+    check_count("subharmonic_levels", subharmonic_levels, 0)
     sqrt_psd, df, amps, ex, ey, tilt, coords = _kolmogorov_plan(
         r0, grid, subharmonic_levels)
     n = grid.n_samples

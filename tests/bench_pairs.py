@@ -65,13 +65,18 @@ def summarize(parent: list[float], change: list[float], better: str,
             "bound": bound, "worse": -gap > bound * abs(p_med)}
 
 
+def envinfo(root: Path):
+    """``root/perfbench/envinfo.py``, loaded from its file as it is."""
+    spec = importlib.util.spec_from_file_location(
+        "envinfo", root / "perfbench" / "envinfo.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def host(change: Path) -> dict:
     """The machine, as ``CHANGE_ROOT/perfbench/envinfo.py`` reports it."""
-    spec = importlib.util.spec_from_file_location(
-        "envinfo", change / "perfbench" / "envinfo.py")
-    envinfo = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(envinfo)
-    return envinfo.host()
+    return envinfo(change).host()
 
 
 def compare(args: argparse.Namespace, workload: str,

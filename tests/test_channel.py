@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from hydrolink.channel import (NYQUIST_GUARD_FRACTION, AliasingError,
                                ChannelConfig, ChannelResult, Draws, Launch,
-                               Occluder, _apply_screen, _guard_fractions,
-                               _propagate_stack, _propagation_plan,
+                               Occluder, _apply_screen, _diffract,
+                               _guard_fractions, _propagation_plan,
                                angular_spectrum_propagate, apply_occlusion,
                                apply_phase_screen, draw_realization,
                                draw_realizations, launch, realize_screens,
@@ -130,9 +130,11 @@ class TestPropagation:
     def test_writable_stack_transformed_in_place(self, grid256):
         field = lg_mode(3, 0, grid256.extent / 16, grid256, WAVELENGTH)
         stack = field.amplitude[None].copy()
-        args = (grid256, WAVELENGTH, WATER_N, 0.5, np.ones((1, 1)), 0)
-        want, _ = _propagate_stack(field.amplitude[None], *args)
-        got, _ = _propagate_stack(stack, *args)
+        one = ChannelConfig(length=0.5, refractive_index=WATER_N,
+                            attenuation_db_per_m=0.0)
+        args = ((field,), one, np.ones((1, 1)), 0)
+        want, _ = _diffract(field.amplitude[None], *args)
+        got, _ = _diffract(stack, *args)
         assert got is stack
         assert np.array_equal(got.view(np.float64), want.view(np.float64))
 

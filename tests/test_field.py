@@ -1,12 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from hydrolink.channel import angular_spectrum_propagate, apply_phase_screen
-from hydrolink.field import (ComplexField, Grid, GridMismatchError,
-                             JonesVector, centroid, lg_mode, mode_overlap,
-                             petal_mode, superpose, total_power)
+from hydrolink.field import (ComplexField, ConfigError, Grid,
+                             GridMismatchError, JonesVector, centroid,
+                             lg_mode, mode_overlap, petal_mode, superpose,
+                             total_power)
 from hydrolink.shack_hartmann import LensletArray, SlopeField, SpotImage
 from hydrolink.zernike import PhaseScreen, ZernikeSpectrum, phase_from_spectrum
 
@@ -404,3 +406,29 @@ class TestVortexType:
     def test_zero_charge_rejected(self):
         with pytest.raises(ValueError):
             Vortex(position=(0.0, 0.0), charge=0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("ell", 2.5), ("ell", True), ("ell", np.int64(2)),
+    ("p", 1.5), ("p", True), ("p", np.int64(1))],
+    ids=["ell-float", "ell-bool", "ell-numpy", "p-float", "p-bool",
+         "p-numpy"])
+def test_mode_indices_follow_the_integer_rule(grid256, name, value):
+    # A float or a bool index is refused by name and key; a numpy integer
+    # samples the mode its int does.
+    indices = {"ell": 2, "p": 1}
+    waist = grid256.extent / 16
+
+    def mode(**given):
+        return lg_mode(**{**indices, **given}, waist=waist, grid=grid256,
+                       wavelength=WAVELENGTH)
+
+    if isinstance(value, np.integer):
+        assert mode(**{name: value}).amplitude.tobytes() == \
+            mode(**{name: int(value)}).amplitude.tobytes()
+        return
+    label = {"ell": "azimuthal index ell", "p": "radial index p"}[name]
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{label} must be an integer, got {value!r}")) as err:
+        mode(**{name: value})
+    assert err.value.key == name

@@ -160,23 +160,22 @@ def test_last_step_corners(n_screens, steps):
 
 @pytest.mark.parametrize("n_screens", [0, 2])
 def test_overlaps_are_the_real_space_overlaps(n_screens):
-    # Not only the probabilities: each overlap, attenuation included, is
-    # mode_overlap's of the fields path's output, for modes other than
-    # the sources too.
+    # Not only the probabilities: each overlap of an output with a sent
+    # field, attenuation included, is mode_overlap's of the fields path's
+    # output.
     cfg = ChannelConfig(length=0.3, attenuation_db_per_m=5.4,
                         n_screens=n_screens,
                         screen_source="modal" if n_screens else "none",
                         modal_sigmas=tuple(modal_sigma_table(0.1, 10)
                                            .items()), occlusion_rate=1.5)
     sent = [lg_mode(ell, 0, WAIST, GRID, WAVELENGTH) for ell in (-4, 4)]
-    onto = sent + [lg_mode(1, 0, WAIST, GRID, WAVELENGTH)]
     for k in range(3):
         draws = draw_realization(cfg, GRID, TAG_TRIAL, k)
-        got = run_channel(channel.launch(sent, cfg, None, onto), cfg, draws)
+        got = run_channel(channel.launch(sent, cfg, None, True), cfg, draws)
         outs = run_channel(channel.launch(sent, cfg), cfg, draws)
-        want = [[mode_overlap(out.output_field, m) for m in onto]
+        want = [[mode_overlap(out.output_field, m) for m in sent]
                 for out in outs]
-        assert got.shape == (2, 3)
+        assert got.shape == (2, 2)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=TOLERANCE)
 
 
@@ -206,8 +205,29 @@ def test_guard_trips_on_the_last_step_as_in_the_fields_path():
     h = 1.0 / math.sqrt(2.0)
     rows = np.array([[1.0, 0.0], [0.0, 1.0], [h, h], [h, -h]])
     draws = draw_realization(cfg, GRID, TAG_TRIAL, 6)
-    for projecting in (None, modes):
-        launched = channel.launch(modes, cfg, rows, projecting)
+    for project in (False, True):
+        launched = channel.launch(modes, cfg, rows, project)
         with pytest.raises(AliasingError) as alone:
             run_channel(launched, cfg, draws)
         assert str(err.value) == f"trial 6: {alone.value}"
+
+
+def test_screenless_transit_allocates_no_working_stack():
+    # With no screen, the launch is every trial's last step: a projected
+    # transit reads its guarded spectrum and allocates no (d, N, N) stack.
+    import tracemalloc
+    grid = Grid(128, 4e-5)
+    waist = grid.extent / 7.0
+    cfg = ChannelConfig(length=0.3, attenuation_db_per_m=5.4)
+    sent = channel.launch([lg_mode(ell, 0, waist, grid, WAVELENGTH)
+                           for ell in (-4, 4)], cfg, None, True)
+    draws = draw_realization(cfg, grid, TAG_TRIAL, 0)
+    assert not draws.occluders
+    run_channel(sent, cfg, draws)
+    tracemalloc.start()
+    try:
+        run_channel(sent, cfg, draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * grid.n_samples ** 2 * 16

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from hydrolink import channel, seeding
 from hydrolink.channel import AliasingError, ChannelConfig, run_channel
 from hydrolink.field import (ANTIDIAGONAL, DIAGONAL, HORIZONTAL, VERTICAL,
-                             Grid, lg_mode, mode_overlap, superpose)
+                             ConfigError, Grid, lg_mode, mode_overlap,
+                             superpose)
 from hydrolink.qkd import (DetectionMatrix, PolarizationBasis,
                            PolarizationChannel, QkdReport,
                            bb84_key_rate, binary_entropy,
@@ -535,3 +537,22 @@ class TestDetectionMatrixOam:
                             probabilities=np.array([[0.9, 0.3],
                                                     [0.1, 0.7]]),
                             bases=(("a", "b"),))
+
+
+@pytest.mark.parametrize("n_trials", [2.5, True, np.int64(2)],
+                         ids=["float", "bool", "numpy"])
+def test_trial_count_follows_the_integer_rule(n_trials):
+    # A float or a bool is refused at the scenario's trials key; a numpy
+    # integer runs the trials its int would.
+    def run(n):
+        return detection_matrix_oam(_clean_channel(), [-4, 4],
+                                    grid=OAM_GRID, n_trials=n)
+
+    if isinstance(n_trials, np.integer):
+        assert np.array_equal(run(n_trials).probabilities,
+                              run(int(n_trials)).probabilities)
+        return
+    with pytest.raises(ConfigError, match=re.escape(
+            f"n_trials must be an integer, got {n_trials!r}")) as err:
+        run(n_trials)
+    assert err.value.key == "trials"

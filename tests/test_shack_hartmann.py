@@ -1,10 +1,11 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hydrolink.field import ComplexField, Grid, lg_mode
+from hydrolink.field import ComplexField, ConfigError, Grid, lg_mode
 import hydrolink.shack_hartmann as shm
 from hydrolink.shack_hartmann import (CENTROID_FLOOR, FIT_CONDITION_LIMIT,
                                       LensletArray, SlopeField, SpotImage,
@@ -12,7 +13,8 @@ from hydrolink.shack_hartmann import (CENTROID_FLOOR, FIT_CONDITION_LIMIT,
                                       _invert_response, _lenslet_plan,
                                       _windowed_com,
                                       average_magnitudes,
-                                      capture, extract_slopes, modal_fit,
+                                      capture, check_fit_modes,
+                                      extract_slopes, modal_fit,
                                       reconstruct_wavefront)
 from hydrolink.zernike import (ZernikeSpectrum, gradient_unchecked,
                                nm_from_index, phase_from_spectrum)
@@ -660,3 +662,22 @@ class TestAverageMagnitudes:
         pooled = float(np.mean(avg.mean_abs))
         target = sigma * math.sqrt(2 / math.pi)    # 0.0798
         assert pooled == pytest.approx(target, rel=0.20)
+
+
+@pytest.mark.parametrize("j_max", [7.5, True, np.int64(15)],
+                         ids=["float", "bool", "numpy"])
+def test_fit_mode_count_follows_the_integer_rule(j_max):
+    # check_fit_modes, and so modal_fit, refuses a float or a bool at the
+    # j_max key; a numpy integer fits as its int does.
+    slopes = extract_slopes(capture(uniform_field(), GEOMETRY))
+    if isinstance(j_max, np.integer):
+        assert check_fit_modes(GEOMETRY, j_max) == \
+            check_fit_modes(GEOMETRY, int(j_max))
+        assert modal_fit(slopes, j_max) == modal_fit(slopes, int(j_max))
+        return
+    for call in (lambda: check_fit_modes(GEOMETRY, j_max),
+                 lambda: modal_fit(slopes, j_max)):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"j_max must be an integer, got {j_max!r}")) as err:
+            call()
+        assert err.value.key == "j_max"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hydrolink.channel import ChannelConfig, realize_screens
-from hydrolink.field import Grid
+from hydrolink.field import ConfigError, Grid
 from hydrolink.seeding import TAG_COEFF, normals, substream
 from hydrolink.shack_hartmann import LensletArray, capture, extract_slopes, \
     modal_fit
@@ -657,3 +658,19 @@ class TestPhaseScreenType:
         ph[1, 1] = bad
         with pytest.raises(ValueError):
             PhaseScreen(grid256, ph)
+
+
+@pytest.mark.parametrize("levels", [1.5, True, np.int64(2)],
+                         ids=["float", "bool", "numpy"])
+def test_subharmonic_levels_follow_the_integer_rule(levels):
+    # A float or a bool is refused by name; a numpy integer draws the
+    # screen its int does.
+    grid = Grid(64, 1e-3)
+    if isinstance(levels, np.integer):
+        got, want = (kolmogorov_screen(0.2, grid, 7, subharmonic_levels=k)
+                     for k in (levels, int(levels)))
+        assert got.phase.tobytes() == want.phase.tobytes()
+        return
+    with pytest.raises(ConfigError, match=re.escape(
+            f"subharmonic_levels must be an integer, got {levels!r}")):
+        kolmogorov_screen(0.2, grid, 7, subharmonic_levels=levels)
