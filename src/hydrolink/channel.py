@@ -323,7 +323,7 @@ def realize_screens(config: ChannelConfig, grid: Grid,
     """The channel's phase screens and modal spectra (None for Kolmogorov
     screens), for inspecting or storing a realization without running it.
     Each screen is the one :func:`run_channel` renders at its step."""
-    screens = draw_realization(config, grid).screens
+    screens = draw_realizations(config, grid)[0].screens
     draws, spectra = _screen_draws(config, grid, screens)
     return tuple(_render_screen(config, grid, d) for d in draws), spectra
 
@@ -533,7 +533,7 @@ def draw_realizations(config: ChannelConfig, grid: Grid,
     coefficients are :func:`seeding.normals` over ``config``'s checked
     sigma table. The noise itself is drawn when the screen is rendered.
     Occluders are Poisson-counted from the occlusion rate, each
-    realization's from its own ``substream(seed, TAG_OCCLUSION)``."""
+    realization's from the stream ``stream_key(seed, TAG_OCCLUSION)``."""
     seeds = np.atleast_1d(child_seed(config.seed, *path) if path
                           else np.asarray(config.seed))
     screens = child_seed(seeds[:, None], TAG_SCREEN,
@@ -550,12 +550,6 @@ def draw_realizations(config: ChannelConfig, grid: Grid,
     else:
         occluders = [{} for _ in seeds]
     return [Draws(*draws) for draws in zip(screens, occluders)]
-
-
-def draw_realization(config: ChannelConfig, grid: Grid,
-                     *path: int) -> Draws:
-    """:func:`draw_realizations` of the one path (``config.seed``, *path)."""
-    return draw_realizations(config, grid, *path)[0]
 
 
 def _occluders(config: ChannelConfig, grid: Grid,
@@ -592,7 +586,7 @@ def run_channel(input_field: ComplexField | Sequence[ComplexField]
     here first. The d launched fields cross the same realization as one
     (d, N, N) stack: one FFT pair, one screen product and one occluder mask
     per step for all of them. A transit has two phases: every scalar draw
-    (``draws``, from :func:`draw_realization`, here from ``config.seed`` if
+    (``draws``, one of :func:`draw_realizations`', ``config.seed``'s own if
     None; :func:`realizations` draws on the calling thread), then the numpy
     run, which renders screen k only when step k + 1 takes its product.
     Kolmogorov noise fields are drawn at render, as numpy's fills release
@@ -620,7 +614,7 @@ def run_channel(input_field: ComplexField | Sequence[ComplexField]
             f"launch's {start.path}")
     fields = start.fields
     grid = fields[0].grid
-    screens, occluders = draws or draw_realization(config, grid)
+    screens, occluders = draws or draw_realizations(config, grid)[0]
     if 0 in occluders:
         first, stack = 0, np.stack([f.amplitude for f in fields])
         work = stack

@@ -239,8 +239,11 @@ _RUNNERS = {"wavefront": _run_wavefront, **dict.fromkeys(QKD_KINDS, _run_qkd),
 @contextmanager
 def _staging(out: Path) -> Iterator[Path]:
     """A hidden sibling directory of ``out`` to write into, removed with
-    whatever is left in it when the block ends."""
+    whatever is left in it when the block ends; a file at ``out`` is
+    refused before the block runs."""
     target = out.resolve()
+    if target.exists() and not target.is_dir():
+        raise NotADirectoryError(f"output path {out} is a file")
     target.parent.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=f".{target.name}.",
                                   dir=target.parent))

@@ -69,7 +69,7 @@ def stream_key(seed, *path, words: int = 4) -> np.ndarray:
     """``SeedSequence((seed, *path)).generate_state(words)`` as
     little-endian uint64 pairs, shape (*broadcast, words / 2), for every
     (seed, *path) of the broadcast arrays; the default is the Philox key
-    of :func:`substream`'s stream."""
+    of (seed, *path)'s stream."""
     shape = np.broadcast(*map(np.asarray, (seed, *path))).shape
     state = _hash(*_key_words((seed, *path), shape), words).T
     # numpy's uint64 view of the uint32 state: little-endian pairs.
@@ -77,15 +77,11 @@ def stream_key(seed, *path, words: int = 4) -> np.ndarray:
     return pairs.astype(np.uint64, copy=False).reshape(*shape, words // 2)
 
 
-def substream(seed: int, *path: int) -> np.random.Generator:
-    """Return an independent generator for (seed, *path)."""
-    return np.random.Generator(np.random.Philox(key=stream_key(seed, *path)))
-
-
 def normals(seeds, tag: int,
             scales: Sequence[tuple[int, float]]) -> np.ndarray:
-    """``substream(seed, tag, j).normal(0.0, s)`` (0.0 where s is 0) for
-    each seed (rows) and (j, s) of ``scales`` (columns), bit for bit.
+    """``normal(0.0, s)`` (0.0 where s is 0) drawn from the bits of the
+    Philox stream keyed by ``stream_key(seed, tag, j)``, for each seed
+    (rows) and (j, s) of ``scales`` (columns).
 
     The streams' keys come from :func:`stream_key`, one pass per block of
     :data:`_BLOCK` seeds, which bounds the pass's scratch arrays; then one

@@ -103,8 +103,8 @@ class SpotImage:
         # the first test, +inf the second.
         if not (img.min() >= 0.0 and np.isfinite(img.max())):
             raise ValueError("spot intensities must be finite and >= 0")
-        if self.field_samples_per_lenslet < 2:
-            raise ValueError("field_samples_per_lenslet must be >= 2")
+        check_count("field_samples_per_lenslet",
+                    self.field_samples_per_lenslet, 2)
         # capture's read-only array is kept; anything else is copied so no
         # caller can change it later.
         object.__setattr__(self, "images", frozen(img))

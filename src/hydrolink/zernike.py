@@ -26,7 +26,6 @@ import numpy as np
 import numpy.fft
 
 from .field import ConfigError, Grid, check_count, frozen, plan, row_bands
-from .seeding import TAG_COEFF, substream
 from .special import erf
 
 
@@ -146,11 +145,11 @@ class ZernikeSpectrum:
     def __post_init__(self):
         if not self.aperture_radius > 0:
             raise ValueError("aperture_radius must be > 0")
+        for j, _ in self.coefficients:
+            check_count("mode index", j, 1)
         coeffs = tuple(sorted((int(j), float(a))
                               for j, a in self.coefficients))
         js = [j for j, _ in coeffs]
-        if any(j < 1 for j in js):
-            raise ValueError("scalar indices must be >= 1")
         if len(set(js)) != len(js):
             raise ValueError("duplicate scalar index in spectrum")
         object.__setattr__(self, "coefficients", coeffs)
@@ -362,12 +361,10 @@ def _kolmogorov_plan(r0: float, grid: Grid, subharmonic_levels: int):
     return np.sqrt(psd), df, amps, ex, ey, tilt, coords
 
 
-def kolmogorov_screen(r0: float, grid: Grid,
-                      seed: int | np.random.Generator,
+def kolmogorov_screen(r0: float, grid: Grid, rng: np.random.Generator,
                       subharmonic_levels: int = 0) -> PhaseScreen:
     """FFT-filtered Gaussian noise with Kolmogorov phase statistics, drawn
-    from ``substream(seed, TAG_COEFF)``, or from ``seed`` if it is a
-    generator.
+    from the generator ``rng`` (anything else raises TypeError).
 
     The spectral density is 0.023 * r0^(-5/3) * f^(-11/3) (f in cycles/m),
     the pairing that yields the structure function 6.88 * (r/r0)^(5/3). The
@@ -385,14 +382,14 @@ def kolmogorov_screen(r0: float, grid: Grid,
     also raises the total screen variance, which is dominated by the lowest
     represented frequencies.
     """
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy Generator, got {rng!r}")
     if not r0 > 0:
         raise ValueError(f"Fried parameter must be > 0, got {r0}")
     check_count("subharmonic_levels", subharmonic_levels, 0)
     sqrt_psd, df, amps, ex, ey, tilt, coords = _kolmogorov_plan(
         r0, grid, subharmonic_levels)
     n = grid.n_samples
-    rng = seed if isinstance(seed, np.random.Generator) \
-        else substream(seed, TAG_COEFF)
     noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     spectrum = noise * sqrt_psd * df
     phase = np.real(np.fft.ifftn(spectrum, axes=(-2, -1), out=spectrum)) \

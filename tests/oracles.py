@@ -11,8 +11,11 @@ beam radius (``beam_width``), and the vortex count and total charge a beam
 carries through the channel. ``kolmogorov_coherence`` is a closed form the
 channel's statistics must meet: the coherence a plane wave keeps through
 Kolmogorov screens. ``modal_spectrum`` draws one modal screen's spectrum
-from a seed, as the channel draws each screen of a realization.
-``centroid_law`` predicts where a realization moves a beam's centroid.
+from a seed, as the channel draws each screen of a realization, and
+``substream`` is the generator of the Philox stream keyed by (seed,
+*path), the reference for the channel's own draws, which it keys with
+``seeding.stream_key``. ``centroid_law`` predicts where a realization
+moves a beam's centroid.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from hydrolink.channel import ChannelConfig, angular_spectrum_propagate, \
     apply_phase_screen, realize_screens
 from hydrolink.field import ComplexField, Grid, centroid
-from hydrolink.seeding import TAG_COEFF, normals
+from hydrolink.seeding import TAG_COEFF, normals, stream_key
 from hydrolink.zernike import ZernikeIndex, ZernikeSpectrum, \
     _kolmogorov_plan, gradient_unchecked, sigma_table
 
@@ -131,6 +134,12 @@ def modal_spectrum(stats: Mapping[int, float], aperture_radius: float,
     coeffs = normals([seed], TAG_COEFF, table)[0].tolist()
     return ZernikeSpectrum(tuple((j, a) for (j, _), a in zip(table, coeffs)),
                            aperture_radius)
+
+
+def substream(seed: int, *path: int) -> np.random.Generator:
+    """The generator of the Philox stream keyed by (seed, *path)."""
+    key = stream_key(seed, *path)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def read_pgm16(path: Path | str) -> np.ndarray:

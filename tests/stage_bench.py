@@ -3,7 +3,8 @@
 Usage: ``python tests/stage_bench.py [--sizes 128,256,384] [--repeats 5]
 [--json OUT]``.
 
-For each grid size N (``Grid(N, 12.5 um)``, the bundled wavefront-survey
+The spacing, lenslet pitch, fit modes and channel come from the bundled
+wavefront-survey scenario. For each grid size N (``Grid(N, 12.5 um)``, its
 spacing) it builds one stage's inputs, calls the stage once to fill its
 plans, then times ``--repeats`` calls, one at a time, each on inputs made
 outside the timed call. It prints the best and the median in ms per call
@@ -42,10 +43,10 @@ sys.path[:0] = [str(HERE.parent / "src")]
 import numpy as np  # noqa: E402
 
 from hydrolink import io as hio  # noqa: E402
-from hydrolink.channel import (SCREEN_RIM_TAPER, ChannelConfig,  # noqa: E402
+from hydrolink.channel import (SCREEN_RIM_TAPER,  # noqa: E402
                                _apply_screen, _diffract, apply_phase_screen)
 from hydrolink.field import Grid, lg_mode  # noqa: E402
-from hydrolink.scenario import modal_sigma_table  # noqa: E402
+from hydrolink.scenario import load_scenario  # noqa: E402
 from hydrolink.shack_hartmann import (LensletArray, _in_disk,  # noqa: E402
                                       capture, extract_slopes, modal_fit)
 from hydrolink.zernike import (  # noqa: E402
@@ -53,14 +54,13 @@ from hydrolink.zernike import (  # noqa: E402
 
 from bench_pairs import envinfo  # noqa: E402
 
-SPACING = 12.5e-6
-PITCH = 150e-6
-J_MAX = 15
+SURVEY = load_scenario("wavefront-survey")
+SPACING = SURVEY.grid.spacing
+PITCH = SURVEY.sensor.pitch
+J_MAX = SURVEY.analysis.j_max
 R0 = 0.2
 #: wavefront-survey's channel: its substep is the one timed.
-CHANNEL = ChannelConfig(length=5.5, attenuation_db_per_m=5.4, n_screens=3,
-                        screen_source="modal", modal_sigmas=tuple(
-                            modal_sigma_table(0.3, J_MAX).items()))
+CHANNEL = SURVEY.channel
 STAGES = ("modal_screen", "kolmogorov_screen", "screen_product", "substep",
           "capture", "slopes", "modal_fit", "write_pgm16", "screen_to_csv")
 

@@ -12,9 +12,9 @@ from hydrolink.channel import (NYQUIST_GUARD_FRACTION, AliasingError,
                                Occluder, _apply_screen, _diffract,
                                _guard_fractions, _propagation_plan,
                                angular_spectrum_propagate, apply_occlusion,
-                               apply_phase_screen, draw_realization,
-                               draw_realizations, launch, realize_screens,
-                               run_channel, transmittance)
+                               apply_phase_screen, draw_realizations,
+                               launch, realize_screens, run_channel,
+                               transmittance)
 from hydrolink.field import (ComplexField, ConfigError, Grid,
                              GridMismatchError, centroid, lg_mode,
                              superpose, total_power)
@@ -559,7 +559,7 @@ class TestBatchedTransit:
         # temporary threshold.
         cfg = self._config()
         grid = Grid(n, spacing)
-        assert draw_realization(cfg, grid).occluders
+        assert draw_realizations(cfg, grid)[0].occluders
         f = lg_mode(2, 0, grid.extent / 16, grid, WAVELENGTH)
         assert np.array_equal(run_channel(f, cfg).output_field.amplitude,
                               _chain(f, cfg).amplitude)
@@ -763,7 +763,7 @@ def _chain(field, cfg):
     from the public per-step functions (occluders, propagation,
     attenuation, then the screen)."""
     screens, _ = realize_screens(cfg, field.grid)
-    occluders = draw_realization(cfg, field.grid).occluders
+    occluders = draw_realizations(cfg, field.grid)[0].occluders
     dz = cfg.length / (cfg.n_screens + 1)
     out = field
     for step in range(cfg.n_screens + 1):
@@ -829,8 +829,8 @@ class TestLaunch:
             modal_sigmas=tuple(modal_sigma_table(0.3, 15).items()))
 
         def drawn(seed):
-            return draw_realization(replace(cfg, seed=seed),
-                                    self.GRID).occluders
+            return draw_realizations(replace(cfg, seed=seed),
+                                     self.GRID)[0].occluders
 
         def on_axis(occs):
             return any(math.hypot(*o.position) < 1.5e-3 for o in occs)
@@ -962,15 +962,15 @@ class TestDrawnRealization:
     def test_drawn_ahead_equals_drawn_in_the_transit(self, screens):
         cfg = ChannelConfig(n_screens=2, seed=3, **screens)
         for k in range(3):
-            self._check(cfg, draw_realization(cfg, self.GRID, TAG_TRIAL, k),
-                        k)
+            self._check(cfg, draw_realizations(cfg, self.GRID, TAG_TRIAL,
+                                               k)[0], k)
 
     @pytest.mark.parametrize("on_step_zero", [True, False],
                              ids=["step-0", "later-step"])
     def test_drawn_occluders_act_on_their_steps(self, on_step_zero):
         cfg = ChannelConfig(n_screens=2, occlusion_rate=2.0, seed=8,
                             **self.MODAL)
-        drawn = (draw_realization(cfg, self.GRID, TAG_TRIAL, k)
+        drawn = (draw_realizations(cfg, self.GRID, TAG_TRIAL, k)[0]
                  for k in range(100))
         k, draws = next((k, d) for k, d in enumerate(drawn) if d.occluders
                         and (0 in d.occluders) == on_step_zero)
@@ -990,7 +990,7 @@ class TestDrawnRealization:
             draw_realizations(cfg, self.GRID, TAG_FRAME, np.arange(5), 3))})
         batches[()], = draw_realizations(cfg, self.GRID)
         for path, got in batches.items():
-            for want in (draw_realization(cfg, self.GRID, *path),
+            for want in (draw_realizations(cfg, self.GRID, *path)[0],
                          _reference_draws(cfg, self.GRID, *path)):
                 assert np.asarray(got.screens).tobytes() == \
                     np.asarray(want.screens).tobytes()
@@ -1026,8 +1026,8 @@ class TestKolmogorovCoherence:
                       cfg)
         gammas = []
         for k in range(self.TRIALS):
-            (res,) = run_channel(sent, cfg, draw_realization(
-                cfg, self.GRID, TAG_TRIAL, k))
+            (res,) = run_channel(sent, cfg, draw_realizations(
+                cfg, self.GRID, TAG_TRIAL, k)[0])
             u = res.output_field.amplitude
             power = np.mean(np.abs(u) ** 2)
             gammas.append([np.mean([np.vdot(np.roll(u, -lag, axis), u).real

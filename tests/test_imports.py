@@ -3,9 +3,11 @@
 scipy is a test dependency only, and numpy's lazily loaded submodules are
 imported with the package, so a run's time holds no import. The package
 reads its version from ``hydrolink.__version__``, so importing it loads no
-``importlib.metadata``.
+``importlib.metadata``. The physics kernels import neither ``seeding`` nor
+``channel``: seeds become streams only in the channel's draws.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -49,6 +51,20 @@ def test_no_scipy_and_no_numpy_import_during_runs():
                           check=True)
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen == {"metadata": False, "scipy": [], "numpy_in_run": []}
+
+
+def test_kernels_import_no_seeding_or_channel():
+    package = Path(hydrolink.__file__).parent
+    for name in ("field", "special", "zernike", "shack_hartmann"):
+        imported = set()
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                # the module of "from .m import x", "from . import m" or
+                # "import hydrolink.m"
+                modules = [getattr(node, "module", None) or "",
+                           *(alias.name for alias in node.names)]
+                imported |= {m.rsplit(".", 1)[-1] for m in modules}
+        assert not imported & {"seeding", "channel"}, name
 
 
 def test_import_without_sched_getaffinity():

@@ -17,8 +17,7 @@ import pytest
 
 from hydrolink import channel
 from hydrolink.channel import (AliasingError, ChannelConfig,
-                               draw_realization, draw_realizations,
-                               run_channel)
+                               draw_realizations, run_channel)
 from hydrolink.field import ConfigError, Grid, lg_mode, mode_overlap, \
     superpose
 from hydrolink.qkd import detection_matrix_oam, oam_alphabet
@@ -44,7 +43,7 @@ def oracle(cfg: ChannelConfig, ells, superposition: bool, waist: float,
         bases.append([2, 3])
     acc = np.zeros((len(states), len(states)))
     for k in range(trials):
-        draws = draw_realization(cfg, grid, TAG_TRIAL, k)
+        draws = draw_realizations(cfg, grid, TAG_TRIAL, k)[0]
         for i, state in enumerate(states):
             out = run_channel(state, cfg, draws).output_field
             for basis in bases:
@@ -135,7 +134,8 @@ def _seed_with_occluders(cfg: ChannelConfig, steps: set) -> ChannelConfig:
     ``steps``."""
     for seed in range(1000):
         cfg = replace(cfg, seed=seed)
-        if set(draw_realization(cfg, GRID, TAG_TRIAL, 0).occluders) == steps:
+        if set(draw_realizations(cfg, GRID, TAG_TRIAL,
+                                 0)[0].occluders) == steps:
             return cfg
     raise AssertionError(f"no seed puts occluders on {steps}")
 
@@ -170,7 +170,7 @@ def test_overlaps_are_the_real_space_overlaps(n_screens):
                                            .items()), occlusion_rate=1.5)
     sent = [lg_mode(ell, 0, WAIST, GRID, WAVELENGTH) for ell in (-4, 4)]
     for k in range(3):
-        draws = draw_realization(cfg, GRID, TAG_TRIAL, k)
+        draws = draw_realizations(cfg, GRID, TAG_TRIAL, k)[0]
         got = run_channel(channel.launch(sent, cfg, None, True), cfg, draws)
         outs = run_channel(channel.launch(sent, cfg), cfg, draws)
         want = [[mode_overlap(out.output_field, m) for m in sent]
@@ -204,7 +204,7 @@ def test_guard_trips_on_the_last_step_as_in_the_fields_path():
     modes = [lg_mode(ell, 0, WAIST, GRID, WAVELENGTH) for ell in (-4, 4)]
     h = 1.0 / math.sqrt(2.0)
     rows = np.array([[1.0, 0.0], [0.0, 1.0], [h, h], [h, -h]])
-    draws = draw_realization(cfg, GRID, TAG_TRIAL, 6)
+    draws = draw_realizations(cfg, GRID, TAG_TRIAL, 6)[0]
     for project in (False, True):
         launched = channel.launch(modes, cfg, rows, project)
         with pytest.raises(AliasingError) as alone:
@@ -221,7 +221,7 @@ def test_screenless_transit_allocates_no_working_stack():
     cfg = ChannelConfig(length=0.3, attenuation_db_per_m=5.4)
     sent = channel.launch([lg_mode(ell, 0, waist, grid, WAVELENGTH)
                            for ell in (-4, 4)], cfg, None, True)
-    draws = draw_realization(cfg, grid, TAG_TRIAL, 0)
+    draws = draw_realizations(cfg, grid, TAG_TRIAL, 0)[0]
     assert not draws.occluders
     run_channel(sent, cfg, draws)
     tracemalloc.start()

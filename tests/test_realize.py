@@ -204,8 +204,8 @@ def test_failing_trial_named_as_in_the_serial_loop(tmp_path, monkeypatch,
     name, frames, tag, path, runs, named = _LOOPS[loop]
     scenario = load_scenario(name, seed=1, frames=frames)
     cfg = scenario.channel
-    tripping = {channel.draw_realization(cfg, scenario.grid, tag, k,
-                                         *path).screens.tobytes(): k
+    tripping = {channel.draw_realizations(cfg, scenario.grid, tag, k,
+                                          *path)[0].screens.tobytes(): k
                 for k in range(5, 40)}
     run = channel.run_channel
 
@@ -263,8 +263,9 @@ def test_drawn_realizations_are_compact():
     # drawn one by one or in one batch, take well under 1 KB apiece.
     scenario = load_scenario("oam-crosstalk", seed=1)
     cfg, grid = scenario.channel, scenario.grid
-    channel.draw_realization(cfg, grid, TAG_TRIAL, 0)
-    for draw in (lambda: [channel.draw_realization(cfg, grid, TAG_TRIAL, k)
+    channel.draw_realizations(cfg, grid, TAG_TRIAL, 0)
+    for draw in (lambda: [channel.draw_realizations(cfg, grid, TAG_TRIAL,
+                                                    k)[0]
                           for k in range(2000)],
                  lambda: channel.draw_realizations(cfg, grid, TAG_TRIAL,
                                                    np.arange(2000))):

@@ -657,6 +657,26 @@ analysis:
                      str(blocker / "sub")])
         assert code == 3
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "polarization-qkd"],
+        ["sweep", "polarization-qkd", "--parameter", "attenuation_db_per_m",
+         "--values", "0.13,5.4"]], ids=["run", "sweep"])
+    def test_file_as_output_refused_before_running(
+            self, tmp_path, capsys, monkeypatch, command):
+        # Refused before any runner starts, not after every value ran.
+        blocker = tmp_path / "F"
+        blocker.write_text("a file, not a directory")
+        kind = load_scenario("polarization-qkd").analysis.kind
+        calls = []
+        run = runner._RUNNERS[kind]
+        monkeypatch.setitem(runner._RUNNERS, kind,
+                            lambda *a: calls.append(a) or run(*a))
+        assert main([*command, "-o", str(blocker)]) == 3
+        assert f"output path {blocker} is a file" in capsys.readouterr().err
+        assert calls == []
+        assert [p.name for p in tmp_path.iterdir()] == ["F"]
+        assert blocker.read_text() == "a file, not a directory"
+
     def test_sweep_subcommand(self, tmp_path):
         assert main(["sweep", "polarization-qkd", "--parameter",
                      "attenuation_db_per_m", "--values", "0.13,5.4",

@@ -1,8 +1,9 @@
 """The one (seed, *path) -> SeedSequence rule of ``hydrolink.seeding``.
 
-``substream``, ``child_seed``, ``stream_key`` and ``normals`` key their
-streams through the 32-bit words of (seed, *path), hashed for a whole batch
-of keys at once by ``seeding._hash``. The streams are the ones numpy's
+``child_seed``, ``stream_key`` and ``normals`` (and ``oracles.substream``,
+the tests' generator over ``stream_key``) key their streams through the
+32-bit words of (seed, *path), hashed for a whole batch of keys at once by
+``seeding._hash``. The streams are the ones numpy's
 ``SeedSequence((seed, *path))`` gives, the reference here, for seeds of
 one, two and three words and for numpy's small and unsigned integer
 types, one key at a time or in batches that mix word counts. Every tag is
@@ -14,10 +15,11 @@ import numpy as np
 import pytest
 
 from hydrolink import seeding
-from hydrolink.channel import ChannelConfig, draw_realization
+from hydrolink.channel import ChannelConfig, draw_realizations
 from hydrolink.field import ConfigError, Grid
-from hydrolink.seeding import TAG_COEFF, child_seed, normals, stream_key, \
-    substream
+from hydrolink.seeding import TAG_COEFF, child_seed, normals, stream_key
+
+from oracles import substream
 
 
 def _int_tuple_sequence(seed, *path):
@@ -147,7 +149,7 @@ def test_channel_seed_must_be_an_int():
     config = ChannelConfig(**modal, seed=5)
     object.__setattr__(config, "seed", 5.9)
     with pytest.raises(TypeError, match="5.9"):
-        draw_realization(config, Grid(n_samples=16, spacing=1e-4))
+        draw_realizations(config, Grid(n_samples=16, spacing=1e-4))
 
 
 def test_small_and_unsigned_integer_types_keep_numpy_bits():

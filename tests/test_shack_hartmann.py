@@ -560,6 +560,25 @@ class TestMemoryDiet:
                 SpotImage(images=broken, geometry=GEOMETRY,
                           wavelength=WAVELENGTH)
 
+    @pytest.mark.parametrize("samples", [2.5, True, np.int64(12)],
+                             ids=["float", "bool", "numpy"])
+    def test_field_samples_follow_the_integer_rule(self, samples):
+        # A fractional sample count has no lenslet tiling; a numpy integer
+        # is kept as given.
+        images = capture(uniform_field(), GEOMETRY).images
+        if isinstance(samples, np.integer):
+            spots = SpotImage(images=images, geometry=GEOMETRY,
+                              wavelength=WAVELENGTH,
+                              field_samples_per_lenslet=samples)
+            assert spots.field_samples_per_lenslet == 12
+            return
+        with pytest.raises(ConfigError, match=re.escape(
+                "field_samples_per_lenslet must be an integer, "
+                f"got {samples!r}")):
+            SpotImage(images=images, geometry=GEOMETRY,
+                      wavelength=WAVELENGTH,
+                      field_samples_per_lenslet=samples)
+
     def test_chunked_centroids_equal_one_gathered_stack(self, monkeypatch):
         images = capture(_turbulent_vortex(), GEOMETRY).images
         energy = images.sum(axis=(2, 3))

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hydrolink.channel import ChannelConfig, realize_screens
+from hydrolink.channel import ChannelConfig, _render_screen, realize_screens
 from hydrolink.field import ConfigError, Grid
-from hydrolink.seeding import TAG_COEFF, normals, substream
+from hydrolink.seeding import TAG_COEFF, normals, stream_key
 from hydrolink.shack_hartmann import LensletArray, capture, extract_slopes, \
     modal_fit
 from hydrolink.field import ComplexField
@@ -19,7 +19,7 @@ from hydrolink.zernike import (PhaseScreen, ZernikeIndex, ZernikeSpectrum,
                                kolmogorov_screen, nm_from_index,
                                phase_from_spectrum, zernike_eval)
 
-from oracles import modal_spectrum, zernike_gradient
+from oracles import modal_spectrum, substream, zernike_gradient
 
 
 def enumerate_orders(n_max):
@@ -424,6 +424,20 @@ class TestSpectrumType:
         with pytest.raises(ValueError):
             ZernikeSpectrum(((0, 0.1),), 1e-3)
 
+    @pytest.mark.parametrize("j", [2.7, True, np.int64(3)],
+                             ids=["float", "bool", "numpy"])
+    def test_index_follows_the_integer_rule(self, j):
+        # int() would truncate 2.7 to 2 and take True for piston; a numpy
+        # integer gives the spectrum its int does.
+        coeffs = ((j, 0.1), (5, 0.2))
+        if isinstance(j, np.integer):
+            assert ZernikeSpectrum(coeffs, 1e-3) == ZernikeSpectrum(
+                ((int(j), 0.1), (5, 0.2)), 1e-3)
+            return
+        with pytest.raises(ConfigError, match=re.escape(
+                f"mode index must be an integer, got {j!r}")):
+            ZernikeSpectrum(coeffs, 1e-3)
+
 
 class TestModalScreen:
     def test_zero_sigma_zero_screen(self, grid256):
@@ -435,7 +449,6 @@ class TestModalScreen:
 
     def test_half_normal_mean(self):
         # 1e4 draws per mode: sample mean of |a| near sigma*sqrt(2/pi)
-        from hydrolink.seeding import TAG_COEFF, substream
         sigma = 0.1
         target = sigma * math.sqrt(2 / math.pi)
         for j in (2, 9, 15):
@@ -444,7 +457,6 @@ class TestModalScreen:
             assert np.mean(vals) == pytest.approx(target, rel=0.03)
 
     def test_per_mode_variance(self):
-        from hydrolink.seeding import TAG_COEFF, substream
         sigma = 0.25
         n_seeds = 200
         for j in (2, 8):
@@ -557,7 +569,7 @@ class TestKolmogorovPlan:
 
     @pytest.mark.parametrize("r0, grid, seed", CASES)
     def test_plain_screen_bit_identical_to_reference(self, r0, grid, seed):
-        got = kolmogorov_screen(r0, grid, seed).phase
+        got = kolmogorov_screen(r0, grid, substream(seed, TAG_COEFF)).phase
         assert np.array_equal(got, _kolmogorov_screen_reference(r0, grid,
                                                                 seed))
 
@@ -566,10 +578,12 @@ class TestKolmogorovPlan:
     def test_a_generator_seed_is_the_int_seeds_stream(self, r0, grid, seed,
                                                       levels):
         # a transit renders from the noise key drawn ahead, through a
-        # generator: the screen the int seed gives
-        want = kolmogorov_screen(r0, grid, seed, levels).phase
-        got = kolmogorov_screen(r0, grid, substream(seed, TAG_COEFF),
-                                levels).phase
+        # generator: the screen the (seed, TAG_COEFF) stream gives
+        want = kolmogorov_screen(r0, grid, substream(seed, TAG_COEFF),
+                                 levels).phase
+        cfg = ChannelConfig(n_screens=1, screen_source="kolmogorov", r0=r0,
+                            subharmonic_levels=levels)
+        got = _render_screen(cfg, grid, stream_key(seed, TAG_COEFF)).phase
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("levels", [1, 2, 3])
@@ -579,7 +593,7 @@ class TestKolmogorovPlan:
         # the merged cell integrator rounds the mode amplitudes and
         # frequencies differently, so only the last bits may move
         ref = _kolmogorov_screen_reference(r0, grid, seed, levels)
-        got = kolmogorov_screen(r0, grid, seed,
+        got = kolmogorov_screen(r0, grid, substream(seed, TAG_COEFF),
                                 subharmonic_levels=levels).phase
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -595,16 +609,22 @@ class TestKolmogorovPlan:
 class TestKolmogorovScreen:
     def test_vanishing_turbulence_limit(self, grid256):
         # variance scales as (extent/r0)^(5/3); huge r0 -> negligible phase
-        var3 = kolmogorov_screen(1e3 * grid256.extent, grid256, 0).phase.var()
+        rng = substream(0, TAG_COEFF)
+        var3 = kolmogorov_screen(1e3 * grid256.extent, grid256, rng
+                                 ).phase.var()
         assert var3 < 1e-5
-        var4 = kolmogorov_screen(4e3 * grid256.extent, grid256, 0).phase.var()
+        rng = substream(0, TAG_COEFF)
+        var4 = kolmogorov_screen(4e3 * grid256.extent, grid256, rng
+                                 ).phase.var()
         assert var4 < 1e-6
         assert var4 < var3
 
     def test_deterministic(self, grid256):
         r0 = 8 * grid256.spacing
-        s1 = kolmogorov_screen(r0, grid256, 42, subharmonic_levels=2)
-        s2 = kolmogorov_screen(r0, grid256, 42, subharmonic_levels=2)
+        s1 = kolmogorov_screen(r0, grid256, substream(42, TAG_COEFF),
+                               subharmonic_levels=2)
+        s2 = kolmogorov_screen(r0, grid256, substream(42, TAG_COEFF),
+                               subharmonic_levels=2)
         assert np.array_equal(s1.phase, s2.phase)
 
     def test_structure_function_monte_carlo(self, grid256):
@@ -615,7 +635,7 @@ class TestKolmogorovScreen:
         lags = (r0_px // 2, r0_px, 2 * r0_px)
         acc = {lag: [] for lag in lags}
         for seed in range(200):
-            ph = kolmogorov_screen(r0, grid256, seed,
+            ph = kolmogorov_screen(r0, grid256, substream(seed, TAG_COEFF),
                                    subharmonic_levels=2).phase
             for lag in lags:
                 acc[lag].append(np.mean((ph[:, lag:] - ph[:, :-lag]) ** 2))
@@ -631,14 +651,20 @@ class TestKolmogorovScreen:
         lag = 2 * r0_px
         vals = []
         for seed in range(50):
-            ph = kolmogorov_screen(r0, grid256, seed).phase
+            ph = kolmogorov_screen(r0, grid256,
+                                   substream(seed, TAG_COEFF)).phase
             vals.append(np.mean((ph[:, lag:] - ph[:, :-lag]) ** 2))
         ratio = np.mean(vals) / (6.88 * 2 ** (5 / 3))
         assert 0.5 < ratio < 0.85
 
     def test_invalid_r0(self, grid256):
         with pytest.raises(ValueError):
-            kolmogorov_screen(0.0, grid256, 0)
+            kolmogorov_screen(0.0, grid256, substream(0, TAG_COEFF))
+
+    def test_an_int_seed_is_refused(self):
+        # Seeds become streams only in the channel's draws.
+        with pytest.raises(TypeError, match="rng must be a numpy Generator"):
+            kolmogorov_screen(0.2, Grid(64, 1e-3), 7)
 
 
 class TestPhaseScreenType:
@@ -667,10 +693,12 @@ def test_subharmonic_levels_follow_the_integer_rule(levels):
     # screen its int does.
     grid = Grid(64, 1e-3)
     if isinstance(levels, np.integer):
-        got, want = (kolmogorov_screen(0.2, grid, 7, subharmonic_levels=k)
+        got, want = (kolmogorov_screen(0.2, grid, substream(7, TAG_COEFF),
+                                       subharmonic_levels=k)
                      for k in (levels, int(levels)))
         assert got.phase.tobytes() == want.phase.tobytes()
         return
     with pytest.raises(ConfigError, match=re.escape(
             f"subharmonic_levels must be an integer, got {levels!r}")):
-        kolmogorov_screen(0.2, grid, 7, subharmonic_levels=levels)
+        kolmogorov_screen(0.2, grid, substream(7, TAG_COEFF),
+                          subharmonic_levels=levels)
