@@ -62,17 +62,18 @@ def write_pgm16(path: Path | str, intensity: np.ndarray) -> Path:
 
 
 def screen_to_csv(screen: PhaseScreen, path: Path | str) -> Path:
-    """Rows as :func:`write_csv` writes them, sent one grid row at a time;
-    a +0.0 cell (no bit set) is written "0" without formatting."""
+    """Rows as :func:`write_csv` writes them, sent one grid row at a time
+    through one ``%`` template ("%.17g" is the ".17g" format)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    n = screen.phase.shape[1]
+    cells = [0] * (3 * n)
+    cells[0::3] = range(n)
     with open(path, "w", newline="") as fh:
         fh.write("x_index,y_index,phase_radians\n")
         for iy, row in enumerate(screen.phase):
-            fh.write("".join(
-                f"{ix},{iy},{v:.17g}\n" if bits else f"{ix},{iy},0\n"
-                for ix, v, bits in zip(range(len(row)), row.tolist(),
-                                       row.view(np.int64).tolist())))
+            cells[1::3], cells[2::3] = [iy] * n, row.tolist()
+            fh.write(("%d,%d,%.17g\n" * n) % tuple(cells))
     return path
 
 

@@ -232,10 +232,11 @@ def _windowed_com(stack: np.ndarray, pix: np.ndarray, half: int,
     initial estimate is already within a fraction of a pixel. Sub-images
     whose frame or window holds no light get finite, meaningless entries.
 
-    Each pass floors and windows ``CENTROID_CHUNK`` sub-images at a time,
-    so no copy of the whole stack is made; the row and column sums are
-    then weighted by the pixel positions over all sub-images at once, as a
-    matrix-vector product rounds by its number of rows.
+    ``CENTROID_CHUNK`` sub-images at a time, never the whole stack, are
+    floored and clipped once. Each pass takes a window's column and row
+    sums as contractions against its 0/1 row and column vectors, making no
+    masked image (windowed centre of gravity: Thomas et al., MNRAS 371,
+    323, 2006); no sum mixes sub-images, so no bit depends on the chunk.
     """
     p = stack.shape[-1]
     flat = stack.reshape(-1, p, p)
@@ -243,34 +244,31 @@ def _windowed_com(stack: np.ndarray, pix: np.ndarray, half: int,
     rows = np.arange(len(flat))
     if select is not None:
         rows, shape = rows[select.reshape(-1)], (int(select.sum()),)
-    n = len(rows)
-    sums = np.empty((2, n, p))      # column sums, then row sums
-    tot = np.empty(n)
-    ok = np.ones(n, dtype=bool)
+    com = np.empty((2, len(rows)))
+    ok = np.ones(len(rows), dtype=bool)
     step = pix[1] - pix[0]
     index = np.arange(p)
-    for window in range(3):
-        for a in range(0, n, CENTROID_CHUNK):
-            part = slice(a, a + CENTROID_CHUNK)
-            work = flat[rows[part]]
-            work -= CENTROID_FLOOR * work.max(axis=(-2, -1), keepdims=True)
-            np.clip(work, 0.0, None, out=work)
+    for a in range(0, len(rows), CENTROID_CHUNK):
+        c, found = com[:, a:a + CENTROID_CHUNK], ok[a:a + CENTROID_CHUNK]
+        work = flat[rows[a:a + CENTROID_CHUNK]]
+        work -= CENTROID_FLOOR * work.max(axis=(-2, -1), keepdims=True)
+        np.clip(work, 0.0, None, out=work)
+        inside = np.ones((2, len(work), p))    # x then y: the whole frame
+        for window in range(3):
             if window:
                 # pixels within +-(half * step) of the centroid, symmetric
                 # about it so the truncation itself stays unbiased
-                c = com[:, part]
                 lo = np.ceil((c - half * step - pix[0]) / step - 1e-9)
                 hi = np.floor((c + half * step - pix[0]) / step + 1e-9)
-                inside = (index >= lo[..., None]) & (index <= hi[..., None])
-                # work * rows * columns, in that order
-                work *= inside[1][..., :, None]
-                work *= inside[0][..., None, :]
-            work.sum(axis=-2, out=sums[0, part])
-            work.sum(axis=-1, out=sums[1, part])
-            work.sum(axis=(-2, -1), out=tot[part])
-        ok &= tot > 0.0
-        com = np.stack([sums[0] @ pix, sums[1] @ pix]) \
-            / np.where(ok, tot, 1.0)
+                inside = ((index >= lo[..., None])
+                          & (index <= hi[..., None])).astype(float)
+            sums = np.stack([
+                np.einsum("nij,ni->nj", work, inside[1]) * inside[0],
+                np.einsum("nij,nj->ni", work, inside[0]) * inside[1]])
+            tot = sums[0].sum(axis=-1)
+            found &= tot > 0.0
+            c[...] = np.einsum("knj,j->kn", sums, pix) \
+                / np.where(found, tot, 1.0)
     return com.reshape(2, *shape), ok.reshape(shape)
 
 
@@ -342,8 +340,8 @@ def extract_slopes(spots: SpotImage,
 
     Lenslets whose total energy falls below ``intensity_floor`` times the
     brightest lenslet's energy are flagged invalid. Each valid sub-image is
-    centroided (center of mass after subtracting ``CENTROID_FLOOR`` of its
-    own peak, iteratively windowed around the spot), the displacement is
+    floored once at ``CENTROID_FLOOR`` of its peak and centroided from
+    masked sums over windows re-centered on the spot; the displacement is
     corrected by the model's own centroid gain, and the slope in radians
     per meter is (2 pi / lambda) * displacement / focal_length.
     """

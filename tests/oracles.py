@@ -15,7 +15,10 @@ from a seed, as the channel draws each screen of a realization, and
 ``substream`` is the generator of the Philox stream keyed by (seed,
 *path), the reference for the channel's own draws, which it keys with
 ``seeding.stream_key``. ``centroid_law`` predicts where a realization
-moves a beam's centroid.
+moves a beam's centroid, and ``rytov_log_amplitude_variance`` how much
+diffraction between Kolmogorov screens makes a plane wave's amplitude
+fluctuate. ``windowed_com`` is the three-pass centroider the sensor used
+before it took masked window sums.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from hydrolink.channel import ChannelConfig, angular_spectrum_propagate, \
     apply_phase_screen, realize_screens
 from hydrolink.field import ComplexField, Grid, centroid
 from hydrolink.seeding import TAG_COEFF, normals, stream_key
+from hydrolink.shack_hartmann import CENTROID_CHUNK, CENTROID_FLOOR
 from hydrolink.zernike import ZernikeIndex, ZernikeSpectrum, \
     _kolmogorov_plan, gradient_unchecked, sigma_table
 
@@ -118,6 +122,33 @@ def kolmogorov_coherence(r0: float, grid: Grid, n_screens: int,
     d = np.asarray(lags, dtype=float)[:, None] * grid.spacing
     structure = 2.0 * (power * (1.0 - np.cos(2.0 * np.pi * fx * d))).sum(1)
     return np.exp(-0.5 * n_screens * structure)
+
+
+def rytov_log_amplitude_variance(config: ChannelConfig, grid: Grid,
+                                  wavelength: float) -> float:
+    """The first-order Rytov variance of chi = ln|u| a unit plane wave
+    shows after ``config``'s Kolmogorov screens (``subharmonic_levels`` 0),
+    without attenuation.
+
+    A screen phi at distance D from the output leaves u = exp(i phi) as
+    1 + i phi to first order; each of its components at frequency f then
+    gains exp(-i alpha), alpha = pi (lambda / n) D |f|^2, so chi is phi
+    filtered by sin(alpha) and its variance is sum_f c_f^2 sin^2(alpha)
+    with c_f = sqrt(PSD) df, read from the generator's own
+    ``_kolmogorov_plan`` (see :func:`kolmogorov_coherence`). Independent
+    screens add. Screen i of n sits at D_i = L - i L / (n + 1), as
+    ``run_channel`` spaces them.
+    """
+    sqrt_psd, df = _kolmogorov_plan(config.r0, grid, 0)[:2]
+    power = (sqrt_psd * df) ** 2
+    f = np.fft.fftfreq(grid.n_samples, d=grid.spacing)
+    fr2 = f[None, :] ** 2 + f[:, None] ** 2
+    n = config.n_screens
+    lam = wavelength / config.refractive_index
+    return float(sum(
+        (power * np.sin(np.pi * lam * (config.length * (1 - i / (n + 1)))
+                        * fr2) ** 2).sum()
+        for i in range(1, n + 1)))
 
 
 def modal_spectrum(stats: Mapping[int, float], aperture_radius: float,
@@ -242,3 +273,48 @@ def find_vortices(field: ComplexField,
 
 def total_vortex_charge(vortices: list[Vortex]) -> int:
     return sum(v.charge for v in vortices)
+
+
+def windowed_com(stack: np.ndarray, pix: np.ndarray, half: int,
+                 select: np.ndarray | None = None,
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """``shack_hartmann._windowed_com`` as three passes over the whole
+    selection: each pass gathers, floors and clips every sub-image again,
+    multiplies it by its row and column window masks and sums the product
+    three ways, and the row and column sums are weighted by the pixel
+    positions over all sub-images at once. The package floors each
+    sub-image once and takes masked sums, which agree in exact arithmetic;
+    this is the reference its rounding is held to.
+    """
+    p = stack.shape[-1]
+    flat = stack.reshape(-1, p, p)
+    shape = stack.shape[:-2]
+    rows = np.arange(len(flat))
+    if select is not None:
+        rows, shape = rows[select.reshape(-1)], (int(select.sum()),)
+    n = len(rows)
+    sums = np.empty((2, n, p))      # column sums, then row sums
+    tot = np.empty(n)
+    ok = np.ones(n, dtype=bool)
+    step = pix[1] - pix[0]
+    index = np.arange(p)
+    for window in range(3):
+        for a in range(0, n, CENTROID_CHUNK):
+            part = slice(a, a + CENTROID_CHUNK)
+            work = flat[rows[part]]
+            work -= CENTROID_FLOOR * work.max(axis=(-2, -1), keepdims=True)
+            np.clip(work, 0.0, None, out=work)
+            if window:
+                c = com[:, part]
+                lo = np.ceil((c - half * step - pix[0]) / step - 1e-9)
+                hi = np.floor((c + half * step - pix[0]) / step + 1e-9)
+                inside = (index >= lo[..., None]) & (index <= hi[..., None])
+                work *= inside[1][..., :, None]
+                work *= inside[0][..., None, :]
+            work.sum(axis=-2, out=sums[0, part])
+            work.sum(axis=-1, out=sums[1, part])
+            work.sum(axis=(-2, -1), out=tot[part])
+        ok &= tot > 0.0
+        com = np.stack([sums[0] @ pix, sums[1] @ pix]) \
+            / np.where(ok, tot, 1.0)
+    return com.reshape(2, *shape), ok.reshape(shape)

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hydrolink import runner
 from hydrolink.field import ComplexField, ConfigError, Grid, lg_mode
 import hydrolink.shack_hartmann as shm
 from hydrolink.shack_hartmann import (CENTROID_FLOOR, FIT_CONDITION_LIMIT,
@@ -16,9 +17,11 @@ from hydrolink.shack_hartmann import (CENTROID_FLOOR, FIT_CONDITION_LIMIT,
                                       capture, check_fit_modes,
                                       extract_slopes, modal_fit,
                                       reconstruct_wavefront)
+from hydrolink.scenario import load_scenario
 from hydrolink.zernike import (ZernikeSpectrum, gradient_unchecked,
                                nm_from_index, phase_from_spectrum)
 
+import oracles
 from oracles import modal_spectrum
 
 WAVELENGTH = 532e-9
@@ -494,6 +497,44 @@ class TestStackCentroider:
             spot = np.abs(kern @ block @ kern.T) ** 2
             ref.append(_windowed_com_scalar(spot, pix, half)[0])
         assert np.abs(measured - ref).max() < 1e-12 * GEOMETRY.pixel_size
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_survey_matches_the_three_pass_oracle(self, seed, tmp_path,
+                                                  monkeypatch):
+        # Masked window sums move only rounding: on wavefront-survey
+        # frames the same lenslets are valid, the slopes agree with the
+        # three-pass centroider within 1e-12 of the largest |slope|, and
+        # the calibration table within 1e-12 relative.
+        seen = []
+
+        def recording(spots, **kwargs):
+            seen.append((spots, kwargs))
+            return extract_slopes(spots, **kwargs)
+
+        monkeypatch.setattr(runner, "extract_slopes", recording)
+        runner.run_scenario(load_scenario("wavefront-survey", seed=seed,
+                                          frames=4), tmp_path)
+        spots = seen[0][0]
+        key = (spots.geometry, spots.wavelength,
+               spots.field_samples_per_lenslet)
+        got = [extract_slopes(s, **kw) for s, kw in seen]
+        measured = _lenslet_plan(*key)[3]
+        with monkeypatch.context() as m:
+            m.setattr(shm, "_windowed_com", oracles.windowed_com)
+            _lenslet_plan.cache_clear()
+            try:
+                want = [extract_slopes(s, **kw) for s, kw in seen]
+                ref = _lenslet_plan(*key)[3]
+            finally:
+                _lenslet_plan.cache_clear()
+        assert len(got) == 4
+        for g, w in zip(got, want):
+            assert np.array_equal(g.valid, w.valid) and g.valid.sum() > 300
+            new, old = (np.stack([f.slope_x, f.slope_y])[:, f.valid]
+                        for f in (g, w))
+            assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
+        assert np.all(np.abs(measured - ref) <= 1e-12 * ref)
+        assert np.all(np.diff(measured) > 0)
 
     def test_plan_is_shared_and_read_only(self):
         plan = _lenslet_plan(GEOMETRY, WAVELENGTH, 12)
