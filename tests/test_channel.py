@@ -1054,11 +1054,11 @@ class TestRytovScintillation:
     Rytov theory (``oracles.rytov_log_amplitude_variance``). Each trial's
     variance of chi = ln|u| over the grid is one sample; the mean of 200
     must lie within 3 of its standard errors of the prediction (seen:
-    measured / predicted 0.99-1.01 over five geometries). The coherence
-    test above barely sees the diffraction, since it is almost a phase
+    measured / predicted 1.006, 0.4 standard errors). The coherence test
+    above barely sees the diffraction, since it is almost a phase
     statistic. The prediction uses the generator's own cell-averaged
     density: at this 5.12 mm extent the continuous PSD at cell centres
-    misses by several percent.
+    predicts 14% less.
     """
 
     GRID = Grid(128, 40e-6)

@@ -508,8 +508,8 @@ class TestStackCentroider:
         seen = []
 
         def recording(spots, **kwargs):
-            seen.append((spots, kwargs))
-            return extract_slopes(spots, **kwargs)
+            seen.append((spots, kwargs, extract_slopes(spots, **kwargs)))
+            return seen[-1][2]
 
         monkeypatch.setattr(runner, "extract_slopes", recording)
         runner.run_scenario(load_scenario("wavefront-survey", seed=seed,
@@ -517,18 +517,17 @@ class TestStackCentroider:
         spots = seen[0][0]
         key = (spots.geometry, spots.wavelength,
                spots.field_samples_per_lenslet)
-        got = [extract_slopes(s, **kw) for s, kw in seen]
         measured = _lenslet_plan(*key)[3]
         with monkeypatch.context() as m:
             m.setattr(shm, "_windowed_com", oracles.windowed_com)
             _lenslet_plan.cache_clear()
             try:
-                want = [extract_slopes(s, **kw) for s, kw in seen]
+                want = [extract_slopes(s, **kw) for s, kw, _ in seen]
                 ref = _lenslet_plan(*key)[3]
             finally:
                 _lenslet_plan.cache_clear()
-        assert len(got) == 4
-        for g, w in zip(got, want):
+        assert len(seen) == 4
+        for (*_, g), w in zip(seen, want):
             assert np.array_equal(g.valid, w.valid) and g.valid.sum() > 300
             new, old = (np.stack([f.slope_x, f.slope_y])[:, f.valid]
                         for f in (g, w))
